@@ -1,9 +1,10 @@
-"""Hot numeric kernels: numba-compiled with a pure numpy/scipy fallback.
+"""Batched tridiagonal kernels on LAPACK's pivoted routines.
 
-The backend is chosen at import time. Set CONELAB_NUMBA=0 to force the
-fallback path; anything else (or an unavailable numba) falls back silently.
-Both backends implement identical semantics and are compared in
-benchmarks/bench_kernels.py and in the test suite.
+Solves go through ``zgtsv`` (one call per batch row); the theta march
+factors each row of A once with ``zgttrf`` and reuses the factors through
+``zgttrs`` every step. Both pivot by rows, which the shifted resolvents
+need: they are neither diagonally dominant nor M-matrices. An exactly
+singular system (``info > 0``) raises NumericalError.
 
 Band convention: tridiagonal systems are stored as three length-J arrays
 (dl, d, du) with dl[0] and du[-1] unused, batched over a leading axis.
@@ -11,131 +12,45 @@ Band convention: tridiagonal systems are stored as three length-J arrays
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
-_FLAG = os.environ.get("CONELAB_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _FLAG not in ("0", "false", "no", "off")
-
-USING_NUMBA = False
-
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except Exception:  # pragma: no cover - environment without numba
-        USING_NUMBA = False
-
-
-def _thomas_batch_py(dl, d, du, rhs):
-    """Batched Thomas solve via scipy, one banded solve per batch row."""
-    from scipy.linalg import solve_banded
-
-    nb, J = d.shape
-    out = np.empty_like(rhs)
-    ab = np.zeros((3, J), dtype=complex)
-    for b in range(nb):
-        ab[0, 1:] = du[b, :-1]
-        ab[1, :] = d[b]
-        ab[2, :-1] = dl[b, 1:]
-        out[b] = solve_banded((1, 1), ab, rhs[b])
-    return out
-
-
-def _theta_rhs_py(Bdl, Bd, Bdu, u, out):
-    """out = B u with tridiagonal B, batched."""
-    out[:, :] = Bd * u
-    out[:, 1:] += Bdl[:, 1:] * u[:, :-1]
-    out[:, :-1] += Bdu[:, :-1] * u[:, 1:]
-    return out
-
-
-def _evolve_theta_py(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, n_steps, snap_every):
-    n_snaps = n_steps // snap_every
-    snaps = np.empty((n_snaps, *u0.shape), dtype=complex)
-    u = u0.copy()
-    rhs = np.empty_like(u)
-    k = 0
-    for step in range(1, n_steps + 1):
-        _theta_rhs_py(Bdl, Bd, Bdu, u, rhs)
-        u = _thomas_batch_py(Adl, Ad, Adu, rhs)
-        if step % snap_every == 0:
-            snaps[k] = u
-            k += 1
-    return u, snaps
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _thomas_batch_nb(dl, d, du, rhs):  # pragma: no cover - exercised via wrapper
-        nb, J = d.shape
-        out = np.empty_like(rhs)
-        cp = np.empty(J, dtype=np.complex128)
-        dp = np.empty(J, dtype=np.complex128)
-        for b in range(nb):
-            cp[0] = du[b, 0] / d[b, 0]
-            dp[0] = rhs[b, 0] / d[b, 0]
-            for j in range(1, J):
-                denom = d[b, j] - dl[b, j] * cp[j - 1]
-                cp[j] = du[b, j] / denom
-                dp[j] = (rhs[b, j] - dl[b, j] * dp[j - 1]) / denom
-            out[b, J - 1] = dp[J - 1]
-            for j in range(J - 2, -1, -1):
-                out[b, j] = dp[j] - cp[j] * out[b, j + 1]
-        return out
-
-    @njit(cache=True)
-    def _evolve_theta_nb(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, n_steps, snap_every):  # pragma: no cover
-        nb, J = u0.shape
-        n_snaps = n_steps // snap_every
-        snaps = np.empty((n_snaps, nb, J), dtype=np.complex128)
-        u = u0.copy()
-        rhs = np.empty_like(u)
-        cp = np.empty(J, dtype=np.complex128)
-        dp = np.empty(J, dtype=np.complex128)
-        k = 0
-        for step in range(1, n_steps + 1):
-            for b in range(nb):
-                rhs[b, 0] = Bd[b, 0] * u[b, 0] + Bdu[b, 0] * u[b, 1]
-                for j in range(1, J - 1):
-                    rhs[b, j] = (Bdl[b, j] * u[b, j - 1] + Bd[b, j] * u[b, j]
-                                 + Bdu[b, j] * u[b, j + 1])
-                rhs[b, J - 1] = Bdl[b, J - 1] * u[b, J - 2] + Bd[b, J - 1] * u[b, J - 1]
-                cp[0] = Adu[b, 0] / Ad[b, 0]
-                dp[0] = rhs[b, 0] / Ad[b, 0]
-                for j in range(1, J):
-                    denom = Ad[b, j] - Adl[b, j] * cp[j - 1]
-                    cp[j] = Adu[b, j] / denom
-                    dp[j] = (rhs[b, j] - Adl[b, j] * dp[j - 1]) / denom
-                u[b, J - 1] = dp[J - 1]
-                for j in range(J - 2, -1, -1):
-                    u[b, j] = dp[j] - cp[j] * u[b, j + 1]
-            if step % snap_every == 0:
-                snaps[k] = u
-                k += 1
-        return u, snaps
+from .errors import NumericalError
 
 
 def _c128(a):
     return np.ascontiguousarray(a, dtype=np.complex128)
 
 
+def _check(info: int, routine: str, row: int):
+    if info > 0:
+        raise NumericalError(f"singular tridiagonal system in batch row {row}: "
+                             f"{routine} found a zero pivot at position {info}")
+
+
+def _matvec(dl, d, du, u, out):
+    """out = A u with tridiagonal A, batched."""
+    out[:, :] = d * u
+    out[:, 1:] += dl[:, 1:] * u[:, :-1]
+    out[:, :-1] += du[:, :-1] * u[:, 1:]
+    return out
+
+
 def thomas_batch(dl, d, du, rhs):
     """Solve batched tridiagonal systems; leading axis is the batch."""
     dl, d, du, rhs = map(_c128, (dl, d, du, rhs))
-    if USING_NUMBA:
-        return _thomas_batch_nb(dl, d, du, rhs)
-    return _thomas_batch_py(dl, d, du, rhs)
+    out = np.empty_like(rhs)
+    for b in range(d.shape[0]):
+        *_, out[b], info = zgtsv(dl[b, 1:], d[b], du[b, :-1], rhs[b])
+        _check(info, "zgtsv", b)
+    return out
 
 
 def tridiag_matvec(dl, d, du, u):
     """Batched tridiagonal matrix-vector product."""
     out = np.empty_like(np.asarray(u, dtype=complex))
-    return _theta_rhs_py(np.asarray(dl), np.asarray(d), np.asarray(du),
-                         np.asarray(u, dtype=complex), out)
+    return _matvec(np.asarray(dl), np.asarray(d), np.asarray(du),
+                   np.asarray(u, dtype=complex), out)
 
 
 def evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, n_steps, snap_every):
@@ -144,11 +59,23 @@ def evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, n_steps, snap_every):
     A = I - theta*dt*L and B = I + (1-theta)*dt*L are prefactored bands.
     Returns (final state, snapshots array of shape (n_steps//snap_every, ...)).
     """
-    args = tuple(map(_c128, (Adl, Ad, Adu, Bdl, Bd, Bdu, u0)))
-    if USING_NUMBA:
-        return _evolve_theta_nb(*args, n_steps, snap_every)
-    return _evolve_theta_py(*args, n_steps, snap_every)
+    Adl, Ad, Adu, Bdl, Bd, Bdu = map(_c128, (Adl, Ad, Adu, Bdl, Bd, Bdu))
+    u = _c128(u0).copy()          # marched in place; never the caller's array
+    factors = []
+    for b in range(Ad.shape[0]):
+        *lu, info = zgttrf(Adl[b, 1:], Ad[b], Adu[b, :-1])
+        _check(info, "zgttrf", b)
+        factors.append(lu)
+    snaps = np.empty((n_steps // snap_every, *u.shape), dtype=complex)
+    rhs = np.empty_like(u)
+    for step in range(1, n_steps + 1):
+        _matvec(Bdl, Bd, Bdu, u, rhs)
+        for b, lu in enumerate(factors):
+            u[b], _ = zgttrs(*lu, rhs[b])
+        if step % snap_every == 0:
+            snaps[step // snap_every - 1] = u
+    return u, snaps
 
 
 def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
+    return "lapack"

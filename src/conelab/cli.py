@@ -40,7 +40,7 @@ def _write_manifest(outdir: Path, args_echo: dict, cfg: dict, t0: float, outputs
         "command": args_echo,
         "config": cfg,
         "seed": cfg.get("seed", 0),
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
         "outputs": outputs,
     }
     with open(outdir / "manifest.json", "w") as fh:
@@ -48,7 +48,7 @@ def _write_manifest(outdir: Path, args_echo: dict, cfg: dict, t0: float, outputs
 
 
 def cmd_poles(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = load_config(args.config)
     cs = cross_section_from_config(cfg["cross_section"])
     spec = operator_from_config(cfg, cs)
@@ -75,7 +75,7 @@ def cmd_poles(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = load_config(args.config)
     cs = cross_section_from_config(cfg["cross_section"])
     spec = operator_from_config(cfg, cs)
@@ -113,12 +113,12 @@ def _read_field_csv(path: Path, grid: LogGrid, cs, max_modes: int) -> RadialFiel
             by_mode.setdefault(row["mode"], []).append(
                 (float(row["tau"]), float(row["re"]), float(row["im"])))
     for mode, entries in by_mode.items():
-        entries.sort()
-        taus = np.array([e[0] for e in entries])
+        taus, re, im = np.array(sorted(entries)).T
+        if not np.all(np.isfinite([taus, re, im])):
+            raise ConfigError(f"field file {path} holds a non-finite value in mode {mode}")
         if len(taus) != grid.points or not np.allclose(taus, grid.tau, atol=1e-10):
             raise ConfigError(f"field file {path} does not match the config grid")
-        field.values[field.mode_index(mode)] = (
-            np.array([e[1] for e in entries]) + 1j * np.array([e[2] for e in entries]))
+        field.values[field.mode_index(mode)] = re + 1j * im
     return field
 
 
@@ -132,7 +132,7 @@ def _write_field_csv(path: Path, field: RadialField):
 
 
 def cmd_norm(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = load_config(args.config)
     cs = cross_section_from_config(cfg["cross_section"])
     grid = grid_from_config(cfg)
@@ -151,7 +151,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_solve_heat(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = load_config(args.config)
     cs = cross_section_from_config(cfg["cross_section"])
     grid = grid_from_config(cfg)
@@ -182,7 +182,7 @@ def cmd_solve_heat(args) -> int:
 
 
 def cmd_fit_tip(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = load_config(args.config) if args.config else {}
     trajdir = Path(args.traj)
     meta_path = trajdir / "trajectory.json"
@@ -226,7 +226,7 @@ def cmd_fit_tip(args) -> int:
 
 
 def cmd_powers(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = load_config(args.config)
     blk = cfg.get("powers", {})
     z = complex(float(blk.get("z_re", -0.5)), float(blk.get("z_im", 0.0)))
@@ -239,11 +239,14 @@ def cmd_powers(args) -> int:
     shift, sect = find_sectorial_shift(L, theta, c0=float(blk.get("shift0", 1.0)))
     M = (-L).shifted(shift)
     power = dunford_power(M, z) if M.dim <= int(blk.get("dense_limit", 700)) else None
+    contour = power.provenance["contour"] if power is not None else None
     report = {
         "z": [z.real, z.imag], "shift": shift, "theta": theta,
         "sectorial_K": sect.K,
         "min_abs_eig": sect.min_abs_eig,
-        "quadrature": {"n_quad": 64, "tail_tol": 1e-10},
+        "quadrature": {"n_quad": contour.n_quad, "tol_tail": contour.tol_tail,
+                       "rho": contour.rho, "theta": contour.theta}
+        if contour is not None else None,
         "power_norm": float(np.linalg.norm(power.data, 2)) if power is not None else None,
         "tail_bound": power.provenance.get("tail_bound") if power is not None else None,
     }
@@ -257,7 +260,7 @@ def cmd_powers(args) -> int:
 
 
 def cmd_sectorial_probe(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = load_config(args.config)
     blk = cfg.get("powers", {})
     cs = cross_section_from_config(cfg["cross_section"])
@@ -295,8 +298,6 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="conelab",
                                  description="cone-operator singular analysis laboratory")
-    ap.add_argument("--threads", type=int, default=0,
-                    help="worker threads for the compiled kernels (0: library default)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("poles", help="conormal-symbol pole set as CSV")
@@ -350,12 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads:
-        try:
-            import numba
-            numba.set_num_threads(args.threads)
-        except Exception:
-            pass
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -146,14 +146,17 @@ def _theta_bands(ops, dt: float, theta: float):
 
 
 def step(state: RadialField, t: float, dt: float, f_provider, cfg: HeatConfig,
-         _ops=None) -> RadialField:
+         _bands=None) -> RadialField:
     """One theta step: solve (I - theta dt L) u+ = (I + (1-theta) dt L) u + dt f.
 
     The forcing blend matches the scheme, theta f(t+dt) + (1-theta) f(t);
     dirichlet rows carry no forcing so the boundary value stays frozen.
+    ``_bands`` passes the theta bands of ``cfg`` at this ``dt`` when the
+    caller has them already.
     """
-    modes, ops = _ops if _ops is not None else _mode_operators(cfg)
-    (Adl, Ad, Adu), (Bdl, Bd, Bdu) = _theta_bands(ops, dt, cfg.theta)
+    if _bands is None:
+        _bands = _theta_bands(_mode_operators(cfg)[1], dt, cfg.theta)
+    (Adl, Ad, Adu), (Bdl, Bd, Bdu) = _bands
     rhs = tridiag_matvec(Bdl, Bd, Bdu, state.values)
     if f_provider is not None:
         fb = cfg.theta * np.asarray(f_provider(t + dt), dtype=complex) \
@@ -174,8 +177,9 @@ def step(state: RadialField, t: float, dt: float, f_provider, cfg: HeatConfig,
 def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
     """March u' = L u + f from u0 to T, collecting configured snapshots.
 
-    With no forcing the whole loop runs inside the compiled kernel; with a
-    forcing provider the steps run one by one so arbitrary callables work.
+    With no forcing the whole loop runs in ``evolve_theta`` on prefactored
+    bands; with a forcing provider the steps run one by one so arbitrary
+    callables work.
     """
     if u0.grid.points != cfg.grid.points or u0.grid.tau_min != cfg.grid.tau_min:
         raise ConfigError("initial field lives on a different grid than the config")
@@ -186,11 +190,10 @@ def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
     every = cfg.snapshot_every if cfg.snapshot_every > 0 else n_steps
     times = [0.0]
     fields = [u0.copy()]
+    bands = _theta_bands(ops, cfg.dt, cfg.theta)
 
     if f_provider is None:
-        (Adl, Ad, Adu), (Bdl, Bd, Bdu) = _theta_bands(ops, cfg.dt, cfg.theta)
-        _final, snaps = evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0.values,
-                                     n_steps, every)
+        _final, snaps = evolve_theta(*bands[0], *bands[1], u0.values, n_steps, every)
         if not np.all(np.isfinite(snaps)):
             raise NumericalError("non-finite state during homogeneous evolution")
         for k in range(snaps.shape[0]):
@@ -207,7 +210,7 @@ def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
         state = u0
         for s in range(1, n_steps + 1):
             state = step(state, (s - 1) * cfg.dt, cfg.dt, f_provider, cfg,
-                         _ops=(modes, ops))
+                         _bands=bands)
             if s % every == 0 or s == n_steps:
                 times.append(s * cfg.dt)
                 fields.append(state.copy())

@@ -45,14 +45,14 @@ class CriterionResult:
 
 
 def _run(name: str, budget: float, fn) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         ok, detail = fn()
     except ConelabError as exc:
         ok, detail = False, f"error: {exc}"
     except AssertionError as exc:
         ok, detail = False, f"assertion: {exc}"
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     if ok and elapsed > budget:
         ok = False
         detail += f" (runtime {elapsed:.1f}s exceeded budget {budget}s)"

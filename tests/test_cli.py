@@ -94,14 +94,19 @@ def test_norm_roundtrip(cfg_path, tmp_path, capsys):
     assert "norm" in capsys.readouterr().out
 
 
-def test_solve_heat_and_fit_tip_pipeline(cfg_path, tmp_path):
-    u0 = tmp_path / "u0.csv"
+def _write_u0(path, nan_row=None):
+    """Constant k=0 field on the CIRCLE_CFG grid, optionally with one NaN."""
     taus = np.linspace(-6.0, 0.0, 129)
-    with open(u0, "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["tau", "mode", "re", "im"])
-        for t in taus:
-            w.writerow([f"{t:.17g}", "k=0", "1", "0"])
+        for i, t in enumerate(taus):
+            w.writerow([f"{t:.17g}", "k=0", "nan" if i == nan_row else "1", "0"])
+
+
+def test_solve_heat_and_fit_tip_pipeline(cfg_path, tmp_path):
+    u0 = tmp_path / "u0.csv"
+    _write_u0(u0)
     outdir = tmp_path / "traj"
     assert main(["solve-heat", "--config", str(cfg_path), "--u0", str(u0),
                  "--out", str(outdir)]) == 0
@@ -120,6 +125,24 @@ def test_solve_heat_and_fit_tip_pipeline(cfg_path, tmp_path):
     const_rows = [r for r in rows if r["mode"] == "k=0" and r["m"] == "0"
                   and float(r["rho_re"]) == 0.0]
     assert all(abs(float(r["c_re"]) - 1.0) < 1e-9 for r in const_rows)
+
+
+def test_non_finite_field_csv_exit_2(cfg_path, tmp_path, capsys):
+    outdir = tmp_path / "traj"
+    basis = tmp_path / "basis.json"
+    u0 = tmp_path / "u0.csv"
+    _write_u0(u0, nan_row=7)
+    assert main(["solve-heat", "--config", str(cfg_path), "--u0", str(u0),
+                 "--out", str(outdir)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    _write_u0(u0)
+    assert main(["solve-heat", "--config", str(cfg_path), "--u0", str(u0),
+                 "--out", str(outdir)]) == 0
+    assert main(["asymptotics", "--config", str(cfg_path), "--out", str(basis)]) == 0
+    _write_u0(sorted(outdir.glob("snapshot_*.csv"))[1], nan_row=7)
+    assert main(["fit-tip", "--traj", str(outdir), "--basis", str(basis),
+                 "--out", str(tmp_path / "fits.csv")]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_solve_heat_gamma_window_enforced(tmp_path):
@@ -148,6 +171,20 @@ def test_powers_command(cfg_path, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["power_norm"] is not None
     assert payload["tail_bound"] < 1e-9
+    quad = payload["quadrature"]
+    assert quad["n_quad"] == 64 and quad["tol_tail"] == 1e-10
+    assert quad["theta"] == pytest.approx(0.75 * math.pi)
+    assert 0.0 < quad["rho"] < payload["min_abs_eig"]
+
+
+def test_powers_command_reports_no_contour_when_skipped(tmp_path):
+    cfg = dict(CIRCLE_CFG, powers={"dense_limit": 0})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "powers.json"
+    assert main(["powers", "--config", str(p), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["quadrature"] is None and payload["power_norm"] is None
 
 
 def test_verify_single_suite_exit_zero():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conelab.cone_geometry import CrossSection
-from conelab.errors import ConfigError
+from conelab.errors import ConfigError, NumericalError
 from conelab.heat_solver import (HeatConfig, assemble_mode_operator,
                                  bessel_mode_roots, bessel_series_solution,
                                  grid_l2, regular_indicial_root,
@@ -97,6 +97,16 @@ def test_solver_linearity():
     t2 = solve_heat(v, g_fn, cfg).final().values
     t3 = solve_heat(uv, fg, cfg).final().values
     assert np.max(np.abs(t3 - (a * t1 + b * t2))) < 1e-12
+
+
+def test_non_finite_forcing_raises_numerical_error():
+    g = LogGrid(-5.0, 65)
+    cfg = HeatConfig(cross_section=CIRCLE, grid=g, T=0.003, dt=1e-3,
+                     outer_bc="neumann", theta=0.5, max_modes=1)
+    u0 = RadialField.zeros(g, CIRCLE, 1)
+    f = lambda t: np.full((1, g.points), math.inf, dtype=complex)
+    with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+        solve_heat(u0, f, cfg)
 
 
 def test_discrete_maximum_principle_theta1():

@@ -1,14 +1,11 @@
-"""Compiled kernels against the numpy/scipy fallback path."""
-
-import json
-import os
-import subprocess
-import sys
-import textwrap
+"""LAPACK tridiagonal kernels against dense linear algebra."""
 
 import numpy as np
+import pytest
 
 from conelab import _kernels
+from conelab.errors import NumericalError
+from conelab.operators import OperatorMatrix
 
 
 def _random_bands(rng, nb, J):
@@ -20,14 +17,31 @@ def _random_bands(rng, nb, J):
     return dl, d, du
 
 
+def _pivoting_bands(rng, nb, J):
+    """Bands whose leading diagonal is zero or tiny: elimination must swap rows."""
+    dl = rng.standard_normal((nb, J)) + 1j * rng.standard_normal((nb, J))
+    du = rng.standard_normal((nb, J)) + 1j * rng.standard_normal((nb, J))
+    d = 1e-8 * rng.standard_normal((nb, J)) + 0j
+    d[:, 0] = 0.0
+    dl[:, 0] = 0.0
+    du[:, -1] = 0.0
+    return dl, d, du
+
+
+def _dense(dl, d, du):
+    return np.diag(d) + np.diag(dl[1:], -1) + np.diag(du[:-1], 1)
+
+
 def test_thomas_batch_matches_dense_solve():
     rng = np.random.default_rng(8)
-    dl, d, du = _random_bands(rng, 3, 40)
-    rhs = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
-    out = _kernels.thomas_batch(dl, d, du, rhs)
-    for b in range(3):
-        A = np.diag(d[b]) + np.diag(dl[b, 1:], -1) + np.diag(du[b, :-1], 1)
-        assert np.allclose(A @ out[b], rhs[b], atol=1e-11)
+    for bands in (_random_bands, _pivoting_bands):
+        dl, d, du = bands(rng, 3, 40)
+        rhs = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
+        out = _kernels.thomas_batch(dl, d, du, rhs)
+        for b in range(3):
+            A = _dense(dl[b], d[b], du[b])
+            assert np.allclose(out[b], np.linalg.solve(A, rhs[b]), rtol=1e-9, atol=1e-11)
+            assert np.allclose(A @ out[b], rhs[b], atol=1e-11)
 
 
 def test_matvec_matches_dense():
@@ -36,59 +50,53 @@ def test_matvec_matches_dense():
     u = rng.standard_normal((2, 17)) + 0j
     out = _kernels.tridiag_matvec(dl, d, du, u)
     for b in range(2):
-        A = np.diag(d[b]) + np.diag(dl[b, 1:], -1) + np.diag(du[b, :-1], 1)
-        assert np.allclose(out[b], A @ u[b])
+        assert np.allclose(out[b], _dense(dl[b], d[b], du[b]) @ u[b])
 
 
 def test_evolve_theta_equals_stepwise():
     rng = np.random.default_rng(5)
-    dl, d, du = _random_bands(rng, 2, 25)
-    Adl, Ad, Adu = -0.5 * dl, 1.0 - 0.5 * d, -0.5 * du
-    Bdl, Bd, Bdu = 0.5 * dl, 1.0 + 0.5 * d, 0.5 * du
-    u0 = rng.standard_normal((2, 25)) + 0j
-    final, snaps = _kernels.evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, 6, 2)
-    u = u0.copy()
-    for _ in range(6):
-        rhs = _kernels.tridiag_matvec(Bdl, Bd, Bdu, u)
-        u = _kernels.thomas_batch(Adl, Ad, Adu, rhs)
-    assert np.allclose(final, u, atol=1e-12)
-    assert snaps.shape == (3, 2, 25)
-    assert np.allclose(snaps[-1], u, atol=1e-12)
-
-
-def test_fallback_backend_agrees():
-    """Run the same evolution under CONELAB_NUMBA=0 in a subprocess."""
-    code = textwrap.dedent("""
-        import json, sys
-        import numpy as np
-        from conelab import _kernels
-        assert _kernels.backend_name() == "numpy", _kernels.backend_name()
-        rng = np.random.default_rng(5)
-        dl = rng.standard_normal((2, 25)) * 0.1 + 0j
-        du = rng.standard_normal((2, 25)) * 0.1 + 0j
-        d = (2.0 + np.abs(rng.standard_normal((2, 25)))).astype(complex)
-        dl[:, 0] = 0.0; du[:, -1] = 0.0
-        Adl, Ad, Adu = -0.5*dl, 1.0-0.5*d, -0.5*du
-        Bdl, Bd, Bdu = 0.5*dl, 1.0+0.5*d, 0.5*du
+    for bands in (_random_bands, _pivoting_bands):
+        dl, d, du = bands(rng, 2, 25)
+        Adl, Ad, Adu = -0.5 * dl, 1.0 - 0.5 * d, -0.5 * du
+        Bdl, Bd, Bdu = 0.5 * dl, 1.0 + 0.5 * d, 0.5 * du
+        if bands is _pivoting_bands:
+            Ad = d.copy()              # A itself needs row interchanges
         u0 = rng.standard_normal((2, 25)) + 0j
+        u0_before = u0.copy()
         final, snaps = _kernels.evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, 6, 2)
-        print(json.dumps([final.real.tolist(), final.imag.tolist()]))
-    """)
-    env = dict(os.environ, CONELAB_NUMBA="0")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    re_part, im_part = json.loads(proc.stdout)
-    other = np.array(re_part) + 1j * np.array(im_part)
+        assert np.array_equal(u0, u0_before)
+        u = u0.copy()
+        for _ in range(6):
+            rhs = _kernels.tridiag_matvec(Bdl, Bd, Bdu, u)
+            u = _kernels.thomas_batch(Adl, Ad, Adu, rhs)
+        assert np.allclose(final, u, atol=1e-12)
+        assert snaps.shape == (3, 2, 25)
+        assert np.allclose(snaps[-1], u, atol=1e-12)
+        # two dense steps from the first snapshot reproduce the second
+        for b in range(2):
+            A, B = _dense(Adl[b], Ad[b], Adu[b]), _dense(Bdl[b], Bd[b], Bdu[b])
+            two = np.linalg.solve(A, B @ np.linalg.solve(A, B @ snaps[0, b]))
+            assert np.allclose(snaps[1, b], two, rtol=1e-8, atol=1e-10)
 
-    rng = np.random.default_rng(5)
-    dl = rng.standard_normal((2, 25)) * 0.1 + 0j
-    du = rng.standard_normal((2, 25)) * 0.1 + 0j
-    d = (2.0 + np.abs(rng.standard_normal((2, 25)))).astype(complex)
-    dl[:, 0] = 0.0
-    du[:, -1] = 0.0
-    Adl, Ad, Adu = -0.5 * dl, 1.0 - 0.5 * d, -0.5 * du
-    Bdl, Bd, Bdu = 0.5 * dl, 1.0 + 0.5 * d, 0.5 * du
-    u0 = rng.standard_normal((2, 25)) + 0j
-    final, _ = _kernels.evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, 6, 2)
-    assert np.allclose(final, other, atol=1e-12)
+
+def test_singular_system_raises_numerical_error():
+    rng = np.random.default_rng(1)
+    dl, d, du = _random_bands(rng, 2, 12)
+    d[1, -1] = dl[1, -1] = 0.0                      # zero last row in batch row 1
+    with pytest.raises(NumericalError, match="batch row 1"):
+        _kernels.thomas_batch(dl, d, du, np.ones((2, 12)))
+    with pytest.raises(NumericalError, match="batch row 1"):
+        _kernels.evolve_theta(dl, d, du, dl, d, du, np.ones((2, 12)), 2, 1)
+
+
+def test_solve_shifted_zero_last_row_raises_numerical_error():
+    dl, d, du = (np.full(9, v, dtype=complex) for v in (1.0, -2.0, 1.0))
+    dl[0] = du[-1] = 0.0
+    dl[-1] = d[-1] = 0.0
+    op = OperatorMatrix.tridiag(dl, d, du)
+    with pytest.raises(NumericalError):
+        op.solve_shifted(0.0, np.ones(9))
+
+
+def test_backend_name():
+    assert _kernels.backend_name() == "lapack"
