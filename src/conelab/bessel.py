@@ -1,199 +1,53 @@
-"""Bessel functions of the first kind for real order nu >= 0.
+"""Radial eigenvalue roots and eigenfunctions for the straight-cone heat oracle.
 
-Evaluation switches between the ascending power series (small argument) and
-the Hankel large-argument asymptotic expansion; the switch point keeps both
-branches comfortably inside double precision for the desk-scale orders
-(nu <= ~10) this package meets. Zeros of the radial eigenvalue conditions
-are bracketed by scanning and polished by bisection plus Newton. Nothing
-here is taken from a table: the classical constants are recomputed.
+J_nu and J'_nu come from scipy.special (jv, jvp). The roots of the outer
+boundary condition are conelab's own: bracketed by a sign scan and polished
+by bisection plus Newton. A polish that does not converge, or that leaves
+its bracket, raises NumericalError instead of returning an unchecked root.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from scipy.special import jv, jvp
 
 from .errors import NumericalError
 
-_SWITCH = 12.0
-_SERIES_TERMS = 60
-
-
-def _besselj_series(nu: float, z: np.ndarray) -> np.ndarray:
-    """Ascending series sum_m (-1)^m (z/2)^(2m+nu) / (m! Gamma(m+nu+1))."""
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    pos = z > 0
-    zp = z[pos]
-    lz = np.log(zp / 2.0)
-    acc = np.zeros_like(zp)
-    for m in range(_SERIES_TERMS):
-        a = m + nu + 1.0
-        if a <= 0 and a == int(a):
-            continue  # 1/Gamma at a non-positive integer is zero
-        lg = math.lgamma(a) + math.lgamma(m + 1.0)
-        term = np.exp((2 * m + nu) * lz - lg)
-        acc += term if m % 2 == 0 else -term
-    out[pos] = acc
-    if nu == 0.0:
-        out[~pos] = 1.0
-    return out
-
-
-def _hankel_pq(nu: float, z: np.ndarray, kmax: int = 18):
-    """P and Q series of the large-argument expansion, truncated adaptively.
-
-    Terminates exactly for half-integer nu; otherwise stops at the smallest
-    term of the divergent tail.
-    """
-    mu4 = 4.0 * nu * nu
-    P = np.ones_like(z)
-    Q = np.zeros_like(z)
-    term = np.ones_like(z)
-    eight_z = 8.0 * z
-    prev = math.inf
-    for k in range(1, 2 * kmax + 1):
-        term = term * (mu4 - (2 * k - 1) ** 2) / (k * eight_z)
-        mag = float(np.max(np.abs(term)))
-        if mag > prev:
-            break  # asymptotic series started diverging
-        prev = mag
-        sign = -1.0 if (k // 2) % 2 else 1.0
-        if k % 2 == 1:
-            Q += sign * term   # (-1)^((k-1)/2) a_k / z^k
-        else:
-            P += sign * term   # (-1)^(k/2) a_k / z^k
-        if mag < 1e-17:
-            break
-    return P, Q
-
-
-def _hankel(nu: float, z: np.ndarray) -> np.ndarray:
-    P, Q = _hankel_pq(nu, z)
-    chi = z - (0.5 * nu + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * z)) * (P * np.cos(chi) - Q * np.sin(chi))
-
-
-def _besselj_int_miller(n: int, z: np.ndarray) -> np.ndarray:
-    """Downward three-term recurrence with series normalization, integer order."""
-    zmax = float(np.max(z))
-    start = 2 * ((int(zmax) + n + 20 + int(2.0 * math.sqrt(max(zmax, n) + 1))) // 2 + 1)
-    jp = np.zeros_like(z)
-    jc = np.full_like(z, 1e-30)
-    target = np.zeros_like(z)
-    norm = np.zeros_like(z)
-    for m in range(start, 0, -1):
-        jm = (2.0 * m / z) * jc - jp
-        jp, jc = jc, jm
-        order = m - 1
-        if order == n:
-            target = jc.copy()
-        if order > 0 and order % 2 == 0:
-            norm += 2.0 * jc
-        big = np.abs(jc) > 1e250
-        if np.any(big):
-            for arr in (jp, jc, target, norm):
-                arr[big] *= 1e-250
-    norm += jc  # J_0 contribution of the normalization identity
-    return target / norm
-
-
-def _besselj_integral(nu: float, z: np.ndarray) -> np.ndarray:
-    """Bessel integral representation, mid-range fallback for general order."""
-    from numpy.polynomial.legendre import leggauss
-    xg, wg = leggauss(160)
-    t = 0.5 * math.pi * (xg + 1.0)
-    wt = 0.5 * math.pi * wg
-    zc = z[:, None]
-    main = np.sum(np.cos(nu * t - zc * np.sin(t)) * wt, axis=1) / math.pi
-    s = math.sin(nu * math.pi)
-    if abs(s) > 1e-15:
-        smax = math.asinh(60.0 / float(np.min(z))) + 1.0
-        u = 0.5 * smax * (xg + 1.0)
-        wu = 0.5 * smax * wg
-        tail = np.sum(np.exp(-zc * np.sinh(u) - nu * u) * wu, axis=1) * (s / math.pi)
-        main = main - tail
-    return main
-
-
-def besselj(nu: float, z) -> np.ndarray | float:
-    """J_nu(z) for z >= 0, vectorized over z.
-
-    Small arguments use the ascending series. Beyond the switch point,
-    integer orders use the downward recurrence, half-integer orders the
-    (terminating) large-argument expansion, and other orders the integral
-    representation until the expansion becomes accurate.
-    """
-    if nu < 0:
-        raise NumericalError("besselj implemented for nu >= 0")
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr < 0):
-        raise NumericalError("besselj requires z >= 0")
-    out = np.empty_like(z_arr)
-    small = z_arr <= _SWITCH
-    if np.any(small):
-        out[small] = _besselj_series(nu, z_arr[small])
-    if np.any(~small):
-        zl = z_arr[~small]
-        if nu == int(nu):
-            out[~small] = _besselj_int_miller(int(nu), zl)
-        elif 2.0 * nu == int(2.0 * nu):
-            out[~small] = _hankel(nu, zl)
-        else:
-            mid = zl <= max(50.0, 2.0 * nu * nu)
-            vals = np.empty_like(zl)
-            if np.any(mid):
-                vals[mid] = _besselj_integral(nu, zl[mid])
-            if np.any(~mid):
-                vals[~mid] = _hankel(nu, zl[~mid])
-            out[~small] = vals
-    return out if np.ndim(z) else float(out[0])
-
-
-def besselj_derivative(nu: float, z) -> np.ndarray | float:
-    """d/dz J_nu(z) via J_{nu-1} - (nu/z) J_nu (and -J_1 at nu = 0)."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if nu == 0.0:
-        out = -besselj(1.0, z_arr)
-    else:
-        if nu >= 1.0:
-            jm = besselj(nu - 1.0, z_arr)
-        else:
-            # J_{nu-1} from the recurrence, avoiding negative orders
-            with np.errstate(divide="ignore", invalid="ignore"):
-                jm = np.where(z_arr > 0,
-                              (2.0 * nu / np.where(z_arr > 0, z_arr, 1.0))
-                              * besselj(nu, z_arr) - besselj(nu + 1.0, z_arr),
-                              0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = jm - np.where(z_arr > 0, nu / np.where(z_arr > 0, z_arr, 1.0), 0.0) \
-                * besselj(nu, z_arr)
-        out = np.where(z_arr == 0.0, 0.5 if nu == 1.0 else 0.0, out)
-    return out if np.ndim(z) else float(out[0])
-
 
 def _bisect_newton(f, df, lo: float, hi: float) -> float:
-    flo = f(lo)
+    """Root of f in [lo, hi], where f changes sign: bisection, then Newton on f/df.
+
+    The polish has converged when a step falls below 1e-15 relative, or when
+    f changes sign across a step below 1e-14 relative (rounding in f can make
+    Newton alternate between two nearby floats that bracket the root).
+    """
+    a, b = lo, hi
+    fa = f(a)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (a + b)
         fm = f(mid)
-        if flo * fm <= 0:
-            hi = mid
+        if fa * fm <= 0:
+            b = mid
         else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-9:
+            a, fa = mid, fm
+        if b - a < 1e-9:
             break
-    r = 0.5 * (lo + hi)
+    r = 0.5 * (a + b)
+    fr = f(r)
     for _ in range(8):
         d = df(r)
         if d == 0:
             break
-        step = f(r) / d
+        step = fr / d
         r -= step
-        if abs(step) < 1e-15 * max(1.0, abs(r)):
-            break
-    return r
+        f_new = f(r)
+        scale = max(1.0, abs(r))
+        if abs(step) < 1e-15 * scale or (fr * f_new <= 0 and abs(step) < 1e-14 * scale):
+            if not lo <= r <= hi:
+                raise NumericalError(f"Newton polish left the bracket [{lo}, {hi}]: {r}")
+            return float(r)
+        fr = f_new
+    raise NumericalError(f"Newton polish did not converge in [{lo}, {hi}] (last iterate {r})")
 
 
 def radial_eigenvalue_roots(nu: float, n: int, outer_bc: str, count: int,
@@ -202,17 +56,15 @@ def radial_eigenvalue_roots(nu: float, n: int, outer_bc: str, count: int,
 
     dirichlet: J_nu(k) = 0; neumann: k J'_nu(k) - (n-1)/2 J_nu(k) = 0
     (the derivative of x^{-(n-1)/2} J_nu(k x) at x = 1). The k = 0 constant
-    branch of the Neumann zero mode is handled by the series oracle itself.
+    branch of the Neumann zero mode is added by heat_solver.bessel_mode_roots.
     """
     if outer_bc == "dirichlet":
-        f = lambda k: besselj(nu, k)
-        df = lambda k: besselj_derivative(nu, k)
+        f = lambda k: jv(nu, k)
+        df = lambda k: jvp(nu, k)
     elif outer_bc == "neumann":
         half = 0.5 * (n - 1)
-        f = lambda k: k * besselj_derivative(nu, k) - half * besselj(nu, k)
-
-        def df(k, eps=1e-6):
-            return (f(k + eps) - f(k - eps)) / (2 * eps)
+        f = lambda k: k * jvp(nu, k) - half * jv(nu, k)
+        df = lambda k: (1.0 - half) * jvp(nu, k) + k * jvp(nu, k, 2)
     else:
         raise NumericalError(f"unknown outer boundary condition {outer_bc!r}")
 
@@ -240,4 +92,4 @@ def radial_eigenfunction(nu: float, n: int, k: float, x: np.ndarray) -> np.ndarr
     if k == 0.0:
         return np.ones_like(x)
     pref = x ** (-0.5 * (n - 1)) if n != 1 else 1.0
-    return pref * besselj(nu, k * x)
+    return pref * jv(nu, k * x)

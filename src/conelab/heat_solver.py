@@ -232,14 +232,8 @@ def bessel_series_solution(u0_modal_coeffs, n: int, eigenvalue, t: float,
         raise ConfigError("n_terms smaller than the given coefficient list")
     nu = float(bessel_order(n, eigenvalue))
     x = np.asarray(x_points, dtype=float)
-    ks = []
-    if outer_bc == "neumann" and float(eigenvalue) == 0.0:
-        ks.append(0.0)
-    remaining = n_terms - len(ks)
-    if remaining > 0:
-        ks.extend(bessel.radial_eigenvalue_roots(nu, n, outer_bc, remaining))
     out = np.zeros_like(x, dtype=complex)
-    for c, k in zip(coeffs, ks):
+    for c, k in zip(coeffs, bessel_mode_roots(n, eigenvalue, outer_bc, n_terms)):
         out = out + c * math.exp(-k * k * t) * bessel.radial_eigenfunction(nu, n, k, x)
     return out
 

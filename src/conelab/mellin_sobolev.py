@@ -46,10 +46,6 @@ class LogGrid:
     def x(self) -> np.ndarray:
         return np.exp(self.tau)
 
-    def refined(self) -> "LogGrid":
-        """Same span, halved spacing."""
-        return LogGrid(self.tau_min, 2 * self.points - 1)
-
     def extended(self) -> "LogGrid":
         """Doubled span toward the tip, same spacing."""
         return LogGrid(2.0 * self.tau_min, 2 * self.points - 1)
@@ -114,23 +110,6 @@ class RadialField:
         modes = cs.mode_table(max_modes)
         return RadialField(grid, modes, np.zeros((len(modes), grid.points), complex),
                            n=cs.n, vol=cs.vol)
-
-    @staticmethod
-    def from_profiles(grid: LogGrid, cs: CrossSection, profiles: dict, max_modes: int,
-                      ) -> "RadialField":
-        """profiles: mode label -> callable x -> complex values."""
-        f = RadialField.zeros(grid, cs, max_modes)
-        x = grid.x
-        for label, fn in profiles.items():
-            f.values[f.mode_index(label)] = np.asarray(fn(x), dtype=complex)
-        return f
-
-    @staticmethod
-    def from_term(grid: LogGrid, cs: CrossSection, term: AsymptoticsTerm,
-                  max_modes: int) -> "RadialField":
-        f = RadialField.zeros(grid, cs, max_modes)
-        f.values[f.mode_index(term.mode)] = term.evaluate(grid.x)
-        return f
 
     def mode_index(self, label: str) -> int:
         for i, m in enumerate(self.modes):

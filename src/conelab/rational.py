@@ -95,9 +95,6 @@ class QRat:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def conj(self) -> "QRat":
         return QRat(self.re, -self.im)
 

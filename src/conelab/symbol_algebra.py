@@ -77,12 +77,6 @@ def conormal_symbol(spec: ConeOperatorSpec, mode: str) -> Poly:
     return Poly([(p.coeffs[0] if p.coeffs else QRat(0)) for p in polys])
 
 
-def indicial_polynomial(spec: ConeOperatorSpec, mode: str) -> Poly:
-    """q(s) = conormal symbol at lambda = -s, so that A x^s = q(s) x^{s-mu}."""
-    f0 = conormal_symbol(spec, mode)
-    return Poly([c * QRat((-1) ** i) for i, c in enumerate(f0.coeffs)])
-
-
 def taylor_symbols(spec: ConeOperatorSpec, mode: str) -> list[Poly]:
     """f_0..f_{mu-1}: f_nu collects the nu-th Taylor coefficients of a_k."""
     if spec.n_taylor < spec.mu - 1 and spec.warped:
@@ -122,9 +116,6 @@ class PoleEntry:
     def max_log_power(self) -> int:
         return max(self.mode_orders.values()) - 1
 
-    def log_power(self, label: str) -> int:
-        return self.mode_orders[label] - 1
-
     @property
     def rho_complex(self) -> complex:
         return root_to_complex(self.rho)
@@ -145,12 +136,6 @@ class PoleSet:
 
     def rhos(self) -> list[complex]:
         return [e.rho_complex for e in self.entries]
-
-    def find(self, rho) -> PoleEntry | None:
-        for e in self.entries:
-            if roots_equal(e.rho, rho):
-                return e
-        return None
 
 
 def strip_bounds(n: int, gamma, mu: int, power: int = 1):
@@ -272,16 +257,3 @@ def pole_set_power(spec: ConeOperatorSpec, gamma, k: int, modes=None) -> PoleSet
     return _assemble(acc, left, right, gamma, spec.mu, spec.n, k, exact,
                      False, candidates)
 
-
-def rescaled_symbol_diagnostic(spec: ConeOperatorSpec) -> list[str]:
-    """Warning-level ellipticity check for diagonal presets.
-
-    The boundary symbol reduces per mode to sum a_k(0) (-i xi)^k; report the
-    modes whose top coefficient vanishes (the hypothesis the theory needs).
-    """
-    warnings = []
-    for m in spec.modes:
-        top = spec.coeffs[m.label][spec.mu]
-        if top.is_zero() or (top.coeffs and not top.coeffs[0]):
-            warnings.append(f"mode {m.label}: vanishing principal coefficient, not B-elliptic")
-    return warnings
