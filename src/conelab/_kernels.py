@@ -1,13 +1,30 @@
-"""Batched tridiagonal kernels on LAPACK's pivoted routines.
+"""Batched tridiagonal kernels: one stacked LAPACK call per chunk of the batch.
 
-Solves go through ``zgtsv`` (one call per batch row); the theta march
-factors each row of A once with ``zgttrf`` and reuses the factors through
-``zgttrs`` every step. Both pivot by rows, which the shifted resolvents
-need: they are neither diagonally dominant nor M-matrices. An exactly
-singular system (``info > 0``) raises NumericalError.
+Band convention: a batch of nb systems of size J is stored as three (nb, J)
+arrays (dl, d, du) with dl[:, 0] and du[:, -1] unused. Set those two entries
+to zero and the batch is one block-diagonal tridiagonal system of size
+nb*J, so one LAPACK call solves every block: ``zgtsv`` for solves,
+``zgttrf`` once plus ``zgttrs`` per step for the theta march. Both pivot by
+rows, which the shifted resolvents need: they are neither diagonally
+dominant nor M-matrices.
 
-Band convention: tridiagonal systems are stored as three length-J arrays
-(dl, d, du) with dl[0] and du[-1] unused, batched over a leading axis.
+Why the blocks stay independent: the subdiagonal entry at a block boundary
+is zero, so elimination never swaps rows across it and any multiplier it
+forms there is an exact zero; a row interchange inside a block only carries
+that block's zeroed du[-1] into the fill-in. Every product that reaches
+across a boundary therefore has an exact zero factor, which changes no
+value while the neighbouring block is finite, and inside a block LAPACK
+does the operations of a solve on its own. The values agree exactly; the
+one possible trace is the sign of a zero in the solution, which can differ
+from that of a solve on its own (seen when a block's right-hand side is
+all zeros).
+
+Chunks: one call takes at most _CHUNK solution entries (block rows times
+right-hand sides, at least one block). Bands and right-hand sides are
+converted and copied one chunk at a time, so a batch over thousands of
+shifts never holds a second full copy of broadcast bands. An exactly
+singular block (``info > 0``) raises NumericalError naming its batch row and
+the pivot position inside it.
 """
 
 from __future__ import annotations
@@ -17,15 +34,27 @@ from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .errors import NumericalError
 
+_CHUNK = 4096          # solution entries per stacked LAPACK call
+_OVERWRITE = {"overwrite_dl": 1, "overwrite_d": 1, "overwrite_du": 1}
+
 
 def _c128(a):
     return np.ascontiguousarray(a, dtype=np.complex128)
 
 
-def _check(info: int, routine: str, row: int):
+def _check(info: int, routine: str, first_row: int, J: int):
     if info > 0:
-        raise NumericalError(f"singular tridiagonal system in batch row {row}: "
-                             f"{routine} found a zero pivot at position {info}")
+        row, pos = divmod(info - 1, J)
+        raise NumericalError(f"singular tridiagonal system in batch row {first_row + row}: "
+                             f"{routine} found a zero pivot at position {pos + 1}")
+
+
+def _stacked(dl, d, du):
+    """Fresh copies of (nb, J) bands as one block-diagonal system of size nb*J."""
+    lo, diag, up = (np.array(a, dtype=np.complex128, order="C") for a in (dl, d, du))
+    lo[:, 0] = 0.0
+    up[:, -1] = 0.0
+    return lo.reshape(-1)[1:], diag.reshape(-1), up.reshape(-1)[:-1]
 
 
 def _matvec(dl, d, du, u, out):
@@ -37,12 +66,34 @@ def _matvec(dl, d, du, u, out):
 
 
 def thomas_batch(dl, d, du, rhs):
-    """Solve batched tridiagonal systems; leading axis is the batch."""
-    dl, d, du, rhs = map(_c128, (dl, d, du, rhs))
-    out = np.empty_like(rhs)
-    for b in range(d.shape[0]):
-        *_, out[b], info = zgtsv(dl[b, 1:], d[b], du[b, :-1], rhs[b])
-        _check(info, "zgtsv", b)
+    """Solve batched tridiagonal systems; leading axis is the batch.
+
+    rhs is (nb, J), or (nb, J, k) for k right-hand sides per system. Inputs
+    may be read-only or broadcast views: nothing is written to them.
+    """
+    nb, J = np.shape(d)
+    rhs = np.asarray(rhs)
+    if nb == 1 and rhs.ndim == 2:      # one block: the wrapper's own copies suffice
+        *_, x, info = zgtsv(np.asarray(dl)[0, 1:], np.asarray(d)[0],
+                            np.asarray(du)[0, :-1], rhs[0])
+        _check(info, "zgtsv", 0, J)
+        return x[None]
+    k = rhs.shape[2] if rhs.ndim == 3 else 1
+    out = np.empty(rhs.shape, dtype=np.complex128)
+    step = max(1, _CHUNK // (J * k))
+    for s in range(0, nb, step):
+        e = min(s + step, nb)
+        if rhs.ndim == 2:
+            b = np.array(rhs[s:e], dtype=np.complex128, order="C").reshape(-1)
+        else:
+            # column c of the stacked system is rhs[s:e, :, c]: Fortran order
+            b = np.array(np.moveaxis(rhs[s:e], 2, 0), dtype=np.complex128,
+                         order="C").reshape(k, -1).T
+        *_, x, info = zgtsv(*_stacked(dl[s:e], d[s:e], du[s:e]), b, **_OVERWRITE,
+                            overwrite_b=1)
+        _check(info, "zgtsv", s, J)
+        out[s:e] = x.reshape(e - s, J) if rhs.ndim == 2 else \
+            np.moveaxis(x.T.reshape(k, e - s, J), 0, 2)
     return out
 
 
@@ -56,22 +107,20 @@ def tridiag_matvec(dl, d, du, u):
 def evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, n_steps, snap_every):
     """March u <- A^-1 B u for n_steps, snapshotting every snap_every steps.
 
-    A = I - theta*dt*L and B = I + (1-theta)*dt*L are prefactored bands.
+    A = I - theta*dt*L and B = I + (1-theta)*dt*L are prefactored bands;
+    A is factored once as one stacked system and each step is one solve.
     Returns (final state, snapshots array of shape (n_steps//snap_every, ...)).
     """
-    Adl, Ad, Adu, Bdl, Bd, Bdu = map(_c128, (Adl, Ad, Adu, Bdl, Bd, Bdu))
-    u = _c128(u0).copy()          # marched in place; never the caller's array
-    factors = []
-    for b in range(Ad.shape[0]):
-        *lu, info = zgttrf(Adl[b, 1:], Ad[b], Adu[b, :-1])
-        _check(info, "zgttrf", b)
-        factors.append(lu)
-    snaps = np.empty((n_steps // snap_every, *u.shape), dtype=complex)
+    Bdl, Bd, Bdu = map(_c128, (Bdl, Bd, Bdu))
+    *lu, info = zgttrf(*_stacked(Adl, Ad, Adu), **_OVERWRITE)
+    _check(info, "zgttrf", 0, np.shape(Ad)[1])
+    u = np.array(u0, dtype=np.complex128, order="C")   # never the caller's array
     rhs = np.empty_like(u)
+    snaps = np.empty((n_steps // snap_every, *u.shape), dtype=complex)
     for step in range(1, n_steps + 1):
         _matvec(Bdl, Bd, Bdu, u, rhs)
-        for b, lu in enumerate(factors):
-            u[b], _ = zgttrs(*lu, rhs[b])
+        zgttrs(*lu, rhs.reshape(-1), overwrite_b=1)     # solves in place
+        u, rhs = rhs, u
         if step % snap_every == 0:
             snaps[step // snap_every - 1] = u
     return u, snaps

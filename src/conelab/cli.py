@@ -275,6 +275,8 @@ def cmd_sectorial_probe(args) -> int:
         "theta": theta, "shift": shift, "K": report.K,
         "spectrum_checked": report.spectrum_checked,
         "min_abs_eig": report.min_abs_eig,
+        "iterations": report.iterations,
+        "unconverged": report.unconverged,
         "samples": [{"re": l.real if isinstance(l, complex) else float(l),
                      "im": l.imag if isinstance(l, complex) else 0.0,
                      "value": v} for l, v in report.samples],

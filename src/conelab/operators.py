@@ -9,6 +9,8 @@ import numpy as np
 from ._kernels import thomas_batch, tridiag_matvec
 from .errors import ConfigError, NumericalError
 
+_STOP_TOL = 1e-12      # relative change between iterations that ends an estimate
+
 
 @dataclass
 class OperatorMatrix:
@@ -94,23 +96,31 @@ class OperatorMatrix:
         return sol[0]
 
     def solve_shifted_batch(self, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """(M + lam_i)^-1 rhs for a batch of shifts; returns (len(lams), dim)."""
+        """(M + lam_i)^-1 rhs for a batch of shifts and one right-hand side.
+
+        rhs is a vector (dim,) or a block of columns (dim, k); returns
+        (len(lams), dim) or (len(lams), dim, k).
+        """
+        lams = np.asarray(lams, dtype=complex)
+        rhs = np.asarray(rhs, dtype=complex)
         if self.kind == "dense":
             eye = np.eye(self.dim)
             return np.stack([np.linalg.solve(self.data + l * eye, rhs) for l in lams])
         dl, d, du = self.data
-        nb = len(lams)
-        DL = np.broadcast_to(dl, (nb, self.dim)).copy()
-        DU = np.broadcast_to(du, (nb, self.dim)).copy()
-        D = d[None, :] + np.asarray(lams, dtype=complex)[:, None]
-        R = np.broadcast_to(np.asarray(rhs, dtype=complex), (nb, self.dim)).copy()
-        return thomas_batch(DL, D, DU, R)
+        shape = (len(lams), self.dim)
+        return thomas_batch(np.broadcast_to(dl, shape), d + lams[:, None],
+                            np.broadcast_to(du, shape),
+                            np.broadcast_to(rhs, shape + rhs.shape[1:]))
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.to_dense())
 
     def min_abs_eigenvalue_estimate(self, iters: int = 60, seed: int = 7) -> float:
-        """Inverse-iteration estimate of min |eig|, cheap for tridiagonal storage."""
+        """Inverse-iteration estimate of min |eig|, cheap for tridiagonal storage.
+
+        Stops once the estimate changes by less than _STOP_TOL relative
+        between iterations, and after iters iterations at the latest.
+        """
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         v /= np.linalg.norm(v)
@@ -120,31 +130,56 @@ class OperatorMatrix:
             nw = np.linalg.norm(w)
             if nw == 0 or not np.isfinite(nw):
                 raise NumericalError("inverse iteration broke down (singular operator?)")
-            mu = 1.0 / nw
+            mu, prev = 1.0 / nw, mu
             v = w / nw
+            if abs(mu - prev) < _STOP_TOL * mu:
+                break
         return float(mu)
 
-    def inv_norm2_estimate(self, lam: complex, iters: int = 40, seed: int = 3) -> float:
-        """Power iteration for ||(M+lam)^-1||_2 via the normal equations."""
+    def inv_norm2_estimate(self, lams, iters: int = 40,
+                           seed: int = 3) -> tuple[np.ndarray, int, int]:
+        """||(M+lam)^-1||_2 for each shift in lams: power iteration on the normal equations.
+
+        All shifts iterate in lockstep from the same seeded start vector: two
+        batched solves per iteration, with (M+lam)^-1 and then its adjoint.
+        The loop stops once every shift's sigma (the estimate of the squared
+        norm) changes by less than _STOP_TOL relative between iterations,
+        and after iters iterations at the latest. Power iteration approaches the
+        norm from below.
+
+        Returns (norms, iterations, unconverged): the estimates in the order
+        of lams, the iterations run, and how many shifts still missed the
+        stopping test at the end. Dense storage gives exact norms with 0
+        iterations.
+        """
+        lams = np.atleast_1d(np.asarray(lams, dtype=complex))
         if self.kind == "dense":
-            inv = np.linalg.inv(self.data + lam * np.eye(self.dim))
-            return float(np.linalg.norm(inv, 2))
+            eye = np.eye(self.dim)
+            norms = [np.linalg.norm(np.linalg.inv(self.data + lam * eye), 2) for lam in lams]
+            return np.array(norms), 0, 0
         dl, d, du = self.data
         # bands of the adjoint: sub/super diagonals swap and conjugate
         dlh = np.zeros_like(dl)
         dlh[1:] = np.conj(du[:-1])
         duh = np.zeros_like(du)
         duh[:-1] = np.conj(dl[1:])
-        herm = OperatorMatrix.tridiag(dlh, np.conj(d + lam), duh)
+        D = d + lams[:, None]
+        bands = (np.broadcast_to(dl, D.shape), D, np.broadcast_to(du, D.shape))
+        adjoint = (np.broadcast_to(dlh, D.shape), np.conj(D), np.broadcast_to(duh, D.shape))
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        v /= np.linalg.norm(v)
-        sigma = 0.0
-        for _ in range(iters):
-            w = self.solve_shifted(lam, v)
-            w = herm.solve_shifted(0.0, w)
-            nw = np.linalg.norm(w)
-            if not np.isfinite(nw) or nw == 0:
-                raise NumericalError(f"resolvent norm estimate failed at lam={lam}")
-            sigma, v = nw, w / nw
-        return float(np.sqrt(sigma))
+        v = np.tile(v / np.linalg.norm(v), (len(lams), 1))
+        sigma = np.zeros(len(lams))
+        moving = np.ones(len(lams), dtype=bool)
+        it = 0
+        while it < iters and moving.any():
+            it += 1
+            w = thomas_batch(*adjoint, thomas_batch(*bands, v))
+            nw = np.linalg.norm(w, axis=1)
+            bad = ~np.isfinite(nw) | (nw == 0)
+            if bad.any():
+                raise NumericalError("resolvent norm estimate failed at "
+                                     f"lam={lams[np.argmax(bad)]}")
+            moving = np.abs(nw - sigma) >= _STOP_TOL * nw
+            sigma, v = nw, w / nw[:, None]
+        return np.sqrt(sigma), it, int(moving.sum())

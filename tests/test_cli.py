@@ -163,6 +163,8 @@ def test_sectorial_probe_command(cfg_path, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["K"] >= 1.0 and payload["shift"] >= 1.0
     assert len(payload["samples"]) > 100
+    assert 1 <= payload["iterations"] <= 40
+    assert 0 <= payload["unconverged"] <= len(payload["samples"])
 
 
 def test_powers_command(cfg_path, tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conelab import bessel, heat_solver
 from conelab.cone_geometry import CrossSection
 from conelab.errors import ConfigError, NumericalError
 from conelab.heat_solver import (HeatConfig, assemble_mode_operator,
@@ -174,3 +175,24 @@ def test_config_validation():
         HeatConfig(cross_section=CIRCLE, grid=g, T=0.1, dt=1e-3, theta=0.3)
     with pytest.raises(ConfigError):
         HeatConfig(cross_section=CIRCLE, grid=g, T=0.1, dt=1e-3, outer_bc="robin")
+
+
+def test_mode_roots_memoised_and_failures_not_cached(monkeypatch):
+    heat_solver._mode_roots.cache_clear()
+    calls = []
+    real = bessel.radial_eigenvalue_roots
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise NumericalError("bracketing failed")
+        return real(*args)
+
+    monkeypatch.setattr(bessel, "radial_eigenvalue_roots", flaky)
+    with pytest.raises(NumericalError):
+        bessel_mode_roots(1, -7, "dirichlet", 4)
+    first = bessel_mode_roots(1, -7, "dirichlet", 4)
+    assert bessel_mode_roots(1, -7, "dirichlet", 4) is first
+    assert len(calls) == 2 and isinstance(first, tuple)
+    assert first == tuple(real(math.sqrt(7.0), 1, "dirichlet", 4))
+    assert bessel_mode_roots(1, 0, "neumann", 3)[0] == 0.0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import zgtsv
 
 from conelab import _kernels
 from conelab.errors import NumericalError
@@ -100,3 +101,53 @@ def test_solve_shifted_zero_last_row_raises_numerical_error():
 
 def test_backend_name():
     assert _kernels.backend_name() == "lapack"
+
+
+def _per_row_zgtsv(dl, d, du, rhs):
+    """Reference: one zgtsv call per batch row, as a solve on its own."""
+    out = np.empty(np.shape(rhs), dtype=complex)
+    for b in range(len(d)):
+        *_, out[b], info = zgtsv(dl[b, 1:], d[b], du[b, :-1], rhs[b])
+        assert info == 0
+    return out
+
+
+def test_thomas_batch_stacked_chunks_equal_per_row_solves():
+    rng = np.random.default_rng(11)
+    # full per-row bands whose unused corners hold garbage, over several chunks
+    nb, J = 3 * _kernels._CHUNK // 40 + 5, 40
+    for bands in (_random_bands, _pivoting_bands):
+        dl, d, du = bands(rng, nb, J)
+        dl[:, 0], du[:, -1] = 3.0 + 1j, -7.0
+        rhs = rng.standard_normal((nb, J)) + 1j * rng.standard_normal((nb, J))
+        before = [a.copy() for a in (dl, d, du, rhs)]
+        out = _kernels.thomas_batch(dl, d, du, rhs)
+        assert np.all(out == _per_row_zgtsv(dl, d, du, rhs))
+        assert all(np.array_equal(a, b) for a, b in zip((dl, d, du, rhs), before))
+    # broadcast read-only bands and right-hand sides with a trailing axis
+    nb, J, k = 50, 33, 7
+    assert nb * J * k > 2 * _kernels._CHUNK
+    dl, d, du = _pivoting_bands(rng, 1, J)
+    shape = (nb, J)
+    D = d + rng.standard_normal((nb, 1)) + 1j * rng.standard_normal((nb, 1))
+    B = rng.standard_normal((J, k)) + 1j * rng.standard_normal((J, k))
+    DL, DU, R = (np.broadcast_to(dl[0], shape), np.broadcast_to(du[0], shape),
+                 np.broadcast_to(B, (nb, J, k)))
+    out = _kernels.thomas_batch(DL, D, DU, R)
+    assert out.shape == (nb, J, k)
+    assert np.all(out == _per_row_zgtsv(DL, D, DU, R))
+
+
+def test_zero_pivot_in_later_chunk_names_row_and_position():
+    rng = np.random.default_rng(4)
+    J = 40
+    nb = 3 * (_kernels._CHUNK // J) + 2
+    dl, d, du = _random_bands(rng, nb, J)
+    row, pos = nb - 2, 17                     # in the last chunk
+    dl[row] = 0.0                             # upper bidiagonal: no elimination
+    d[row, pos - 1] = 0.0
+    msg = rf"batch row {row}: {{}} found a zero pivot at position {pos}$"
+    with pytest.raises(NumericalError, match=msg.format("zgtsv")):
+        _kernels.thomas_batch(dl, d, du, np.ones((nb, J)))
+    with pytest.raises(NumericalError, match=msg.format("zgttrf")):
+        _kernels.evolve_theta(dl, d, du, dl, d, du, np.ones((nb, J)), 1, 1)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conelab import operators
 from conelab.asymptotics import AsymptoticsTerm
 from conelab.cone_geometry import CrossSection
 from conelab.errors import ConfigError, NotSectorialError, UnsupportedError
@@ -14,8 +15,9 @@ from conelab.operators import OperatorMatrix
 from conelab.power_calculus import (ContourSpec, PowerProbeConfig, dunford_apply,
                                     dunford_power, eig_power_oracle,
                                     find_sectorial_shift, fractional_apply,
-                                    power_domain_probe, r_bound_estimate,
-                                    sectorial_probe, sectorial_probe_weighted)
+                                    _contour_nodes, _sector_samples, power_domain_probe,
+                                    r_bound_estimate, sectorial_probe,
+                                    sectorial_probe_weighted)
 from conelab.rational import QRat
 
 CIRCLE = CrossSection.circle(length_over_pi=2)
@@ -171,3 +173,66 @@ def test_tail_bound_guard():
     contour = ContourSpec(rho=1.0, r_max=10.0, tol_tail=1e-10)
     with pytest.raises(Exception):
         dunford_power(M, -0.2, contour)
+
+
+def _shifted_mode(J):
+    return (-assemble_mode_operator(1, 0, LogGrid(-4.0, J), "neumann")).shifted(1.0)
+
+
+@pytest.mark.parametrize("J", [9, 33])
+def test_batched_inv_norm_matches_scalar_calls_and_svd(J, monkeypatch):
+    M = _shifted_mode(J)
+    lams = np.array(_sector_samples(0.75 * math.pi, 10, 1e6))
+    with monkeypatch.context() as m:
+        # with no early stop every shift runs the iteration of a scalar call
+        m.setattr(operators, "_STOP_TOL", 0.0)
+        batch = M.inv_norm2_estimate(lams)[0]
+        scalar = np.array([M.inv_norm2_estimate(lam)[0][0] for lam in lams])
+    assert np.max(np.abs(batch - scalar) / scalar) <= 1e-13
+    norms, iterations, unconverged = M.inv_norm2_estimate(lams)
+    assert 1 <= iterations <= 40 and 0 <= unconverged <= len(lams)
+    A = M.to_dense()
+    exact = np.array([1.0 / np.linalg.svd(A + lam * np.eye(J), compute_uv=False)[-1]
+                      for lam in lams])
+    assert np.all(norms >= 0.98 * exact) and np.all(norms <= exact * (1 + 1e-12))
+
+
+def test_inv_norm_stops_when_converged():
+    M = OperatorMatrix.tridiag(np.zeros(9), np.arange(1.0, 10.0), np.zeros(9))
+    lams = np.array([0.0, 1j, -0.5 + 2j])
+    norms, iterations, unconverged = M.inv_norm2_estimate(lams)
+    assert iterations < 40 and unconverged == 0
+    assert np.allclose(norms, 1.0 / np.abs(1.0 + lams), rtol=1e-12)
+    dense = OperatorMatrix.dense(M.to_dense())
+    assert dense.inv_norm2_estimate(lams)[1:] == (0, 0)       # exact, no iteration
+    assert np.allclose(dense.inv_norm2_estimate(lams)[0], norms, rtol=1e-12)
+    # far out on the rays the shifted diagonal entries crowd together and
+    # some samples stop at the cap; the report says how many
+    rep = sectorial_probe(M, 0.75 * math.pi, n_samples=10)
+    lams = np.array(_sector_samples(0.75 * math.pi, 10, 1e6))
+    _norms, iterations, unconverged = M.inv_norm2_estimate(lams)
+    assert (rep.iterations, rep.unconverged) == (iterations, unconverged)
+    assert iterations == 40 and unconverged > 0
+
+
+@pytest.mark.parametrize("spec, z, count", [((0.5, 16), -0.5 + 0.2j, 720),
+                                            ((0.01, 48), -0.9, 1392)])
+def test_contour_node_count(spec, z, count):
+    lams, weights, _tail = _contour_nodes(ContourSpec(rho=spec[0], n_quad=spec[1]), z)
+    assert len(lams) == len(weights) == count
+
+
+@pytest.mark.parametrize("a", [1.0, 3.7, 50.0])
+@pytest.mark.parametrize("z", [-0.25, -0.5 + 0.3j, -0.9])
+def test_contour_reproduces_scalar_power(a, z):
+    lams, weights, _tail = _contour_nodes(ContourSpec(rho=0.5), z)
+    assert abs(np.sum(weights / (a + lams)) - a ** z) <= 1e-9 * abs(a ** z)
+
+
+def test_tridiagonal_power_chunks_match_dense_route():
+    M = _shifted_mode(33)                     # a few contour nodes per kernel call
+    z = -0.5 + 0.1j
+    contour = ContourSpec(rho=0.5, n_quad=32)
+    tri = dunford_power(M, z, contour).data
+    dense = dunford_power(OperatorMatrix.dense(M.to_dense()), z, contour).data
+    assert np.max(np.abs(tri - dense)) <= 1e-12 * np.max(np.abs(dense))
