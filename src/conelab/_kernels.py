@@ -35,7 +35,6 @@ from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 from .errors import NumericalError
 
 _CHUNK = 4096          # solution entries per stacked LAPACK call
-_OVERWRITE = {"overwrite_dl": 1, "overwrite_d": 1, "overwrite_du": 1}
 
 
 def _c128(a):
@@ -51,10 +50,12 @@ def _check(info: int, routine: str, first_row: int, J: int):
 
 def _stacked(dl, d, du):
     """Fresh copies of (nb, J) bands as one block-diagonal system of size nb*J."""
-    lo, diag, up = (np.array(a, dtype=np.complex128, order="C") for a in (dl, d, du))
+    lo = np.array(dl, dtype=np.complex128, order="C")
+    diag = np.array(d, dtype=np.complex128, order="C")
+    up = np.array(du, dtype=np.complex128, order="C")
     lo[:, 0] = 0.0
     up[:, -1] = 0.0
-    return lo.reshape(-1)[1:], diag.reshape(-1), up.reshape(-1)[:-1]
+    return lo.ravel()[1:], diag.ravel(), up.ravel()[:-1]
 
 
 def _matvec(dl, d, du, u, out):
@@ -73,28 +74,23 @@ def thomas_batch(dl, d, du, rhs):
     """
     nb, J = np.shape(d)
     rhs = np.asarray(rhs)
-    if nb == 1 and rhs.ndim == 2:      # one block: the wrapper's own copies suffice
-        *_, x, info = zgtsv(np.asarray(dl)[0, 1:], np.asarray(d)[0],
-                            np.asarray(du)[0, :-1], rhs[0])
-        _check(info, "zgtsv", 0, J)
-        return x[None]
-    k = rhs.shape[2] if rhs.ndim == 3 else 1
-    out = np.empty(rhs.shape, dtype=np.complex128)
+    vector = rhs.ndim == 2
+    if vector:
+        rhs = rhs[..., None]
+    k = rhs.shape[2]
+    out = np.empty((k, nb, J), dtype=np.complex128)
     step = max(1, _CHUNK // (J * k))
     for s in range(0, nb, step):
         e = min(s + step, nb)
-        if rhs.ndim == 2:
-            b = np.array(rhs[s:e], dtype=np.complex128, order="C").reshape(-1)
-        else:
-            # column c of the stacked system is rhs[s:e, :, c]: Fortran order
-            b = np.array(np.moveaxis(rhs[s:e], 2, 0), dtype=np.complex128,
-                         order="C").reshape(k, -1).T
-        *_, x, info = zgtsv(*_stacked(dl[s:e], d[s:e], du[s:e]), b, **_OVERWRITE,
-                            overwrite_b=1)
+        # column c of the stacked system is rhs[s:e, :, c]: Fortran order
+        b = np.array(rhs[s:e].transpose(2, 0, 1), dtype=np.complex128,
+                     order="C").reshape(k, -1).T
+        # overwrite_dl/d/du/b on the chunk's own copies, passed by position:
+        # keywords cost about 1 us per call
+        *_, x, info = zgtsv(*_stacked(dl[s:e], d[s:e], du[s:e]), b, 1, 1, 1, 1)
         _check(info, "zgtsv", s, J)
-        out[s:e] = x.reshape(e - s, J) if rhs.ndim == 2 else \
-            np.moveaxis(x.T.reshape(k, e - s, J), 0, 2)
-    return out
+        out[:, s:e] = x.T.reshape(k, e - s, J)
+    return out[0] if vector else out.transpose(1, 2, 0)
 
 
 def tridiag_matvec(dl, d, du, u):
@@ -112,7 +108,8 @@ def evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, n_steps, snap_every):
     Returns (final state, snapshots array of shape (n_steps//snap_every, ...)).
     """
     Bdl, Bd, Bdu = map(_c128, (Bdl, Bd, Bdu))
-    *lu, info = zgttrf(*_stacked(Adl, Ad, Adu), **_OVERWRITE)
+    *lu, info = zgttrf(*_stacked(Adl, Ad, Adu), overwrite_dl=1, overwrite_d=1,
+                          overwrite_du=1)
     _check(info, "zgttrf", 0, np.shape(Ad)[1])
     u = np.array(u0, dtype=np.complex128, order="C")   # never the caller's array
     rhs = np.empty_like(u)

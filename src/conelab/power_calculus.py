@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._kernels import _CHUNK
 from .errors import ConfigError, NotSectorialError, NumericalError, UnsupportedError
 from .operators import OperatorMatrix
+
+# memory bound of dunford_power: complex entries of resolvent columns held
+# for one chunk of contour nodes (2**16 entries, 1 MiB)
+_RESOLVENT_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ class SectorialReport:
     spectrum_checked: bool
     min_abs_eig: float
     iterations: int = 0          # power iterations run by the norm estimate
-    unconverged: int = 0         # samples that had not met its stopping test
+    unconverged: int = 0         # samples still changing at the last iteration
 
     def __float__(self):
         return self.K
@@ -267,9 +270,9 @@ def dunford_power(M: OperatorMatrix, z: complex, contour: ContourSpec | None = N
         for lam, w in zip(lams, weights):
             acc += w * np.linalg.inv(M.data + lam * eye)
     else:
-        # all dim unit columns per node in one stacked solve, nodes in chunks
-        # no larger than one kernel call
-        step = max(1, _CHUNK // (dim * dim))
+        # all dim unit columns per node in one batched solve; a chunk of nodes
+        # holds at most _RESOLVENT_ENTRIES entries of resolvent columns
+        step = max(1, _RESOLVENT_ENTRIES // (dim * dim))
         for s in range(0, len(lams), step):
             acc += np.tensordot(weights[s:s + step],
                                 M.solve_shifted_batch(lams[s:s + step], eye), axes=1)

@@ -230,7 +230,7 @@ def test_contour_reproduces_scalar_power(a, z):
 
 
 def test_tridiagonal_power_chunks_match_dense_route():
-    M = _shifted_mode(33)                     # a few contour nodes per kernel call
+    M = _shifted_mode(33)       # 12 chunks of nodes, a few nodes per kernel call
     z = -0.5 + 0.1j
     contour = ContourSpec(rho=0.5, n_quad=32)
     tri = dunford_power(M, z, contour).data
