@@ -138,6 +138,8 @@ def cmd_norm(args) -> int:
     grid = grid_from_config(cfg)
     gamma = gamma_from_config(cfg, cs)
     max_modes = int(cfg.get("operator", {}).get("max_modes", 3))
+    if args.out:
+        resolve_outdir(Path(args.out).parent)
     field = _read_field_csv(Path(args.field), grid, cs, max_modes)
     value = mellin_norm(field, s=args.s, gamma=float(gamma), p=args.p)
     print(f"H^({args.s},{float(gamma)})_{args.p} norm = {fmt(value)}")
@@ -184,6 +186,8 @@ def cmd_solve_heat(args) -> int:
 def cmd_fit_tip(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config) if args.config else {}
+    path = Path(args.out)
+    resolve_outdir(path.parent)
     trajdir = Path(args.traj)
     meta_path = trajdir / "trajectory.json"
     if not meta_path.exists():
@@ -211,7 +215,6 @@ def cmd_fit_tip(args) -> int:
             rows.append((t, fc.rho.real, fc.rho.imag, fc.m, fc.mode, fc.c.real,
                          fc.c.imag, fit.residual_norm,
                          fit.mode_residual_exponents.get(fc.mode, math.nan)))
-    path = Path(args.out)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "rho_re", "rho_im", "m", "mode", "c_re", "c_im",
@@ -228,6 +231,7 @@ def cmd_fit_tip(args) -> int:
 def cmd_powers(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
+    outdir = resolve_outdir(Path(args.out).parent if args.out else cfg.get("output_dir"))
     blk = cfg.get("powers", {})
     z = complex(float(blk.get("z_re", -0.5)), float(blk.get("z_im", 0.0)))
     cs = cross_section_from_config(cfg["cross_section"])
@@ -250,7 +254,6 @@ def cmd_powers(args) -> int:
         "power_norm": float(np.linalg.norm(power.data, 2)) if power is not None else None,
         "tail_bound": power.provenance.get("tail_bound") if power is not None else None,
     }
-    outdir = resolve_outdir(cfg.get("output_dir"))
     path = Path(args.out) if args.out else outdir / "powers.json"
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
@@ -262,6 +265,7 @@ def cmd_powers(args) -> int:
 def cmd_sectorial_probe(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
+    outdir = resolve_outdir(Path(args.out).parent if args.out else cfg.get("output_dir"))
     blk = cfg.get("powers", {})
     cs = cross_section_from_config(cfg["cross_section"])
     grid = grid_from_config(cfg)
@@ -273,7 +277,6 @@ def cmd_sectorial_probe(args) -> int:
                                          n_samples=int(blk.get("samples", 200)))
     payload = {
         "theta": theta, "shift": shift, "K": report.K,
-        "spectrum_checked": report.spectrum_checked,
         "min_abs_eig": report.min_abs_eig,
         "iterations": report.iterations,
         "unconverged": report.unconverged,
@@ -281,7 +284,6 @@ def cmd_sectorial_probe(args) -> int:
                      "im": l.imag if isinstance(l, complex) else 0.0,
                      "value": v} for l, v in report.samples],
     }
-    outdir = resolve_outdir(cfg.get("output_dir"))
     path = Path(args.out) if args.out else outdir / "sectorial.json"
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from ._kernels import thomas_batch, tridiag_matvec
 from .errors import ConfigError, NumericalError
@@ -37,8 +38,7 @@ class OperatorMatrix:
                 raise ConfigError("dense operator must be a square matrix")
         else:
             raise ConfigError(f"unknown operator storage {self.kind!r}")
-        if not np.all(np.isfinite(self.to_dense() if self.dim <= 4 else
-                                  (self.data if self.kind == 'dense' else np.concatenate(self.data)))):
+        if not np.isfinite(self.data).all():
             raise ConfigError("operator contains non-finite entries")
 
     @staticmethod
@@ -104,8 +104,10 @@ class OperatorMatrix:
         lams = np.asarray(lams, dtype=complex)
         rhs = np.asarray(rhs, dtype=complex)
         if self.kind == "dense":
-            eye = np.eye(self.dim)
-            return np.stack([np.linalg.solve(self.data + l * eye, rhs) for l in lams])
+            n, dim = len(lams), self.dim
+            block = np.broadcast_to(rhs.reshape(dim, -1), (n, dim, rhs.size // dim))
+            sol = np.linalg.solve(self.data + lams[:, None, None] * np.eye(dim), block)
+            return sol.reshape((n,) + rhs.shape)
         dl, d, du = self.data
         shape = (len(lams), self.dim)
         return thomas_batch(np.broadcast_to(dl, shape), d + lams[:, None],
@@ -113,28 +115,19 @@ class OperatorMatrix:
                             np.broadcast_to(rhs, shape + rhs.shape[1:]))
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.to_dense())
+        """The spectrum; exact symmetric tridiagonal eigenvalues where the bands allow.
 
-    def min_abs_eigenvalue_estimate(self, iters: int = 60, seed: int = 7) -> float:
-        """Inverse-iteration estimate of min |eig|, cheap for tridiagonal storage.
-
-        Stops once the estimate changes by less than _STOP_TOL relative
-        between iterations, and after iters iterations at the latest.
+        A tridiagonal with a real diagonal and real products dl[j+1]*du[j] >= 0
+        is diagonally similar to the symmetric one with off-diagonal
+        sqrt(dl[j+1]*du[j]); a zero product splits it into blocks (the frozen
+        Dirichlet row is one). Any other operator takes dense eigvals.
         """
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        v /= np.linalg.norm(v)
-        mu = np.inf
-        for _ in range(iters):
-            w = self.solve_shifted(0.0, v)
-            nw = np.linalg.norm(w)
-            if nw == 0 or not np.isfinite(nw):
-                raise NumericalError("inverse iteration broke down (singular operator?)")
-            mu, prev = 1.0 / nw, mu
-            v = w / nw
-            if abs(mu - prev) < _STOP_TOL * mu:
-                break
-        return float(mu)
+        if self.kind == "tridiag":
+            dl, d, du = self.data
+            p = dl[1:] * du[:-1]
+            if not (d.imag.any() or p.imag.any()) and np.all(p.real >= 0):
+                return eigvalsh_tridiagonal(d.real, np.sqrt(p.real))
+        return np.linalg.eigvals(self.to_dense())
 
     def inv_norm2_estimate(self, lams, iters: int = 40,
                            seed: int = 3) -> tuple[np.ndarray, int, int]:

@@ -47,8 +47,7 @@ class SectorialReport:
     K: float
     theta: float
     samples: list                # (lambda, (1+|lambda|)*norm) pairs
-    spectrum_checked: bool
-    min_abs_eig: float
+    min_abs_eig: float           # min |eig| of the probed operator
     iterations: int = 0          # power iterations run by the norm estimate
     unconverged: int = 0         # samples still changing at the last iteration
 
@@ -65,23 +64,16 @@ def _sector_samples(theta: float, n_samples: int, lam_max: float) -> list[comple
     return lams
 
 
-def _check_sector_clear(M: OperatorMatrix, theta: float):
-    """Verify spec(-M) stays out of the closed sector |arg| <= theta."""
-    if M.dim <= 1500:
-        eigs = M.eigenvalues()
-        for e in eigs:
-            me = -e
-            if abs(me) < 1e-14 or abs(cmath.phase(me)) <= theta + 1e-12:
-                raise NotSectorialError(
-                    f"not sectorial at angle {theta:.4f}: eigenvalue {e} puts "
-                    f"-M inside the sector")
-        return True, float(np.min(np.abs(eigs)))
-    # too large for dense eigenvalues: fall back to an inverse-iteration
-    # estimate of the closest eigenvalue and report the check as partial
-    mu = M.min_abs_eigenvalue_estimate()
-    if mu < 1e-12:
-        raise NotSectorialError("operator numerically singular; sector contains 0")
-    return False, mu
+def _check_sector_clear(M: OperatorMatrix, theta: float) -> float:
+    """Check every eigenvalue: spec(-M) must miss the sector |arg| <= theta. Returns min |eig|."""
+    eigs = M.eigenvalues()
+    for e in eigs:
+        me = -e
+        if abs(me) < 1e-14 or abs(cmath.phase(me)) <= theta + 1e-12:
+            raise NotSectorialError(
+                f"not sectorial at angle {theta:.4f}: eigenvalue {e} puts "
+                f"-M inside the sector")
+    return float(np.min(np.abs(eigs)))
 
 
 def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200,
@@ -89,20 +81,20 @@ def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200,
     """K = max over sampled lambda in S_theta of (1+|lambda|) ||(M+lambda)^-1||.
 
     Samples run log-spaced along the boundary rays +/- theta, the positive
-    real axis, and lambda = 0 exactly. The spectrum/sector separation is
-    verified by dense eigenvalues when affordable. One batched
-    inv_norm2_estimate call gives every resolvent norm; its iteration count
-    and the number of samples that missed its stopping test go into the
-    report.
+    real axis, and lambda = 0 exactly. _check_sector_clear first tests
+    every eigenvalue of M against the sector and gives min |eig|. One
+    batched inv_norm2_estimate call gives every resolvent norm; its
+    iteration count and the number of samples that missed its stopping
+    test go into the report.
     """
-    checked, min_eig = _check_sector_clear(M, theta)
+    min_eig = _check_sector_clear(M, theta)
     lams = _sector_samples(theta, n_samples, lam_max)
     norms, iterations, unconverged = M.inv_norm2_estimate(lams)
     vals = (1.0 + np.abs(lams)) * norms
     return SectorialReport(K=max(float(vals.max()), 1.0), theta=theta,
                            samples=list(zip(lams, vals.tolist())),
-                           spectrum_checked=checked, min_abs_eig=min_eig,
-                           iterations=iterations, unconverged=unconverged)
+                           min_abs_eig=min_eig, iterations=iterations,
+                           unconverged=unconverged)
 
 
 def sectorial_probe_weighted(M: OperatorMatrix, theta: float, k: int,
@@ -118,7 +110,7 @@ def sectorial_probe_weighted(M: OperatorMatrix, theta: float, k: int,
     A = M.to_dense()
     W = np.linalg.matrix_power(A, k - 1)
     Winv = np.linalg.inv(W) if k > 1 else np.eye(M.dim)
-    checked, min_eig = _check_sector_clear(M, theta)
+    min_eig = _check_sector_clear(M, theta)
     samples = []
     K = 0.0
     for lam in _sector_samples(theta, n_samples, lam_max):
@@ -127,7 +119,7 @@ def sectorial_probe_weighted(M: OperatorMatrix, theta: float, k: int,
         samples.append((lam, val))
         K = max(K, val)
     return SectorialReport(K=max(K, 1.0), theta=theta, samples=samples,
-                           spectrum_checked=checked, min_abs_eig=min_eig)
+                           min_abs_eig=min_eig)
 
 
 def find_sectorial_shift(L: OperatorMatrix, theta: float, c0: float = 1.0,
@@ -196,10 +188,7 @@ def default_contour(M: OperatorMatrix, z: complex, theta: float = 0.75 * math.pi
                     n_quad: int = 64, tol_tail: float = 1e-10,
                     sectorial_bound: float = 10.0) -> ContourSpec:
     """Circle radius at half the closest eigenvalue; r_max from the tail bound."""
-    if M.dim <= 600:
-        min_eig = float(np.min(np.abs(M.eigenvalues())))
-    else:
-        min_eig = M.min_abs_eigenvalue_estimate()
+    min_eig = float(np.min(np.abs(M.eigenvalues())))
     if min_eig <= 0:
         raise NotSectorialError("operator has (numerically) zero eigenvalue")
     return ContourSpec(rho=0.5 * min_eig, theta=theta, n_quad=n_quad,
@@ -265,17 +254,13 @@ def dunford_power(M: OperatorMatrix, z: complex, contour: ContourSpec | None = N
                              "increase R_max")
     dim = M.dim
     acc = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim)
-    if M.kind == "dense":
-        for lam, w in zip(lams, weights):
-            acc += w * np.linalg.inv(M.data + lam * eye)
-    else:
-        # all dim unit columns per node in one batched solve; a chunk of nodes
-        # holds at most _RESOLVENT_ENTRIES entries of resolvent columns
-        step = max(1, _RESOLVENT_ENTRIES // (dim * dim))
-        for s in range(0, len(lams), step):
-            acc += np.tensordot(weights[s:s + step],
-                                M.solve_shifted_batch(lams[s:s + step], eye), axes=1)
+    eye = np.eye(dim, dtype=complex)
+    # all dim unit columns per node in one batched solve; a chunk of nodes
+    # holds at most _RESOLVENT_ENTRIES entries of resolvent columns
+    step = max(1, _RESOLVENT_ENTRIES // (dim * dim))
+    for s in range(0, len(lams), step):
+        acc += np.tensordot(weights[s:s + step],
+                            M.solve_shifted_batch(lams[s:s + step], eye), axes=1)
     prov = {"z": z, "contour": contour, "tail_bound": tail, "base": M.provenance}
     return OperatorMatrix.dense(acc, **prov)
 
@@ -371,7 +356,9 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
     if not 0.0 < z.real:
         raise ConfigError("probe expects 0 < Re z")
     cs = probe.cross_section
-    mode = next(m for m in cs.mode_table(64) if m.label == probe.mode_label)
+    mode = next((m for m in cs.mode_table(64) if m.label == probe.mode_label), None)
+    if mode is None:
+        raise ConfigError(f"unknown probe mode {probe.mode_label!r}")
     norms = []
     grids = []
     grid = LogGrid(probe.tau_min, probe.points)
@@ -384,7 +371,8 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
             vals = np.asarray(target(grid.x), dtype=complex)
         else:
             vals = target.resample(grid).values[target.mode_index(probe.mode_label)]
-        contour = ContourSpec(rho=0.5 * min(probe.shift, M.min_abs_eigenvalue_estimate()),
+        min_eig = float(np.min(np.abs(M.eigenvalues())))
+        contour = ContourSpec(rho=0.5 * min(probe.shift, min_eig),
                               theta=probe.theta, n_quad=probe.n_quad)
         w = fractional_apply(M, z, vals, contour)
         f = RadialField(grid, (mode,), w[None, :], n=cs.n, vol=cs.vol)

@@ -359,19 +359,24 @@ def criterion_sectorial() -> tuple[bool, str]:
     theta = 0.75 * math.pi
     Ks = []
     shifts = []
+    eig_errs = []
     for J in (257, 513):
         g = LogGrid(-6.0, J)
         L = assemble_mode_operator(1, 0, g, "neumann")
         c, report = find_sectorial_shift(L, theta, n_samples=200)
         shifts.append(c)
         Ks.append(report.K)
-        if not report.spectrum_checked:
-            return False, f"spectrum check skipped at J={J}"
+        # the constant is an exact eigenvector of the k=0 Neumann operator with
+        # eigenvalue 0, so the smallest |eigenvalue| of c - L is c itself
+        eig_errs.append(abs(report.min_abs_eig - c) / c)
+        if eig_errs[-1] > 1e-9:
+            return False, f"min|eig| = {report.min_abs_eig!r} is not the shift c={c} at J={J}"
         if not math.isfinite(report.K):
             return False, f"unbounded K at J={J}"
     rel = abs(Ks[1] - Ks[0]) / Ks[0]
     ok = rel <= 0.10
     return ok, (f"shift c={shifts[1]} from the doubling ladder, K={Ks[1]:.4f}, "
+                f"min|eig| = c to {max(eig_errs):.1e} <= 1e-9, "
                 f"grid-halving stability {100 * rel:.2f}% <= 10%")
 
 

@@ -127,6 +127,23 @@ def test_solve_heat_and_fit_tip_pipeline(cfg_path, tmp_path):
     assert all(abs(float(r["c_re"]) - 1.0) < 1e-9 for r in const_rows)
 
 
+@pytest.mark.parametrize("cmd", ["powers", "sectorial-probe", "fit-tip", "norm"])
+def test_out_file_in_new_directory(cmd, cfg_path, tmp_path):
+    u0, traj, basis = tmp_path / "u0.csv", tmp_path / "traj", tmp_path / "basis.json"
+    _write_u0(u0)
+    inputs = {"powers": ["--config", str(cfg_path)],
+              "sectorial-probe": ["--config", str(cfg_path)],
+              "fit-tip": ["--traj", str(traj), "--basis", str(basis)],
+              "norm": ["--config", str(cfg_path), "--field", str(u0)]}
+    if cmd == "fit-tip":
+        assert main(["solve-heat", "--config", str(cfg_path), "--u0", str(u0),
+                     "--out", str(traj)]) == 0
+        assert main(["asymptotics", "--config", str(cfg_path), "--out", str(basis)]) == 0
+    out = tmp_path / "new" / "dir" / "result"
+    assert main([cmd, *inputs[cmd], "--out", str(out)]) == 0
+    assert out.exists() and (out.parent / "manifest.json").exists()
+
+
 def test_non_finite_field_csv_exit_2(cfg_path, tmp_path, capsys):
     outdir = tmp_path / "traj"
     basis = tmp_path / "basis.json"

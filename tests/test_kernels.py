@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg.lapack import zgtsv
 
 from conelab import _kernels
-from conelab.errors import NumericalError
+from conelab.errors import ConfigError, NumericalError
 from conelab.operators import OperatorMatrix
 
 
@@ -97,6 +97,30 @@ def test_solve_shifted_zero_last_row_raises_numerical_error():
     op = OperatorMatrix.tridiag(dl, d, du)
     with pytest.raises(NumericalError):
         op.solve_shifted(0.0, np.ones(9))
+
+
+@pytest.mark.parametrize("kind, dim", [("tridiag", 3), ("tridiag", 9),
+                                       ("dense", 3), ("dense", 9)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_operator_rejects_non_finite_entries(kind, dim, bad):
+    bands = [np.ones(dim, dtype=complex) for _ in range(3)]
+    bands[0][0] = bad                  # the unused slot dl[0] is stored too
+    dense = np.eye(dim, dtype=complex)
+    dense[0, -1] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        OperatorMatrix(kind, bands if kind == "tridiag" else dense)
+
+
+@pytest.mark.parametrize("rhs_shape", [(7,), (7, 3)])
+def test_dense_solve_shifted_batch_matches_per_shift_solve(rhs_shape):
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    rhs = rng.standard_normal(rhs_shape) + 1j * rng.standard_normal(rhs_shape)
+    lams = np.array([0.0, 1.5j, -0.3 + 2.0j, 4.0])
+    got = OperatorMatrix.dense(A).solve_shifted_batch(lams, rhs)
+    assert got.shape == (len(lams),) + rhs_shape
+    for lam, sol in zip(lams, got):
+        assert np.allclose(sol, np.linalg.solve(A + lam * np.eye(7), rhs), rtol=1e-12, atol=0)
 
 
 def test_backend_name():

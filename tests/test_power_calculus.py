@@ -107,6 +107,11 @@ def test_sectorial_rejects_sector_hit():
     M = OperatorMatrix.dense(np.diag([-1.0, 2.0]))
     with pytest.raises(NotSectorialError):
         sectorial_probe(M, 0.5)
+    # k=+-1 Neumann mode shifted by -5: one eigenvalue at -1.61, at a size
+    # where every eigenvalue still gets tested
+    M = (-assemble_mode_operator(1, -1, LogGrid(-6.0, 2049), "neumann")).shifted(-5.0)
+    with pytest.raises(NotSectorialError, match="-1.61"):
+        sectorial_probe(M, 0.75 * math.pi)
 
 
 def test_weighted_probe_matches_base():
@@ -162,6 +167,12 @@ def test_power_domain_probe_verdicts():
     assert all(rr >= r2.thresholds[1] for rr in r2.ratios)
 
 
+def test_power_domain_probe_unknown_mode():
+    pc = PowerProbeConfig(cross_section=CIRCLE, mode_label="k=+99", gamma=-0.5, shift=1.0)
+    with pytest.raises(ConfigError, match="k=\\+99"):
+        power_domain_probe(AsymptoticsTerm(QRat(0), 0, "k=0"), 0.5, pc)
+
+
 def test_dunford_rejects_nonnegative_exponent():
     M = OperatorMatrix.dense([[2.0]])
     with pytest.raises(ConfigError):
@@ -177,6 +188,32 @@ def test_tail_bound_guard():
 
 def _shifted_mode(J):
     return (-assemble_mode_operator(1, 0, LogGrid(-4.0, J), "neumann")).shifted(1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _shifted_mode(65),
+    lambda: (-assemble_mode_operator(1, 0, LogGrid(-4.0, 65), "dirichlet")).shifted(1.0),
+    lambda: (-assemble_mode_operator(2, -2, LogGrid(-4.0, 65), "neumann")).shifted(1.0),
+    lambda: OperatorMatrix.tridiag(np.zeros(9), np.arange(9.0, 0.0, -1.0), np.zeros(9)),
+], ids=["neumann-k0", "dirichlet-frozen-row", "n2-neumann", "diagonal-zero-products"])
+def test_tridiagonal_eigenvalues_match_dense(make):
+    M = make()
+    got = M.eigenvalues()
+    assert got.dtype == float            # the symmetric tridiagonal path
+    want = np.sort(np.linalg.eigvals(M.to_dense()).real)
+    assert np.max(np.abs(np.sort(got) - want) / np.abs(want)) <= 1e-10
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _shifted_mode(33).shifted(0.5j),                             # complex diagonal
+    lambda: OperatorMatrix.tridiag(np.full(9, -1.0), np.ones(9), np.ones(9)),  # products < 0
+    lambda: OperatorMatrix.tridiag(np.full(9, 1j), np.ones(9), np.ones(9)),    # complex products
+], ids=["complex-shift", "negative-products", "complex-products"])
+def test_general_band_eigenvalues_fall_back_to_dense(make):
+    M = make()
+    got, want = np.sort(M.eigenvalues()), np.sort(np.linalg.eigvals(M.to_dense()))
+    assert got.dtype == complex
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("J", [9, 33])
