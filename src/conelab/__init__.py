@@ -18,6 +18,6 @@ from .mellin_sobolev import LogGrid, RadialField, mellin_norm, membership_probe
 from .heat_solver import (HeatConfig, HeatTrajectory, assemble_mode_operator,
                           bessel_series_solution, solve_heat, step)
 from .tip_analysis import TipFit, decomposition_track, fit_tip_expansion
-from .power_calculus import (ContourSpec, dunford_power, power_domain_probe,
+from .power_calculus import (ContourSpec, complex_power, dunford_power, power_domain_probe,
                              r_bound_estimate, sectorial_probe)
 from .operators import OperatorMatrix

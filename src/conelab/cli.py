@@ -22,13 +22,13 @@ from ._kernels import backend_name
 from .asymptotics import AsymptoticsBasis, AsymptoticsTerm, domain_membership, enumerate_asymptotics
 from .config import (cross_section_from_config, fmt, gamma_from_config,
                      grid_from_config, load_config, operator_from_config,
-                     resolve_outdir)
+                     output_path)
 from .errors import ConelabError, ConfigError
 from .mellin_sobolev import LogGrid, RadialField, mellin_norm
 from .rational import root_to_complex
 from .symbol_algebra import pole_set, pole_set_power
 from .heat_solver import HeatConfig, assemble_mode_operator, solve_heat
-from .power_calculus import dunford_power, find_sectorial_shift
+from .power_calculus import complex_power, default_contour, find_sectorial_shift, power_route
 from .tip_analysis import fit_tip_expansion
 
 
@@ -50,13 +50,12 @@ def _write_manifest(outdir: Path, args_echo: dict, cfg: dict, t0: float, outputs
 def cmd_poles(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
+    path = output_path(args.out, cfg.get("output_dir"), "poles.csv")
     cs = cross_section_from_config(cfg["cross_section"])
     spec = operator_from_config(cfg, cs)
     gamma = gamma_from_config(cfg, cs)
     ps = pole_set_power(spec, gamma, args.power) if args.power > 1 \
         else pole_set(spec, gamma)
-    outdir = resolve_outdir(Path(args.out).parent if args.out else cfg.get("output_dir"))
-    path = Path(args.out) if args.out else outdir / "poles.csv"
     rows = []
     for label, rho, order, inside in ps.candidates:
         z = root_to_complex(rho)
@@ -77,6 +76,7 @@ def cmd_poles(args) -> int:
 def cmd_asymptotics(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
+    path = output_path(args.out, cfg.get("output_dir"), "asymptotics.json")
     cs = cross_section_from_config(cfg["cross_section"])
     spec = operator_from_config(cfg, cs)
     gamma = gamma_from_config(cfg, cs)
@@ -96,8 +96,6 @@ def cmd_asymptotics(args) -> int:
     payload = {"gamma": float(gamma), "strip": [float(ps.strip[0]), float(ps.strip[1])],
                "basis": table,
                "exact": ps.exact, "convention_pending": ps.convention_pending}
-    outdir = resolve_outdir(Path(args.out).parent if args.out else cfg.get("output_dir"))
-    path = Path(args.out) if args.out else outdir / "asymptotics.json"
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
     _write_manifest(path.parent, {"subcommand": "asymptotics"}, cfg, t0, [str(path)])
@@ -138,17 +136,15 @@ def cmd_norm(args) -> int:
     grid = grid_from_config(cfg)
     gamma = gamma_from_config(cfg, cs)
     max_modes = int(cfg.get("operator", {}).get("max_modes", 3))
-    if args.out:
-        resolve_outdir(Path(args.out).parent)
+    path = output_path(args.out) if args.out else None
     field = _read_field_csv(Path(args.field), grid, cs, max_modes)
     value = mellin_norm(field, s=args.s, gamma=float(gamma), p=args.p)
     print(f"H^({args.s},{float(gamma)})_{args.p} norm = {fmt(value)}")
-    if args.out:
-        with open(args.out, "w") as fh:
+    if path is not None:
+        with open(path, "w") as fh:
             json.dump({"s": args.s, "gamma": float(gamma), "p": args.p,
                        "norm": value}, fh, indent=2)
-        _write_manifest(Path(args.out).parent, {"subcommand": "norm"}, cfg, t0,
-                        [args.out])
+        _write_manifest(path.parent, {"subcommand": "norm"}, cfg, t0, [str(path)])
     return 0
 
 
@@ -165,9 +161,10 @@ def cmd_solve_heat(args) -> int:
                     outer_bc=heat.get("outer_bc", "dirichlet"),
                     theta=float(heat.get("theta", 0.5)), max_modes=max_modes,
                     snapshot_every=int(heat.get("snapshot_every", 0)))
+    meta_path = output_path(None, args.out, "trajectory.json")
+    outdir = meta_path.parent
     u0 = _read_field_csv(Path(args.u0), grid, cs, max_modes)
     traj = solve_heat(u0, None, hc)
-    outdir = resolve_outdir(args.out)
     outputs = []
     for idx, (t, f) in enumerate(zip(traj.times, traj.fields)):
         path = outdir / f"snapshot_{idx:05d}.csv"
@@ -175,7 +172,7 @@ def cmd_solve_heat(args) -> int:
         outputs.append(str(path))
     meta = {"times": traj.times, "scheme": {"theta": hc.theta, "dt": hc.dt},
             "outer_bc": hc.outer_bc, "gamma": float(gamma)}
-    with open(outdir / "trajectory.json", "w") as fh:
+    with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2)
     _write_manifest(outdir, {"subcommand": "solve-heat", "u0": str(args.u0)}, cfg,
                     t0, outputs)
@@ -186,8 +183,7 @@ def cmd_solve_heat(args) -> int:
 def cmd_fit_tip(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config) if args.config else {}
-    path = Path(args.out)
-    resolve_outdir(path.parent)
+    path = output_path(args.out)
     trajdir = Path(args.traj)
     meta_path = trajdir / "trajectory.json"
     if not meta_path.exists():
@@ -231,7 +227,7 @@ def cmd_fit_tip(args) -> int:
 def cmd_powers(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
-    outdir = resolve_outdir(Path(args.out).parent if args.out else cfg.get("output_dir"))
+    path = output_path(args.out, cfg.get("output_dir"), "powers.json")
     blk = cfg.get("powers", {})
     z = complex(float(blk.get("z_re", -0.5)), float(blk.get("z_im", 0.0)))
     cs = cross_section_from_config(cfg["cross_section"])
@@ -242,30 +238,39 @@ def cmd_powers(args) -> int:
     theta = float(blk.get("theta", 0.75 * math.pi))
     shift, sect = find_sectorial_shift(L, theta, c0=float(blk.get("shift0", 1.0)))
     M = (-L).shifted(shift)
-    power = dunford_power(M, z) if M.dim <= int(blk.get("dense_limit", 700)) else None
-    contour = power.provenance["contour"] if power is not None else None
+    method, gate = power_route(M)
+    power = None
+    # dense_limit bounds only the Dunford fallback: J unit columns per contour node
+    if method == "spectral":
+        power = complex_power(M, z)
+    elif M.dim <= int(blk.get("dense_limit", 700)):
+        power = complex_power(M, z, contour=default_contour(M, z, sectorial_bound=sect.K))
+    prov = power.provenance if power is not None else {}
+    contour = prov.get("contour")
     report = {
         "z": [z.real, z.imag], "shift": shift, "theta": theta,
         "sectorial_K": sect.K,
         "min_abs_eig": sect.min_abs_eig,
+        "method": method, "gate": gate,
         "quadrature": {"n_quad": contour.n_quad, "tol_tail": contour.tol_tail,
-                       "rho": contour.rho, "theta": contour.theta}
+                       "rho": contour.rho, "theta": contour.theta,
+                       "sectorial_bound": contour.sectorial_bound,
+                       "nodes": prov["nodes"], "r_max": prov["r_max"]}
         if contour is not None else None,
         "power_norm": float(np.linalg.norm(power.data, 2)) if power is not None else None,
-        "tail_bound": power.provenance.get("tail_bound") if power is not None else None,
+        "tail_bound": prov.get("tail_bound"),
     }
-    path = Path(args.out) if args.out else outdir / "powers.json"
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
     _write_manifest(path.parent, {"subcommand": "powers"}, cfg, t0, [str(path)])
-    print(f"wrote {path}")
+    print(f"wrote {path} ({method} route)")
     return 0
 
 
 def cmd_sectorial_probe(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
-    outdir = resolve_outdir(Path(args.out).parent if args.out else cfg.get("output_dir"))
+    path = output_path(args.out, cfg.get("output_dir"), "sectorial.json")
     blk = cfg.get("powers", {})
     cs = cross_section_from_config(cfg["cross_section"])
     grid = grid_from_config(cfg)
@@ -284,7 +289,6 @@ def cmd_sectorial_probe(args) -> int:
                      "im": l.imag if isinstance(l, complex) else 0.0,
                      "value": v} for l, v in report.samples],
     }
-    path = Path(args.out) if args.out else outdir / "sectorial.json"
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
     _write_manifest(path.parent, {"subcommand": "sectorial-probe"}, cfg, t0, [str(path)])
@@ -337,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.set_defaults(fn=cmd_fit_tip)
 
-    p = sub.add_parser("powers", help="Dunford complex power of the shifted realization")
+    p = sub.add_parser("powers", help="complex power of the shifted realization")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_powers)

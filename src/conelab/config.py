@@ -82,11 +82,19 @@ def gamma_from_config(cfg: dict, cs: CrossSection, require_window: bool = False)
     return gamma
 
 
-def resolve_outdir(requested) -> Path:
+def output_path(out, default_dir=None, name: str = "") -> Path:
+    """The file a command writes, its directory created before any work starts.
+
+    It is --out FILE if given, else default_dir/name. With CONELAB_OUTDIR set
+    it is CONELAB_OUTDIR/<basename of that file> instead. solve-heat passes
+    its --out DIR as default_dir, so its files land in CONELAB_OUTDIR too.
+    """
+    path = Path(out) if out else Path(default_dir or ".") / name
     override = os.environ.get("CONELAB_OUTDIR")
-    base = Path(override) if override else Path(requested or ".")
-    base.mkdir(parents=True, exist_ok=True)
-    return base
+    if override:
+        path = Path(override) / path.name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def fmt(v: float) -> str:

@@ -114,19 +114,42 @@ class OperatorMatrix:
                             np.broadcast_to(du, shape),
                             np.broadcast_to(rhs, shape + rhs.shape[1:]))
 
+    def _symmetric_form(self) -> tuple | None:
+        """(d, e, log_delta) with M = D^-1 S D, or None where the bands forbid it.
+
+        S is the real symmetric tridiagonal with diagonal d and off-diagonal
+        e[j] = sign(du[j]) sqrt(dl[j+1] du[j]); D = diag(exp(log_delta)).
+        The eigenvalues of S ignore the sign of e, its eigenvectors do not.
+        It needs real bands with products dl[j+1]*du[j] >= 0, else None. A
+        zero product (the frozen Dirichlet row is one) splits M into blocks:
+        S keeps M's eigenvalues but no D exists, and log_delta is None.
+        """
+        if self.kind != "tridiag":
+            return None
+        dl, d, du = self.data
+        if dl.imag.any() or d.imag.any() or du.imag.any():
+            return None
+        lo, hi = dl.real[1:], du.real[:-1]
+        p = lo * hi
+        if np.any(p < 0):
+            return None
+        e = np.sign(hi) * np.sqrt(p)
+        if not p.all():
+            return d.real, e, None
+        # (delta[j+1] / delta[j])^2 = du[j] / dl[j+1], summed in logs
+        log_delta = np.concatenate([[0.0], np.cumsum(0.5 * (np.log(np.abs(hi))
+                                                             - np.log(np.abs(lo))))])
+        return d.real, e, log_delta - log_delta.max()
+
     def eigenvalues(self) -> np.ndarray:
         """The spectrum; exact symmetric tridiagonal eigenvalues where the bands allow.
 
-        A tridiagonal with a real diagonal and real products dl[j+1]*du[j] >= 0
-        is diagonally similar to the symmetric one with off-diagonal
-        sqrt(dl[j+1]*du[j]); a zero product splits it into blocks (the frozen
-        Dirichlet row is one). Any other operator takes dense eigvals.
+        A tridiagonal with a symmetric form (_symmetric_form) takes
+        eigvalsh_tridiagonal on it; any other operator takes dense eigvals.
         """
-        if self.kind == "tridiag":
-            dl, d, du = self.data
-            p = dl[1:] * du[:-1]
-            if not (d.imag.any() or p.imag.any()) and np.all(p.real >= 0):
-                return eigvalsh_tridiagonal(d.real, np.sqrt(p.real))
+        form = self._symmetric_form()
+        if form is not None:
+            return eigvalsh_tridiagonal(form[0], form[1])
         return np.linalg.eigvals(self.to_dense())
 
     def inv_norm2_estimate(self, lams, iters: int = 40,

@@ -1,7 +1,9 @@
-"""Sectoriality probes, randomized R-bound estimates, Dunford complex powers.
+"""Sectoriality probes, randomized R-bound estimates, complex powers.
 
 Operators here are finite-dimensional stand-ins (discretized per-mode radial
-operators or plain matrices). The Dunford integral runs over the keyhole
+operators or plain matrices). complex_power takes the exact spectral route
+for a mode operator whose symmetric form passes the conditioning gate, and
+the Dunford integral otherwise. The Dunford integral runs over the keyhole
 contour: in along the lower ray arg(-theta), around the circle of radius
 rho through the negative axis, out along arg(+theta); the branch of
 (-lambda)^z is the principal one, cut along the positive real axis.
@@ -18,6 +20,11 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, NotSectorialError, NumericalError, UnsupportedError
 from .operators import OperatorMatrix
+
+# conditioning gate of the spectral route: eps * max|mu| / min|mu| of the
+# symmetric form; above it the eigenvectors lose too many digits to the
+# band range (probe norms go O(1) wrong at 641 points, tau_min -16)
+_SPECTRAL_GATE = 1e-3
 
 # memory bound of dunford_power: complex entries of resolvent columns held
 # for one chunk of contour nodes (2**16 entries, 1 MiB)
@@ -40,6 +47,15 @@ class ContourSpec:
             raise ConfigError("contour radius must be >= 0")
         if self.r_max is not None and self.r_max <= self.rho:
             raise ConfigError("r_max must exceed the circle radius")
+
+    def ray_end(self, z: complex) -> tuple[float, float]:
+        """(r_max, tail): where the rays stop for the power z, and the analytic tail bound there."""
+        rez = z.real
+        r_max = self.r_max
+        if r_max is None:
+            r_max = (self.tol_tail * math.pi * (-rez) / self.sectorial_bound) ** (1.0 / rez)
+            r_max = min(max(r_max, 10.0 * max(self.rho, 1.0)), 1e300)
+        return r_max, self.sectorial_bound / math.pi * r_max ** rez / (-rez)
 
 
 @dataclass
@@ -95,31 +111,6 @@ def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200,
                            samples=list(zip(lams, vals.tolist())),
                            min_abs_eig=min_eig, iterations=iterations,
                            unconverged=unconverged)
-
-
-def sectorial_probe_weighted(M: OperatorMatrix, theta: float, k: int,
-                             n_samples: int = 50, lam_max: float = 1e6) -> SectorialReport:
-    """Probe on the power-scale restriction: resolvent norm in ||M^{k-1} .||.
-
-    Finite-dimensional content of the power-scale lemma: the weighted-norm
-    resolvent is the conjugate W (M+lambda)^-1 W^-1 with W = M^{k-1}, which
-    commutes back to the base resolvent. Values must match sectorial_probe.
-    """
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    A = M.to_dense()
-    W = np.linalg.matrix_power(A, k - 1)
-    Winv = np.linalg.inv(W) if k > 1 else np.eye(M.dim)
-    min_eig = _check_sector_clear(M, theta)
-    samples = []
-    K = 0.0
-    for lam in _sector_samples(theta, n_samples, lam_max):
-        R = np.linalg.inv(A + lam * np.eye(M.dim))
-        val = (1.0 + abs(lam)) * float(np.linalg.norm(W @ R @ Winv, 2))
-        samples.append((lam, val))
-        K = max(K, val)
-    return SectorialReport(K=max(K, 1.0), theta=theta, samples=samples,
-                           min_abs_eig=min_eig)
 
 
 def find_sectorial_shift(L: OperatorMatrix, theta: float, c0: float = 1.0,
@@ -201,18 +192,10 @@ def _contour_nodes(contour: ContourSpec, z: complex):
     Returns (lams, weights) with the 1/(2 pi i) factor and the orientation
     folded into the weights, plus the reported analytic tail bound.
     """
-    rez = z.real
-    if rez >= 0:
+    if z.real >= 0:
         raise ConfigError("Dunford quadrature needs Re z < 0")
     rho, theta = contour.rho, contour.theta
-    if contour.r_max is not None:
-        r_max = contour.r_max
-        tail = contour.sectorial_bound / math.pi * r_max ** rez / (-rez)
-    else:
-        target = contour.tol_tail
-        r_max = (target * math.pi * (-rez) / contour.sectorial_bound) ** (1.0 / rez)
-        r_max = min(max(r_max, 10.0 * max(rho, 1.0)), 1e300)
-        tail = contour.sectorial_bound / math.pi * r_max ** rez / (-rez)
+    r_max, tail = contour.ray_end(z)
     xg, wg = leggauss(contour.n_quad)
     # circle arc, traversed from 2pi-theta down to theta (through the cut-free
     # negative axis): contributes minus the increasing-angle integral
@@ -261,7 +244,8 @@ def dunford_power(M: OperatorMatrix, z: complex, contour: ContourSpec | None = N
     for s in range(0, len(lams), step):
         acc += np.tensordot(weights[s:s + step],
                             M.solve_shifted_batch(lams[s:s + step], eye), axes=1)
-    prov = {"z": z, "contour": contour, "tail_bound": tail, "base": M.provenance}
+    prov = {"z": z, "contour": contour, "tail_bound": tail, "nodes": len(lams),
+            "r_max": contour.ray_end(z)[0], "base": M.provenance}
     return OperatorMatrix.dense(acc, **prov)
 
 
@@ -278,24 +262,80 @@ def dunford_apply(M: OperatorMatrix, z: complex, v: np.ndarray,
     return weights @ sols
 
 
+def power_route(M: OperatorMatrix) -> tuple[str, float | None]:
+    """The route complex_power takes for M, 'spectral' or 'dunford', and its gate value.
+
+    The gate value is eps * max|mu| / min|mu| over the eigenvalues of M's
+    symmetric form; the spectral route needs it at or below _SPECTRAL_GATE.
+    An operator without a similarity to a symmetric form (dense storage,
+    complex bands, a negative or zero product dl[j+1]*du[j]) has no gate
+    value (None) and goes to Dunford.
+    """
+    form = M._symmetric_form()
+    if form is None or form[2] is None:
+        return "dunford", None
+    mu = np.abs(M.eigenvalues())
+    gate = float(np.finfo(float).eps * mu.max() / mu.min()) if mu.min() > 0 else math.inf
+    return ("spectral" if gate <= _SPECTRAL_GATE else "dunford"), gate
+
+
+def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None,
+                  contour: ContourSpec | None = None):
+    """M^z as a dense OperatorMatrix (v None), or M^z v; spectral where the gate allows.
+
+    Spectral route: M = D^-1 S D with S real symmetric tridiagonal, so
+    M^z = D^-1 V diag(mu^z) V^T D from eigh_tridiagonal(S) = (mu, V). It is
+    exact for every z, purely imaginary z included; the contour is unused.
+    Every other operator, and a symmetric form whose eps*kappa exceeds
+    _SPECTRAL_GATE, takes Dunford: dunford_power for the matrix (Re z < 0),
+    dunford_apply for a vector, with Re z >= 0 split into an integer part
+    applied directly and a remainder with Re w in [-1, 0]. The matrix's
+    provenance records "method" and "gate" (see power_route); the spectral
+    route has tail_bound 0.0 and no contour.
+    """
+    z = complex(z)
+    method, gate = power_route(M)
+    if method == "dunford":
+        if v is None:
+            power = dunford_power(M, z, contour)
+            power.provenance.update(method=method, gate=gate)
+            return power
+        m_int = max(1, math.ceil(z.real)) if z.real >= 0 else 0   # Re(z - m_int) <= 0
+        out = np.asarray(v, dtype=complex)
+        if z != m_int:
+            out = dunford_apply(M, z - m_int, out, contour)
+        for _ in range(m_int):
+            out = M.matvec(out)
+        return out
+    from scipy.linalg import eigh_tridiagonal
+    d, e, log_delta = M._symmetric_form()
+    mu, V = eigh_tridiagonal(d, e)
+    if mu[0] <= 0:
+        raise NotSectorialError(f"eigenvalue {mu[0]} on the branch cut of M^z")
+    pz = np.exp(z * np.log(mu))
+    if v is None:
+        P = (V * pz) @ V.T * np.exp(log_delta[None, :] - log_delta[:, None])
+        return OperatorMatrix.dense(P, z=z, method=method, gate=gate, contour=None,
+                                    tail_bound=0.0, base=M.provenance)
+    delta = np.exp(log_delta)
+    return V @ (pz * (V.T @ (delta * np.asarray(v, dtype=complex)))) / delta
+
+
 def fractional_apply(M: OperatorMatrix, z: complex, v: np.ndarray,
                      contour: ContourSpec | None = None) -> np.ndarray:
-    """M^z v for Re z >= 0, z != 0: integer part direct, remainder by Dunford.
+    """M^z v for Re z >= 0, z != 0, through complex_power.
 
-    Purely imaginary powers go through the regularized route M * M^(it-1);
-    they are experimental, like the underlying theory's passing treatment.
+    A mode operator whose symmetric form passes the conditioning gate takes
+    the exact spectral route, purely imaginary z included. Any other takes
+    Dunford with the given contour: the integer part applied directly, the
+    remainder (Re w in [-1, 0]) by dunford_apply, so a purely imaginary
+    power goes through M * M^(it-1), an experimental route like the
+    underlying theory's passing treatment.
     """
     z = complex(z)
     if z.real < 0 or z == 0:
         raise ConfigError("fractional_apply expects Re z >= 0 and z != 0")
-    m_int = max(1, int(math.ceil(z.real)))
-    w = z - m_int                   # Re w in [-1, 0]
-    out = np.asarray(v, dtype=complex)
-    if w != 0:
-        out = dunford_apply(M, w, out, contour)
-    for _ in range(m_int):
-        out = M.matvec(out)
-    return out
+    return complex_power(M, z, v, contour)
 
 
 def eig_power_oracle(M: OperatorMatrix, z: complex) -> np.ndarray:

@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from conelab.cli import main
+from conelab.heat_solver import assemble_mode_operator
+from conelab.mellin_sobolev import LogGrid
+from conelab.power_calculus import eig_power_oracle
 
 CIRCLE_CFG = {
     "cross_section": {"kind": "circle", "L_over_pi": "2"},
@@ -184,26 +187,76 @@ def test_sectorial_probe_command(cfg_path, tmp_path):
     assert 0 <= payload["unconverged"] <= len(payload["samples"])
 
 
+def _oracle_power_norm(payload, n, eigenvalue, grid, bc):
+    M = (-assemble_mode_operator(n, eigenvalue, grid, bc)).shifted(payload["shift"])
+    z = complex(*payload["z"])
+    return float(np.linalg.norm(eig_power_oracle(M, z), 2))
+
+
 def test_powers_command(cfg_path, tmp_path):
     out = tmp_path / "powers.json"
     assert main(["powers", "--config", str(cfg_path), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["power_norm"] is not None
-    assert payload["tail_bound"] < 1e-9
-    quad = payload["quadrature"]
-    assert quad["n_quad"] == 64 and quad["tol_tail"] == 1e-10
-    assert quad["theta"] == pytest.approx(0.75 * math.pi)
-    assert 0.0 < quad["rho"] < payload["min_abs_eig"]
+    # 129 points at tau_min -6: the symmetric form passes the gate, exact route
+    assert payload["method"] == "spectral"
+    assert 0.0 < payload["gate"] <= 1e-3
+    assert payload["tail_bound"] == 0.0 and payload["quadrature"] is None
+    want = _oracle_power_norm(payload, 1, 0, LogGrid(-6.0, 129), "neumann")
+    assert abs(payload["power_norm"] - want) <= 1e-10 * want
 
 
-def test_powers_command_reports_no_contour_when_skipped(tmp_path):
-    cfg = dict(CIRCLE_CFG, powers={"dense_limit": 0})
+def test_powers_command_dunford_route(tmp_path):
+    # the frozen Dirichlet row has a zero band product: no symmetric form
+    cfg = dict(CIRCLE_CFG, grid={"tau_min": -4.0, "points": 33},
+               heat={"outer_bc": "dirichlet"})
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "powers.json"
     assert main(["powers", "--config", str(p), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
+    assert payload["method"] == "dunford" and payload["gate"] is None
+    assert payload["tail_bound"] < 1e-9
+    quad = payload["quadrature"]
+    assert quad["n_quad"] == 64 and quad["tol_tail"] == 1e-10
+    assert quad["theta"] == pytest.approx(0.75 * math.pi)
+    assert 0.0 < quad["rho"] < payload["min_abs_eig"]
+    assert quad["sectorial_bound"] == payload["sectorial_K"]
+    assert quad["nodes"] > 0 and quad["r_max"] > quad["rho"]
+    want = _oracle_power_norm(payload, 1, 0, LogGrid(-4.0, 33), "dirichlet")
+    assert abs(payload["power_norm"] - want) <= 1e-10 * want
+
+
+def test_powers_command_reports_no_contour_when_skipped(tmp_path):
+    # 641 points at tau_min -16 fail the gate; dense_limit 0 skips Dunford
+    cfg = dict(CIRCLE_CFG, grid={"tau_min": -16.0, "points": 641},
+               powers={"dense_limit": 0})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "powers.json"
+    assert main(["powers", "--config", str(p), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["method"] == "dunford" and payload["gate"] > 1e-3
     assert payload["quadrature"] is None and payload["power_norm"] is None
+
+
+@pytest.mark.parametrize("cmd", ["poles", "asymptotics", "powers", "sectorial-probe",
+                                 "fit-tip", "norm"])
+def test_outdir_override_takes_the_out_basename(cmd, cfg_path, tmp_path, monkeypatch):
+    u0, traj, basis = tmp_path / "u0.csv", tmp_path / "traj", tmp_path / "basis.json"
+    _write_u0(u0)
+    if cmd == "fit-tip":
+        assert main(["solve-heat", "--config", str(cfg_path), "--u0", str(u0),
+                     "--out", str(traj)]) == 0
+        assert main(["asymptotics", "--config", str(cfg_path), "--out", str(basis)]) == 0
+    inputs = {"fit-tip": ["--traj", str(traj), "--basis", str(basis)],
+              "norm": ["--config", str(cfg_path), "--field", str(u0)]}
+    override = tmp_path / "override"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CONELAB_OUTDIR", str(override))
+    argv = [cmd, *inputs.get(cmd, ["--config", str(cfg_path)]), "--out", "newdir/result"]
+    assert main(argv) == 0
+    assert (override / "result").exists() and (override / "manifest.json").exists()
+    assert not (tmp_path / "newdir").exists()
 
 
 def test_verify_single_suite_exit_zero():

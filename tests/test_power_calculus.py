@@ -12,12 +12,11 @@ from conelab.errors import ConfigError, NotSectorialError, UnsupportedError
 from conelab.heat_solver import assemble_mode_operator
 from conelab.mellin_sobolev import LogGrid
 from conelab.operators import OperatorMatrix
-from conelab.power_calculus import (ContourSpec, PowerProbeConfig, dunford_apply,
-                                    dunford_power, eig_power_oracle,
+from conelab.power_calculus import (ContourSpec, PowerProbeConfig, complex_power,
+                                    dunford_apply, dunford_power, eig_power_oracle,
                                     find_sectorial_shift, fractional_apply,
                                     _contour_nodes, _sector_samples, power_domain_probe,
-                                    r_bound_estimate, sectorial_probe,
-                                    sectorial_probe_weighted)
+                                    power_route, r_bound_estimate, sectorial_probe)
 from conelab.rational import QRat
 
 CIRCLE = CrossSection.circle(length_over_pi=2)
@@ -115,11 +114,14 @@ def test_sectorial_rejects_sector_hit():
 
 
 def test_weighted_probe_matches_base():
+    # power-scale lemma: W = M^2 commutes with the resolvent, so the
+    # weighted resolvent W (M+lam)^-1 W^-1 is the base one
     rng = np.random.default_rng(1)
-    M = _random_hpd(rng, shift=1.0)
-    a = sectorial_probe(M, 0.6 * math.pi, n_samples=25)
-    b = sectorial_probe_weighted(M, 0.6 * math.pi, k=3, n_samples=25)
-    assert abs(a.K - b.K) < 1e-9 * max(1.0, a.K)
+    A = _random_hpd(rng, shift=1.0).data
+    W = A @ A
+    for lam in (0.0, 2.0, 3.0 * np.exp(0.6j * math.pi)):
+        R = np.linalg.inv(A + lam * np.eye(8))
+        assert np.max(np.abs(W @ R @ np.linalg.inv(W) - R)) <= 1e-12 * np.max(np.abs(R))
 
 
 def test_r_bound_examples():
@@ -273,3 +275,42 @@ def test_tridiagonal_power_chunks_match_dense_route():
     tri = dunford_power(M, z, contour).data
     dense = dunford_power(OperatorMatrix.dense(M.to_dense()), z, contour).data
     assert np.max(np.abs(tri - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("z", [-0.5 + 0.2j, 0.5, 0.9, 0.5j])
+@pytest.mark.parametrize("n, eigenvalue", [(1, 0), (1, -1), (2, 0), (2, -2)],
+                         ids=["n1-k0", "n1-k+1", "n2-k0", "n2-k+1"])
+def test_spectral_power_matches_oracle(n, eigenvalue, z):
+    # the off-diagonal of the symmetric form carries sign(du): without it the
+    # eigenvectors, and so M^z, are O(1) wrong while the eigenvalues are right
+    M = (-assemble_mode_operator(n, eigenvalue, LogGrid(-4.0, 33), "neumann")).shifted(1.0)
+    P = complex_power(M, z)
+    assert P.provenance["method"] == "spectral" and P.provenance["tail_bound"] == 0.0
+    want = eig_power_oracle(M, z)
+    assert np.max(np.abs(P.data - want)) <= 1e-10 * np.max(np.abs(want))
+    v = np.linspace(1.0, 2.0, 33)
+    got = complex_power(M, z, v)
+    assert np.max(np.abs(got - want @ v)) <= 1e-10 * np.max(np.abs(want @ v))
+
+
+def test_badly_conditioned_and_dirichlet_operators_take_dunford():
+    M = (-assemble_mode_operator(1, 0, LogGrid(-16.0, 641), "neumann")).shifted(1.0)
+    method, gate = power_route(M)
+    assert method == "dunford" and gate > 1e-3
+    M = (-assemble_mode_operator(1, 0, LogGrid(-4.0, 33), "dirichlet")).shifted(1.0)
+    assert power_route(M) == ("dunford", None)
+    P = complex_power(M, -0.5 + 0.2j)
+    assert P.provenance["method"] == "dunford" and P.provenance["nodes"] > 0
+    want = eig_power_oracle(M, -0.5 + 0.2j)
+    assert np.max(np.abs(P.data - want)) <= 1e-8 * np.max(np.abs(want))
+    v = np.linspace(1.0, 2.0, 33)
+    assert np.max(np.abs(fractional_apply(M, 0.5, v) - eig_power_oracle(M, 0.5) @ v)) \
+        <= 1e-7 * np.max(np.abs(v))
+
+
+def test_spectral_power_rejects_eigenvalue_on_the_cut():
+    # symmetric form [[-1, 1], [1, 2]]: eigenvalues -1.30 and 2.30
+    M = OperatorMatrix.tridiag([0.0, 1.0], [-1.0, 2.0], [1.0, 0.0])
+    assert power_route(M)[0] == "spectral"
+    with pytest.raises(NotSectorialError, match="branch cut"):
+        complex_power(M, 0.5)
