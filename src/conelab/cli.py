@@ -8,11 +8,11 @@ the job; CSV payloads are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,11 +61,9 @@ def cmd_poles(args) -> int:
         z = root_to_complex(rho)
         rows.append((label, z.real, z.imag, order - 1, inside))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mode", "label", "re_rho", "im_rho", "max_log_power", "in_strip"])
-        for label, re, im, mlp, inside in rows:
-            w.writerow([label, label, fmt(re), fmt(im), mlp, str(bool(inside)).lower()])
+    _write_csv(path, "mode,label,re_rho,im_rho,max_log_power,in_strip",
+               [[f"{label},{label},{fmt(re)},{fmt(im)},{mlp},{str(bool(inside)).lower()}"
+                 for label, re, im, mlp, inside in rows]])
     _write_manifest(path.parent, {"subcommand": "poles", "power": args.power}, cfg,
                     t0, [str(path)])
     print(f"wrote {path} ({len(rows)} candidate poles, strip "
@@ -103,30 +101,65 @@ def cmd_asymptotics(args) -> int:
     return 0
 
 
+_FIELD_COLUMNS = ("tau", "mode", "re", "im")
+
+
+def _write_csv(path: Path, header: str, blocks) -> None:
+    """A CSV file: the header line, then each block of rows in one write.
+
+    A row is its cells joined by commas. Cells are numbers, flags and
+    program-made mode labels, none of which needs quoting. Lines end in
+    \\r\\n, as the csv module's do.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for rows in blocks:
+            fh.write("".join([f"{row}\r\n" for row in rows]))
+
+
 def _read_field_csv(path: Path, grid: LogGrid, cs, max_modes: int) -> RadialField:
+    """A field from a tau,mode,re,im CSV in any column and row order.
+
+    Modes absent from the file stay zero. A malformed file, a non-finite
+    value, a mode off the config grid or an unknown mode is a ConfigError.
+    """
     field = RadialField.zeros(grid, cs, max_modes)
-    by_mode: dict = {}
+    labels = [m.label for m in field.modes]
+    # one character beyond the longest label: a longer one stays unknown
+    mode_dtype = f"U{max(map(len, labels)) + 1}"
     with open(path) as fh:
-        for row in csv.DictReader(fh):
-            by_mode.setdefault(row["mode"], []).append(
-                (float(row["tau"]), float(row["re"]), float(row["im"])))
-    for mode, entries in by_mode.items():
-        taus, re, im = np.array(sorted(entries)).T
+        names = fh.readline().rstrip("\n").split(",")
+        cols = [i for i, c in enumerate(names) if c in _FIELD_COLUMNS]
+        if sorted(names[i] for i in cols) != sorted(_FIELD_COLUMNS):
+            raise ConfigError(f"field file {path} needs the columns "
+                              f"{','.join(_FIELD_COLUMNS)} once each, not {','.join(names)}")
+        dtype = [(names[i], mode_dtype if names[i] == "mode" else "f8") for i in cols]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # a header-only file
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', dtype=dtype,
+                                  usecols=cols, ndmin=1)
+        except ValueError as exc:
+            raise ConfigError(f"field file {path} is malformed: {exc}") from exc
+    for mode in np.unique(data["mode"]):
+        if mode not in labels:
+            raise ConfigError(f"field file {path} holds a mode not among "
+                              f"{', '.join(labels)}: {str(mode)!r}")
+        rows = np.sort(data[data["mode"] == mode], order=["tau", "re", "im"])
+        taus, re, im = rows["tau"], rows["re"], rows["im"]
         if not np.all(np.isfinite([taus, re, im])):
             raise ConfigError(f"field file {path} holds a non-finite value in mode {mode}")
         if len(taus) != grid.points or not np.allclose(taus, grid.tau, atol=1e-10):
             raise ConfigError(f"field file {path} does not match the config grid")
-        field.values[field.mode_index(mode)] = re + 1j * im
+        field.values[labels.index(mode)] = re + 1j * im
     return field
 
 
 def _write_field_csv(path: Path, field: RadialField):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau", "mode", "re", "im"])
-        for i, mode in enumerate(field.modes):
-            for tau, v in zip(field.grid.tau, field.values[i]):
-                w.writerow([fmt(tau), mode.label, fmt(v.real), fmt(v.imag)])
+    taus = [fmt(t) for t in field.grid.tau.tolist()]
+    _write_csv(path, ",".join(_FIELD_COLUMNS),
+               ([f"{t},{mode.label},{fmt(v.real)},{fmt(v.imag)}" for t, v in zip(taus, row)]
+                for mode, row in zip(field.modes, field.values.tolist())))
 
 
 def cmd_norm(args) -> int:
@@ -202,22 +235,22 @@ def cmd_fit_tip(args) -> int:
     max_modes = int(run_cfg.get("operator", {}).get("max_modes", 3))
     window = tuple(cfg.get("fit", {}).get("window")) if cfg.get("fit", {}).get("window") \
         else None
+    # snapshot_{idx:05d}.csv holds the field at times[idx]
+    snaps = [trajdir / f"snapshot_{idx:05d}.csv" for idx in range(len(meta["times"]))]
+    missing = [p.name for p in snaps if not p.exists()]
+    extra = sorted({p.name for p in trajdir.glob("snapshot_*.csv")} - {p.name for p in snaps})
+    if missing or extra:
+        raise ConfigError(f"trajectory {trajdir} does not match its {len(snaps)} times: "
+                          f"missing {missing}, without a time {extra}")
     rows = []
-    snaps = sorted(trajdir.glob("snapshot_*.csv"))
     for t, snap in zip(meta["times"], snaps):
         fld = _read_field_csv(snap, grid, cs, max_modes)
         fit = fit_tip_expansion(fld, basis, window=window, t=t)
         for fc in fit.coefficients:
-            rows.append((t, fc.rho.real, fc.rho.imag, fc.m, fc.mode, fc.c.real,
-                         fc.c.imag, fit.residual_norm,
-                         fit.mode_residual_exponents.get(fc.mode, math.nan)))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "rho_re", "rho_im", "m", "mode", "c_re", "c_im",
-                    "residual", "decay_exp"])
-        for row in rows:
-            w.writerow([fmt(row[0]), fmt(row[1]), fmt(row[2]), row[3], row[4],
-                        fmt(row[5]), fmt(row[6]), fmt(row[7]), fmt(row[8])])
+            decay = fit.mode_residual_exponents.get(fc.mode, math.nan)
+            rows.append(f"{fmt(t)},{fmt(fc.rho.real)},{fmt(fc.rho.imag)},{fc.m},{fc.mode},"
+                        f"{fmt(fc.c.real)},{fmt(fc.c.imag)},{fmt(fit.residual_norm)},{fmt(decay)}")
+    _write_csv(path, "t,rho_re,rho_im,m,mode,c_re,c_im,residual,decay_exp", [rows])
     _write_manifest(path.parent, {"subcommand": "fit-tip", "traj": str(trajdir)},
                     run_cfg, t0, [str(path)])
     print(f"wrote {path} ({len(rows)} fitted coefficients)")

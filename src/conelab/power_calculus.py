@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,7 +281,7 @@ def power_route(M: OperatorMatrix) -> tuple[str, float | None]:
 
 
 def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None,
-                  contour: ContourSpec | None = None):
+                  contour: ContourSpec | Callable[[OperatorMatrix], ContourSpec] | None = None):
     """M^z as a dense OperatorMatrix (v None), or M^z v; spectral where the gate allows.
 
     Spectral route: M = D^-1 S D with S real symmetric tridiagonal, so
@@ -291,11 +292,14 @@ def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None,
     dunford_apply for a vector, with Re z >= 0 split into an integer part
     applied directly and a remainder with Re w in [-1, 0]. The matrix's
     provenance records "method" and "gate" (see power_route); the spectral
-    route has tail_bound 0.0 and no contour.
+    route has tail_bound 0.0 and no contour. A contour given as a function
+    of M is built only on the Dunford route.
     """
     z = complex(z)
     method, gate = power_route(M)
     if method == "dunford":
+        if callable(contour):
+            contour = contour(M)
         if v is None:
             power = dunford_power(M, z, contour)
             power.provenance.update(method=method, gate=gate)
@@ -322,7 +326,8 @@ def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None,
 
 
 def fractional_apply(M: OperatorMatrix, z: complex, v: np.ndarray,
-                     contour: ContourSpec | None = None) -> np.ndarray:
+                     contour: ContourSpec | Callable[[OperatorMatrix], ContourSpec] | None = None
+                     ) -> np.ndarray:
     """M^z v for Re z >= 0, z != 0, through complex_power.
 
     A mode operator whose symmetric form passes the conditioning gate takes
@@ -399,6 +404,13 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
     mode = next((m for m in cs.mode_table(64) if m.label == probe.mode_label), None)
     if mode is None:
         raise ConfigError(f"unknown probe mode {probe.mode_label!r}")
+
+    def contour(M):
+        # the spectral route needs none, so the spectrum is computed only for Dunford
+        min_eig = float(np.min(np.abs(M.eigenvalues())))
+        return ContourSpec(rho=0.5 * min(probe.shift, min_eig), theta=probe.theta,
+                           n_quad=probe.n_quad)
+
     norms = []
     grids = []
     grid = LogGrid(probe.tau_min, probe.points)
@@ -411,9 +423,6 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
             vals = np.asarray(target(grid.x), dtype=complex)
         else:
             vals = target.resample(grid).values[target.mode_index(probe.mode_label)]
-        min_eig = float(np.min(np.abs(M.eigenvalues())))
-        contour = ContourSpec(rho=0.5 * min(probe.shift, min_eig),
-                              theta=probe.theta, n_quad=probe.n_quad)
         w = fractional_apply(M, z, vals, contour)
         f = RadialField(grid, (mode,), w[None, :], n=cs.n, vol=cs.vol)
         norms.append(mellin_norm(f, s=0, gamma=probe.gamma))

@@ -5,13 +5,16 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conelab.cli import main
+from conelab.cli import _read_field_csv, _write_field_csv, main
+from conelab.cone_geometry import CrossSection
+from conelab.config import fmt
 from conelab.heat_solver import assemble_mode_operator
-from conelab.mellin_sobolev import LogGrid
+from conelab.mellin_sobolev import LogGrid, RadialField
 from conelab.power_calculus import eig_power_oracle
 
 CIRCLE_CFG = {
@@ -163,6 +166,107 @@ def test_non_finite_field_csv_exit_2(cfg_path, tmp_path, capsys):
     assert main(["fit-tip", "--traj", str(outdir), "--basis", str(basis),
                  "--out", str(tmp_path / "fits.csv")]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+CIRCLE = CrossSection.circle(length_over_pi=Fraction(2))
+GRID = LogGrid(-6.0, 129)
+
+
+def _field(seed=0):
+    """A 3-mode field on GRID with extreme values and negative imaginary parts."""
+    rng = np.random.default_rng(seed)
+    f = RadialField.zeros(GRID, CIRCLE, 2)
+    f.values[:] = rng.standard_normal(f.values.shape) - 1j * rng.random(f.values.shape)
+    f.values[0, :4] = [-0.0, 5e-324, 1e308, complex(-0.0, -5e-324)]
+    f.values[1, 0] = complex(-1e308, -1e308)
+    return f
+
+
+def test_field_csv_writer_bytes_match_csv_module(tmp_path):
+    f = _field()
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    _write_field_csv(got, f)
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["tau", "mode", "re", "im"])
+        for i, mode in enumerate(f.modes):
+            for tau, v in zip(f.grid.tau, f.values[i]):
+                w.writerow([fmt(tau), mode.label, fmt(v.real), fmt(v.imag)])
+    data = got.read_bytes()
+    assert data == want.read_bytes()
+    for row in (b"tau,mode,re,im\r\n-6,k=0,-0,0\r\n", b",k=0,4.9406564584124654e-324,0\r\n",
+                b",k=0,1e+308,0\r\n", b",k=0,-0,-4.9406564584124654e-324\r\n",
+                b"\r\n-6,k=+1,-1e+308,-1e+308\r\n"):
+        assert row in data
+    back = _read_field_csv(got, GRID, CIRCLE, 2)
+    assert np.array_equal(back.values, f.values)
+
+
+def test_field_csv_reader_any_column_and_row_order(tmp_path):
+    f = _field(1)
+    plain = tmp_path / "plain.csv"
+    _write_field_csv(plain, f)
+    header, *lines = plain.read_text().splitlines()
+    order = [2, 0, 3, 1]                     # re,tau,im,mode, then a column to ignore
+    cells = [line.split(",") for line in lines]
+    np.random.default_rng(2).shuffle(cells)
+    names = header.split(",")
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([",".join(names[j] for j in order) + ",note"]
+                                  + [",".join(c[j] for j in order) + ",-" for c in cells]) + "\n")
+    a = _read_field_csv(plain, GRID, CIRCLE, 2)
+    b = _read_field_csv(shuffled, GRID, CIRCLE, 2)
+    assert np.array_equal(a.values, f.values) and np.array_equal(b.values, f.values)
+
+
+def test_field_csv_missing_modes_read_as_zero(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("tau,mode,re,im\r\n")
+    assert not _read_field_csv(empty, GRID, CIRCLE, 2).values.any()
+    one = tmp_path / "one.csv"
+    _write_u0(one)                           # k=0 only
+    got = _read_field_csv(one, GRID, CIRCLE, 2).values
+    assert np.array_equal(got[0], np.ones(129)) and not got[1:].any()
+
+
+@pytest.mark.parametrize("bad", ["cell", "short-row", "header", "mode"])
+def test_malformed_field_csv_exit_2(bad, cfg_path, tmp_path, capsys):
+    u0 = tmp_path / "u0.csv"
+    _write_u0(u0)
+    lines = u0.read_text().splitlines()
+    if bad == "cell":
+        lines[5] = lines[5].replace(",k=0,1,", ",k=0,abc,")
+    elif bad == "short-row":
+        lines[5] = lines[5].rsplit(",", 1)[0]
+    elif bad == "mode":
+        lines[5] = lines[5].replace(",k=0,", ",k=+7,")
+    else:
+        lines[0] = "tau,mode,re"
+    u0.write_text("\n".join(lines) + "\n")
+    for argv in (["norm", "--config", str(cfg_path), "--field", str(u0)],
+                 ["solve-heat", "--config", str(cfg_path), "--u0", str(u0),
+                  "--out", str(tmp_path / "traj")]):
+        assert main(argv) == 2
+        assert str(u0) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["missing", "without-time"])
+def test_fit_tip_snapshot_without_its_time_exit_2(fault, cfg_path, tmp_path, capsys):
+    u0, traj, basis = tmp_path / "u0.csv", tmp_path / "traj", tmp_path / "basis.json"
+    _write_u0(u0)
+    assert main(["solve-heat", "--config", str(cfg_path), "--u0", str(u0),
+                 "--out", str(traj)]) == 0
+    assert main(["asymptotics", "--config", str(cfg_path), "--out", str(basis)]) == 0
+    if fault == "missing":                   # snapshot_00002 must not stand in for t=0.005
+        (traj / "snapshot_00001.csv").unlink()
+    else:
+        (traj / "snapshot_00003.csv").write_bytes((traj / "snapshot_00002.csv").read_bytes())
+    capsys.readouterr()
+    assert main(["fit-tip", "--traj", str(traj), "--basis", str(basis),
+                 "--out", str(tmp_path / "fits.csv")]) == 2
+    err = capsys.readouterr().err
+    assert ("snapshot_00001.csv" if fault == "missing" else "snapshot_00003.csv") in err
+    assert not (tmp_path / "fits.csv").exists()
 
 
 def test_solve_heat_gamma_window_enforced(tmp_path):
