@@ -16,7 +16,7 @@ from .asymptotics import (AsymptoticsBasis, AsymptoticsTerm, apply_operator_symb
                           domain_membership, enumerate_asymptotics)
 from .mellin_sobolev import LogGrid, RadialField, mellin_norm, membership_probe
 from .heat_solver import (HeatConfig, HeatTrajectory, assemble_mode_operator,
-                          bessel_series_solution, solve_heat, step)
+                          bessel_series_solution, solve_heat)
 from .tip_analysis import TipFit, decomposition_track, fit_tip_expansion
 from .power_calculus import (ContourSpec, complex_power, dunford_power, power_domain_probe,
                              r_bound_estimate, sectorial_probe)

@@ -100,11 +100,13 @@ def tridiag_matvec(dl, d, du, u):
                    np.asarray(u, dtype=complex), out)
 
 
-def evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, n_steps, snap_every):
-    """March u <- A^-1 B u for n_steps, snapshotting every snap_every steps.
+def evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, n_steps, snap_every, forcing=None):
+    """March u <- A^-1 (B u + forcing(step)) for n_steps, snapshotting every snap_every.
 
     A = I - theta*dt*L and B = I + (1-theta)*dt*L are prefactored bands;
     A is factored once as one stacked system and each step is one solve.
+    forcing, if given, maps the step index (1..n_steps) to the term added
+    to the right-hand side of that step.
     Returns (final state, snapshots array of shape (n_steps//snap_every, ...)).
     """
     Bdl, Bd, Bdu = map(_c128, (Bdl, Bd, Bdu))
@@ -116,6 +118,8 @@ def evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, n_steps, snap_every):
     snaps = np.empty((n_steps // snap_every, *u.shape), dtype=complex)
     for step in range(1, n_steps + 1):
         _matvec(Bdl, Bd, Bdu, u, rhs)
+        if forcing is not None:
+            rhs += forcing(step)
         zgttrs(*lu, rhs.reshape(-1), overwrite_b=1)     # solves in place
         u, rhs = rhs, u
         if step % snap_every == 0:

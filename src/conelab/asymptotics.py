@@ -210,8 +210,8 @@ def _re_compare(rho, edge):
     return 1 if re > e else -1
 
 
-def domain_membership(term: AsymptoticsTerm, realization, gamma, spec: ConeOperatorSpec,
-                      modes=None) -> MembershipResult:
+def domain_membership(term: AsymptoticsTerm, realization, gamma,
+                      spec: ConeOperatorSpec) -> MembershipResult:
     """Decide symbolically whether a power-log term lies in a realization domain.
 
     realization is 'min', 'max', 'DD', or ('power', k). Minimal-domain
@@ -230,15 +230,14 @@ def domain_membership(term: AsymptoticsTerm, realization, gamma, spec: ConeOpera
         if kind != "power" or power < 1:
             raise ConfigError(f"bad realization {realization!r}")
 
-    labels = modes if modes is not None else [m.label for m in spec.modes]
     left, _right = strip_bounds(spec.n, gamma, spec.mu, power=power)
 
     if kind in ("max",):
-        basis = enumerate_asymptotics(pole_set(spec, gamma, labels))
+        basis = enumerate_asymptotics(pole_set(spec, gamma))
         if basis.contains(term.rho, term.m, term.mode):
             return MembershipResult(True, "term appears in the maximal-domain asymptotics basis")
     elif kind == "power":
-        basis = enumerate_asymptotics(pole_set_power(spec, gamma, power, labels))
+        basis = enumerate_asymptotics(pole_set_power(spec, gamma, power))
         if basis.contains(term.rho, term.m, term.mode):
             return MembershipResult(True, f"term appears in the Q_(A^{power}) asymptotics basis")
     elif kind == "DD":

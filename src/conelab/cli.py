@@ -31,6 +31,9 @@ from .heat_solver import HeatConfig, assemble_mode_operator, solve_heat
 from .power_calculus import complex_power, default_contour, find_sectorial_shift, power_route
 from .tip_analysis import fit_tip_expansion
 
+# largest operator whose Dunford power `powers` forms: J unit columns per contour node
+_DENSE_LIMIT = 700
+
 
 def _write_manifest(outdir: Path, args_echo: dict, cfg: dict, t0: float, outputs: list):
     manifest = {
@@ -273,11 +276,10 @@ def cmd_powers(args) -> int:
     M = (-L).shifted(shift)
     method, gate = power_route(M)
     power = None
-    # dense_limit bounds only the Dunford fallback: J unit columns per contour node
     if method == "spectral":
         power = complex_power(M, z)
-    elif M.dim <= int(blk.get("dense_limit", 700)):
-        power = complex_power(M, z, contour=default_contour(M, z, sectorial_bound=sect.K))
+    elif M.dim <= _DENSE_LIMIT:
+        power = complex_power(M, z, contour=default_contour(M, sectorial_bound=sect.K))
     prov = power.provenance if power is not None else {}
     contour = prov.get("contour")
     report = {

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bessel
-from ._kernels import evolve_theta, thomas_batch, tridiag_matvec
+from ._kernels import evolve_theta
 from .cone_geometry import CrossSection, Mode, bessel_order
 from .errors import ConfigError, NumericalError
 from .mellin_sobolev import LogGrid, RadialField
@@ -131,56 +131,18 @@ def _mode_operators(cfg: HeatConfig) -> tuple[tuple[Mode, ...], list[OperatorMat
 
 
 def _theta_bands(ops, dt: float, theta: float):
-    J = ops[0].dim
-    nb = len(ops)
-    Adl = np.zeros((nb, J), complex); Ad = np.zeros((nb, J), complex); Adu = np.zeros((nb, J), complex)
-    Bdl = np.zeros((nb, J), complex); Bd = np.zeros((nb, J), complex); Bdu = np.zeros((nb, J), complex)
-    for b, op in enumerate(ops):
-        dl, d, du = op.data
-        Adl[b] = -theta * dt * dl
-        Ad[b] = 1.0 - theta * dt * d
-        Adu[b] = -theta * dt * du
-        Bdl[b] = (1.0 - theta) * dt * dl
-        Bd[b] = 1.0 + (1.0 - theta) * dt * d
-        Bdu[b] = (1.0 - theta) * dt * du
-    return (Adl, Ad, Adu), (Bdl, Bd, Bdu)
-
-
-def step(state: RadialField, t: float, dt: float, f_provider, cfg: HeatConfig,
-         _bands=None) -> RadialField:
-    """One theta step: solve (I - theta dt L) u+ = (I + (1-theta) dt L) u + dt f.
-
-    The forcing blend matches the scheme, theta f(t+dt) + (1-theta) f(t);
-    dirichlet rows carry no forcing so the boundary value stays frozen.
-    ``_bands`` passes the theta bands of ``cfg`` at this ``dt`` when the
-    caller has them already.
-    """
-    if _bands is None:
-        _bands = _theta_bands(_mode_operators(cfg)[1], dt, cfg.theta)
-    (Adl, Ad, Adu), (Bdl, Bd, Bdu) = _bands
-    rhs = tridiag_matvec(Bdl, Bd, Bdu, state.values)
-    if f_provider is not None:
-        fb = cfg.theta * np.asarray(f_provider(t + dt), dtype=complex) \
-            + (1.0 - cfg.theta) * np.asarray(f_provider(t), dtype=complex)
-        if cfg.outer_bc == "dirichlet":
-            fb = fb.copy()
-            fb[:, -1] = 0.0
-        rhs = rhs + dt * fb
-    new_vals = thomas_batch(Adl, Ad, Adu, rhs)
-    if not np.all(np.isfinite(new_vals)):
-        raise NumericalError(f"step failure at t={t}: non-finite state "
-                             f"(theta={cfg.theta}, dt={dt})")
-    out = state.copy()
-    out.values = new_vals
-    return out
+    dl, d, du = (np.stack(band) for band in zip(*(op.data for op in ops)))
+    return ((-theta * dt * dl, 1.0 - theta * dt * d, -theta * dt * du),
+            ((1.0 - theta) * dt * dl, 1.0 + (1.0 - theta) * dt * d, (1.0 - theta) * dt * du))
 
 
 def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
     """March u' = L u + f from u0 to T, collecting configured snapshots.
 
-    With no forcing the whole loop runs in ``evolve_theta`` on prefactored
-    bands; with a forcing provider the steps run one by one so arbitrary
-    callables work.
+    Each step solves (I - theta dt L) u+ = (I + (1-theta) dt L) u + dt f
+    in ``evolve_theta`` on bands factored once. The forcing is evaluated
+    once per time level s*dt and blended as theta f(t+dt) + (1-theta) f(t);
+    dirichlet rows carry no forcing so the boundary value stays frozen.
     """
     if u0.grid.points != cfg.grid.points or u0.grid.tau_min != cfg.grid.tau_min:
         raise ConfigError("initial field lives on a different grid than the config")
@@ -189,32 +151,36 @@ def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
         raise ConfigError("initial field mode table does not match the config")
     n_steps = cfg.n_steps
     every = cfg.snapshot_every if cfg.snapshot_every > 0 else n_steps
+    forcing = None
+    if f_provider is not None:
+        f_old = np.asarray(f_provider(0.0), dtype=complex)
+
+        def forcing(s):
+            nonlocal f_old
+            f_new = np.asarray(f_provider(s * cfg.dt), dtype=complex)
+            fb = cfg.theta * f_new + (1.0 - cfg.theta) * f_old
+            if cfg.outer_bc == "dirichlet":
+                fb[:, -1] = 0.0
+            f_old = f_new
+            return cfg.dt * fb
+
+    bands = _theta_bands(ops, cfg.dt, cfg.theta)
+    final, snaps = evolve_theta(*bands[0], *bands[1], u0.values, n_steps, every, forcing)
+    if not np.all(np.isfinite(final)):
+        raise NumericalError(f"non-finite state in the theta march (theta={cfg.theta}, "
+                             f"dt={cfg.dt})")
+    steps = list(range(every, n_steps + 1, every))
+    states = list(snaps)
+    if n_steps % every:
+        steps.append(n_steps)
+        states.append(final)
     times = [0.0]
     fields = [u0.copy()]
-    bands = _theta_bands(ops, cfg.dt, cfg.theta)
-
-    if f_provider is None:
-        _final, snaps = evolve_theta(*bands[0], *bands[1], u0.values, n_steps, every)
-        if not np.all(np.isfinite(snaps)):
-            raise NumericalError("non-finite state during homogeneous evolution")
-        for k in range(snaps.shape[0]):
-            f = u0.copy()
-            f.values = snaps[k]
-            times.append((k + 1) * every * cfg.dt)
-            fields.append(f)
-        if n_steps % every:
-            f = u0.copy()
-            f.values = _final
-            times.append(n_steps * cfg.dt)
-            fields.append(f)
-    else:
-        state = u0
-        for s in range(1, n_steps + 1):
-            state = step(state, (s - 1) * cfg.dt, cfg.dt, f_provider, cfg,
-                         _bands=bands)
-            if s % every == 0 or s == n_steps:
-                times.append(s * cfg.dt)
-                fields.append(state.copy())
+    for s, values in zip(steps, states):
+        f = u0.copy()
+        f.values = values
+        times.append(s * cfg.dt)
+        fields.append(f)
     return HeatTrajectory(times=times, fields=fields, config=cfg)
 
 

@@ -27,8 +27,8 @@ from .operators import OperatorMatrix
 # band range (probe norms go O(1) wrong at 641 points, tau_min -16)
 _SPECTRAL_GATE = 1e-3
 
-# memory bound of dunford_power: complex entries of resolvent columns held
-# for one chunk of contour nodes (2**16 entries, 1 MiB)
+# memory bound of the Dunford node loop: complex entries of resolvent columns
+# held for one chunk of contour nodes (2**16 entries, 1 MiB)
 _RESOLVENT_ENTRIES = 1 << 16
 
 
@@ -176,9 +176,8 @@ def r_bound_estimate(M: OperatorMatrix, theta: float, N: int, trials: int,
 
 # -- Dunford complex powers -------------------------------------------------
 
-def default_contour(M: OperatorMatrix, z: complex, theta: float = 0.75 * math.pi,
-                    n_quad: int = 64, tol_tail: float = 1e-10,
-                    sectorial_bound: float = 10.0) -> ContourSpec:
+def default_contour(M: OperatorMatrix, theta: float = 0.75 * math.pi, n_quad: int = 64,
+                    tol_tail: float = 1e-10, sectorial_bound: float = 10.0) -> ContourSpec:
     """Circle radius at half the closest eigenvalue; r_max from the tail bound."""
     min_eig = float(np.min(np.abs(M.eigenvalues())))
     if min_eig <= 0:
@@ -224,43 +223,43 @@ def _neglam_pow(lam, z: complex):
     return np.exp(z * np.log(-lam))
 
 
+def _dunford(M: OperatorMatrix, z: complex, v, contour: ContourSpec | None):
+    """The Dunford node loop: (A^z v, contour, tail bound, node count) for Re z < 0.
+
+    v is a vector (dim,) or a block of columns (dim, k). Nodes are solved
+    in chunks of at most _RESOLVENT_ENTRIES resolvent entries, so memory
+    stays bounded whatever the node count.
+    """
+    contour = contour or default_contour(M)
+    lams, weights, tail = _contour_nodes(contour, z)
+    if tail > 10.0 * contour.tol_tail:
+        raise NumericalError(f"ray truncation tail bound {tail:.2e} above tolerance; "
+                             "increase R_max")
+    v = np.asarray(v, dtype=complex)
+    acc = np.zeros(v.shape, dtype=complex)
+    step = max(1, _RESOLVENT_ENTRIES // v.size)
+    for s in range(0, len(lams), step):
+        acc += np.tensordot(weights[s:s + step],
+                            M.solve_shifted_batch(lams[s:s + step], v), axes=1)
+    return acc, contour, tail, len(lams)
+
+
+def dunford_apply(M: OperatorMatrix, z: complex, v: np.ndarray,
+                  contour: ContourSpec | None = None) -> np.ndarray:
+    """A^z v for Re z < 0 without forming the matrix; v is a vector or a block of columns."""
+    return _dunford(M, complex(z), v, contour)[0]
+
+
 def dunford_power(M: OperatorMatrix, z: complex, contour: ContourSpec | None = None) -> OperatorMatrix:
-    """A^z for Re z < 0 by contour quadrature of (-lambda)^z (A+lambda)^-1.
+    """A^z for Re z < 0: the Dunford node loop on the identity.
 
     Dense result; the tail bound of the ray truncation is recorded in the
     provenance and must sit below the contour tolerance.
     """
     z = complex(z)
-    contour = contour or default_contour(M, z)
-    lams, weights, tail = _contour_nodes(contour, z)
-    if tail > 10.0 * contour.tol_tail:
-        raise NumericalError(f"ray truncation tail bound {tail:.2e} above tolerance; "
-                             "increase R_max")
-    dim = M.dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    # all dim unit columns per node in one batched solve; a chunk of nodes
-    # holds at most _RESOLVENT_ENTRIES entries of resolvent columns
-    step = max(1, _RESOLVENT_ENTRIES // (dim * dim))
-    for s in range(0, len(lams), step):
-        acc += np.tensordot(weights[s:s + step],
-                            M.solve_shifted_batch(lams[s:s + step], eye), axes=1)
-    prov = {"z": z, "contour": contour, "tail_bound": tail, "nodes": len(lams),
-            "r_max": contour.ray_end(z)[0], "base": M.provenance}
-    return OperatorMatrix.dense(acc, **prov)
-
-
-def dunford_apply(M: OperatorMatrix, z: complex, v: np.ndarray,
-                  contour: ContourSpec | None = None) -> np.ndarray:
-    """A^z v for Re z < 0 without forming the matrix (batched resolvent solves)."""
-    z = complex(z)
-    contour = contour or default_contour(M, z)
-    lams, weights, tail = _contour_nodes(contour, z)
-    if tail > 10.0 * contour.tol_tail:
-        raise NumericalError(f"ray truncation tail bound {tail:.2e} above tolerance; "
-                             "increase R_max")
-    sols = M.solve_shifted_batch(lams, np.asarray(v, dtype=complex))
-    return weights @ sols
+    acc, contour, tail, nodes = _dunford(M, z, np.eye(M.dim), contour)
+    return OperatorMatrix.dense(acc, z=z, contour=contour, tail_bound=tail, nodes=nodes,
+                                r_max=contour.ray_end(z)[0], base=M.provenance)
 
 
 def power_route(M: OperatorMatrix) -> tuple[str, float | None]:
@@ -323,24 +322,6 @@ def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None,
                                     tail_bound=0.0, base=M.provenance)
     delta = np.exp(log_delta)
     return V @ (pz * (V.T @ (delta * np.asarray(v, dtype=complex)))) / delta
-
-
-def fractional_apply(M: OperatorMatrix, z: complex, v: np.ndarray,
-                     contour: ContourSpec | Callable[[OperatorMatrix], ContourSpec] | None = None
-                     ) -> np.ndarray:
-    """M^z v for Re z >= 0, z != 0, through complex_power.
-
-    A mode operator whose symmetric form passes the conditioning gate takes
-    the exact spectral route, purely imaginary z included. Any other takes
-    Dunford with the given contour: the integer part applied directly, the
-    remainder (Re w in [-1, 0]) by dunford_apply, so a purely imaginary
-    power goes through M * M^(it-1), an experimental route like the
-    underlying theory's passing treatment.
-    """
-    z = complex(z)
-    if z.real < 0 or z == 0:
-        raise ConfigError("fractional_apply expects Re z >= 0 and z != 0")
-    return complex_power(M, z, v, contour)
 
 
 def eig_power_oracle(M: OperatorMatrix, z: complex) -> np.ndarray:
@@ -423,7 +404,7 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
             vals = np.asarray(target(grid.x), dtype=complex)
         else:
             vals = target.resample(grid).values[target.mode_index(probe.mode_label)]
-        w = fractional_apply(M, z, vals, contour)
+        w = complex_power(M, z, vals, contour)
         f = RadialField(grid, (mode,), w[None, :], n=cs.n, vol=cs.vol)
         norms.append(mellin_norm(f, s=0, gamma=probe.gamma))
         grids.append((grid.tau_min, grid.points))

@@ -175,9 +175,9 @@ def _assemble(acc, left, right, gamma, mu, n, power, exact, pending, candidates)
                    candidates=tuple(candidates))
 
 
-def pole_set(spec: ConeOperatorSpec, gamma, modes=None) -> PoleSet:
+def pole_set(spec: ConeOperatorSpec, gamma) -> PoleSet:
     """Q_{A,gamma}: poles of g_0..g_{mu-1} per mode inside the weight strip."""
-    labels = [m.label for m in spec.modes] if modes is None else list(modes)
+    labels = [m.label for m in spec.modes]
     if not labels:
         raise ConfigError("pole_set requires at least one mode")
     left, right = strip_bounds(spec.n, gamma, spec.mu)
@@ -209,7 +209,7 @@ def pole_set(spec: ConeOperatorSpec, gamma, modes=None) -> PoleSet:
                      spec.warped, candidates)
 
 
-def pole_set_power(spec: ConeOperatorSpec, gamma, k: int, modes=None) -> PoleSet:
+def pole_set_power(spec: ConeOperatorSpec, gamma, k: int) -> PoleSet:
     """Q_{A^k,gamma}: union over j < k of (roots of f_0) - j*mu, orders summed.
 
     The convention is fixed by the exact power-log calculus: A^k applied to
@@ -219,10 +219,10 @@ def pole_set_power(spec: ConeOperatorSpec, gamma, k: int, modes=None) -> PoleSet
     if k < 1:
         raise ConfigError("power k must be >= 1")
     if k == 1:
-        return pole_set(spec, gamma, modes)
+        return pole_set(spec, gamma)
     if spec.warped:
         raise UnsupportedError("pole_set_power with k >= 2 is unsupported for warped coefficients in v1")
-    labels = [m.label for m in spec.modes] if modes is None else list(modes)
+    labels = [m.label for m in spec.modes]
     if not labels:
         raise ConfigError("pole_set_power requires at least one mode")
     left, right = strip_bounds(spec.n, gamma, spec.mu, power=k)

@@ -38,7 +38,8 @@ def cfg_path(tmp_path):
 def test_poles_csv_schema_and_values(cfg_path, tmp_path):
     out = tmp_path / "poles.csv"
     assert main(["poles", "--config", str(cfg_path), "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert set(rows[0]) == {"mode", "label", "re_rho", "im_rho",
                             "max_log_power", "in_strip"}
     in_strip = {(r["mode"], float(r["re_rho"]), int(r["max_log_power"]))
@@ -51,7 +52,8 @@ def test_poles_power_flag(cfg_path, tmp_path):
     out = tmp_path / "poles2.csv"
     assert main(["poles", "--config", str(cfg_path), "--power", "2",
                  "--out", str(out)]) == 0
-    rows = [r for r in csv.DictReader(open(out)) if r["in_strip"] == "true"]
+    with open(out, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["in_strip"] == "true"]
     got = {(r["mode"], float(r["re_rho"])) for r in rows}
     assert ("k=0", -2.0) in got and ("k=+1", -1.0) in got
 
@@ -125,7 +127,8 @@ def test_solve_heat_and_fit_tip_pipeline(cfg_path, tmp_path):
     fits = tmp_path / "fits.csv"
     assert main(["fit-tip", "--traj", str(outdir), "--basis", str(basis),
                  "--out", str(fits)]) == 0
-    rows = list(csv.DictReader(open(fits)))
+    with open(fits, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert set(rows[0]) == {"t", "rho_re", "rho_im", "m", "mode", "c_re", "c_im",
                             "residual", "decay_exp"}
     const_rows = [r for r in rows if r["mode"] == "k=0" and r["m"] == "0"
@@ -331,9 +334,8 @@ def test_powers_command_dunford_route(tmp_path):
 
 
 def test_powers_command_reports_no_contour_when_skipped(tmp_path):
-    # 641 points at tau_min -16 fail the gate; dense_limit 0 skips Dunford
-    cfg = dict(CIRCLE_CFG, grid={"tau_min": -16.0, "points": 641},
-               powers={"dense_limit": 0})
+    # 769 points at tau_min -16 fail the gate and exceed the dense limit (700)
+    cfg = dict(CIRCLE_CFG, grid={"tau_min": -16.0, "points": 769})
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "powers.json"

@@ -11,7 +11,7 @@ from conelab.errors import ConfigError, NumericalError
 from conelab.heat_solver import (HeatConfig, assemble_mode_operator,
                                  bessel_mode_roots, bessel_series_solution,
                                  grid_l2, regular_indicial_root,
-                                 relative_l2_error, solve_heat, step)
+                                 relative_l2_error, solve_heat)
 from conelab.mellin_sobolev import LogGrid, RadialField
 
 CIRCLE = CrossSection.circle(length_over_pi=2)
@@ -52,14 +52,48 @@ def test_regular_solution_interior_residual():
 
 def test_step_zero_and_steady():
     g = LogGrid(-6.0, 129)
-    cfg = HeatConfig(cross_section=CIRCLE, grid=g, T=0.01, dt=1e-3,
+    cfg = HeatConfig(cross_section=CIRCLE, grid=g, T=1e-3, dt=1e-3,
                      outer_bc="neumann", theta=0.5, max_modes=1)
     u = RadialField.zeros(g, CIRCLE, 1)
-    out = step(u, 0.0, 1e-3, None, cfg)
+    out = solve_heat(u, None, cfg).final()
     assert np.all(out.values == 0)
     u.values[0] = 1.0
-    out = step(u, 0.0, 1e-3, None, cfg)
+    out = solve_heat(u, None, cfg).final()
     assert np.max(np.abs(out.values - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("outer_bc", ["neumann", "dirichlet"])
+def test_forced_march_matches_dense_theta_steps(outer_bc):
+    g = LogGrid(-4.0, 33)
+    theta, dt, n_steps, every = 0.75, 1e-3, 10, 3
+    cfg = HeatConfig(cross_section=CIRCLE, grid=g, T=n_steps * dt, dt=dt,
+                     outer_bc=outer_bc, theta=theta, max_modes=2, snapshot_every=every)
+    u0 = RadialField.zeros(g, CIRCLE, 2)
+    nm = len(u0.modes)
+    u0.values[:] = np.cos(np.outer(np.arange(1, nm + 1), g.x))
+    omega = np.array([40.0, 25.0, 60.0])[:nm, None]
+    f = lambda t: np.sin(omega * t + 0.3) * (1.0 + g.x)
+    traj = solve_heat(u0, f, cfg)
+
+    Ls = [assemble_mode_operator(1, m.eigenvalue, g, outer_bc).to_dense() for m in u0.modes]
+    eye = np.eye(g.points)
+    u = u0.values.copy()
+    want = [u.copy()]
+    for s in range(1, n_steps + 1):
+        fb = theta * f(s * dt) + (1.0 - theta) * f((s - 1) * dt)
+        if outer_bc == "dirichlet":
+            fb[:, -1] = 0.0                      # the boundary value stays frozen
+        u = np.stack([np.linalg.solve(eye - theta * dt * L,
+                                      (eye + (1.0 - theta) * dt * L) @ u[b] + dt * fb[b])
+                      for b, L in enumerate(Ls)])
+        if s % every == 0 or s == n_steps:
+            want.append(u.copy())
+    assert traj.times == [s * dt for s in (0, 3, 6, 9, 10)]
+    got = np.stack([fl.values for fl in traj.fields])
+    want = np.stack(want)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    if outer_bc == "dirichlet":
+        assert np.all(got[:, :, -1] == u0.values[:, -1])
 
 
 def test_eigenfunction_exponential_decay():

@@ -64,20 +64,26 @@ def test_evolve_theta_equals_stepwise():
             Ad = d.copy()              # A itself needs row interchanges
         u0 = rng.standard_normal((2, 25)) + 0j
         u0_before = u0.copy()
-        final, snaps = _kernels.evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, 6, 2)
-        assert np.array_equal(u0, u0_before)
-        u = u0.copy()
-        for _ in range(6):
-            rhs = _kernels.tridiag_matvec(Bdl, Bd, Bdu, u)
-            u = _kernels.thomas_batch(Adl, Ad, Adu, rhs)
-        assert np.allclose(final, u, atol=1e-12)
-        assert snaps.shape == (3, 2, 25)
-        assert np.allclose(snaps[-1], u, atol=1e-12)
-        # two dense steps from the first snapshot reproduce the second
-        for b in range(2):
-            A, B = _dense(Adl[b], Ad[b], Adu[b]), _dense(Bdl[b], Bd[b], Bdu[b])
-            two = np.linalg.solve(A, B @ np.linalg.solve(A, B @ snaps[0, b]))
-            assert np.allclose(snaps[1, b], two, rtol=1e-8, atol=1e-10)
+        terms = rng.standard_normal((7, 2, 25)) + 1j * rng.standard_normal((7, 2, 25))
+        for forcing in (None, lambda step: terms[step]):
+            final, snaps = _kernels.evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, 6, 2,
+                                                 forcing)
+            assert np.array_equal(u0, u0_before)
+            u = u0.copy()
+            for step in range(1, 7):
+                rhs = _kernels.tridiag_matvec(Bdl, Bd, Bdu, u)
+                if forcing is not None:
+                    rhs = rhs + terms[step]
+                u = _kernels.thomas_batch(Adl, Ad, Adu, rhs)
+            assert np.allclose(final, u, atol=1e-12)
+            assert snaps.shape == (3, 2, 25)
+            assert np.allclose(snaps[-1], u, atol=1e-12)
+            # two dense steps (3 and 4) from the first snapshot reproduce the second
+            for b in range(2):
+                A, B = _dense(Adl[b], Ad[b], Adu[b]), _dense(Bdl[b], Bd[b], Bdu[b])
+                f3, f4 = (0, 0) if forcing is None else (terms[3, b], terms[4, b])
+                two = np.linalg.solve(A, B @ np.linalg.solve(A, B @ snaps[0, b] + f3) + f4)
+                assert np.allclose(snaps[1, b], two, rtol=1e-8, atol=1e-10)
 
 
 def test_singular_system_raises_numerical_error():

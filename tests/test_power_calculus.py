@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conelab import operators
+from conelab import operators, power_calculus
 from conelab.asymptotics import AsymptoticsTerm
 from conelab.cone_geometry import CrossSection
 from conelab.errors import ConfigError, NotSectorialError, UnsupportedError
@@ -14,7 +14,7 @@ from conelab.mellin_sobolev import LogGrid
 from conelab.operators import OperatorMatrix
 from conelab.power_calculus import (ContourSpec, PowerProbeConfig, complex_power,
                                     dunford_apply, dunford_power, eig_power_oracle,
-                                    find_sectorial_shift, fractional_apply,
+                                    find_sectorial_shift,
                                     _contour_nodes, _sector_samples, power_domain_probe,
                                     power_route, r_bound_estimate, sectorial_probe)
 from conelab.rational import QRat
@@ -61,20 +61,43 @@ def test_contour_independence():
 def test_dunford_apply_matches_power():
     rng = np.random.default_rng(5)
     M = _random_hpd(rng)
+    P = dunford_power(M, -0.5).data
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    assert np.max(np.abs(dunford_apply(M, -0.5, v) -
-                         dunford_power(M, -0.5).data @ v)) < 1e-9
+    assert np.max(np.abs(dunford_apply(M, -0.5, v) - P @ v)) < 1e-9
+    V = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    assert np.max(np.abs(dunford_apply(M, -0.5, V) - P @ V)) < 1e-9
 
 
-def test_fractional_apply_integer_and_fraction():
+@pytest.mark.parametrize("k", [None, 1, 5])
+def test_dunford_node_chunks_stay_bounded(k, monkeypatch):
+    M = (-assemble_mode_operator(1, 0, LogGrid(-16.0, 641), "neumann")).shifted(1.0)
+    shape = (M.dim,) if k is None else (M.dim, k)
+    v = np.ones(shape)
+    limit = max(1, power_calculus._RESOLVENT_ENTRIES // v.size)
+    calls = []
+    solve = OperatorMatrix.solve_shifted_batch
+
+    def counted(self, lams, rhs):
+        calls.append(len(lams))
+        return solve(self, lams, rhs)
+
+    monkeypatch.setattr(OperatorMatrix, "solve_shifted_batch", counted)
+    contour = ContourSpec(rho=0.5, n_quad=16)
+    out = dunford_apply(M, -0.1, v, contour)
+    assert out.shape == shape
+    nodes = len(_contour_nodes(contour, -0.1 + 0j)[0])
+    assert sum(calls) == nodes and len(calls) > 1 and max(calls) <= limit
+
+
+def test_complex_power_integer_and_fraction():
     rng = np.random.default_rng(9)
     M = _random_hpd(rng)
     v = rng.standard_normal(8)
     want = eig_power_oracle(M, 1.5) @ v
-    got = fractional_apply(M, 1.5, v)
+    got = complex_power(M, 1.5, v)
     assert np.max(np.abs(got - want)) < 1e-7
     # plain integer power
-    got2 = fractional_apply(M, 2.0, v)
+    got2 = complex_power(M, 2.0, v)
     assert np.max(np.abs(got2 - M.data @ (M.data @ v))) < 1e-9
 
 
@@ -82,7 +105,7 @@ def test_imaginary_power_regularized():
     rng = np.random.default_rng(13)
     M = _random_hpd(rng)
     v = rng.standard_normal(8)
-    got = fractional_apply(M, 0.5j, v)
+    got = complex_power(M, 0.5j, v)
     want = eig_power_oracle(M, 0.5j) @ v
     assert np.max(np.abs(got - want)) < 1e-6
 
@@ -304,7 +327,7 @@ def test_badly_conditioned_and_dirichlet_operators_take_dunford():
     want = eig_power_oracle(M, -0.5 + 0.2j)
     assert np.max(np.abs(P.data - want)) <= 1e-8 * np.max(np.abs(want))
     v = np.linspace(1.0, 2.0, 33)
-    assert np.max(np.abs(fractional_apply(M, 0.5, v) - eig_power_oracle(M, 0.5) @ v)) \
+    assert np.max(np.abs(complex_power(M, 0.5, v) - eig_power_oracle(M, 0.5) @ v)) \
         <= 1e-7 * np.max(np.abs(v))
 
 
