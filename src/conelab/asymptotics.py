@@ -99,18 +99,8 @@ def apply_operator_symbolic(spec: ConeOperatorSpec, term: AsymptoticsTerm) -> li
         all(isinstance(c, QRat) for c in p.coeffs) for p in polys)
     rho = _as_scalar(term.rho, exact)
     zero = QRat(0) if exact else 0j
-    one = QRat(1) if exact else 1 + 0j
 
-    # accumulate output coefficients keyed by (rho', m')
-    out: dict = {}
-
-    def add(key_rho, m, val):
-        for (kr, km) in list(out):
-            if km == m and (kr == key_rho if exact else roots_equal(kr, key_rho)):
-                out[(kr, km)] = out[(kr, km)] + val
-                return
-        out[(key_rho, m)] = val
-
+    out = []
     for k, a_k in enumerate(polys):
         if a_k.is_zero():
             continue
@@ -129,20 +119,9 @@ def apply_operator_symbolic(spec: ConeOperatorSpec, term: AsymptoticsTerm) -> li
                 continue
             cval = cd if exact else cd.to_complex()
             new_rho = rho + (spec.mu - d)
-            for j, vj in enumerate(v):
-                if vj:
-                    add(new_rho, j, cval * vj)
-
-    result = []
-    for (r, m), c in out.items():
-        if exact:
-            if not c:
-                continue
-        elif abs(c) <= 1e-14:
-            continue
-        result.append(AsymptoticsTerm(rho=r, m=m, mode=term.mode, c=c))
-    result.sort(key=lambda t: (t.rho_complex.real, t.rho_complex.imag, t.m))
-    return result
+            out.extend(AsymptoticsTerm(new_rho, j, term.mode, cval * vj)
+                       for j, vj in enumerate(v) if vj)
+    return merge_terms(out)
 
 
 def apply_operator_power(spec: ConeOperatorSpec, term: AsymptoticsTerm, k: int) -> list[AsymptoticsTerm]:
@@ -157,31 +136,21 @@ def apply_operator_power(spec: ConeOperatorSpec, term: AsymptoticsTerm, k: int) 
 
 
 def merge_terms(terms) -> list[AsymptoticsTerm]:
-    """Canonical merge: identical (rho, m, mode) coefficients are summed."""
+    """Canonical merge: coefficients of equal (rho, m, mode) are summed.
+
+    Sums that vanish (exactly, or below 1e-14 in floating point) are dropped.
+    """
     out: list[AsymptoticsTerm] = []
     for t in terms:
-        hit = None
-        for i, u in enumerate(out):
-            if u.mode == t.mode and u.m == t.m and (
-                    (isinstance(u.rho, QRat) and isinstance(t.rho, QRat) and u.rho == t.rho)
-                    or (not (isinstance(u.rho, QRat) and isinstance(t.rho, QRat))
-                        and roots_equal(u.rho, t.rho))):
-                hit = i
-                break
-        if hit is None:
+        i = next((i for i, u in enumerate(out) if u.mode == t.mode and u.m == t.m
+                  and roots_equal(u.rho, t.rho)), None)
+        if i is None:
             out.append(t)
+        elif isinstance(out[i].c, QRat) and isinstance(t.c, QRat):
+            out[i] = replace(out[i], c=out[i].c + t.c)
         else:
-            u = out[hit]
-            if isinstance(u.c, QRat) and isinstance(t.c, QRat):
-                c = u.c + t.c
-                dead = not c
-            else:
-                c = u.c_complex + t.c_complex
-                dead = abs(c) <= 1e-14
-            if dead:
-                out.pop(hit)
-            else:
-                out[hit] = replace(u, c=c)
+            out[i] = replace(out[i], c=out[i].c_complex + t.c_complex)
+    out = [t for t in out if (t.c if isinstance(t.c, QRat) else abs(t.c_complex) > 1e-14)]
     out.sort(key=lambda t: (t.mode, t.rho_complex.real, t.rho_complex.imag, t.m))
     return out
 
@@ -210,51 +179,70 @@ def _re_compare(rho, edge):
     return 1 if re > e else -1
 
 
+@dataclass(frozen=True)
+class Realization:
+    """A realization's domain, built once to classify many terms.
+
+    A term belongs when Re rho lies below `left`, the strip's left edge, or
+    when it is among the `admitted` asymptotics; `reason` says why then.
+    """
+    left: object
+    admitted: AsymptoticsBasis
+    reason: str
+
+    def classify(self, term: AsymptoticsTerm) -> MembershipResult:
+        if self.admitted.contains(term.rho, term.m, term.mode):
+            return MembershipResult(True, self.reason)
+        cmp = _re_compare(term.rho, self.left)
+        if cmp < 0:
+            return MembershipResult(True, f"minimal-domain regularity: Re rho < {self.left}")
+        if cmp == 0:
+            return MembershipResult(None, f"Re rho sits exactly on the strip edge {self.left}; "
+                                          "minimal-vs-maximal attribution undecidable, "
+                                          "reported not classified")
+        return MembershipResult(False, f"Re rho >= strip left edge {self.left} and term is "
+                                       "not among the realization's admitted asymptotics")
+
+
+def build_realization(realization, gamma, spec: ConeOperatorSpec) -> Realization:
+    """The domain of 'min', 'DD', 'max', 'power:k' or ('power', k), with k >= 1.
+
+    Minimal-domain regularity means Re rho strictly below the strip's left
+    edge (log powers are harmless under a strict inequality); 'max' admits
+    the pole basis, 'DD' exactly the constants, ('power', k) the basis of
+    Q_(A^k), which makes it the maximal domain of A^k.
+    """
+    name = realization
+    if isinstance(name, str) and name.startswith("power:") and name[6:].isdecimal():
+        realization = ("power", int(name[6:]))
+    if isinstance(realization, tuple) and len(realization) == 2 \
+            and realization[0] == "power" and realization[1] >= 1:
+        k = realization[1]
+        return Realization(strip_bounds(spec.n, gamma, spec.mu, power=k)[0],
+                           enumerate_asymptotics(pole_set_power(spec, gamma, k)),
+                           f"term appears in the Q_(A^{k}) asymptotics basis")
+    left, right = strip_bounds(spec.n, gamma, spec.mu)
+    if realization == "max":
+        return Realization(left, enumerate_asymptotics(pole_set(spec, gamma)),
+                           "term appears in the maximal-domain asymptotics basis")
+    if realization == "DD":
+        constants = tuple((QRat(0), 0, m.label) for m in spec.modes
+                          if float(m.eigenvalue) == 0.0) if left <= 0 < right else ()
+        return Realization(left, AsymptoticsBasis(constants, None),
+                           "constants are adjoined to the minimal domain by the realization")
+    if realization == "min":
+        return Realization(left, AsymptoticsBasis((), None), "")
+    raise ConfigError(f"bad realization {name!r}: "
+                      "expected min, DD, max or power:k with k >= 1")
+
+
 def domain_membership(term: AsymptoticsTerm, realization, gamma,
                       spec: ConeOperatorSpec) -> MembershipResult:
     """Decide symbolically whether a power-log term lies in a realization domain.
 
-    realization is 'min', 'max', 'DD', or ('power', k). Minimal-domain
-    regularity means Re rho strictly below the strip's left edge (log powers
-    are harmless under a strict inequality); 'max' adds the pole basis, 'DD'
-    adds exactly the constants, ('power', k) is the maximal domain of A^k.
+    realization is a Realization, or anything build_realization takes.
     Exactly-on-the-edge cases come back as boundary, never classified.
     """
-    if isinstance(realization, str) and realization.startswith("power"):
-        realization = ("power", int(realization.split(":")[1] if ":" in realization
-                                    else realization.replace("power", "").strip("() ")))
-    power = 1
-    kind = realization
-    if isinstance(realization, tuple):
-        kind, power = realization
-        if kind != "power" or power < 1:
-            raise ConfigError(f"bad realization {realization!r}")
-
-    left, _right = strip_bounds(spec.n, gamma, spec.mu, power=power)
-
-    if kind in ("max",):
-        basis = enumerate_asymptotics(pole_set(spec, gamma))
-        if basis.contains(term.rho, term.m, term.mode):
-            return MembershipResult(True, "term appears in the maximal-domain asymptotics basis")
-    elif kind == "power":
-        basis = enumerate_asymptotics(pole_set_power(spec, gamma, power))
-        if basis.contains(term.rho, term.m, term.mode):
-            return MembershipResult(True, f"term appears in the Q_(A^{power}) asymptotics basis")
-    elif kind == "DD":
-        left1, right1 = strip_bounds(spec.n, gamma, spec.mu)
-        zero_labels = {m.label for m in spec.modes if float(m.eigenvalue) == 0.0}
-        zero_in_strip = left1 <= 0 < right1
-        if zero_in_strip and term.m == 0 and roots_equal(term.rho, QRat(0)) \
-                and term.mode in zero_labels:
-            return MembershipResult(True, "constants are adjoined to the minimal domain by the realization")
-    elif kind != "min":
-        raise ConfigError(f"unknown realization {realization!r}")
-
-    cmp = _re_compare(term.rho, left)
-    if cmp < 0:
-        return MembershipResult(True, f"minimal-domain regularity: Re rho < {left}")
-    if cmp == 0:
-        return MembershipResult(None, f"Re rho sits exactly on the strip edge {left}; "
-                                      "minimal-vs-maximal attribution undecidable, reported not classified")
-    return MembershipResult(False, f"Re rho >= strip left edge {left} and term is not "
-                                   "among the realization's admitted asymptotics")
+    if not isinstance(realization, Realization):
+        realization = build_realization(realization, gamma, spec)
+    return realization.classify(term)

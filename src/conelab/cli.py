@@ -19,14 +19,14 @@ import numpy as np
 
 from . import __version__
 from ._kernels import backend_name
-from .asymptotics import AsymptoticsBasis, AsymptoticsTerm, domain_membership, enumerate_asymptotics
+from .asymptotics import AsymptoticsBasis, AsymptoticsTerm, build_realization, domain_membership
 from .config import (cross_section_from_config, fmt, gamma_from_config,
                      grid_from_config, load_config, operator_from_config,
                      output_path)
 from .errors import ConelabError, ConfigError
 from .mellin_sobolev import LogGrid, RadialField, mellin_norm
 from .rational import root_to_complex
-from .symbol_algebra import pole_set, pole_set_power
+from .symbol_algebra import pole_set_power
 from .heat_solver import HeatConfig, assemble_mode_operator, solve_heat
 from .power_calculus import complex_power, default_contour, find_sectorial_shift, power_route
 from .tip_analysis import fit_tip_expansion
@@ -57,8 +57,7 @@ def cmd_poles(args) -> int:
     cs = cross_section_from_config(cfg["cross_section"])
     spec = operator_from_config(cfg, cs)
     gamma = gamma_from_config(cfg, cs)
-    ps = pole_set_power(spec, gamma, args.power) if args.power > 1 \
-        else pole_set(spec, gamma)
+    ps = pole_set_power(spec, gamma, args.power)
     rows = []
     for label, rho, order, inside in ps.candidates:
         z = root_to_complex(rho)
@@ -81,17 +80,18 @@ def cmd_asymptotics(args) -> int:
     cs = cross_section_from_config(cfg["cross_section"])
     spec = operator_from_config(cfg, cs)
     gamma = gamma_from_config(cfg, cs)
-    ps = pole_set(spec, gamma)
-    basis = enumerate_asymptotics(ps)
-    realizations = args.realizations.split(",") if args.realizations else ["DD", "max"]
+    names = args.realizations.split(",") if args.realizations else ["DD", "max"]
+    maximal = build_realization("max", gamma, spec)    # its admitted terms are the rows
+    ps = maximal.admitted.provenance
+    realizations = {r: maximal if r == "max" else build_realization(r, gamma, spec)
+                    for r in names}
     table = []
-    for rho, m, mode in basis.terms:
+    for rho, m, mode in maximal.admitted.terms:
         term = AsymptoticsTerm(rho, m, mode)
         entry = {"re_rho": root_to_complex(rho).real, "im_rho": root_to_complex(rho).imag,
                  "m": m, "mode": mode, "membership": {}}
-        for r in realizations:
-            res = domain_membership(term, r if not r.startswith("power") else
-                                    ("power", int(r.split(":")[1])), gamma, spec)
+        for r, realization in realizations.items():
+            res = domain_membership(term, realization, gamma, spec)
             entry["membership"][r] = {"member": res.member, "reason": res.reason}
         table.append(entry)
     payload = {"gamma": float(gamma), "strip": [float(ps.strip[0]), float(ps.strip[1])],

@@ -31,10 +31,6 @@ class WeightWindow:
         return self.lo < gamma < self.hi
 
 
-def _eig_float(ev) -> float:
-    return float(ev)
-
-
 @dataclass(frozen=True)
 class CrossSection:
     """kind in {circle, sphere, explicit}; n is the cross-section dimension."""
@@ -80,12 +76,12 @@ class CrossSection:
         clean = []
         for ev, mult in eigs:
             evx = Fraction(ev) if isinstance(ev, (int, Fraction, str)) else float(ev)
-            if _eig_float(evx) > 0:
+            if float(evx) > 0:
                 raise ConfigError(f"positive eigenvalue {ev}: boundary Laplacian must be non-positive")
             if mult < 1:
                 raise ConfigError("multiplicity must be >= 1")
             clean.append((evx, int(mult)))
-        clean.sort(key=lambda t: -_eig_float(t[0]))
+        clean.sort(key=lambda t: -float(t[0]))
         return CrossSection(kind="explicit", n=n, explicit_eigs=tuple(clean), vol=volume)
 
     # -- spectrum ---------------------------------------------------------
@@ -101,8 +97,7 @@ class CrossSection:
         out = []
         if self.kind == "circle":
             for k in range(max_modes):
-                ev = -self.circle_q * k * k if isinstance(self.circle_q, Fraction) \
-                    else -self.circle_q * k * k
+                ev = -self.circle_q * k * k
                 out.append((ev, 1 if k == 0 else 2, f"k={k}"))
         elif self.kind == "sphere":
             for l in range(max_modes):
@@ -130,13 +125,13 @@ class CrossSection:
 
     def greatest_nonzero_eigenvalue(self):
         for ev, _mult, _lbl in self.eigen_data(max_modes=64):
-            if _eig_float(ev) != 0.0:
+            if float(ev) != 0.0:
                 return ev
         raise ConfigError("cross-section has no non-zero eigenvalue")
 
     def is_connected(self) -> bool:
         data = self.eigen_data(max_modes=1)
-        return _eig_float(data[0][0]) == 0.0 and data[0][1] == 1
+        return float(data[0][0]) == 0.0 and data[0][1] == 1
 
 
 def sphere_multiplicity(n: int, l: int) -> int:
@@ -148,7 +143,7 @@ def sphere_multiplicity(n: int, l: int) -> int:
 
 def bessel_order(n: int, eigenvalue):
     """nu = sqrt(((n-1)/2)^2 - eigenvalue); exact Fraction for perfect squares."""
-    if _eig_float(eigenvalue) > 0:
+    if float(eigenvalue) > 0:
         raise ConfigError("eigenvalue must be <= 0")
     if isinstance(eigenvalue, (int, Fraction)):
         rad = Fraction(n - 1, 2) ** 2 - Fraction(eigenvalue)
@@ -182,8 +177,5 @@ def weight_window(cs: CrossSection) -> WeightWindow:
 def indicial_roots_closed_form(n: int, eigenvalue):
     """The two conormal-symbol poles (n-1)/2 +/- bessel_order for one mode."""
     nu = bessel_order(n, eigenvalue)
-    if isinstance(nu, Fraction):
-        half = Fraction(n - 1, 2)
-        return (half - nu, half + nu)
-    half = (n - 1) / 2.0
+    half = Fraction(n - 1, 2)      # a float nu makes both roots floats
     return (half - nu, half + nu)

@@ -9,6 +9,7 @@ recursively defined inverse families inside the weight strip
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,59 +155,62 @@ def _in_strip(rho, left: Fraction, right: Fraction) -> bool:
     return re >= float(left) - 1e-12 and re < float(right) - 1e-12
 
 
-def _merge_root(acc: list, rho, order: int, label: str):
-    for i, (r, orders) in enumerate(acc):
-        if roots_equal(r, rho):
-            orders[label] = orders.get(label, 0) + order
-            # prefer the exact representative when one is available
-            if isinstance(rho, QRat) and not isinstance(r, QRat):
-                acc[i] = (rho, orders)
-            return
-    acc.append((rho, {label: order}))
+def _find_root(pairs: list, rho):
+    """The first [root, value] pair whose root roots_equal matches rho, or None."""
+    return next((pair for pair in pairs if roots_equal(pair[0], rho)), None)
 
 
-def _assemble(acc, left, right, gamma, mu, n, power, exact, pending, candidates) -> PoleSet:
-    entries = []
-    for rho, orders in acc:
-        entries.append(PoleEntry(rho=rho, mode_orders=dict(sorted(orders.items()))))
-    entries.sort(key=lambda e: (e.rho_complex.real, e.rho_complex.imag))
-    return PoleSet(entries=tuple(entries), strip=(left, right), gamma=gamma, mu=mu,
-                   n=n, power=power, exact=exact, convention_pending=pending,
+def _pole_set(spec: ConeOperatorSpec, gamma, power: int, mode_poles, combine) -> PoleSet:
+    """Shared body of pole_set and pole_set_power.
+
+    mode_poles(label) yields the (root, order, is_exact) poles of one mode;
+    combine(old, new) joins the orders of equal roots within a mode. Roots
+    inside the strip are then merged across modes, keeping per-mode orders.
+    """
+    if not spec.modes:
+        raise ConfigError("a pole set requires at least one mode")
+    left, right = strip_bounds(spec.n, gamma, spec.mu, power)
+    merged: list = []            # [rho, {label: order}], exact rho preferred
+    exact = True
+    candidates = []
+    for m in spec.modes:
+        found: list = []         # [root, order] for this mode
+        for root, order, is_exact in mode_poles(m.label):
+            exact = exact and is_exact
+            hit = _find_root(found, root)
+            if hit is None:
+                found.append([root, order])
+            else:
+                hit[1] = combine(hit[1], order)
+        for rho, order in found:
+            inside = _in_strip(rho, left, right)
+            candidates.append((m.label, rho, order, inside))
+            if inside:
+                hit = _find_root(merged, rho)
+                if hit is None:
+                    hit = [rho, {}]
+                    merged.append(hit)
+                hit[1][m.label] = hit[1].get(m.label, 0) + order
+                if isinstance(rho, QRat):
+                    hit[0] = rho
+    entries = sorted((PoleEntry(rho=rho, mode_orders=dict(sorted(orders.items())))
+                      for rho, orders in merged),
+                     key=lambda e: (e.rho_complex.real, e.rho_complex.imag))
+    return PoleSet(entries=tuple(entries), strip=(left, right), gamma=gamma, mu=spec.mu,
+                   n=spec.n, power=power, exact=exact, convention_pending=spec.warped,
                    candidates=tuple(candidates))
 
 
 def pole_set(spec: ConeOperatorSpec, gamma) -> PoleSet:
-    """Q_{A,gamma}: poles of g_0..g_{mu-1} per mode inside the weight strip."""
-    labels = [m.label for m in spec.modes]
-    if not labels:
-        raise ConfigError("pole_set requires at least one mode")
-    left, right = strip_bounds(spec.n, gamma, spec.mu)
-    acc: list = []
-    exact = True
-    candidates = []
-    for label in labels:
-        best: dict = {}
+    """Q_{A,gamma}: poles of g_0..g_{mu-1} per mode inside the weight strip.
+
+    A root's order on a mode is its largest order over the families g_k.
+    """
+    def poles(label):
         for fam in recursive_symbols(spec, label):
-            if fam.is_zero() or fam.den.degree < 1:
-                continue
-            for root, order, is_exact in fam.poles():
-                exact = exact and is_exact
-                key = None
-                for k in best:
-                    if roots_equal(k, root):
-                        key = k
-                        break
-                if key is None:
-                    best[root] = order
-                else:
-                    best[key] = max(best[key], order)
-        for root, order in best.items():
-            inside = _in_strip(root, left, right)
-            candidates.append((label, root, order, inside))
-            if inside:
-                _merge_root(acc, root, order, label)
-    return _assemble(acc, left, right, gamma, spec.mu, spec.n, 1, exact,
-                     spec.warped, candidates)
+            if not fam.is_zero() and fam.den.degree >= 1:
+                yield from fam.poles()
+    return _pole_set(spec, gamma, 1, poles, max)
 
 
 def pole_set_power(spec: ConeOperatorSpec, gamma, k: int) -> PoleSet:
@@ -222,38 +226,14 @@ def pole_set_power(spec: ConeOperatorSpec, gamma, k: int) -> PoleSet:
         return pole_set(spec, gamma)
     if spec.warped:
         raise UnsupportedError("pole_set_power with k >= 2 is unsupported for warped coefficients in v1")
-    labels = [m.label for m in spec.modes]
-    if not labels:
-        raise ConfigError("pole_set_power requires at least one mode")
-    left, right = strip_bounds(spec.n, gamma, spec.mu, power=k)
-    acc: list = []
-    exact = True
-    candidates = []
-    for label in labels:
+
+    def poles(label):
         f0 = conormal_symbol(spec, label)
         if f0.is_zero():
             raise DegenerateSymbolError(f"degenerate conormal symbol on mode {label}")
-        base = poly_roots(f0) if f0.degree >= 1 else []
-        shifted: dict = {}
-        for root, order, is_exact in base:
-            exact = exact and is_exact
+        for root, order, is_exact in (poly_roots(f0) if f0.degree >= 1 else []):
             for j in range(k):
                 rho = (root - QRat(j * spec.mu)) if isinstance(root, QRat) \
                     else (complex(root) - j * spec.mu)
-                hit = None
-                for key in shifted:
-                    if roots_equal(key, rho):
-                        hit = key
-                        break
-                if hit is None:
-                    shifted[rho] = order
-                else:
-                    shifted[hit] += order
-        for rho, order in shifted.items():
-            inside = _in_strip(rho, left, right)
-            candidates.append((label, rho, order, inside))
-            if inside:
-                _merge_root(acc, rho, order, label)
-    return _assemble(acc, left, right, gamma, spec.mu, spec.n, k, exact,
-                     False, candidates)
-
+                yield rho, order, is_exact
+    return _pole_set(spec, gamma, k, poles, operator.add)

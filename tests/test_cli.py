@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,10 +60,47 @@ def test_poles_power_flag(cfg_path, tmp_path):
 
 
 def test_poles_deterministic_bytes(cfg_path, tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["poles", "--config", str(cfg_path), "--out", str(a)])
-    main(["poles", "--config", str(cfg_path), "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+    for command in (["poles"], ["asymptotics", "--realizations", "DD,max,power:2"]):
+        a, b = tmp_path / f"{command[0]}_a.out", tmp_path / f"{command[0]}_b.out"
+        assert main([*command, "--config", str(cfg_path), "--out", str(a)]) == 0
+        assert main([*command, "--config", str(cfg_path), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("power", ["0", "-3"])
+def test_poles_power_below_one_exit_2(cfg_path, tmp_path, capsys, power):
+    out = tmp_path / "poles.csv"
+    assert main(["poles", "--config", str(cfg_path), "--power", power,
+                 "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["power", "power:", "power:x", "power:0"])
+def test_asymptotics_bad_realization_exit_2(cfg_path, tmp_path, capsys, bad):
+    out = tmp_path / "asym.json"
+    assert main(["asymptotics", "--config", str(cfg_path), "--realizations", f"DD,{bad}",
+                 "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_asymptotics_builds_each_pole_set_once(tmp_path, monkeypatch):
+    import conelab
+    calls = {"pole_set": [], "pole_set_power": []}
+    for name, log in calls.items():
+        fn = getattr(conelab.symbol_algebra, name)
+
+        def counted(*args, _fn=fn, _log=log):
+            _log.append(args[2:])
+            return _fn(*args)
+        for mod in (conelab.symbol_algebra, conelab.asymptotics, conelab.cli):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "circle.json"
+    assert main(["asymptotics", "--config", str(cfg), "--realizations", "DD,max,power:2",
+                 "--out", str(tmp_path / "asym.json")]) == 0
+    assert calls == {"pole_set": [()], "pole_set_power": [(2,)]}
 
 
 def test_missing_config_exit_2(tmp_path, capsys):

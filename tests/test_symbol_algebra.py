@@ -1,12 +1,13 @@
 """Conormal symbols, recursion families, pole sets."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from conelab.cone_geometry import CrossSection, indicial_roots_closed_form
 from conelab.errors import ConfigError, DegenerateSymbolError, UnsupportedError
-from conelab.rational import Poly, RationalFamily
+from conelab.rational import Poly, RationalFamily, root_to_complex
 from conelab.symbol_algebra import (ConeOperatorSpec, conormal_symbol, pole_set,
                                     pole_set_power, recursive_symbols,
                                     strip_bounds, taylor_symbols)
@@ -167,3 +168,43 @@ def test_warped_pole_set_flagged():
     warped = ConeOperatorSpec.laplacian(CIRCLE, 2, warp_a0=1)
     ps = pole_set(warped, Fraction(-1, 2))
     assert ps.convention_pending
+
+
+# eigenvalues -0.1 and -2 give the irrational indicial roots +-sqrt(0.1), +-sqrt(2)
+FLOAT_ROOTS = CrossSection.explicit([(0, 1), (-0.1, 1), (-2, 1)], n=1)
+R1, R2 = math.sqrt(0.1), math.sqrt(2)
+
+
+def _pole_table(ps):
+    return [(e.rho_complex, e.mode_orders) for e in ps.entries]
+
+
+def _assert_table(got, want):
+    assert len(got) == len(want)
+    for (rho, orders), (want_rho, want_orders) in zip(got, want):
+        assert abs(rho - want_rho) < 1e-12
+        assert orders == want_orders
+
+
+def test_pole_set_float_roots():
+    spec = ConeOperatorSpec.laplacian(FLOAT_ROOTS, 3)
+    ps = pole_set(spec, Fraction(-1, 2))
+    assert ps.exact is False
+    _assert_table(_pole_table(ps), [(-R1, {"e1": 1}), (0, {"e0": 2}), (R1, {"e1": 1}),
+                                    (R2, {"e2": 1})])
+    assert len(ps.candidates) == 5
+    assert [(c[0], c[3]) for c in ps.candidates if abs(root_to_complex(c[1]) + R2) < 1e-12] \
+        == [("e2", False)]
+
+
+def test_pole_set_power_float_roots():
+    spec = ConeOperatorSpec.laplacian(FLOAT_ROOTS, 3)
+    ps = pole_set_power(spec, Fraction(-1, 2), 2)
+    assert ps.exact is False
+    _assert_table(_pole_table(ps), [
+        (-2 - R1, {"e1": 1}), (-2, {"e0": 2}), (-2 + R1, {"e1": 1}), (-R2, {"e2": 1}),
+        (R2 - 2, {"e2": 1}), (-R1, {"e1": 1}), (0, {"e0": 2}), (R1, {"e1": 1}),
+        (R2, {"e2": 1})])
+    assert len(ps.candidates) == 10
+    outside = [(c[0], root_to_complex(c[1])) for c in ps.candidates if not c[3]]
+    assert len(outside) == 1 and outside[0][0] == "e2" and abs(outside[0][1] + R2 + 2) < 1e-12
