@@ -29,7 +29,7 @@ from .rational import root_to_complex
 from .symbol_algebra import pole_set_power
 from .heat_solver import HeatConfig, assemble_mode_operator, solve_heat
 from .power_calculus import complex_power, default_contour, find_sectorial_shift, power_route
-from .tip_analysis import fit_tip_expansion
+from .tip_analysis import fit_tip_series
 
 # largest operator whose Dunford power `powers` forms: J unit columns per contour node
 _DENSE_LIMIT = 700
@@ -216,6 +216,22 @@ def cmd_solve_heat(args) -> int:
     return 0
 
 
+def _read_basis(path: Path) -> AsymptoticsBasis:
+    """The basis list of an `asymptotics` output file (re_rho, im_rho, m, mode per entry)."""
+    try:
+        with open(path) as fh:
+            entries = json.load(fh)["basis"]
+        if not isinstance(entries, list):
+            raise TypeError("'basis' is not a list")
+        triples = tuple((complex(b["re_rho"], b["im_rho"]), int(b["m"]), b["mode"])
+                        for b in entries)
+    except KeyError as exc:
+        raise ConfigError(f"basis file {path}: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"basis file {path} is not an asymptotics basis: {exc}") from None
+    return AsymptoticsBasis(terms=triples, provenance=None)
+
+
 def cmd_fit_tip(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config) if args.config else {}
@@ -226,18 +242,13 @@ def cmd_fit_tip(args) -> int:
         raise ConfigError(f"no trajectory.json in {trajdir}")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    with open(args.basis) as fh:
-        basis_payload = json.load(fh)
-    triples = tuple((complex(b["re_rho"], b["im_rho"]), int(b["m"]), b["mode"])
-                    for b in basis_payload["basis"])
-    basis = AsymptoticsBasis(terms=triples, provenance=None)
+    basis = _read_basis(Path(args.basis))
     manifest = json.loads((trajdir / "manifest.json").read_text())
     run_cfg = manifest["config"]
     cs = cross_section_from_config(run_cfg["cross_section"])
     grid = grid_from_config(run_cfg)
     max_modes = int(run_cfg.get("operator", {}).get("max_modes", 3))
-    window = tuple(cfg.get("fit", {}).get("window")) if cfg.get("fit", {}).get("window") \
-        else None
+    window = cfg.get("fit", {}).get("window")
     # snapshot_{idx:05d}.csv holds the field at times[idx]
     snaps = [trajdir / f"snapshot_{idx:05d}.csv" for idx in range(len(meta["times"]))]
     missing = [p.name for p in snaps if not p.exists()]
@@ -245,13 +256,13 @@ def cmd_fit_tip(args) -> int:
     if missing or extra:
         raise ConfigError(f"trajectory {trajdir} does not match its {len(snaps)} times: "
                           f"missing {missing}, without a time {extra}")
+    fits = fit_tip_series([_read_field_csv(snap, grid, cs, max_modes) for snap in snaps],
+                          basis, window=window, times=meta["times"])
     rows = []
-    for t, snap in zip(meta["times"], snaps):
-        fld = _read_field_csv(snap, grid, cs, max_modes)
-        fit = fit_tip_expansion(fld, basis, window=window, t=t)
+    for fit in fits:
         for fc in fit.coefficients:
             decay = fit.mode_residual_exponents.get(fc.mode, math.nan)
-            rows.append(f"{fmt(t)},{fmt(fc.rho.real)},{fmt(fc.rho.imag)},{fc.m},{fc.mode},"
+            rows.append(f"{fmt(fit.t)},{fmt(fc.rho.real)},{fmt(fc.rho.imag)},{fc.m},{fc.mode},"
                         f"{fmt(fc.c.real)},{fmt(fc.c.imag)},{fmt(fit.residual_norm)},{fmt(decay)}")
     _write_csv(path, "t,rho_re,rho_im,m,mode,c_re,c_im,residual,decay_exp", [rows])
     _write_manifest(path.parent, {"subcommand": "fit-tip", "traj": str(trajdir)},

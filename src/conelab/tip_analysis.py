@@ -11,6 +11,7 @@ evolution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,8 @@ from .rational import root_to_complex
 
 MAX_FIT_POINTS = 200
 COND_LIMIT = 1e10
+# window samples (fields x modes x points) fitted in one batch; bounds its memory
+_FIT_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -61,35 +64,68 @@ def _log_spaced_subsample(idx: np.ndarray, limit: int) -> np.ndarray:
     return idx[pick]
 
 
-def _decay_exponent(x: np.ndarray, r: np.ndarray, floor: float) -> float:
-    """Robust slope of log|r| against log x above a resolution floor.
+def _decay_exponent(x: np.ndarray, mag: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Robust slope of log|r| against log x above a resolution floor, row by row.
 
     Two-bin median estimator: the slope between the median magnitudes of the
     lower and upper halves of the log range. Immune to isolated residual
-    zero crossings that wreck a plain regression.
+    zero crossings that wreck a plain regression. ``mag`` holds one |r| per
+    row on the ascending abscissae ``x``, ``floor`` one floor per row. A row
+    with fewer than 6 points above its floor falls back to every point above
+    1e-300; it reads inf when its residual sits fully below the floor or is
+    still too sparse, and 0.0 when a half keeps fewer than 2 points.
     """
-    mag = np.abs(r)
-    keep = mag > max(3.0 * floor, 1e-300)
-    if keep.sum() < 6:
-        if float(mag.max(initial=0.0)) <= max(3.0 * floor, 1e-300):
-            return math.inf  # residual fully below resolution: nothing left
-        keep = mag > 1e-300
-        if keep.sum() < 6:
-            return math.inf
-    xs, rm = x[keep], mag[keep]
-    gm = math.sqrt(xs[0] * xs[-1])
-    lo, hi = xs <= gm, xs > gm
-    if lo.sum() < 2 or hi.sum() < 2:
-        return 0.0
-    num = math.log(float(np.median(rm[hi]))) - math.log(float(np.median(rm[lo])))
-    den = float(np.mean(np.log(xs[hi])) - np.mean(np.log(xs[lo])))
-    return num / den
+    thr = np.maximum(3.0 * floor, 1e-300)
+    keep = mag > thr[:, None]
+    few = keep.sum(axis=1) < 6
+    keep[few] = mag[few] > 1e-300
+    count = keep.sum(axis=1)
+    out = np.where((few & (mag.max(axis=1, initial=0.0) <= thr)) | (count < 6),
+                   math.inf, 0.0)
+    first = np.argmax(keep, axis=1)
+    last = x.size - 1 - np.argmax(keep[:, ::-1], axis=1)
+    gm = np.sqrt(x[first] * x[last])[:, None]
+    lo, hi = keep & (x <= gm), keep & (x > gm)
+    n_lo, n_hi = lo.sum(axis=1), hi.sum(axis=1)
+    rows = np.flatnonzero(np.isfinite(out) & (n_lo >= 2) & (n_hi >= 2))
+    mag, lo, hi, n_lo, n_hi = mag[rows], lo[rows], hi[rows], n_lo[rows], n_hi[rows]
+    log_x = np.log(x)
+    out[rows] = ((np.log(_median(mag, hi, n_hi)) - np.log(_median(mag, lo, n_lo)))
+                 / (np.where(hi, log_x, 0.0).sum(axis=1) / n_hi
+                    - np.where(lo, log_x, 0.0).sum(axis=1) / n_lo))
+    return out
 
 
-def fit_tip_expansion(snapshot: RadialField, basis: AsymptoticsBasis,
-                      window: tuple[float, float] | None = None, t: float = 0.0,
-                      max_points: int = MAX_FIT_POINTS) -> TipFit:
-    """Fit the basis terms to one snapshot over a window, per mode.
+def _median(values: np.ndarray, mask: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Per-row median of the masked entries, equal to np.median bit for bit."""
+    ordered = np.where(mask, values, math.inf)
+    ordered.sort(axis=1)
+    rows = np.arange(len(values))
+    return 0.5 * (ordered[rows, (count - 1) // 2] + ordered[rows, count // 2])
+
+
+def _fit_window(grid, window) -> tuple[float, float]:
+    """The window as two floats (default_window if None), checked against the grid."""
+    if window is None:
+        return default_window(grid)
+    try:
+        x_a, x_b = window
+    except (TypeError, ValueError):
+        raise ConfigError(f"fit window {window!r} must be two numbers [x_a, x_b]") from None
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+               for v in (x_a, x_b)):
+        raise ConfigError(f"fit window {window!r} must be two finite numbers")
+    x_a, x_b = float(x_a), float(x_b)
+    if not (math.exp(grid.tau_min) < x_a < x_b):
+        raise ConfigError(f"window [{x_a}, {x_b}] must sit inside the grid")
+    if x_b > 0.25 + 1e-12:
+        raise ConfigError("window must stay at or below x = 1/4")
+    return x_a, x_b
+
+
+def fit_tip_series(fields, basis: AsymptoticsBasis, window: tuple[float, float] | None = None,
+                   times=None, max_points: int = MAX_FIT_POINTS) -> list[TipFit]:
+    """Fit the basis terms to every field over one window, per mode.
 
     Coefficients come from a relative-error weighted least-squares solve on
     the inner quarter (log scale) of the window: an asymptotic expansion is
@@ -99,73 +135,111 @@ def fit_tip_expansion(snapshot: RadialField, basis: AsymptoticsBasis,
     above the fit's own resolution floor. Modes without basis columns
     contribute their raw field as residual, which is how a not-yet-modeled
     exponent shows up.
+
+    The fields share one grid and mode table; ``times[k]`` is the time of
+    ``fields[k]`` (0.0 for all if omitted). Each fit depends on its own field
+    only. The fields are fitted in chunks of at most _FIT_ENTRIES window
+    samples, each chunk with one stacked SVD per mode; the first ill
+    conditioned (field, mode) in field-then-mode order raises.
     """
-    grid = snapshot.grid
-    if window is None:
-        window = default_window(grid)
-    x_a, x_b = window
-    if not (math.exp(grid.tau_min) < x_a < x_b):
-        raise ConfigError(f"window [{x_a}, {x_b}] must sit inside the grid")
-    if x_b > 0.25 + 1e-12:
-        raise ConfigError("window must stay at or below x = 1/4")
+    fields = list(fields)
+    times = [0.0] * len(fields) if times is None else list(times)
+    if len(times) != len(fields):
+        raise ConfigError(f"{len(times)} times for {len(fields)} fields")
+    if not fields:
+        return []
+    grid, modes = fields[0].grid, fields[0].modes
+    if any(f.grid != grid or f.modes != modes for f in fields):
+        raise ConfigError("fields fitted together must share one grid and mode table")
+    x_a, x_b = _fit_window(grid, window)
     idx = _log_spaced_subsample(grid.window_indices(x_a, x_b), max_points)
-    x = grid.x[idx]
-    inner = x <= math.sqrt(x_a * x_b)
-
-    coefficients: list[FitCoefficient] = []
-    res_sq = 0.0
-    mode_exponents: dict[str, float] = {}
-    worst_cond = 1.0
-    inner_res_all = []
-    floors = []
-    for i, mode in enumerate(snapshot.modes):
+    x = grid.x[idx]               # ascending, so every sub-window below is a prefix
+    log_x = np.log(x)
+    inner = int(np.count_nonzero(x <= math.sqrt(x_a * x_b)))
+    x_cut = x_a * (x_b / x_a) ** 0.25
+    designs = []                  # per mode: (coefficient keys, A, sub) or None
+    for mode in modes:
         terms = basis.for_mode(mode.label)
-        y = snapshot.values[i, idx]
-        floor = 0.0
-        if terms:
-            cols = []
-            for rho, m, _lbl in terms:
-                col = np.exp(-root_to_complex(rho) * np.log(x))
-                if m:
-                    col = col * np.log(x) ** m
-                cols.append(col)
-            A = np.stack(cols, axis=1)
-            x_cut = x_a * (x_b / x_a) ** 0.25
-            sub = x <= x_cut
-            if sub.sum() < 2 * A.shape[1] + 2:
-                sub = np.ones_like(sub, dtype=bool)
-            ymax = float(np.abs(y[sub]).max(initial=0.0))
-            w = np.ones(int(sub.sum())) if ymax == 0.0 else \
-                1.0 / np.maximum(np.abs(y[sub]), 1e-3 * ymax)
-            Aw = A[sub] * w[:, None]
-            sv = np.linalg.svd(Aw, compute_uv=False)
-            cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-            worst_cond = max(worst_cond, cond)
-            if cond > COND_LIMIT:
-                raise IllConditionedFitError(
-                    f"design condition {cond:.2e} on mode {mode.label}; "
-                    "shift or shrink the fit window")
-            c, *_ = np.linalg.lstsq(Aw, y[sub] * w, rcond=None)
-            residual = y - A @ c
-            floor = float(np.sqrt(np.mean(np.abs(residual[sub]) ** 2)))
-            for (rho, m, _lbl), cv in zip(terms, c):
-                coefficients.append(FitCoefficient(root_to_complex(rho), m,
-                                                   mode.label, complex(cv)))
-        else:
-            residual = y
-        res_sq += float(np.sum(np.abs(residual) ** 2))
-        mode_exponents[mode.label] = _decay_exponent(x[inner], residual[inner], floor)
-        inner_res_all.append(residual[inner])
-        floors.append(floor)
+        if not terms:
+            designs.append(None)
+            continue
+        cols = []
+        for rho, m, _lbl in terms:
+            col = np.exp(-root_to_complex(rho) * log_x)
+            if m:
+                col = col * log_x ** m
+            cols.append(col)
+        A = np.stack(cols, axis=1)
+        sub = int(np.count_nonzero(x <= x_cut))
+        if sub < 2 * A.shape[1] + 2:
+            sub = x.size
+        keys = [(root_to_complex(rho), m, mode.label) for rho, m, _lbl in terms]
+        designs.append((keys, A, sub))
 
-    total_inner = np.sqrt(np.sum(np.abs(np.stack(inner_res_all)) ** 2, axis=0))
-    overall = _decay_exponent(x[inner], total_inner,
-                              math.sqrt(sum(f * f for f in floors)))
-    return TipFit(t=t, coefficients=coefficients, window=(x_a, x_b),
-                  residual_norm=math.sqrt(res_sq),
-                  residual_decay_exponent=overall,
-                  mode_residual_exponents=mode_exponents,
-                  condition=worst_cond)
+    fits: list[TipFit] = []
+    step = max(1, _FIT_ENTRIES // (len(modes) * x.size))
+    for start in range(0, len(fields), step):
+        chunk = fields[start:start + step]
+        n = len(chunk)
+        # residuals, mode-major and C-ordered: the BLAS path of the stacked
+        # products follows the strides, and a fit must not depend on its chunk
+        R = np.empty((len(modes), n, x.size), complex)
+        for k, f in enumerate(chunk):
+            R[:, k] = f.values[:, idx]        # modes without columns keep their field
+        conds = np.ones((n, len(modes)))
+        floors = np.zeros((len(modes), n))
+        coeffs = {}
+        for i, design in enumerate(designs):
+            if design is None:
+                continue
+            _keys, A, sub = design
+            y = R[i, :, :sub]
+            mag = np.abs(y)
+            ymax = mag.max(axis=1, initial=0.0)[:, None]
+            w = 1.0 / np.where(ymax == 0.0, 1.0, np.maximum(mag, 1e-3 * ymax))
+            U, s, Vh = np.linalg.svd(A[:sub] * w[:, :, None], full_matrices=False)
+            pos = s[:, -1] > 0
+            conds[:, i] = math.inf
+            conds[pos, i] = s[pos, 0] / s[pos, -1]
+            # least squares c = Vh^H (U^H b / s); a singular design raises below
+            s[~pos] = 1.0
+            c = ((((y * w)[:, None, :] @ U.conj())[:, 0] / s)[:, None, :] @ Vh.conj())[:, 0]
+            R[i] -= (A @ c[:, :, None])[:, :, 0]
+            floors[i] = np.sqrt(np.mean(np.abs(R[i, :, :sub]) ** 2, axis=1))
+            coeffs[i] = c
+        bad = np.argwhere(conds > COND_LIMIT)
+        if bad.size:
+            k, i = bad[0]
+            raise IllConditionedFitError(
+                f"design condition {conds[k, i]:.2e} on mode {modes[i].label}; "
+                "shift or shrink the fit window")
+
+        res_sq = np.sum(np.abs(R) ** 2, axis=2).sum(axis=0)
+        inner_mag = np.abs(R[:, :, :inner])
+        mode_exps = _decay_exponent(x[:inner], inner_mag.reshape(-1, inner),
+                                    floors.ravel()).reshape(len(modes), n)
+        overall = _decay_exponent(x[:inner], np.sqrt(np.sum(inner_mag ** 2, axis=0)),
+                                  np.sqrt(np.sum(floors ** 2, axis=0)))
+        for k in range(n):
+            coefficients = [FitCoefficient(rho, m, label, complex(cv))
+                            for i, c in coeffs.items()
+                            for (rho, m, label), cv in zip(designs[i][0], c[k])]
+            fits.append(TipFit(
+                t=times[start + k], coefficients=coefficients, window=(x_a, x_b),
+                residual_norm=math.sqrt(res_sq[k]),
+                residual_decay_exponent=float(overall[k]),
+                mode_residual_exponents={mode.label: float(e)
+                                         for mode, e in zip(modes, mode_exps[:, k])},
+                condition=float(conds[k].max())))
+    return fits
+
+
+def fit_tip_expansion(snapshot: RadialField, basis: AsymptoticsBasis,
+                      window: tuple[float, float] | None = None, t: float = 0.0,
+                      max_points: int = MAX_FIT_POINTS) -> TipFit:
+    """Fit the basis terms to one snapshot over a window: fit_tip_series of one field."""
+    return fit_tip_series([snapshot], basis, window=window, times=[t],
+                          max_points=max_points)[0]
 
 
 @dataclass
@@ -182,8 +256,8 @@ def decomposition_track(traj, basis: AsymptoticsBasis,
                         window: tuple[float, float] | None = None,
                         max_points: int = MAX_FIT_POINTS) -> DecompositionTrack:
     """Fit every snapshot and report coefficient paths with jump diagnostics."""
-    fits = [fit_tip_expansion(f, basis, window=window, t=t, max_points=max_points)
-            for t, f in zip(traj.times, traj.fields)]
+    fits = fit_tip_series(traj.fields, basis, window=window, times=traj.times,
+                          max_points=max_points)
     jumps: dict = {}
     for a, b in zip(fits, fits[1:]):
         for fa, fb in zip(a.coefficients, b.coefficients):

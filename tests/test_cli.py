@@ -310,6 +310,49 @@ def test_fit_tip_snapshot_without_its_time_exit_2(fault, cfg_path, tmp_path, cap
     assert not (tmp_path / "fits.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def fit_inputs(tmp_path_factory):
+    """A solved trajectory and its asymptotics basis for the fit-tip input checks."""
+    d = tmp_path_factory.mktemp("fit")
+    cfg, u0 = d / "cfg.json", d / "u0.csv"
+    cfg.write_text(json.dumps(CIRCLE_CFG))
+    _write_u0(u0)
+    assert main(["solve-heat", "--config", str(cfg), "--u0", str(u0),
+                 "--out", str(d / "traj")]) == 0
+    assert main(["asymptotics", "--config", str(cfg), "--out", str(d / "basis.json")]) == 0
+    return d / "traj", d / "basis.json"
+
+
+@pytest.mark.parametrize("window", [[0.01, 0.05, 0.1], ["a", "b"], [0.01], "0.01"])
+def test_fit_tip_malformed_window_exit_2(window, fit_inputs, tmp_path, capsys):
+    traj, basis = fit_inputs
+    cfg, out = tmp_path / "fit.json", tmp_path / "fits.csv"
+    cfg.write_text(json.dumps({"fit": {"window": window}}))
+    assert main(["fit-tip", "--traj", str(traj), "--basis", str(basis), "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert "config error: fit window" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_ENTRY = {"re_rho": 0.0, "im_rho": 0.0, "m": 0, "mode": "k=0"}
+
+
+@pytest.mark.parametrize("payload", [
+    "{not json",
+    json.dumps({"terms": [_ENTRY]}),
+    json.dumps({"basis": _ENTRY}),
+    *[json.dumps({"basis": [{k: v for k, v in _ENTRY.items() if k != key}]})
+      for key in _ENTRY],
+], ids=["not-json", "no-basis", "basis-not-a-list", *[f"no-{key}" for key in _ENTRY]])
+def test_fit_tip_malformed_basis_exit_2(payload, fit_inputs, tmp_path, capsys):
+    traj, _basis = fit_inputs
+    basis, out = tmp_path / "basis.json", tmp_path / "fits.csv"
+    basis.write_text(payload)
+    assert main(["fit-tip", "--traj", str(traj), "--basis", str(basis), "--out", str(out)]) == 2
+    assert f"config error: basis file {basis}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_heat_gamma_window_enforced(tmp_path):
     cfg = dict(CIRCLE_CFG)
     cfg["gamma"] = 0.7  # outside (-1, 0)
