@@ -19,5 +19,5 @@ from .heat_solver import (HeatConfig, HeatTrajectory, assemble_mode_operator,
                           bessel_series_solution, solve_heat)
 from .tip_analysis import TipFit, decomposition_track, fit_tip_expansion, fit_tip_series
 from .power_calculus import (ContourSpec, complex_power, dunford_power, power_domain_probe,
-                             r_bound_estimate, sectorial_probe)
+                             sectorial_probe)
 from .operators import OperatorMatrix

@@ -271,26 +271,36 @@ def cmd_fit_tip(args) -> int:
     return 0
 
 
+def _shifted_mode_operator(cfg: dict, n_samples: int):
+    """(M, theta, c, report): M = c - L for the config's first mode, c from the shift ladder.
+
+    The ladder probes the sector of angle `powers.theta` with n_samples per ray.
+    """
+    blk = cfg.get("powers", {})
+    cs = cross_section_from_config(cfg["cross_section"])
+    mode = cs.mode_table(int(cfg.get("operator", {}).get("max_modes", 1)))[0]
+    L = assemble_mode_operator(cs.n, mode.eigenvalue, grid_from_config(cfg),
+                               cfg.get("heat", {}).get("outer_bc", "neumann"))
+    theta = float(blk.get("theta", 0.75 * math.pi))
+    shift, report = find_sectorial_shift(L, theta, c0=float(blk.get("shift0", 1.0)),
+                                         n_samples=n_samples)
+    return (-L).shifted(shift), theta, shift, report
+
+
 def cmd_powers(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     path = output_path(args.out, cfg.get("output_dir"), "powers.json")
     blk = cfg.get("powers", {})
     z = complex(float(blk.get("z_re", -0.5)), float(blk.get("z_im", 0.0)))
-    cs = cross_section_from_config(cfg["cross_section"])
-    grid = grid_from_config(cfg)
-    mode = cs.mode_table(int(cfg.get("operator", {}).get("max_modes", 1)))[0]
-    L = assemble_mode_operator(cs.n, mode.eigenvalue, grid,
-                               cfg.get("heat", {}).get("outer_bc", "neumann"))
-    theta = float(blk.get("theta", 0.75 * math.pi))
-    shift, sect = find_sectorial_shift(L, theta, c0=float(blk.get("shift0", 1.0)))
-    M = (-L).shifted(shift)
+    # K only sizes the Dunford tail bound here: 60 samples per ray
+    M, theta, shift, sect = _shifted_mode_operator(cfg, n_samples=60)
     method, gate = power_route(M)
     power = None
     if method == "spectral":
         power = complex_power(M, z)
     elif M.dim <= _DENSE_LIMIT:
-        power = complex_power(M, z, contour=default_contour(M, sectorial_bound=sect.K))
+        power = complex_power(M, z, contour=default_contour(M, theta, sectorial_bound=sect.K))
     prov = power.provenance if power is not None else {}
     contour = prov.get("contour")
     report = {
@@ -317,23 +327,14 @@ def cmd_sectorial_probe(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     path = output_path(args.out, cfg.get("output_dir"), "sectorial.json")
-    blk = cfg.get("powers", {})
-    cs = cross_section_from_config(cfg["cross_section"])
-    grid = grid_from_config(cfg)
-    mode = cs.mode_table(int(cfg.get("operator", {}).get("max_modes", 1)))[0]
-    L = assemble_mode_operator(cs.n, mode.eigenvalue, grid,
-                               cfg.get("heat", {}).get("outer_bc", "neumann"))
-    theta = float(blk.get("theta", 0.75 * math.pi))
-    shift, report = find_sectorial_shift(L, theta, c0=float(blk.get("shift0", 1.0)),
-                                         n_samples=int(blk.get("samples", 200)))
+    n_samples = int(cfg.get("powers", {}).get("samples", 200))
+    _M, theta, shift, report = _shifted_mode_operator(cfg, n_samples=n_samples)
     payload = {
         "theta": theta, "shift": shift, "K": report.K,
         "min_abs_eig": report.min_abs_eig,
         "iterations": report.iterations,
         "unconverged": report.unconverged,
-        "samples": [{"re": l.real if isinstance(l, complex) else float(l),
-                     "im": l.imag if isinstance(l, complex) else 0.0,
-                     "value": v} for l, v in report.samples],
+        "samples": [{"re": l.real, "im": l.imag, "value": v} for l, v in report.samples],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)

@@ -185,7 +185,7 @@ def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
 
 
 def bessel_series_solution(u0_modal_coeffs, n: int, eigenvalue, t: float,
-                           x_points, outer_bc: str, n_terms: int | None = None):
+                           x_points, outer_bc: str):
     """Separation-of-variables oracle for one mode on the straight cone.
 
     The expansion basis is x^{-(n-1)/2} J_nu(k_j x) with k_j the outer-BC
@@ -193,14 +193,10 @@ def bessel_series_solution(u0_modal_coeffs, n: int, eigenvalue, t: float,
     the solution scales each coefficient by exp(-k_j^2 t).
     """
     coeffs = list(u0_modal_coeffs)
-    if n_terms is None:
-        n_terms = len(coeffs)
-    if n_terms < len(coeffs):
-        raise ConfigError("n_terms smaller than the given coefficient list")
     nu = float(bessel_order(n, eigenvalue))
     x = np.asarray(x_points, dtype=float)
     out = np.zeros_like(x, dtype=complex)
-    for c, k in zip(coeffs, bessel_mode_roots(n, eigenvalue, outer_bc, n_terms)):
+    for c, k in zip(coeffs, bessel_mode_roots(n, eigenvalue, outer_bc, len(coeffs))):
         out = out + c * math.exp(-k * k * t) * bessel.radial_eigenfunction(nu, n, k, x)
     return out
 

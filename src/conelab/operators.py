@@ -11,6 +11,8 @@ from ._kernels import thomas_batch, tridiag_matvec
 from .errors import ConfigError, NumericalError
 
 _STOP_TOL = 1e-12      # relative change between iterations that ends an estimate
+_NORM_ITERS = 40       # iteration cap of an estimate
+_NORM_SEED = 3         # seed of the shared start vector
 
 
 @dataclass
@@ -84,17 +86,6 @@ class OperatorMatrix:
         dl, d, du = self.data
         return OperatorMatrix("tridiag", (-dl, -d, -du), dict(self.provenance))
 
-    def solve_shifted(self, lam: complex, rhs: np.ndarray) -> np.ndarray:
-        """(M + lam*I)^-1 rhs."""
-        rhs = np.asarray(rhs, dtype=complex)
-        if self.kind == "dense":
-            return np.linalg.solve(self.data + lam * np.eye(self.dim), rhs)
-        dl, d, du = self.data
-        sol = thomas_batch(dl[None, :], (d + lam)[None, :], du[None, :], rhs[None, :])
-        if not np.all(np.isfinite(sol)):
-            raise NumericalError(f"singular tridiagonal solve at lam={lam}")
-        return sol[0]
-
     def solve_shifted_batch(self, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """(M + lam_i)^-1 rhs for a batch of shifts and one right-hand side.
 
@@ -152,16 +143,15 @@ class OperatorMatrix:
             return eigvalsh_tridiagonal(form[0], form[1])
         return np.linalg.eigvals(self.to_dense())
 
-    def inv_norm2_estimate(self, lams, iters: int = 40,
-                           seed: int = 3) -> tuple[np.ndarray, int, int]:
+    def inv_norm2_estimate(self, lams) -> tuple[np.ndarray, int, int]:
         """||(M+lam)^-1||_2 for each shift in lams: power iteration on the normal equations.
 
         All shifts iterate in lockstep from the same seeded start vector: two
         batched solves per iteration, with (M+lam)^-1 and then its adjoint.
         The loop stops once every shift's sigma (the estimate of the squared
         norm) changes by less than _STOP_TOL relative between iterations,
-        and after iters iterations at the latest. Power iteration approaches the
-        norm from below.
+        and after _NORM_ITERS iterations at the latest. Power iteration
+        approaches the norm from below.
 
         Returns (norms, iterations, unconverged): the estimates in the order
         of lams, the iterations run, and how many shifts still missed the
@@ -182,13 +172,13 @@ class OperatorMatrix:
         D = d + lams[:, None]
         bands = (np.broadcast_to(dl, D.shape), D, np.broadcast_to(du, D.shape))
         adjoint = (np.broadcast_to(dlh, D.shape), np.conj(D), np.broadcast_to(duh, D.shape))
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_NORM_SEED)
         v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         v = np.tile(v / np.linalg.norm(v), (len(lams), 1))
         sigma = np.zeros(len(lams))
         moving = np.ones(len(lams), dtype=bool)
         it = 0
-        while it < iters and moving.any():
+        while it < _NORM_ITERS and moving.any():
             it += 1
             w = thomas_batch(*adjoint, thomas_batch(*bands, v))
             nw = np.linalg.norm(w, axis=1)

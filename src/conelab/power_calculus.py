@@ -1,4 +1,4 @@
-"""Sectoriality probes, randomized R-bound estimates, complex powers.
+"""Sectoriality probes and complex powers.
 
 Operators here are finite-dimensional stand-ins (discretized per-mode radial
 operators or plain matrices). complex_power takes the exact spectral route
@@ -14,12 +14,12 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, NotSectorialError, NumericalError, UnsupportedError
+from .errors import ConfigError, NotSectorialError, NumericalError
 from .operators import OperatorMatrix
 
 # conditioning gate of the spectral route: eps * max|mu| / min|mu| of the
@@ -30,6 +30,17 @@ _SPECTRAL_GATE = 1e-3
 # memory bound of the Dunford node loop: complex entries of resolvent columns
 # held for one chunk of contour nodes (2**16 entries, 1 MiB)
 _RESOLVENT_ENTRIES = 1 << 16
+
+# largest |lambda| the sectorial probe samples on each ray
+_LAM_MAX = 1e6
+
+# rungs of the shift ladder: c0 doubles at most this many times
+_MAX_DOUBLINGS = 24
+
+# power-domain verdicts: norm ratios between ladder levels at or below the
+# first mean membership, at or above the second non-membership
+_STABILIZE_RATIO = 1.2
+_BLOWUP_RATIO = 5.0
 
 
 @dataclass(frozen=True)
@@ -68,9 +79,6 @@ class SectorialReport:
     iterations: int = 0          # power iterations run by the norm estimate
     unconverged: int = 0         # samples still changing at the last iteration
 
-    def __float__(self):
-        return self.K
-
 
 def _sector_samples(theta: float, n_samples: int, lam_max: float) -> list[complex]:
     radii = np.geomspace(1e-6, lam_max, n_samples)
@@ -93,8 +101,7 @@ def _check_sector_clear(M: OperatorMatrix, theta: float) -> float:
     return float(np.min(np.abs(eigs)))
 
 
-def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200,
-                    lam_max: float = 1e6) -> SectorialReport:
+def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200) -> SectorialReport:
     """K = max over sampled lambda in S_theta of (1+|lambda|) ||(M+lambda)^-1||.
 
     Samples run log-spaced along the boundary rays +/- theta, the positive
@@ -105,7 +112,7 @@ def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200,
     test go into the report.
     """
     min_eig = _check_sector_clear(M, theta)
-    lams = _sector_samples(theta, n_samples, lam_max)
+    lams = _sector_samples(theta, n_samples, _LAM_MAX)
     norms, iterations, unconverged = M.inv_norm2_estimate(lams)
     vals = (1.0 + np.abs(lams)) * norms
     return SectorialReport(K=max(float(vals.max()), 1.0), theta=theta,
@@ -114,15 +121,15 @@ def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200,
                            unconverged=unconverged)
 
 
-def find_sectorial_shift(L: OperatorMatrix, theta: float, c0: float = 1.0,
-                         max_doublings: int = 24, n_samples: int = 60) -> tuple[float, SectorialReport]:
+def find_sectorial_shift(L: OperatorMatrix, theta: float, c0: float = 1.0, *,
+                         n_samples: int) -> tuple[float, SectorialReport]:
     """Doubling-ladder search for a shift c with c - L sectorial of angle theta.
 
     A numerical surrogate for the existence statement; reports the first c
     on the ladder whose shifted operator clears the sector.
     """
     c = c0
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         try:
             report = sectorial_probe((-L).shifted(c), theta, n_samples=n_samples)
             return c, report
@@ -131,59 +138,15 @@ def find_sectorial_shift(L: OperatorMatrix, theta: float, c0: float = 1.0,
     raise NotSectorialError(f"no sectorial shift found on the ladder up to c={c}")
 
 
-@dataclass
-class RBoundReport:
-    estimate: float              # lower bound only
-    theta: float
-    N: int
-    trials: int
-    seed: int
-    lower_bound_only: bool = True
-
-
-def r_bound_estimate(M: OperatorMatrix, theta: float, N: int, trials: int,
-                     rng_seed: int = 0) -> RBoundReport:
-    """Monte-Carlo lower estimate of the randomized resolvent bound.
-
-    Each trial draws lambda_k in the sector and unit vectors x_k, then forms
-    the exact Rademacher average over all 2^N sign patterns of
-    || sum e_k lambda_k (M+lambda_k)^-1 x_k || / || sum e_k x_k ||
-    in the L2(0,1) sense. The maximum over trials is reported, flagged as a
-    lower bound.
-    """
-    if N < 1:
-        raise ConfigError("N must be >= 1")
-    if N > 12:
-        raise UnsupportedError("exact sign-pattern expectation limited to N <= 12")
-    rng = np.random.default_rng(rng_seed)
-    dim = M.dim
-    best = 0.0
-    signs = np.array([[1.0 if (p >> k) & 1 == 0 else -1.0 for k in range(N)]
-                      for p in range(2 ** N)])
-    for _ in range(trials):
-        radii = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), N))
-        angs = rng.uniform(-theta, theta, N)
-        lams = radii * np.exp(1j * angs)
-        xs = rng.standard_normal((N, dim)) + 1j * rng.standard_normal((N, dim))
-        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        ys = np.stack([lam * M.solve_shifted(lam, x) for lam, x in zip(lams, xs)])
-        num = float(np.mean(np.linalg.norm(signs @ ys, axis=1) ** 2))
-        den = float(np.mean(np.linalg.norm(signs @ xs, axis=1) ** 2))
-        if den > 0:
-            best = max(best, math.sqrt(num / den))
-    return RBoundReport(estimate=best, theta=theta, N=N, trials=trials, seed=rng_seed)
-
-
 # -- Dunford complex powers -------------------------------------------------
 
-def default_contour(M: OperatorMatrix, theta: float = 0.75 * math.pi, n_quad: int = 64,
-                    tol_tail: float = 1e-10, sectorial_bound: float = 10.0) -> ContourSpec:
+def default_contour(M: OperatorMatrix, theta: float = 0.75 * math.pi,
+                    sectorial_bound: float = 10.0) -> ContourSpec:
     """Circle radius at half the closest eigenvalue; r_max from the tail bound."""
     min_eig = float(np.min(np.abs(M.eigenvalues())))
     if min_eig <= 0:
         raise NotSectorialError("operator has (numerically) zero eigenvalue")
-    return ContourSpec(rho=0.5 * min_eig, theta=theta, n_quad=n_quad,
-                       tol_tail=tol_tail, sectorial_bound=sectorial_bound)
+    return ContourSpec(rho=0.5 * min_eig, theta=theta, sectorial_bound=sectorial_bound)
 
 
 def _contour_nodes(contour: ContourSpec, z: complex):
@@ -348,9 +311,6 @@ class PowerProbeConfig:
     tau_min: float = -3.0
     points: int = 161
     levels: int = 3
-    stabilize_ratio: float = 1.2
-    blowup_ratio: float = 5.0
-    theta: float = 0.75 * math.pi
     n_quad: int = 48
 
 
@@ -370,8 +330,8 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
 
     Levels extend the grid toward the tip (tau_min doubles, spacing fixed)
     and evaluate the weighted base-space norm of M^z applied to the sampled
-    data. Stabilizing norms mean membership, blow-up by the configured
-    factor per level means non-membership, anything else is inconclusive;
+    data. Stabilizing norms mean membership, blow-up by _BLOWUP_RATIO
+    per level means non-membership, anything else is inconclusive;
     the thresholds are heuristics and travel with the report.
     """
     from .asymptotics import AsymptoticsTerm
@@ -389,8 +349,7 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
     def contour(M):
         # the spectral route needs none, so the spectrum is computed only for Dunford
         min_eig = float(np.min(np.abs(M.eigenvalues())))
-        return ContourSpec(rho=0.5 * min(probe.shift, min_eig), theta=probe.theta,
-                           n_quad=probe.n_quad)
+        return ContourSpec(rho=0.5 * min(probe.shift, min_eig), n_quad=probe.n_quad)
 
     norms = []
     grids = []
@@ -411,13 +370,13 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
         grid = grid.extended()
     ratios = [norms[i + 1] / norms[i] if norms[i] > 0 else math.inf
               for i in range(len(norms) - 1)]
-    if all(r <= probe.stabilize_ratio for r in ratios):
+    if all(r <= _STABILIZE_RATIO for r in ratios):
         verdict = "member"
-    elif all(r >= probe.blowup_ratio for r in ratios):
+    elif all(r >= _BLOWUP_RATIO for r in ratios):
         verdict = "non-member"
     else:
         verdict = "inconclusive"
     return PowerProbeReport(verdict=verdict, z=z, norms=norms, ratios=ratios,
                             grids=grids,
-                            thresholds=(probe.stabilize_ratio, probe.blowup_ratio),
+                            thresholds=(_STABILIZE_RATIO, _BLOWUP_RATIO),
                             config=probe)

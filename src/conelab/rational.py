@@ -404,14 +404,14 @@ def _snap_fraction(x: float):
     return cands
 
 
-def poly_roots(p: Poly, tol: float = TOL_POLE):
+def poly_roots(p: Poly):
     """Roots of p with multiplicities.
 
     Returns a list of (root, multiplicity, exact) where root is a QRat when
     the root was verified exactly (snap then exact division) and a complex
     float otherwise. Float roots come from the companion matrix (LAPACK
     balancing via numpy.roots) with one Newton polish each, then clusters
-    within `tol` are merged; exact roots never merge with anything.
+    within TOL_POLE are merged; exact roots never merge with anything.
     """
     if p.is_zero():
         raise NumericalError("root extraction on the zero polynomial")
@@ -445,7 +445,7 @@ def poly_roots(p: Poly, tol: float = TOL_POLE):
         clusters: list[list[complex]] = []
         for r in sorted(floats, key=lambda z: (z.real, z.imag)):
             for cl in clusters:
-                if abs(r - cl[0]) <= tol * max(1.0, abs(cl[0])):
+                if abs(r - cl[0]) <= TOL_POLE * max(1.0, abs(cl[0])):
                     cl.append(r)
                     break
             else:
@@ -481,8 +481,8 @@ def root_to_complex(r) -> complex:
     return r.to_complex() if isinstance(r, QRat) else complex(r)
 
 
-def roots_equal(a, b, tol: float = TOL_POLE) -> bool:
+def roots_equal(a, b) -> bool:
     if isinstance(a, QRat) and isinstance(b, QRat):
         return a == b
     za, zb = root_to_complex(a), root_to_complex(b)
-    return abs(za - zb) <= tol * max(1.0, abs(za))
+    return abs(za - zb) <= TOL_POLE * max(1.0, abs(za))

@@ -135,9 +135,6 @@ class PoleSet:
     # every candidate root before the strip filter: (mode, rho, order, in_strip)
     candidates: tuple = ()
 
-    def rhos(self) -> list[complex]:
-        return [e.rho_complex for e in self.entries]
-
 
 def strip_bounds(n: int, gamma, mu: int, power: int = 1):
     """Weight strip endpoints for A^power; exact when gamma is exact."""

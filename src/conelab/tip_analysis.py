@@ -23,8 +23,11 @@ from .rational import root_to_complex
 
 MAX_FIT_POINTS = 200
 COND_LIMIT = 1e10
-# window samples (fields x modes x points) fitted in one batch; bounds its memory
-_FIT_ENTRIES = 1 << 15
+# window samples (fields x modes x points) fitted in one batch. tracemalloc
+# puts a chunk's peak at 44-49 bytes a sample: the 16-byte sample, its weight,
+# the stacked SVD factors and |residual| rows (3 modes, 109 points); at 64
+# bytes a sample, 2**13 samples keep a chunk within 512 KiB
+_FIT_ENTRIES = (512 << 10) // 64
 
 
 @dataclass
@@ -124,7 +127,7 @@ def _fit_window(grid, window) -> tuple[float, float]:
 
 
 def fit_tip_series(fields, basis: AsymptoticsBasis, window: tuple[float, float] | None = None,
-                   times=None, max_points: int = MAX_FIT_POINTS) -> list[TipFit]:
+                   times=None) -> list[TipFit]:
     """Fit the basis terms to every field over one window, per mode.
 
     Coefficients come from a relative-error weighted least-squares solve on
@@ -152,7 +155,7 @@ def fit_tip_series(fields, basis: AsymptoticsBasis, window: tuple[float, float] 
     if any(f.grid != grid or f.modes != modes for f in fields):
         raise ConfigError("fields fitted together must share one grid and mode table")
     x_a, x_b = _fit_window(grid, window)
-    idx = _log_spaced_subsample(grid.window_indices(x_a, x_b), max_points)
+    idx = _log_spaced_subsample(grid.window_indices(x_a, x_b), MAX_FIT_POINTS)
     x = grid.x[idx]               # ascending, so every sub-window below is a prefix
     log_x = np.log(x)
     inner = int(np.count_nonzero(x <= math.sqrt(x_a * x_b)))
@@ -235,11 +238,9 @@ def fit_tip_series(fields, basis: AsymptoticsBasis, window: tuple[float, float] 
 
 
 def fit_tip_expansion(snapshot: RadialField, basis: AsymptoticsBasis,
-                      window: tuple[float, float] | None = None, t: float = 0.0,
-                      max_points: int = MAX_FIT_POINTS) -> TipFit:
+                      window: tuple[float, float] | None = None, t: float = 0.0) -> TipFit:
     """Fit the basis terms to one snapshot over a window: fit_tip_series of one field."""
-    return fit_tip_series([snapshot], basis, window=window, times=[t],
-                          max_points=max_points)[0]
+    return fit_tip_series([snapshot], basis, window=window, times=[t])[0]
 
 
 @dataclass
@@ -253,11 +254,9 @@ class DecompositionTrack:
 
 
 def decomposition_track(traj, basis: AsymptoticsBasis,
-                        window: tuple[float, float] | None = None,
-                        max_points: int = MAX_FIT_POINTS) -> DecompositionTrack:
+                        window: tuple[float, float] | None = None) -> DecompositionTrack:
     """Fit every snapshot and report coefficient paths with jump diagnostics."""
-    fits = fit_tip_series(traj.fields, basis, window=window, times=traj.times,
-                          max_points=max_points)
+    fits = fit_tip_series(traj.fields, basis, window=window, times=traj.times)
     jumps: dict = {}
     for a, b in zip(fits, fits[1:]):
         for fa, fb in zip(a.coefficients, b.coefficients):

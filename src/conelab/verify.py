@@ -19,7 +19,7 @@ import numpy as np
 
 from .asymptotics import AsymptoticsTerm, apply_operator_power, enumerate_asymptotics
 from .cone_geometry import CrossSection, bessel_order, weight_window
-from .errors import ConelabError
+from .errors import ConelabError, ConfigError
 from .heat_solver import (HeatConfig, assemble_mode_operator,
                           bessel_series_solution, relative_l2_error, solve_heat)
 from .mellin_sobolev import LogGrid, RadialField
@@ -395,17 +395,17 @@ _CRITERIA = [
 
 
 def run_suite(suite: str = "all") -> list[CriterionResult]:
-    """Run the selected criteria ('all' or a comma list of names)."""
-    wanted = None if suite in ("all", "", None) else {s.strip() for s in suite.split(",")}
-    results = []
-    for name, budget, fn in _CRITERIA:
-        if wanted is not None and name not in wanted:
-            continue
-        results.append(_run(name, budget, fn))
-    if wanted is not None and not results:
-        raise ConelabError(f"no criteria match suite {suite!r}; "
-                           f"known: {[n for n, _, _ in _CRITERIA]}")
-    return results
+    """Run the selected criteria ('all' or a comma list of names).
+
+    An unknown name is a ConfigError naming every unknown one; nothing runs.
+    """
+    known = [name for name, _, _ in _CRITERIA]
+    wanted = (known if suite in ("all", "", None)
+              else [s.strip() for s in suite.split(",") if s.strip()])
+    unknown = [name for name in wanted if name not in known]
+    if unknown or not wanted:
+        raise ConfigError(f"suite {suite!r} names unknown criteria {unknown}; known: {known}")
+    return [_run(name, budget, fn) for name, budget, fn in _CRITERIA if name in wanted]
 
 
 def print_table(results: list[CriterionResult]):

@@ -414,6 +414,20 @@ def test_powers_command_dunford_route(tmp_path):
     assert abs(payload["power_norm"] - want) <= 1e-10 * want
 
 
+def test_powers_command_contour_takes_the_configured_angle(tmp_path):
+    cfg = dict(CIRCLE_CFG, grid={"tau_min": -4.0, "points": 33},
+               heat={"outer_bc": "dirichlet"}, powers={"theta": math.pi / 2})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "powers.json"
+    assert main(["powers", "--config", str(p), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["method"] == "dunford" and payload["theta"] == math.pi / 2
+    assert payload["quadrature"]["theta"] == payload["theta"]
+    want = _oracle_power_norm(payload, 1, 0, LogGrid(-4.0, 33), "dirichlet")
+    assert abs(payload["power_norm"] - want) <= 1e-10 * want
+
+
 def test_powers_command_reports_no_contour_when_skipped(tmp_path):
     # 769 points at tau_min -16 fail the gate and exceed the dense limit (700)
     cfg = dict(CIRCLE_CFG, grid={"tau_min": -16.0, "points": 769})
@@ -448,6 +462,15 @@ def test_outdir_override_takes_the_out_basename(cmd, cfg_path, tmp_path, monkeyp
 
 def test_verify_single_suite_exit_zero():
     assert main(["verify", "--suite", "weight-window"]) == 0
+
+
+@pytest.mark.parametrize("suite, unknown", [("nope", "['nope']"),
+                                            ("weight-window,nope", "['nope']")])
+def test_verify_unknown_suite_exit_2(suite, unknown, capsys):
+    assert main(["verify", "--suite", suite]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error:") and unknown in err
+    assert "PASS" not in out          # a known name beside an unknown one does not run
 
 
 def test_entrypoint_subprocess(cfg_path, tmp_path):

@@ -195,12 +195,6 @@ def test_oracle_reproduces_t0_and_scaling():
     assert np.max(np.abs(at0 - direct)) < 1e-10
 
 
-def test_oracle_coefficient_count_guard():
-    with pytest.raises(ConfigError):
-        bessel_series_solution([1.0, 2.0], 1, 0, 0.1, np.array([0.5]),
-                               "dirichlet", n_terms=1)
-
-
 def test_config_validation():
     g = LogGrid(-4.0, 65)
     with pytest.raises(ConfigError):

@@ -102,7 +102,7 @@ def test_solve_shifted_zero_last_row_raises_numerical_error():
     dl[-1] = d[-1] = 0.0
     op = OperatorMatrix.tridiag(dl, d, du)
     with pytest.raises(NumericalError):
-        op.solve_shifted(0.0, np.ones(9))
+        op.solve_shifted_batch(np.array([0.0]), np.ones(9))
 
 
 @pytest.mark.parametrize("kind, dim", [("tridiag", 3), ("tridiag", 9),

@@ -1,4 +1,4 @@
-"""Sectorial probes, R-bounds, Dunford powers, domain probes."""
+"""Sectorial probes, Dunford powers, domain probes."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 from conelab import operators, power_calculus
 from conelab.asymptotics import AsymptoticsTerm
 from conelab.cone_geometry import CrossSection
-from conelab.errors import ConfigError, NotSectorialError, UnsupportedError
+from conelab.errors import ConfigError, NotSectorialError
 from conelab.heat_solver import assemble_mode_operator
 from conelab.mellin_sobolev import LogGrid
 from conelab.operators import OperatorMatrix
@@ -16,7 +16,7 @@ from conelab.power_calculus import (ContourSpec, PowerProbeConfig, complex_power
                                     dunford_apply, dunford_power, eig_power_oracle,
                                     find_sectorial_shift,
                                     _contour_nodes, _sector_samples, power_domain_probe,
-                                    power_route, r_bound_estimate, sectorial_probe)
+                                    power_route, sectorial_probe)
 from conelab.rational import QRat
 
 CIRCLE = CrossSection.circle(length_over_pi=2)
@@ -145,32 +145,6 @@ def test_weighted_probe_matches_base():
     for lam in (0.0, 2.0, 3.0 * np.exp(0.6j * math.pi)):
         R = np.linalg.inv(A + lam * np.eye(8))
         assert np.max(np.abs(W @ R @ np.linalg.inv(W) - R)) <= 1e-12 * np.max(np.abs(R))
-
-
-def test_r_bound_examples():
-    M = OperatorMatrix.dense(np.diag([1.0, 2.0]))
-    rb = r_bound_estimate(M, 0.0, N=1, trials=300, rng_seed=2)
-    assert rb.estimate <= 1.0 + 1e-9
-    assert rb.lower_bound_only
-    # normal operator: R-estimate bounded by the uniform bound
-    rep = sectorial_probe(M, 0.0, n_samples=100)
-    rb4 = r_bound_estimate(M, 0.0, N=4, trials=1000, rng_seed=3)
-    assert rb4.estimate <= rep.K + 1e-6
-    with pytest.raises(UnsupportedError):
-        r_bound_estimate(M, 0.0, N=13, trials=1)
-
-
-def test_r_bound_collapsing_sum():
-    # all lambda_k and x_k equal: ratio is exactly ||lam (M+lam)^-1 x|| / ||x||
-    M = OperatorMatrix.dense(np.diag([1.0, 2.0]))
-    lam = 3.0
-    x = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    y = lam * np.linalg.solve(M.data + lam * np.eye(2), x)
-    want = np.linalg.norm(y) / np.linalg.norm(x)
-    signs = np.array([[1.0], [-1.0]])
-    num = float(np.mean(np.linalg.norm(signs * y[None, :], axis=1) ** 2))
-    den = float(np.mean(np.linalg.norm(signs * x[None, :], axis=1) ** 2))
-    assert abs(math.sqrt(num / den) - want) < 1e-14
 
 
 def test_find_sectorial_shift_ladder():
