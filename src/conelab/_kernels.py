@@ -6,7 +6,8 @@ to zero and the batch is one block-diagonal tridiagonal system of size
 nb*J, so one LAPACK call solves every block: ``zgtsv`` for solves,
 ``zgttrf`` once plus ``zgttrs`` per step for the theta march. Both pivot by
 rows, which the shifted resolvents need: they are neither diagonally
-dominant nor M-matrices.
+dominant nor M-matrices. The march stacks B the same way and forms B u on
+the flat arrays, where the zeroed corners keep each block's product exact.
 
 Why the blocks stay independent: the subdiagonal entry at a block boundary
 is zero, so elimination never swaps rows across it and any multiplier it
@@ -37,10 +38,6 @@ from .errors import NumericalError
 _CHUNK = 4096          # solution entries per stacked LAPACK call
 
 
-def _c128(a):
-    return np.ascontiguousarray(a, dtype=np.complex128)
-
-
 def _check(info: int, routine: str, first_row: int, J: int):
     if info > 0:
         row, pos = divmod(info - 1, J)
@@ -58,11 +55,12 @@ def _stacked(dl, d, du):
     return lo.ravel()[1:], diag.ravel(), up.ravel()[:-1]
 
 
-def _matvec(dl, d, du, u, out):
-    """out = A u with tridiagonal A, batched."""
-    out[:, :] = d * u
-    out[:, 1:] += dl[:, 1:] * u[:, :-1]
-    out[:, :-1] += du[:, :-1] * u[:, 1:]
+def _matvec(bands, x, out, prod):
+    """out = B x on flat stacked bands (``_stacked``); prod is work space of size x.size - 1."""
+    lo, diag, up = bands
+    np.multiply(diag, x, out=out)
+    out[1:] += np.multiply(lo, x[:-1], out=prod)
+    out[:-1] += np.multiply(up, x[1:], out=prod)
     return out
 
 
@@ -95,32 +93,37 @@ def thomas_batch(dl, d, du, rhs):
 
 def tridiag_matvec(dl, d, du, u):
     """Batched tridiagonal matrix-vector product."""
-    out = np.empty_like(np.asarray(u, dtype=complex))
-    return _matvec(np.asarray(dl), np.asarray(d), np.asarray(du),
-                   np.asarray(u, dtype=complex), out)
+    u = np.ascontiguousarray(u, dtype=np.complex128)
+    out = np.empty_like(u)
+    _matvec(_stacked(dl, d, du), u.reshape(-1), out.reshape(-1), np.empty(u.size - 1, complex))
+    return out
 
 
 def evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, n_steps, snap_every, forcing=None):
     """March u <- A^-1 (B u + forcing(step)) for n_steps, snapshotting every snap_every.
 
     A = I - theta*dt*L and B = I + (1-theta)*dt*L are prefactored bands;
-    A is factored once as one stacked system and each step is one solve.
+    both are stacked once into block-diagonal systems of size nb*J. A is
+    factored once and each step is one solve; B u is formed on the flat
+    stacked bands, whose zeroed corners make each block's product exact.
     forcing, if given, maps the step index (1..n_steps) to the term added
     to the right-hand side of that step.
     Returns (final state, snapshots array of shape (n_steps//snap_every, ...)).
     """
-    Bdl, Bd, Bdu = map(_c128, (Bdl, Bd, Bdu))
+    lo, up = _stacked(Bdl, Bd, Bdu)[::2]              # B is only read: its diagonal needs no copy
+    B = lo, np.ascontiguousarray(Bd, dtype=np.complex128).reshape(-1), up
     *lu, info = zgttrf(*_stacked(Adl, Ad, Adu), overwrite_dl=1, overwrite_d=1,
                           overwrite_du=1)
     _check(info, "zgttrf", 0, np.shape(Ad)[1])
     u = np.array(u0, dtype=np.complex128, order="C")   # never the caller's array
     rhs = np.empty_like(u)
+    prod = np.empty(u.size - 1, dtype=np.complex128)
     snaps = np.empty((n_steps // snap_every, *u.shape), dtype=complex)
     for step in range(1, n_steps + 1):
-        _matvec(Bdl, Bd, Bdu, u, rhs)
+        y = _matvec(B, u.reshape(-1), rhs.reshape(-1), prod)   # a view of rhs
         if forcing is not None:
             rhs += forcing(step)
-        zgttrs(*lu, rhs.reshape(-1), overwrite_b=1)     # solves in place
+        zgttrs(*lu, y, overwrite_b=1)                   # solves in place
         u, rhs = rhs, u
         if step % snap_every == 0:
             snaps[step // snap_every - 1] = u

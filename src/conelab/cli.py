@@ -110,14 +110,14 @@ _FIELD_COLUMNS = ("tau", "mode", "re", "im")
 def _write_csv(path: Path, header: str, blocks) -> None:
     """A CSV file: the header line, then each block of rows in one write.
 
-    A row is its cells joined by commas. Cells are numbers, flags and
-    program-made mode labels, none of which needs quoting. Lines end in
-    \\r\\n, as the csv module's do.
+    A block is a list of rows or a str of ended rows. A row is its cells
+    joined by commas; cells (numbers, flags, program-made mode labels) need
+    no quoting. Lines end in \\r\\n, as the csv module's do.
     """
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
         for rows in blocks:
-            fh.write("".join([f"{row}\r\n" for row in rows]))
+            fh.write(rows if isinstance(rows, str) else "".join([f"{row}\r\n" for row in rows]))
 
 
 def _read_field_csv(path: Path, grid: LogGrid, cs, max_modes: int) -> RadialField:
@@ -148,7 +148,8 @@ def _read_field_csv(path: Path, grid: LogGrid, cs, max_modes: int) -> RadialFiel
         if mode not in labels:
             raise ConfigError(f"field file {path} holds a mode not among "
                               f"{', '.join(labels)}: {str(mode)!r}")
-        rows = np.sort(data[data["mode"] == mode], order=["tau", "re", "im"])
+        rows = data[data["mode"] == mode]
+        rows = rows[np.lexsort((rows["im"], rows["re"], rows["tau"]))]
         taus, re, im = rows["tau"], rows["re"], rows["im"]
         if not np.all(np.isfinite([taus, re, im])):
             raise ConfigError(f"field file {path} holds a non-finite value in mode {mode}")
@@ -159,10 +160,13 @@ def _read_field_csv(path: Path, grid: LogGrid, cs, max_modes: int) -> RadialFiel
 
 
 def _write_field_csv(path: Path, field: RadialField):
+    """One format call per mode block, a row template of %.17g: the bytes fmt writes."""
     taus = [fmt(t) for t in field.grid.tau.tolist()]
+    values = np.ascontiguousarray(field.values, dtype=np.complex128)
     _write_csv(path, ",".join(_FIELD_COLUMNS),
-               ([f"{t},{mode.label},{fmt(v.real)},{fmt(v.imag)}" for t, v in zip(taus, row)]
-                for mode, row in zip(field.modes, field.values.tolist())))
+               ("".join([f"{t},{mode.label.replace('%', '%%')},%.17g,%.17g\r\n" for t in taus])
+                % tuple(row.view(np.float64).tolist())
+                for mode, row in zip(field.modes, values)))
 
 
 def cmd_norm(args) -> int:
@@ -196,7 +200,7 @@ def cmd_solve_heat(args) -> int:
                     dt=float(heat.get("dt", 1e-4)),
                     outer_bc=heat.get("outer_bc", "dirichlet"),
                     theta=float(heat.get("theta", 0.5)), max_modes=max_modes,
-                    snapshot_every=int(heat.get("snapshot_every", 0)))
+                    snapshot_every=heat.get("snapshot_every", 0))
     meta_path = output_path(None, args.out, "trajectory.json")
     outdir = meta_path.parent
     u0 = _read_field_csv(Path(args.u0), grid, cs, max_modes)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ class HeatConfig:
             raise ConfigError("theta-scheme supported for theta in [1/2, 1]")
         if self.outer_bc not in ("dirichlet", "neumann"):
             raise ConfigError(f"unknown outer boundary condition {self.outer_bc!r}")
+        every = self.snapshot_every
+        if (isinstance(every, bool) or not isinstance(every, numbers.Real) or every < 0
+                or not float(every).is_integer()):
+            raise ConfigError(f"snapshot_every must be a whole number >= 0, not {every!r}")
+        self.snapshot_every = int(every)
 
     @property
     def n_steps(self) -> int:

@@ -24,9 +24,10 @@ from .rational import root_to_complex
 MAX_FIT_POINTS = 200
 COND_LIMIT = 1e10
 # window samples (fields x modes x points) fitted in one batch. tracemalloc
-# puts a chunk's peak at 44-49 bytes a sample: the 16-byte sample, its weight,
-# the stacked SVD factors and |residual| rows (3 modes, 109 points); at 64
-# bytes a sample, 2**13 samples keep a chunk within 512 KiB
+# puts a chunk's peak at 33-38 bytes a sample: the 16-byte sample, its weight
+# and the stacked SVD factors of one mode (3 modes, 109 points), so 2**13
+# samples stay near 300 KiB, well within 512 KiB. Larger chunks cut the
+# per-chunk overhead but raised the process's peak RSS, so none are taken
 _FIT_ENTRIES = (512 << 10) // 64
 
 
@@ -200,16 +201,19 @@ def fit_tip_series(fields, basis: AsymptoticsBasis, window: tuple[float, float] 
             mag = np.abs(y)
             ymax = mag.max(axis=1, initial=0.0)[:, None]
             w = 1.0 / np.where(ymax == 0.0, 1.0, np.maximum(mag, 1e-3 * ymax))
+            del mag
             U, s, Vh = np.linalg.svd(A[:sub] * w[:, :, None], full_matrices=False)
             pos = s[:, -1] > 0
             conds[:, i] = math.inf
             conds[pos, i] = s[pos, 0] / s[pos, -1]
-            # least squares c = Vh^H (U^H b / s); a singular design raises below
+            # c = Vh^H (U^H b / s), U conjugated in place; a singular design raises below
             s[~pos] = 1.0
-            c = ((((y * w)[:, None, :] @ U.conj())[:, 0] / s)[:, None, :] @ Vh.conj())[:, 0]
+            c = (y * w)[:, None, :] @ np.conjugate(U, out=U)
+            c = ((c[:, 0] / s)[:, None, :] @ Vh.conj())[:, 0]
             R[i] -= (A @ c[:, :, None])[:, :, 0]
             floors[i] = np.sqrt(np.mean(np.abs(R[i, :, :sub]) ** 2, axis=1))
             coeffs[i] = c
+            del y, w, U, s, Vh            # free before the next mode and the residual stage
         bad = np.argwhere(conds > COND_LIMIT)
         if bad.size:
             k, i = bad[0]
@@ -217,8 +221,10 @@ def fit_tip_series(fields, basis: AsymptoticsBasis, window: tuple[float, float] 
                 f"design condition {conds[k, i]:.2e} on mode {modes[i].label}; "
                 "shift or shrink the fit window")
 
-        res_sq = np.sum(np.abs(R) ** 2, axis=2).sum(axis=0)
+        res_sq = np.abs(R)                # |R|^2 in place: one temporary, not two
+        res_sq = np.sum(np.square(res_sq, out=res_sq), axis=2).sum(axis=0)
         inner_mag = np.abs(R[:, :, :inner])
+        del R                             # the exponents below need |R| on the inner window only
         mode_exps = _decay_exponent(x[:inner], inner_mag.reshape(-1, inner),
                                     floors.ravel()).reshape(len(modes), n)
         overall = _decay_exponent(x[:inner], np.sqrt(np.sum(inner_mag ** 2, axis=0)),

@@ -218,7 +218,8 @@ def _field(seed=0):
     rng = np.random.default_rng(seed)
     f = RadialField.zeros(GRID, CIRCLE, 2)
     f.values[:] = rng.standard_normal(f.values.shape) - 1j * rng.random(f.values.shape)
-    f.values[0, :4] = [-0.0, 5e-324, 1e308, complex(-0.0, -5e-324)]
+    f.values[0, :6] = [-0.0, 5e-324, 1e308, complex(-0.0, -5e-324), 1.7976931348623157e308,
+                       complex(1e-300, -1e-300)]
     f.values[1, 0] = complex(-1e308, -1e308)
     return f
 
@@ -237,7 +238,7 @@ def test_field_csv_writer_bytes_match_csv_module(tmp_path):
     assert data == want.read_bytes()
     for row in (b"tau,mode,re,im\r\n-6,k=0,-0,0\r\n", b",k=0,4.9406564584124654e-324,0\r\n",
                 b",k=0,1e+308,0\r\n", b",k=0,-0,-4.9406564584124654e-324\r\n",
-                b"\r\n-6,k=+1,-1e+308,-1e+308\r\n"):
+                b",k=0,1.7976931348623157e+308,0\r\n", b"\r\n-6,k=+1,-1e+308,-1e+308\r\n"):
         assert row in data
     back = _read_field_csv(got, GRID, CIRCLE, 2)
     assert np.array_equal(back.values, f.values)
@@ -258,6 +259,26 @@ def test_field_csv_reader_any_column_and_row_order(tmp_path):
     a = _read_field_csv(plain, GRID, CIRCLE, 2)
     b = _read_field_csv(shuffled, GRID, CIRCLE, 2)
     assert np.array_equal(a.values, f.values) and np.array_equal(b.values, f.values)
+
+
+def _per_value_field_writer(path, field):
+    """The field writer with one fmt call per value, as it was before block templates."""
+    taus = [fmt(t) for t in field.grid.tau.tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write("tau,mode,re,im\r\n")
+        for mode, row in zip(field.modes, field.values.tolist()):
+            fh.write("".join([f"{t},{mode.label},{fmt(v.real)},{fmt(v.imag)}\r\n"
+                              for t, v in zip(taus, row)]))
+
+
+def test_field_csv_block_writer_bytes_equal_the_per_value_writer(tmp_path):
+    f = _field(3)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    for label in ("k=0", "50%s%%"):          # a '%' in a label is not a format field
+        f.modes = (f.modes[0]._replace(label=label), *f.modes[1:])
+        _write_field_csv(got, f)
+        _per_value_field_writer(want, f)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_field_csv_missing_modes_read_as_zero(tmp_path):
@@ -362,6 +383,20 @@ def test_solve_heat_gamma_window_enforced(tmp_path):
     u0.write_text("tau,mode,re,im\n")
     assert main(["solve-heat", "--config", str(p), "--u0", str(u0),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("every", [-1, 2.5])
+def test_solve_heat_bad_snapshot_every_exit_2(every, tmp_path, capsys):
+    cfg = json.loads(json.dumps(CIRCLE_CFG))
+    cfg["heat"]["snapshot_every"] = every
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    u0, outdir = tmp_path / "u0.csv", tmp_path / "traj"
+    _write_u0(u0)
+    assert main(["solve-heat", "--config", str(p), "--u0", str(u0),
+                 "--out", str(outdir)]) == 2
+    assert "config error: snapshot_every" in capsys.readouterr().err
+    assert not list(outdir.glob("snapshot_*.csv"))
 
 
 def test_sectorial_probe_command(cfg_path, tmp_path):

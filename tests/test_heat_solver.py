@@ -205,6 +205,17 @@ def test_config_validation():
         HeatConfig(cross_section=CIRCLE, grid=g, T=0.1, dt=1e-3, outer_bc="robin")
 
 
+@pytest.mark.parametrize("bad", [-1, -5, 2.5, float("nan"), True, "3", None])
+def test_snapshot_every_must_be_a_whole_number_at_least_zero(bad):
+    g = LogGrid(-4.0, 65)
+    with pytest.raises(ConfigError, match="snapshot_every"):
+        HeatConfig(cross_section=CIRCLE, grid=g, T=0.1, dt=1e-3, snapshot_every=bad)
+    for ok, want in ((0, 0), (7, 7), (4.0, 4), (np.int64(3), 3)):
+        every = HeatConfig(cross_section=CIRCLE, grid=g, T=0.1, dt=1e-3,
+                           snapshot_every=ok).snapshot_every
+        assert every == want and type(every) is int
+
+
 def test_mode_roots_memoised_and_failures_not_cached(monkeypatch):
     heat_solver._mode_roots.cache_clear()
     calls = []

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import zgtsv
+from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from conelab import _kernels
 from conelab.errors import ConfigError, NumericalError
@@ -84,6 +84,65 @@ def test_evolve_theta_equals_stepwise():
                 f3, f4 = (0, 0) if forcing is None else (terms[3, b], terms[4, b])
                 two = np.linalg.solve(A, B @ np.linalg.solve(A, B @ snaps[0, b] + f3) + f4)
                 assert np.allclose(snaps[1, b], two, rtol=1e-8, atol=1e-10)
+
+
+def _unstacked_march(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, n_steps, snap_every, forcing):
+    """The march with B u on 2-D row slices, as evolve_theta formed it before B was stacked."""
+    Bdl, Bd, Bdu = (np.ascontiguousarray(b, dtype=np.complex128) for b in (Bdl, Bd, Bdu))
+    *lu, info = zgttrf(*_kernels._stacked(Adl, Ad, Adu))
+    assert info == 0
+    u = np.array(u0, dtype=np.complex128)
+    snaps = []
+    for step in range(1, n_steps + 1):
+        rhs = Bd * u
+        rhs[:, 1:] += Bdl[:, 1:] * u[:, :-1]
+        rhs[:, :-1] += Bdu[:, :-1] * u[:, 1:]
+        if forcing is not None:
+            rhs += forcing(step)
+        x, info = zgttrs(*lu, rhs.reshape(-1))
+        assert info == 0
+        u = x.reshape(u.shape)
+        if step % snap_every == 0:
+            snaps.append(u)
+    return u, np.array(snaps).reshape(-1, *u.shape)
+
+
+@pytest.mark.parametrize("nb,J", [(4, 2), (2, 25), (5, 129)])
+def test_evolve_theta_matches_the_unstacked_march_bit_for_bit(nb, J):
+    rng = np.random.default_rng(100 * nb + J)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for kind in ("complex", "pivoting", "frozen"):
+        dl, d, du = cplx(nb, J), cplx(nb, J), cplx(nb, J)
+        Adl, Ad, Adu = -0.3 * dl, 1.0 - 0.3 * d, -0.3 * du
+        Bdl, Bd, Bdu = 0.7 * dl, 1.0 + 0.7 * d, 0.7 * du
+        if kind == "pivoting":
+            Ad = 1e-8 * cplx(nb, J)             # A itself needs row interchanges
+            Ad[:, 0] = 0.0
+        if kind == "frozen":                    # a Dirichlet row: u[:, -1] never moves
+            Adl[:, -1] = Bdl[:, -1] = 0.0
+            Ad[:, -1] = Bd[:, -1] = 1.0
+        for band in (Adl, Bdl):
+            band[:, 0] = 1e3 * cplx(nb)         # garbage in the unused corners
+        for band in (Adu, Bdu):
+            band[:, -1] = -1e3 * cplx(nb)
+        u0 = cplx(nb, J)
+        terms = cplx(8, nb, J)
+        if kind == "frozen":
+            terms[:, :, -1] = 0.0
+        before = [a.copy() for a in (Bdl, Bd, Bdu, u0)]
+        for forcing in (None, lambda step: terms[step]):
+            final, snaps = _kernels.evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, 7, 2,
+                                                 forcing)
+            ref_final, ref_snaps = _unstacked_march(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, 7, 2,
+                                                    forcing)
+            assert np.array_equal(final, ref_final)
+            assert snaps.shape == ref_snaps.shape == (3, nb, J)
+            assert np.array_equal(snaps, ref_snaps)
+            for a, b in zip((Bdl, Bd, Bdu, u0), before):
+                assert np.array_equal(a, b)
 
 
 def test_singular_system_raises_numerical_error():
