@@ -28,7 +28,7 @@ from .mellin_sobolev import LogGrid, RadialField, mellin_norm
 from .rational import root_to_complex
 from .symbol_algebra import pole_set_power
 from .heat_solver import HeatConfig, assemble_mode_operator, solve_heat
-from .power_calculus import complex_power, default_contour, find_sectorial_shift, power_route
+from .power_calculus import ContourSpec, complex_power, find_sectorial_shift, power_route
 from .tip_analysis import fit_tip_series
 
 # largest operator whose Dunford power `powers` forms: J unit columns per contour node
@@ -155,7 +155,8 @@ def _read_field_csv(path: Path, grid: LogGrid, cs, max_modes: int) -> RadialFiel
             raise ConfigError(f"field file {path} holds a non-finite value in mode {mode}")
         if len(taus) != grid.points or not np.allclose(taus, grid.tau, atol=1e-10):
             raise ConfigError(f"field file {path} does not match the config grid")
-        field.values[labels.index(mode)] = re + 1j * im
+        row = field.values[labels.index(mode)]
+        row.real, row.imag = re, im           # keeps the sign of a zero
     return field
 
 
@@ -275,10 +276,11 @@ def cmd_fit_tip(args) -> int:
     return 0
 
 
-def _shifted_mode_operator(cfg: dict, n_samples: int):
+def _shifted_mode_operator(cfg: dict):
     """(M, theta, c, report): M = c - L for the config's first mode, c from the shift ladder.
 
-    The ladder probes the sector of angle `powers.theta` with n_samples per ray.
+    The ladder probes the sector of angle `powers.theta` with `powers.samples`
+    per ray; `powers` and `sectorial-probe` both take this one probe.
     """
     blk = cfg.get("powers", {})
     cs = cross_section_from_config(cfg["cross_section"])
@@ -287,7 +289,7 @@ def _shifted_mode_operator(cfg: dict, n_samples: int):
                                cfg.get("heat", {}).get("outer_bc", "neumann"))
     theta = float(blk.get("theta", 0.75 * math.pi))
     shift, report = find_sectorial_shift(L, theta, c0=float(blk.get("shift0", 1.0)),
-                                         n_samples=n_samples)
+                                         n_samples=int(blk.get("samples", 200)))
     return (-L).shifted(shift), theta, shift, report
 
 
@@ -297,14 +299,11 @@ def cmd_powers(args) -> int:
     path = output_path(args.out, cfg.get("output_dir"), "powers.json")
     blk = cfg.get("powers", {})
     z = complex(float(blk.get("z_re", -0.5)), float(blk.get("z_im", 0.0)))
-    # K only sizes the Dunford tail bound here: 60 samples per ray
-    M, theta, shift, sect = _shifted_mode_operator(cfg, n_samples=60)
+    M, theta, shift, sect = _shifted_mode_operator(cfg)
     method, gate = power_route(M)
     power = None
-    if method == "spectral":
-        power = complex_power(M, z)
-    elif M.dim <= _DENSE_LIMIT:
-        power = complex_power(M, z, contour=default_contour(M, theta, sectorial_bound=sect.K))
+    if method == "spectral" or M.dim <= _DENSE_LIMIT:
+        power = complex_power(M, z, contour=ContourSpec(theta=theta, sectorial_bound=sect.K))
     prov = power.provenance if power is not None else {}
     contour = prov.get("contour")
     report = {
@@ -331,8 +330,7 @@ def cmd_sectorial_probe(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     path = output_path(args.out, cfg.get("output_dir"), "sectorial.json")
-    n_samples = int(cfg.get("powers", {}).get("samples", 200))
-    _M, theta, shift, report = _shifted_mode_operator(cfg, n_samples=n_samples)
+    _M, theta, shift, report = _shifted_mode_operator(cfg)
     payload = {
         "theta": theta, "shift": shift, "K": report.K,
         "min_abs_eig": report.min_abs_eig,

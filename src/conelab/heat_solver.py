@@ -88,6 +88,8 @@ def assemble_mode_operator(n: int, eigenvalue, grid: LogGrid, outer_bc: str) -> 
     condition (zero row for dirichlet so the boundary value is frozen,
     mirror ghost for neumann).
     """
+    if outer_bc not in ("dirichlet", "neumann"):
+        raise ConfigError(f"unknown outer boundary condition {outer_bc!r}")
     J = grid.points
     h = grid.h
     lam = float(eigenvalue)
@@ -180,13 +182,9 @@ def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
     if n_steps % every:
         steps.append(n_steps)
         states.append(final)
-    times = [0.0]
-    fields = [u0.copy()]
-    for s, values in zip(steps, states):
-        f = u0.copy()
-        f.values = values
-        times.append(s * cfg.dt)
-        fields.append(f)
+    times = [0.0] + [s * cfg.dt for s in steps]
+    fields = [u0.copy()] + [RadialField(u0.grid, u0.modes, values, u0.n, u0.vol)
+                            for values in states]
     return HeatTrajectory(times=times, fields=fields, config=cfg)
 
 

@@ -93,7 +93,6 @@ class RadialField:
     values: np.ndarray           # shape (n_modes, points), complex
     n: int = 1                   # cross-section dimension
     vol: float = 1.0             # cross-section volume
-    cutoff: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -102,8 +101,6 @@ class RadialField:
                               f"({len(self.modes)}, {self.grid.points})")
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("field contains non-finite values")
-        if self.cutoff is None:
-            self.cutoff = smooth_cutoff(self.grid.x)
 
     @staticmethod
     def zeros(grid: LogGrid, cs: CrossSection, max_modes: int) -> "RadialField":
@@ -118,17 +115,7 @@ class RadialField:
         raise ConfigError(f"unknown mode {label!r}")
 
     def copy(self) -> "RadialField":
-        return RadialField(self.grid, self.modes, self.values.copy(), self.n, self.vol,
-                           None if self.cutoff is None else self.cutoff.copy())
-
-    def resample(self, grid: LogGrid) -> "RadialField":
-        """Linear interpolation in tau; zero extension beyond the old span."""
-        old, new = self.grid.tau, grid.tau
-        vals = np.zeros((len(self.modes), grid.points), complex)
-        for i in range(len(self.modes)):
-            vals[i] = np.interp(new, old, self.values[i].real, left=0.0, right=0.0) \
-                + 1j * np.interp(new, old, self.values[i].imag, left=0.0, right=0.0)
-        return RadialField(grid, self.modes, vals, self.n, self.vol)
+        return RadialField(self.grid, self.modes, self.values.copy(), self.n, self.vol)
 
 
 def dtau(values: np.ndarray, h: float) -> np.ndarray:
@@ -166,9 +153,8 @@ def mellin_norm(u: RadialField, s: int, gamma: float, p: float = 2.0) -> float:
 
     n = u.n
     h = u.grid.h
-    x = u.grid.x
     weight = np.exp(((n + 1) / 2.0 - gamma) * u.grid.tau)
-    omega = u.cutoff
+    omega = smooth_cutoff(u.grid.x)
     total = 0.0
     for i, mode in enumerate(u.modes):
         lam = abs(float(mode.eigenvalue))

@@ -146,12 +146,12 @@ class OperatorMatrix:
     def inv_norm2_estimate(self, lams) -> tuple[np.ndarray, int, int]:
         """||(M+lam)^-1||_2 for each shift in lams: power iteration on the normal equations.
 
-        All shifts iterate in lockstep from the same seeded start vector: two
-        batched solves per iteration, with (M+lam)^-1 and then its adjoint.
-        The loop stops once every shift's sigma (the estimate of the squared
-        norm) changes by less than _STOP_TOL relative between iterations,
-        and after _NORM_ITERS iterations at the latest. Power iteration
-        approaches the norm from below.
+        Every shift iterates from the same seeded start vector: two batched
+        solves per iteration, with (M+lam)^-1 and then its adjoint. A shift
+        leaves the batch once its sigma (the estimate of the squared norm)
+        changes by less than _STOP_TOL relative between iterations, and the
+        loop ends when no shift is left or after _NORM_ITERS iterations.
+        Power iteration approaches the norm from below.
 
         Returns (norms, iterations, unconverged): the estimates in the order
         of lams, the iterations run, and how many shifts still missed the
@@ -169,23 +169,25 @@ class OperatorMatrix:
         dlh[1:] = np.conj(du[:-1])
         duh = np.zeros_like(du)
         duh[:-1] = np.conj(dl[1:])
-        D = d + lams[:, None]
-        bands = (np.broadcast_to(dl, D.shape), D, np.broadcast_to(du, D.shape))
-        adjoint = (np.broadcast_to(dlh, D.shape), np.conj(D), np.broadcast_to(duh, D.shape))
         rng = np.random.default_rng(_NORM_SEED)
         v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         v = np.tile(v / np.linalg.norm(v), (len(lams), 1))
         sigma = np.zeros(len(lams))
-        moving = np.ones(len(lams), dtype=bool)
+        live = np.arange(len(lams))           # shifts still in the batch
+        D = d + lams[:, None]
         it = 0
-        while it < _NORM_ITERS and moving.any():
+        while it < _NORM_ITERS and live.size:
             it += 1
-            w = thomas_batch(*adjoint, thomas_batch(*bands, v))
+            shape = D.shape
+            w = thomas_batch(np.broadcast_to(dlh, shape), np.conj(D), np.broadcast_to(duh, shape),
+                             thomas_batch(np.broadcast_to(dl, shape), D,
+                                          np.broadcast_to(du, shape), v))
             nw = np.linalg.norm(w, axis=1)
             bad = ~np.isfinite(nw) | (nw == 0)
             if bad.any():
                 raise NumericalError("resolvent norm estimate failed at "
-                                     f"lam={lams[np.argmax(bad)]}")
-            moving = np.abs(nw - sigma) >= _STOP_TOL * nw
-            sigma, v = nw, w / nw[:, None]
-        return np.sqrt(sigma), it, int(moving.sum())
+                                     f"lam={lams[live[np.argmax(bad)]]}")
+            moving = np.abs(nw - sigma[live]) >= _STOP_TOL * nw
+            sigma[live] = nw
+            live, D, v = live[moving], D[moving], w[moving] / nw[moving, None]
+        return np.sqrt(sigma), it, live.size

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -45,28 +44,30 @@ _BLOWUP_RATIO = 5.0
 
 @dataclass(frozen=True)
 class ContourSpec:
-    rho: float                   # circle radius, below min |spectrum|
+    rho: float | None = None     # circle radius; None: half the smallest |eigenvalue|
     theta: float = 0.75 * math.pi
     n_quad: int = 64             # Gauss-Legendre points per segment
-    r_max: float | None = None   # ray truncation; None derives it from tol_tail
     tol_tail: float = 1e-10
     sectorial_bound: float = 10.0  # K used in the analytic tail bound
 
     def __post_init__(self):
         if not 0.0 < self.theta < math.pi:
             raise ConfigError("contour angle must lie in (0, pi)")
-        if self.rho < 0:
+        if self.rho is not None and self.rho < 0:
             raise ConfigError("contour radius must be >= 0")
-        if self.r_max is not None and self.r_max <= self.rho:
-            raise ConfigError("r_max must exceed the circle radius")
 
     def ray_end(self, z: complex) -> tuple[float, float]:
-        """(r_max, tail): where the rays stop for the power z, and the analytic tail bound there."""
+        """(r_max, tail): where the rays stop for the power z, and the analytic tail bound there.
+
+        r_max puts the tail at tol_tail, kept within [10 max(rho, 1), 1e300];
+        near Re z = 0 the ceiling leaves the tail above the tolerance.
+        """
         rez = z.real
-        r_max = self.r_max
-        if r_max is None:
+        try:
             r_max = (self.tol_tail * math.pi * (-rez) / self.sectorial_bound) ** (1.0 / rez)
-            r_max = min(max(r_max, 10.0 * max(self.rho, 1.0)), 1e300)
+        except OverflowError:
+            r_max = math.inf
+        r_max = min(max(r_max, 10.0 * max(self.rho, 1.0)), 1e300)
         return r_max, self.sectorial_bound / math.pi * r_max ** rez / (-rez)
 
 
@@ -140,15 +141,6 @@ def find_sectorial_shift(L: OperatorMatrix, theta: float, c0: float = 1.0, *,
 
 # -- Dunford complex powers -------------------------------------------------
 
-def default_contour(M: OperatorMatrix, theta: float = 0.75 * math.pi,
-                    sectorial_bound: float = 10.0) -> ContourSpec:
-    """Circle radius at half the closest eigenvalue; r_max from the tail bound."""
-    min_eig = float(np.min(np.abs(M.eigenvalues())))
-    if min_eig <= 0:
-        raise NotSectorialError("operator has (numerically) zero eigenvalue")
-    return ContourSpec(rho=0.5 * min_eig, theta=theta, sectorial_bound=sectorial_bound)
-
-
 def _contour_nodes(contour: ContourSpec, z: complex):
     """Quadrature nodes/weights for (1/2 pi i) * integral over the keyhole.
 
@@ -189,11 +181,18 @@ def _neglam_pow(lam, z: complex):
 def _dunford(M: OperatorMatrix, z: complex, v, contour: ContourSpec | None):
     """The Dunford node loop: (A^z v, contour, tail bound, node count) for Re z < 0.
 
-    v is a vector (dim,) or a block of columns (dim, k). Nodes are solved
-    in chunks of at most _RESOLVENT_ENTRIES resolvent entries, so memory
-    stays bounded whatever the node count.
+    v is a vector (dim,) or a block of columns (dim, k). contour None means
+    ContourSpec(); a contour without rho gets half the smallest |eigenvalue|
+    of M, and the returned contour carries it. Nodes are solved in chunks of
+    at most _RESOLVENT_ENTRIES resolvent entries, so memory stays bounded
+    whatever the node count.
     """
-    contour = contour or default_contour(M)
+    contour = contour or ContourSpec()
+    if contour.rho is None:
+        min_eig = float(np.min(np.abs(M.eigenvalues())))
+        if min_eig <= 0:
+            raise NotSectorialError("operator has (numerically) zero eigenvalue")
+        contour = replace(contour, rho=0.5 * min_eig)
     lams, weights, tail = _contour_nodes(contour, z)
     if tail > 10.0 * contour.tol_tail:
         raise NumericalError(f"ray truncation tail bound {tail:.2e} above tolerance; "
@@ -243,7 +242,7 @@ def power_route(M: OperatorMatrix) -> tuple[str, float | None]:
 
 
 def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None,
-                  contour: ContourSpec | Callable[[OperatorMatrix], ContourSpec] | None = None):
+                  contour: ContourSpec | None = None):
     """M^z as a dense OperatorMatrix (v None), or M^z v; spectral where the gate allows.
 
     Spectral route: M = D^-1 S D with S real symmetric tridiagonal, so
@@ -254,14 +253,12 @@ def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None,
     dunford_apply for a vector, with Re z >= 0 split into an integer part
     applied directly and a remainder with Re w in [-1, 0]. The matrix's
     provenance records "method" and "gate" (see power_route); the spectral
-    route has tail_bound 0.0 and no contour. A contour given as a function
-    of M is built only on the Dunford route.
+    route has tail_bound 0.0 and no contour. A contour without rho has its
+    radius set from M's spectrum only on the Dunford route.
     """
     z = complex(z)
     method, gate = power_route(M)
     if method == "dunford":
-        if callable(contour):
-            contour = contour(M)
         if v is None:
             power = dunford_power(M, z, contour)
             power.provenance.update(method=method, gate=gate)
@@ -326,7 +323,7 @@ class PowerProbeReport:
 
 
 def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProbeReport:
-    """Verdict on membership of a term/field in D(M^z) for the shifted realization.
+    """Verdict on membership of a term, or a function of x, in D(M^z) for the shifted realization.
 
     Levels extend the grid toward the tip (tau_min doubles, spacing fixed)
     and evaluate the weighted base-space norm of M^z applied to the sampled
@@ -345,12 +342,7 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
     mode = next((m for m in cs.mode_table(64) if m.label == probe.mode_label), None)
     if mode is None:
         raise ConfigError(f"unknown probe mode {probe.mode_label!r}")
-
-    def contour(M):
-        # the spectral route needs none, so the spectrum is computed only for Dunford
-        min_eig = float(np.min(np.abs(M.eigenvalues())))
-        return ContourSpec(rho=0.5 * min(probe.shift, min_eig), n_quad=probe.n_quad)
-
+    contour = ContourSpec(n_quad=probe.n_quad)
     norms = []
     grids = []
     grid = LogGrid(probe.tau_min, probe.points)
@@ -359,10 +351,8 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
              ).shifted(probe.shift)
         if isinstance(target, AsymptoticsTerm):
             vals = target.evaluate(grid.x)
-        elif callable(target):
-            vals = np.asarray(target(grid.x), dtype=complex)
         else:
-            vals = target.resample(grid).values[target.mode_index(probe.mode_label)]
+            vals = np.asarray(target(grid.x), dtype=complex)
         w = complex_power(M, z, vals, contour)
         f = RadialField(grid, (mode,), w[None, :], n=cs.n, vol=cs.vol)
         norms.append(mellin_norm(f, s=0, gamma=probe.gamma))

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conelab
 from conelab.cli import _read_field_csv, _write_field_csv, main
 from conelab.cone_geometry import CrossSection
 from conelab.config import fmt
@@ -281,6 +283,18 @@ def test_field_csv_block_writer_bytes_equal_the_per_value_writer(tmp_path):
         assert got.read_bytes() == want.read_bytes()
 
 
+def test_field_csv_round_trip_keeps_negative_zeros(tmp_path):
+    f = _field(4)
+    f.values[1, :4] = [complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.0),
+                       complex(2.0, -0.0)]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    _write_field_csv(first, f)
+    back = _read_field_csv(first, GRID, CIRCLE, 2)
+    _write_field_csv(second, back)
+    assert second.read_bytes() == first.read_bytes()
+    assert np.array_equal(np.signbit(back.values.imag[1, :4]), [True, True, False, True])
+
+
 def test_field_csv_missing_modes_read_as_zero(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("tau,mode,re,im\r\n")
@@ -463,6 +477,37 @@ def test_powers_command_contour_takes_the_configured_angle(tmp_path):
     assert abs(payload["power_norm"] - want) <= 1e-10 * want
 
 
+def test_powers_and_sectorial_probe_share_one_probe(cfg_path, tmp_path):
+    sect, powers = tmp_path / "sect.json", tmp_path / "powers.json"
+    assert main(["sectorial-probe", "--config", str(cfg_path), "--out", str(sect)]) == 0
+    assert main(["powers", "--config", str(cfg_path), "--out", str(powers)]) == 0
+    a, b = json.loads(sect.read_text()), json.loads(powers.read_text())
+    assert len(a["samples"]) == 601                     # powers.samples defaults to 200
+    assert (a["shift"], a["K"], a["min_abs_eig"]) == (b["shift"], b["sectorial_K"],
+                                                      b["min_abs_eig"])
+
+
+def test_powers_command_ray_end_overflow_exit_3(tmp_path, capsys):
+    # Re z = -0.01: the ray end that meets the tail tolerance overflows a float
+    cfg = dict(CIRCLE_CFG, grid={"tau_min": -4.0, "points": 33},
+               heat={"outer_bc": "dirichlet"}, powers={"z_re": -0.01})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "powers.json"
+    assert main(["powers", "--config", str(p), "--out", str(out)]) == 3
+    assert "numerical failure: ray truncation tail bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["powers", "sectorial-probe"])
+def test_unknown_outer_bc_exit_2(cmd, tmp_path, capsys):
+    cfg = dict(CIRCLE_CFG, heat={"outer_bc": "robin"})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main([cmd, "--config", str(p), "--out", str(tmp_path / "out.json")]) == 2
+    assert "config error: unknown outer boundary condition 'robin'" in capsys.readouterr().err
+
+
 def test_powers_command_reports_no_contour_when_skipped(tmp_path):
     # 769 points at tau_min -16 fail the gate and exceed the dense limit (700)
     cfg = dict(CIRCLE_CFG, grid={"tau_min": -16.0, "points": 769})
@@ -510,7 +555,10 @@ def test_verify_unknown_suite_exit_2(suite, unknown, capsys):
 
 def test_entrypoint_subprocess(cfg_path, tmp_path):
     out = tmp_path / "p.csv"
+    # the child finds the package where this process found it, PYTHONPATH set or not
+    src = str(Path(conelab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "conelab.cli", "poles",
                            "--config", str(cfg_path), "--out", str(out)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and out.exists()

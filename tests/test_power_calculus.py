@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from conelab import operators, power_calculus
+from conelab._kernels import thomas_batch
 from conelab.asymptotics import AsymptoticsTerm
 from conelab.cone_geometry import CrossSection
-from conelab.errors import ConfigError, NotSectorialError
+from conelab.errors import ConfigError, NotSectorialError, NumericalError
 from conelab.heat_solver import assemble_mode_operator
 from conelab.mellin_sobolev import LogGrid
 from conelab.operators import OperatorMatrix
@@ -172,6 +173,13 @@ def test_power_domain_probe_unknown_mode():
         power_domain_probe(AsymptoticsTerm(QRat(0), 0, "k=0"), 0.5, pc)
 
 
+def test_power_domain_probe_unknown_outer_bc():
+    pc = PowerProbeConfig(cross_section=CIRCLE, mode_label="k=0", gamma=-0.5, shift=1.0,
+                          outer_bc="robin")
+    with pytest.raises(ConfigError, match="robin"):
+        power_domain_probe(AsymptoticsTerm(QRat(0), 0, "k=0"), 0.5, pc)
+
+
 def test_dunford_rejects_nonnegative_exponent():
     M = OperatorMatrix.dense([[2.0]])
     with pytest.raises(ConfigError):
@@ -179,10 +187,29 @@ def test_dunford_rejects_nonnegative_exponent():
 
 
 def test_tail_bound_guard():
+    # at Re z = -0.01 the ray end that meets tol_tail overflows a float; it
+    # stops at the 1e300 ceiling, where the tail bound misses the tolerance
     M = OperatorMatrix.dense([[2.0]])
-    contour = ContourSpec(rho=1.0, r_max=10.0, tol_tail=1e-10)
-    with pytest.raises(Exception):
-        dunford_power(M, -0.2, contour)
+    contour = ContourSpec(rho=1.0, tol_tail=1e-10)
+    assert contour.ray_end(-0.01 + 0j)[0] == 1e300
+    with pytest.raises(NumericalError, match="tail bound"):
+        dunford_power(M, -0.01, contour)
+    # the Dunford remainder of z = 0.99 is -0.01
+    M = (-assemble_mode_operator(1, 0, LogGrid(-4.0, 33), "dirichlet")).shifted(1.0)
+    with pytest.raises(NumericalError, match="tail bound"):
+        complex_power(M, 0.99, np.ones(33))
+
+
+def test_contour_without_rho_takes_half_the_smallest_eigenvalue():
+    M = (-assemble_mode_operator(1, 0, LogGrid(-4.0, 33), "dirichlet")).shifted(1.0)
+    z = -0.5 + 0.2j
+    P = complex_power(M, z, contour=ContourSpec(n_quad=48))
+    assert P.provenance["method"] == "dunford"
+    assert P.provenance["contour"].rho == 0.5 * float(np.min(np.abs(M.eigenvalues())))
+    want = eig_power_oracle(M, z)
+    assert np.max(np.abs(P.data - want)) <= 1e-8 * np.max(np.abs(want))
+    with pytest.raises(NotSectorialError, match="zero eigenvalue"):
+        dunford_power(OperatorMatrix.dense(np.diag([0.0, 1.0])), -0.5)
 
 
 def _shifted_mode(J):
@@ -231,6 +258,43 @@ def test_batched_inv_norm_matches_scalar_calls_and_svd(J, monkeypatch):
     exact = np.array([1.0 / np.linalg.svd(A + lam * np.eye(J), compute_uv=False)[-1]
                       for lam in lams])
     assert np.all(norms >= 0.98 * exact) and np.all(norms <= exact * (1 + 1e-12))
+
+
+def _lockstep_inv_norm(M, lams):
+    """The resolvent-norm estimate with every shift iterated until all pass the stopping test."""
+    lams = np.asarray(lams, dtype=complex)
+    dl, d, du = M.data
+    dlh = np.zeros_like(dl)
+    dlh[1:] = np.conj(du[:-1])
+    duh = np.zeros_like(du)
+    duh[:-1] = np.conj(dl[1:])
+    D = d + lams[:, None]
+    bands = (np.broadcast_to(dl, D.shape), D, np.broadcast_to(du, D.shape))
+    adjoint = (np.broadcast_to(dlh, D.shape), np.conj(D), np.broadcast_to(duh, D.shape))
+    rng = np.random.default_rng(operators._NORM_SEED)
+    v = rng.standard_normal(M.dim) + 1j * rng.standard_normal(M.dim)
+    v = np.tile(v / np.linalg.norm(v), (len(lams), 1))
+    sigma = np.zeros(len(lams))
+    moving = np.ones(len(lams), dtype=bool)
+    it = 0
+    while it < operators._NORM_ITERS and moving.any():
+        it += 1
+        w = thomas_batch(*adjoint, thomas_batch(*bands, v))
+        nw = np.linalg.norm(w, axis=1)
+        moving = np.abs(nw - sigma) >= operators._STOP_TOL * nw
+        sigma, v = nw, w / nw[:, None]
+    return np.sqrt(sigma), it, int(moving.sum())
+
+
+@pytest.mark.parametrize("n_samples", [10, 200])
+def test_deflated_inv_norm_matches_lockstep(n_samples):
+    M = (-assemble_mode_operator(1, 0, LogGrid(-6.0, 129), "neumann")).shifted(1.0)
+    lams = _sector_samples(0.75 * math.pi, n_samples, 1e6)
+    norms, iterations, unconverged = M.inv_norm2_estimate(lams)
+    want, want_iterations, want_unconverged = _lockstep_inv_norm(M, lams)
+    assert np.max(np.abs(norms - want) / want) <= 1e-12
+    assert (iterations, unconverged) == (want_iterations, want_unconverged)
+    assert 0 < unconverged < len(lams)       # samples left the batch at different times
 
 
 def test_inv_norm_stops_when_converged():
