@@ -28,10 +28,10 @@ from .mellin_sobolev import LogGrid, RadialField, mellin_norm
 from .rational import root_to_complex
 from .symbol_algebra import pole_set_power
 from .heat_solver import HeatConfig, assemble_mode_operator, solve_heat
-from .power_calculus import ContourSpec, complex_power, find_sectorial_shift, power_route
+from .power_calculus import complex_power, find_sectorial_shift, power_route
 from .tip_analysis import fit_tip_series
 
-# largest operator whose Dunford power `powers` forms: J unit columns per contour node
+# largest operator whose quadrature power `powers` forms: J unit columns per node
 _DENSE_LIMIT = 700
 
 
@@ -303,19 +303,14 @@ def cmd_powers(args) -> int:
     method, gate = power_route(M)
     power = None
     if method == "spectral" or M.dim <= _DENSE_LIMIT:
-        power = complex_power(M, z, contour=ContourSpec(theta=theta, sectorial_bound=sect.K))
+        power = complex_power(M, z)
     prov = power.provenance if power is not None else {}
-    contour = prov.get("contour")
     report = {
         "z": [z.real, z.imag], "shift": shift, "theta": theta,
         "sectorial_K": sect.K,
         "min_abs_eig": sect.min_abs_eig,
         "method": method, "gate": gate,
-        "quadrature": {"n_quad": contour.n_quad, "tol_tail": contour.tol_tail,
-                       "rho": contour.rho, "theta": contour.theta,
-                       "sectorial_bound": contour.sectorial_bound,
-                       "nodes": prov["nodes"], "r_max": prov["r_max"]}
-        if contour is not None else None,
+        "nodes": prov.get("nodes"),
         "power_norm": float(np.linalg.norm(power.data, 2)) if power is not None else None,
         "tail_bound": prov.get("tail_bound"),
     }

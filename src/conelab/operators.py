@@ -65,11 +65,13 @@ class OperatorMatrix:
         return a
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        """M v for a vector (dim,) or a block of columns (dim, k)."""
         v = np.asarray(v, dtype=complex)
         if self.kind == "dense":
             return self.data @ v
-        dl, d, du = self.data
-        return tridiag_matvec(dl[None, :], d[None, :], du[None, :], v[None, :])[0]
+        cols = v.reshape(self.dim, -1).T
+        bands = (np.broadcast_to(b, cols.shape) for b in self.data)
+        return tridiag_matvec(*bands, cols).T.reshape(v.shape)
 
     def shifted(self, c: complex) -> "OperatorMatrix":
         """M + c*I with provenance recording the shift."""

@@ -1,12 +1,12 @@
 """Sectoriality probes and complex powers.
 
 Operators here are finite-dimensional stand-ins (discretized per-mode radial
-operators or plain matrices). complex_power takes the exact spectral route
-for a mode operator whose symmetric form passes the conditioning gate, and
-the Dunford integral otherwise. The Dunford integral runs over the keyhole
-contour: in along the lower ray arg(-theta), around the circle of radius
-rho through the negative axis, out along arg(+theta); the branch of
-(-lambda)^z is the principal one, cut along the positive real axis.
+operators or plain matrices). complex_power forms M^z exactly from the
+spectrum while the conditioning gate passes, takes the real-spectrum
+quadrature for every other operator with a symmetric form, and the keyhole
+Dunford integral for the rest: in along the lower ray arg(-theta), around
+the circle of radius rho through the negative axis, out along arg(+theta);
+the branch of (-lambda)^z is the principal one, cut along the positive real axis.
 """
 
 from __future__ import annotations
@@ -17,18 +17,27 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import ellipj, ellipk, ellipkm1
 
 from .errors import ConfigError, NotSectorialError, NumericalError
 from .operators import OperatorMatrix
 
-# conditioning gate of the spectral route: eps * max|mu| / min|mu| of the
+# conditioning gate of spectral forming: eps * max|mu| / min|mu| of the
 # symmetric form; above it the eigenvectors lose too many digits to the
 # band range (probe norms go O(1) wrong at 641 points, tau_min -16)
 _SPECTRAL_GATE = 1e-3
 
-# memory bound of the Dunford node loop: complex entries of resolvent columns
-# held for one chunk of contour nodes (2**16 entries, 1 MiB)
-_RESOLVENT_ENTRIES = 1 << 16
+# a priori error bound the real-spectrum quadrature picks its node count for
+_QUAD_TOL = 1e-12
+
+# keyhole contour: ray angle, ray tail tolerance, and the K of its tail bound
+_THETA = 0.75 * math.pi
+_TOL_TAIL = 1e-10
+_SECTORIAL_BOUND = 10.0
+
+# memory bound of the node loop: complex entries of resolvent columns held
+# for one chunk of nodes (2**12 entries, 64 KiB)
+_RESOLVENT_ENTRIES = 1 << 12
 
 # largest |lambda| the sectorial probe samples on each ray
 _LAM_MAX = 1e6
@@ -45,30 +54,11 @@ _BLOWUP_RATIO = 5.0
 @dataclass(frozen=True)
 class ContourSpec:
     rho: float | None = None     # circle radius; None: half the smallest |eigenvalue|
-    theta: float = 0.75 * math.pi
     n_quad: int = 64             # Gauss-Legendre points per segment
-    tol_tail: float = 1e-10
-    sectorial_bound: float = 10.0  # K used in the analytic tail bound
 
     def __post_init__(self):
-        if not 0.0 < self.theta < math.pi:
-            raise ConfigError("contour angle must lie in (0, pi)")
         if self.rho is not None and self.rho < 0:
             raise ConfigError("contour radius must be >= 0")
-
-    def ray_end(self, z: complex) -> tuple[float, float]:
-        """(r_max, tail): where the rays stop for the power z, and the analytic tail bound there.
-
-        r_max puts the tail at tol_tail, kept within [10 max(rho, 1), 1e300];
-        near Re z = 0 the ceiling leaves the tail above the tolerance.
-        """
-        rez = z.real
-        try:
-            r_max = (self.tol_tail * math.pi * (-rez) / self.sectorial_bound) ** (1.0 / rez)
-        except OverflowError:
-            r_max = math.inf
-        r_max = min(max(r_max, 10.0 * max(self.rho, 1.0)), 1e300)
-        return r_max, self.sectorial_bound / math.pi * r_max ** rez / (-rez)
 
 
 @dataclass
@@ -139,18 +129,24 @@ def find_sectorial_shift(L: OperatorMatrix, theta: float, c0: float = 1.0, *,
     raise NotSectorialError(f"no sectorial shift found on the ladder up to c={c}")
 
 
-# -- Dunford complex powers -------------------------------------------------
+# -- complex powers ---------------------------------------------------------
 
 def _contour_nodes(contour: ContourSpec, z: complex):
     """Quadrature nodes/weights for (1/2 pi i) * integral over the keyhole.
 
     Returns (lams, weights) with the 1/(2 pi i) factor and the orientation
-    folded into the weights, plus the reported analytic tail bound.
+    folded into the weights, plus the analytic tail bound at the ray end r_max,
+    which meets _TOL_TAIL within [10 max(rho, 1), 1e300] (not near Re z = 0).
     """
     if z.real >= 0:
         raise ConfigError("Dunford quadrature needs Re z < 0")
-    rho, theta = contour.rho, contour.theta
-    r_max, tail = contour.ray_end(z)
+    rho, theta, rez = contour.rho, _THETA, z.real
+    try:
+        r_max = (_TOL_TAIL * math.pi * (-rez) / _SECTORIAL_BOUND) ** (1.0 / rez)
+    except OverflowError:
+        r_max = math.inf
+    r_max = min(max(r_max, 10.0 * max(rho, 1.0)), 1e300)
+    tail = _SECTORIAL_BOUND / math.pi * r_max ** rez / (-rez)
     xg, wg = leggauss(contour.n_quad)
     # circle arc, traversed from 2pi-theta down to theta (through the cut-free
     # negative axis): contributes minus the increasing-angle integral
@@ -178,14 +174,56 @@ def _neglam_pow(lam, z: complex):
     return np.exp(z * np.log(-lam))
 
 
-def _dunford(M: OperatorMatrix, z: complex, v, contour: ContourSpec | None):
-    """The Dunford node loop: (A^z v, contour, tail bound, node count) for Re z < 0.
+def _real_spectrum_nodes(lo: float, hi: float, z: complex):
+    """Nodes/weights for A^z with spec(A) in [lo, hi], 0 < lo < hi, -1 <= Re z < 0.
 
-    v is a vector (dim,) or a block of columns (dim, k). contour None means
-    ContourSpec(); a contour without rho gets half the smallest |eigenvalue|
-    of M, and the returned contour carries it. Nodes are solved in chunks of
-    at most _RESOLVENT_ENTRIES resolvent entries, so memory stays bounded
-    whatever the node count.
+    Hale, Higham & Trefethen (SIAM J. Numer. Anal. 46, 2008), method 2: the
+    Dunford integral in w = sqrt(lambda) over the image of the line
+    Im t = K'/2 under w = (lo hi)^(1/4) (1/k + sn t) / (1/k - sn t), by the
+    trapezoid rule on 2N nodes. N is the least with the a priori bound
+    exp(-2 pi^2 N / (log(hi/lo) + 6)) at most _QUAD_TOL. sn, cn and dn of
+    the complex nodes come from real ellipj by Abramowitz & Stegun 16.21.
+    Returns (lams, weights, bound) in the form of _contour_nodes.
+    """
+    q = (hi / lo) ** 0.25
+    k, p = (q - 1.0) / (q + 1.0), 4.0 * q / (q + 1.0) ** 2     # p = 1 - k^2
+    K, Kp = ellipkm1(p), ellipk(p)
+    rate = 2.0 * math.pi ** 2 / (math.log(hi / lo) + 6.0)
+    n = math.ceil(math.log(1.0 / _QUAD_TOL) / rate)
+    h = 2.0 * K / n
+    s, c, d, _ = ellipj(-K + (np.arange(2 * n) + 0.5) * h, k * k)
+    s1, c1, d1, _ = ellipj(0.5 * Kp, p)
+    den = c1 * c1 + k * k * (s * s1) ** 2
+    sn = (s * d1 + 1j * c * d * s1 * c1) / den
+    cn = (c * c1 - 1j * s * d * s1 * d1) / den
+    dn = (d * c1 * d1 - 1j * k * k * s * c * s1) / den
+    w = (lo * hi) ** 0.25 * (1.0 / k + sn) / (1.0 / k - sn)
+    dw = (lo * hi) ** 0.25 * (2.0 / k) * cn * dn / (1.0 / k - sn) ** 2
+    # lambda = w^2 gives (1/pi i) * integral of w^(2z+1) (w^2 - A)^-1 dw; the
+    # nodes run clockwise, which turns (w^2 - A)^-1 into (A - w^2)^-1
+    weights = h / (math.pi * 1j) * np.exp((2.0 * z + 1.0) * np.log(w)) * dw
+    return -w * w, weights, math.exp(-rate * n)
+
+
+def _node_sum(M: OperatorMatrix, lams, weights, v) -> np.ndarray:
+    """sum_j weights[j] (M + lams[j])^-1 v for v (dim,) or (dim, k): both quadratures' node loop.
+
+    Nodes are solved in chunks of at most _RESOLVENT_ENTRIES resolvent entries.
+    """
+    v = np.asarray(v, dtype=complex)
+    acc = np.zeros(v.shape, dtype=complex)
+    step = max(1, _RESOLVENT_ENTRIES // v.size)
+    for s in range(0, len(lams), step):
+        acc += np.tensordot(weights[s:s + step],
+                            M.solve_shifted_batch(lams[s:s + step], v), axes=1)
+    return acc
+
+
+def _dunford(M: OperatorMatrix, z: complex, v, contour: ContourSpec | None):
+    """The keyhole: (A^z v, contour, tail bound, node count) for Re z < 0.
+
+    contour None means ContourSpec(); a contour without rho gets half the
+    smallest |eigenvalue| of M, and the returned contour carries it.
     """
     contour = contour or ContourSpec()
     if contour.rho is None:
@@ -194,16 +232,10 @@ def _dunford(M: OperatorMatrix, z: complex, v, contour: ContourSpec | None):
             raise NotSectorialError("operator has (numerically) zero eigenvalue")
         contour = replace(contour, rho=0.5 * min_eig)
     lams, weights, tail = _contour_nodes(contour, z)
-    if tail > 10.0 * contour.tol_tail:
+    if tail > 10.0 * _TOL_TAIL:
         raise NumericalError(f"ray truncation tail bound {tail:.2e} above tolerance; "
                              "increase R_max")
-    v = np.asarray(v, dtype=complex)
-    acc = np.zeros(v.shape, dtype=complex)
-    step = max(1, _RESOLVENT_ENTRIES // v.size)
-    for s in range(0, len(lams), step):
-        acc += np.tensordot(weights[s:s + step],
-                            M.solve_shifted_batch(lams[s:s + step], v), axes=1)
-    return acc, contour, tail, len(lams)
+    return _node_sum(M, lams, weights, v), contour, tail, len(lams)
 
 
 def dunford_apply(M: OperatorMatrix, z: complex, v: np.ndarray,
@@ -213,7 +245,7 @@ def dunford_apply(M: OperatorMatrix, z: complex, v: np.ndarray,
 
 
 def dunford_power(M: OperatorMatrix, z: complex, contour: ContourSpec | None = None) -> OperatorMatrix:
-    """A^z for Re z < 0: the Dunford node loop on the identity.
+    """A^z for Re z < 0: the keyhole node loop on the identity.
 
     Dense result; the tail bound of the ray truncation is recorded in the
     provenance and must sit below the contour tolerance.
@@ -221,67 +253,71 @@ def dunford_power(M: OperatorMatrix, z: complex, contour: ContourSpec | None = N
     z = complex(z)
     acc, contour, tail, nodes = _dunford(M, z, np.eye(M.dim), contour)
     return OperatorMatrix.dense(acc, z=z, contour=contour, tail_bound=tail, nodes=nodes,
-                                r_max=contour.ray_end(z)[0], base=M.provenance)
+                                base=M.provenance)
+
+
+def _route(M: OperatorMatrix, forming: bool):
+    """(method, gate, spectrum) of complex_power (see power_route); an apply has no gate."""
+    form = M._symmetric_form()
+    mu = None if form is None else M.eigenvalues()
+    if mu is None or not forming or form[2] is None:
+        return ("dunford" if mu is None else "quadrature"), None, mu
+    amu = np.abs(mu)
+    gate = float(np.finfo(float).eps * amu.max() / amu.min()) if amu.min() > 0 else math.inf
+    return ("spectral" if gate <= _SPECTRAL_GATE else "quadrature"), gate, mu
 
 
 def power_route(M: OperatorMatrix) -> tuple[str, float | None]:
-    """The route complex_power takes for M, 'spectral' or 'dunford', and its gate value.
+    """The route by which complex_power forms M^z, and its gate value.
 
-    The gate value is eps * max|mu| / min|mu| over the eigenvalues of M's
-    symmetric form; the spectral route needs it at or below _SPECTRAL_GATE.
-    An operator without a similarity to a symmetric form (dense storage,
-    complex bands, a negative or zero product dl[j+1]*du[j]) has no gate
-    value (None) and goes to Dunford.
+    'spectral' needs M = D^-1 S D (see OperatorMatrix._symmetric_form) with
+    the gate value eps * max|mu| / min|mu| over the eigenvalues of S at or
+    below _SPECTRAL_GATE; a symmetric form above the gate, or one without
+    the similarity D (a zero band product, as the frozen Dirichlet row;
+    gate None), takes 'quadrature'. An operator without a symmetric form
+    (dense storage, complex bands, a negative product dl[j+1]*du[j]) takes
+    'dunford', gate None.
     """
-    form = M._symmetric_form()
-    if form is None or form[2] is None:
-        return "dunford", None
-    mu = np.abs(M.eigenvalues())
-    gate = float(np.finfo(float).eps * mu.max() / mu.min()) if mu.min() > 0 else math.inf
-    return ("spectral" if gate <= _SPECTRAL_GATE else "dunford"), gate
+    return _route(M, True)[:2]
 
 
-def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None,
-                  contour: ContourSpec | None = None):
-    """M^z as a dense OperatorMatrix (v None), or M^z v; spectral where the gate allows.
+def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None):
+    """M^z as a dense OperatorMatrix (v None), or M^z v; the routes are power_route's.
 
-    Spectral route: M = D^-1 S D with S real symmetric tridiagonal, so
-    M^z = D^-1 V diag(mu^z) V^T D from eigh_tridiagonal(S) = (mu, V). It is
-    exact for every z, purely imaginary z included; the contour is unused.
-    Every other operator, and a symmetric form whose eps*kappa exceeds
-    _SPECTRAL_GATE, takes Dunford: dunford_power for the matrix (Re z < 0),
-    dunford_apply for a vector, with Re z >= 0 split into an integer part
-    applied directly and a remainder with Re w in [-1, 0]. The matrix's
-    provenance records "method" and "gate" (see power_route); the spectral
-    route has tail_bound 0.0 and no contour. A contour without rho has its
-    radius set from M's spectrum only on the Dunford route.
+    Spectral forming: M^z = D^-1 V diag(mu^z) V^T D from eigh_tridiagonal(S).
+    The quadrature (every apply with a symmetric form too) runs on
+    [min mu / 2, Gershgorin bound of S], the keyhole on the default contour,
+    both after an integer part m of z is applied by m products (or -m solves),
+    leaving Re in [-1, 0); forming applies this to the identity. Provenance:
+    "method", "gate", "nodes" and "tail_bound", the error bound (0.0 spectral).
     """
     z = complex(z)
-    method, gate = power_route(M)
-    if method == "dunford":
-        if v is None:
-            power = dunford_power(M, z, contour)
-            power.provenance.update(method=method, gate=gate)
-            return power
-        m_int = max(1, math.ceil(z.real)) if z.real >= 0 else 0   # Re(z - m_int) <= 0
-        out = np.asarray(v, dtype=complex)
-        if z != m_int:
-            out = dunford_apply(M, z - m_int, out, contour)
-        for _ in range(m_int):
-            out = M.matvec(out)
-        return out
-    from scipy.linalg import eigh_tridiagonal
-    d, e, log_delta = M._symmetric_form()
-    mu, V = eigh_tridiagonal(d, e)
-    if mu[0] <= 0:
+    method, gate, mu = _route(M, v is None)
+    if mu is not None and mu[0] <= 0:
         raise NotSectorialError(f"eigenvalue {mu[0]} on the branch cut of M^z")
-    pz = np.exp(z * np.log(mu))
-    if v is None:
-        P = (V * pz) @ V.T * np.exp(log_delta[None, :] - log_delta[:, None])
-        return OperatorMatrix.dense(P, z=z, method=method, gate=gate, contour=None,
-                                    tail_bound=0.0, base=M.provenance)
-    delta = np.exp(log_delta)
-    return V @ (pz * (V.T @ (delta * np.asarray(v, dtype=complex)))) / delta
+    if method == "spectral":
+        from scipy.linalg import eigh_tridiagonal
+        d, e, log_delta = M._symmetric_form()
+        mu, V = eigh_tridiagonal(d, e)
+        P = (V * np.exp(z * np.log(mu))) @ V.T * np.exp(log_delta[None, :] - log_delta[:, None])
+        return OperatorMatrix.dense(P, z=z, method=method, gate=gate, tail_bound=0.0,
+                                    nodes=0, base=M.provenance)
+    m = int(z.real) if z.imag == 0 and z.real.is_integer() else math.floor(z.real) + 1
+    out = np.eye(M.dim, dtype=complex) if v is None else np.asarray(v, dtype=complex)
+    for _ in range(abs(m)):
+        out = M.matvec(out) if m > 0 else M.solve_shifted_batch([0.0], out)[0]
+    tail, nodes = 0.0, 0
+    if z != m and method == "quadrature":
+        d, e, _ = M._symmetric_form()
+        hi = float(np.max(d + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])))
+        lams, weights, tail = _real_spectrum_nodes(0.5 * mu[0], hi, z - m)
+        out, nodes = _node_sum(M, lams, weights, out), len(lams)
+    elif z != m:
+        out, _contour, tail, nodes = _dunford(M, z - m, out, None)
+    if v is not None:
+        return out
+    return OperatorMatrix.dense(out, z=z, method=method, gate=gate, tail_bound=tail,
+                                nodes=nodes, base=M.provenance)
 
 
 def eig_power_oracle(M: OperatorMatrix, z: complex) -> np.ndarray:
@@ -308,7 +344,7 @@ class PowerProbeConfig:
     tau_min: float = -3.0
     points: int = 161
     levels: int = 3
-    n_quad: int = 48
+    n_quad: int = 48             # unused: the quadrature picks its node count
 
 
 @dataclass
@@ -342,7 +378,6 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
     mode = next((m for m in cs.mode_table(64) if m.label == probe.mode_label), None)
     if mode is None:
         raise ConfigError(f"unknown probe mode {probe.mode_label!r}")
-    contour = ContourSpec(n_quad=probe.n_quad)
     norms = []
     grids = []
     grid = LogGrid(probe.tau_min, probe.points)
@@ -353,7 +388,7 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
             vals = target.evaluate(grid.x)
         else:
             vals = np.asarray(target(grid.x), dtype=complex)
-        w = complex_power(M, z, vals, contour)
+        w = complex_power(M, z, vals)
         f = RadialField(grid, (mode,), w[None, :], n=cs.n, vol=cs.vol)
         norms.append(mellin_norm(f, s=0, gamma=probe.gamma))
         grids.append((grid.tau_min, grid.points))

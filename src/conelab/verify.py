@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import AsymptoticsTerm, apply_operator_power, enumerate_asymptotics
-from .cone_geometry import CrossSection, bessel_order, weight_window
+from .cone_geometry import CrossSection, indicial_roots_closed_form, weight_window
 from .errors import ConelabError, ConfigError
 from .heat_solver import (HeatConfig, assemble_mode_operator,
                           bessel_series_solution, relative_l2_error, solve_heat)
@@ -75,11 +75,8 @@ def _closed_form_poles(cs: CrossSection, gamma: Fraction, max_modes: int):
     right = Fraction(cs.n + 1, 2) - gamma
     out = {}
     for mode in cs.mode_table(max_modes):
-        nu = bessel_order(cs.n, mode.eigenvalue)
-        half = Fraction(cs.n - 1, 2)
-        roots = [half - nu, half + nu] if nu != 0 else [half, half]
         keep = {}
-        for r in roots:
+        for r in indicial_roots_closed_form(cs.n, mode.eigenvalue):
             rf = float(r)
             if float(left) - 1e-12 <= rf < float(right) - 1e-12:
                 key = min(keep, key=lambda k: abs(k - rf), default=None)

@@ -437,44 +437,40 @@ def test_powers_command(cfg_path, tmp_path):
     # 129 points at tau_min -6: the symmetric form passes the gate, exact route
     assert payload["method"] == "spectral"
     assert 0.0 < payload["gate"] <= 1e-3
-    assert payload["tail_bound"] == 0.0 and payload["quadrature"] is None
+    assert payload["tail_bound"] == 0.0 and payload["nodes"] == 0
+    assert "quadrature" not in payload
     want = _oracle_power_norm(payload, 1, 0, LogGrid(-6.0, 129), "neumann")
     assert abs(payload["power_norm"] - want) <= 1e-10 * want
 
 
-def test_powers_command_dunford_route(tmp_path):
-    # the frozen Dirichlet row has a zero band product: no symmetric form
+def _dirichlet_powers(tmp_path, **powers):
+    # the frozen Dirichlet row has a zero band product: a symmetric form
+    # without the similarity, so no spectral forming
     cfg = dict(CIRCLE_CFG, grid={"tau_min": -4.0, "points": 33},
-               heat={"outer_bc": "dirichlet"})
+               heat={"outer_bc": "dirichlet"}, powers=powers)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "powers.json"
     assert main(["powers", "--config", str(p), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["method"] == "dunford" and payload["gate"] is None
-    assert payload["tail_bound"] < 1e-9
-    quad = payload["quadrature"]
-    assert quad["n_quad"] == 64 and quad["tol_tail"] == 1e-10
-    assert quad["theta"] == pytest.approx(0.75 * math.pi)
-    assert 0.0 < quad["rho"] < payload["min_abs_eig"]
-    assert quad["sectorial_bound"] == payload["sectorial_K"]
-    assert quad["nodes"] > 0 and quad["r_max"] > quad["rho"]
+    assert payload["method"] == "quadrature" and payload["gate"] is None
+    assert payload["nodes"] > 0 and 0.0 < payload["tail_bound"] <= 1e-12
     want = _oracle_power_norm(payload, 1, 0, LogGrid(-4.0, 33), "dirichlet")
     assert abs(payload["power_norm"] - want) <= 1e-10 * want
+    return payload
 
 
-def test_powers_command_contour_takes_the_configured_angle(tmp_path):
-    cfg = dict(CIRCLE_CFG, grid={"tau_min": -4.0, "points": 33},
-               heat={"outer_bc": "dirichlet"}, powers={"theta": math.pi / 2})
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(cfg))
-    out = tmp_path / "powers.json"
-    assert main(["powers", "--config", str(p), "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["method"] == "dunford" and payload["theta"] == math.pi / 2
-    assert payload["quadrature"]["theta"] == payload["theta"]
-    want = _oracle_power_norm(payload, 1, 0, LogGrid(-4.0, 33), "dirichlet")
-    assert abs(payload["power_norm"] - want) <= 1e-10 * want
+def test_powers_command_quadrature_route(tmp_path):
+    payload = _dirichlet_powers(tmp_path)
+    assert "quadrature" not in payload
+
+
+def test_powers_command_power_ignores_the_probe_angle(tmp_path):
+    # powers.theta is the sector of the probe; the quadrature has no angle
+    a = _dirichlet_powers(tmp_path, theta=math.pi / 2)
+    b = _dirichlet_powers(tmp_path)
+    assert a["theta"] == math.pi / 2 and b["theta"] == pytest.approx(0.75 * math.pi)
+    assert a["power_norm"] == b["power_norm"] and a["nodes"] == b["nodes"]
 
 
 def test_powers_and_sectorial_probe_share_one_probe(cfg_path, tmp_path):
@@ -487,16 +483,14 @@ def test_powers_and_sectorial_probe_share_one_probe(cfg_path, tmp_path):
                                                       b["min_abs_eig"])
 
 
-def test_powers_command_ray_end_overflow_exit_3(tmp_path, capsys):
-    # Re z = -0.01: the ray end that meets the tail tolerance overflows a float
-    cfg = dict(CIRCLE_CFG, grid={"tau_min": -4.0, "points": 33},
-               heat={"outer_bc": "dirichlet"}, powers={"z_re": -0.01})
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(cfg))
-    out = tmp_path / "powers.json"
-    assert main(["powers", "--config", str(p), "--out", str(out)]) == 3
-    assert "numerical failure: ray truncation tail bound" in capsys.readouterr().err
-    assert not out.exists()
+def test_powers_command_power_near_zero_exit_0(tmp_path):
+    # Re z = -0.01: the keyhole's ray end overflowed here; the quadrature has none
+    _dirichlet_powers(tmp_path, z_re=-0.01)
+
+
+def test_powers_command_positive_power_on_dirichlet(tmp_path):
+    # the integer part of z = 0.5 is applied to the identity, as in an apply
+    _dirichlet_powers(tmp_path, z_re=0.5)
 
 
 @pytest.mark.parametrize("cmd", ["powers", "sectorial-probe"])
@@ -516,8 +510,9 @@ def test_powers_command_reports_no_contour_when_skipped(tmp_path):
     out = tmp_path / "powers.json"
     assert main(["powers", "--config", str(p), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["method"] == "dunford" and payload["gate"] > 1e-3
-    assert payload["quadrature"] is None and payload["power_norm"] is None
+    assert payload["method"] == "quadrature" and payload["gate"] > 1e-3
+    assert payload["nodes"] is None and payload["power_norm"] is None
+    assert payload["tail_bound"] is None
 
 
 @pytest.mark.parametrize("cmd", ["poles", "asymptotics", "powers", "sectorial-probe",

@@ -16,8 +16,8 @@ from conelab.operators import OperatorMatrix
 from conelab.power_calculus import (ContourSpec, PowerProbeConfig, complex_power,
                                     dunford_apply, dunford_power, eig_power_oracle,
                                     find_sectorial_shift,
-                                    _contour_nodes, _sector_samples, power_domain_probe,
-                                    power_route, sectorial_probe)
+                                    _contour_nodes, _real_spectrum_nodes, _sector_samples,
+                                    power_domain_probe, power_route, sectorial_probe)
 from conelab.rational import QRat
 
 CIRCLE = CrossSection.circle(length_over_pi=2)
@@ -187,24 +187,19 @@ def test_dunford_rejects_nonnegative_exponent():
 
 
 def test_tail_bound_guard():
-    # at Re z = -0.01 the ray end that meets tol_tail overflows a float; it
-    # stops at the 1e300 ceiling, where the tail bound misses the tolerance
+    # at Re z = -0.01 the ray end that meets the tail tolerance overflows a
+    # float; it stops at the 1e300 ceiling, where the tail bound misses it
     M = OperatorMatrix.dense([[2.0]])
-    contour = ContourSpec(rho=1.0, tol_tail=1e-10)
-    assert contour.ray_end(-0.01 + 0j)[0] == 1e300
+    contour = ContourSpec(rho=1.0)
+    assert _contour_nodes(contour, -0.01 + 0j)[2] > 10.0 * power_calculus._TOL_TAIL
     with pytest.raises(NumericalError, match="tail bound"):
         dunford_power(M, -0.01, contour)
-    # the Dunford remainder of z = 0.99 is -0.01
-    M = (-assemble_mode_operator(1, 0, LogGrid(-4.0, 33), "dirichlet")).shifted(1.0)
-    with pytest.raises(NumericalError, match="tail bound"):
-        complex_power(M, 0.99, np.ones(33))
 
 
 def test_contour_without_rho_takes_half_the_smallest_eigenvalue():
     M = (-assemble_mode_operator(1, 0, LogGrid(-4.0, 33), "dirichlet")).shifted(1.0)
     z = -0.5 + 0.2j
-    P = complex_power(M, z, contour=ContourSpec(n_quad=48))
-    assert P.provenance["method"] == "dunford"
+    P = dunford_power(M, z, ContourSpec(n_quad=48))
     assert P.provenance["contour"].rho == 0.5 * float(np.min(np.abs(M.eigenvalues())))
     want = eig_power_oracle(M, z)
     assert np.max(np.abs(P.data - want)) <= 1e-8 * np.max(np.abs(want))
@@ -338,7 +333,7 @@ def test_tridiagonal_power_chunks_match_dense_route():
     assert np.max(np.abs(tri - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
-@pytest.mark.parametrize("z", [-0.5 + 0.2j, 0.5, 0.9, 0.5j])
+@pytest.mark.parametrize("z", [-0.5 + 0.2j, 0.5, 0.9, 0.5j, 1 + 0.5j, 2 + 0.3j])
 @pytest.mark.parametrize("n, eigenvalue", [(1, 0), (1, -1), (2, 0), (2, -2)],
                          ids=["n1-k0", "n1-k+1", "n2-k0", "n2-k+1"])
 def test_spectral_power_matches_oracle(n, eigenvalue, z):
@@ -349,24 +344,92 @@ def test_spectral_power_matches_oracle(n, eigenvalue, z):
     assert P.provenance["method"] == "spectral" and P.provenance["tail_bound"] == 0.0
     want = eig_power_oracle(M, z)
     assert np.max(np.abs(P.data - want)) <= 1e-10 * np.max(np.abs(want))
+    # every apply takes the quadrature: on the identity it forms the same matrix
+    Q = complex_power(M, z, np.eye(33))
+    assert np.max(np.abs(Q - P.data)) <= 1e-10 * np.max(np.abs(P.data))
     v = np.linspace(1.0, 2.0, 33)
     got = complex_power(M, z, v)
     assert np.max(np.abs(got - want @ v)) <= 1e-10 * np.max(np.abs(want @ v))
 
 
-def test_badly_conditioned_and_dirichlet_operators_take_dunford():
+def _dirichlet_mode(J):
+    return (-assemble_mode_operator(1, 0, LogGrid(-4.0, J), "dirichlet")).shifted(1.0)
+
+
+def test_badly_conditioned_and_dirichlet_operators_take_quadrature():
     M = (-assemble_mode_operator(1, 0, LogGrid(-16.0, 641), "neumann")).shifted(1.0)
     method, gate = power_route(M)
-    assert method == "dunford" and gate > 1e-3
-    M = (-assemble_mode_operator(1, 0, LogGrid(-4.0, 33), "dirichlet")).shifted(1.0)
-    assert power_route(M) == ("dunford", None)
+    assert method == "quadrature" and gate > 1e-3
+    M = _dirichlet_mode(33)
+    assert power_route(M) == ("quadrature", None)
     P = complex_power(M, -0.5 + 0.2j)
-    assert P.provenance["method"] == "dunford" and P.provenance["nodes"] > 0
+    assert P.provenance["method"] == "quadrature" and P.provenance["nodes"] > 0
+    assert 0.0 < P.provenance["tail_bound"] <= power_calculus._QUAD_TOL
     want = eig_power_oracle(M, -0.5 + 0.2j)
-    assert np.max(np.abs(P.data - want)) <= 1e-8 * np.max(np.abs(want))
+    assert np.max(np.abs(P.data - want)) <= 1e-10 * np.max(np.abs(want))
     v = np.linspace(1.0, 2.0, 33)
     assert np.max(np.abs(complex_power(M, 0.5, v) - eig_power_oracle(M, 0.5) @ v)) \
-        <= 1e-7 * np.max(np.abs(v))
+        <= 1e-10 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("z", [-0.5 + 0.2j, 0.5, 0.99, 0.5j, 1 + 0.5j, 2 + 0.3j,
+                               -1.5 + 0.2j, -2.0])
+def test_quadrature_matches_the_dirichlet_oracle(z):
+    # an integer part of z leaves a remainder with Re in [-1, 0), never Re 0
+    M = _dirichlet_mode(33)
+    want = eig_power_oracle(M, z)
+    P = complex_power(M, z)
+    assert P.provenance["method"] == "quadrature"
+    assert np.max(np.abs(P.data - want)) <= 1e-10 * np.max(np.abs(want))
+    v = np.linspace(1.0, 2.0, 33)
+    got = complex_power(M, z, v)
+    assert np.max(np.abs(got - want @ v)) <= 1e-10 * np.max(np.abs(want @ v))
+
+
+@pytest.mark.parametrize("label, eigenvalue", [("k=0", 0), ("k=+1", -1)])
+def test_quadrature_matches_a_tight_keyhole_past_the_gate(label, eigenvalue, monkeypatch):
+    grid = LogGrid(-16.0, 641)
+    M = (-assemble_mode_operator(1, eigenvalue, grid, "neumann")).shifted(1.0)
+    assert power_route(M)[0] == "quadrature"
+    v = np.ones(641) if label == "k=0" else 1.0 / grid.x
+    z = -0.5 + 0.2j
+    got = complex_power(M, z, v)
+    monkeypatch.setattr(power_calculus, "_SECTORIAL_BOUND", 1e9)
+    monkeypatch.setattr(power_calculus, "_TOL_TAIL", 1e-14)
+    want = dunford_apply(M, z, v)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("z", [-0.5, -0.1, -0.01, -0.99, -0.5 + 0.3j, -1 + 0.5j])
+def test_real_spectrum_nodes_reproduce_scalar_powers(z):
+    lams, weights, bound = _real_spectrum_nodes(1.0, 4.5e17, complex(z))
+    assert bound <= power_calculus._QUAD_TOL and len(lams) == len(weights)
+    a = np.geomspace(1.0, 4.5e17, 200)
+    got = np.sum(weights / (a[:, None] + lams), axis=1)
+    assert np.max(np.abs(got - a ** z) / np.abs(a ** z)) <= 5e-11
+
+
+@pytest.mark.parametrize("make, v, route", [
+    (lambda: _dirichlet_mode(33), None, "quadrature"),
+    (lambda: (-assemble_mode_operator(1, 0, LogGrid(-16.0, 161), "neumann")).shifted(1.0),
+     None, "quadrature"),
+    (lambda: _shifted_mode(33), None, "spectral"),
+    (lambda: _shifted_mode(33), np.ones(33), "quadrature"),
+], ids=["dirichlet", "gated-out", "spectral", "apply"])
+def test_one_spectrum_per_call(make, v, route, monkeypatch):
+    M = make()
+    calls = []
+    eigenvalues = OperatorMatrix.eigenvalues
+
+    def counted(self):
+        calls.append(self.dim)
+        return eigenvalues(self)
+
+    monkeypatch.setattr(OperatorMatrix, "eigenvalues", counted)
+    out = complex_power(M, 0.5 + 0.1j, v)
+    assert len(calls) == 1
+    if v is None:
+        assert out.provenance["method"] == route
 
 
 def test_spectral_power_rejects_eigenvalue_on_the_cut():
