@@ -22,7 +22,7 @@ from ._kernels import backend_name
 from .asymptotics import AsymptoticsBasis, AsymptoticsTerm, build_realization, domain_membership
 from .config import (cross_section_from_config, fmt, gamma_from_config,
                      grid_from_config, load_config, operator_from_config,
-                     output_path)
+                     output_path, powers_from_config)
 from .errors import ConelabError, ConfigError
 from .mellin_sobolev import LogGrid, RadialField, mellin_norm
 from .rational import root_to_complex
@@ -282,14 +282,12 @@ def _shifted_mode_operator(cfg: dict):
     The ladder probes the sector of angle `powers.theta` with `powers.samples`
     per ray; `powers` and `sectorial-probe` both take this one probe.
     """
-    blk = cfg.get("powers", {})
+    _z, theta, shift0, samples = powers_from_config(cfg)
     cs = cross_section_from_config(cfg["cross_section"])
     mode = cs.mode_table(int(cfg.get("operator", {}).get("max_modes", 1)))[0]
     L = assemble_mode_operator(cs.n, mode.eigenvalue, grid_from_config(cfg),
                                cfg.get("heat", {}).get("outer_bc", "neumann"))
-    theta = float(blk.get("theta", 0.75 * math.pi))
-    shift, report = find_sectorial_shift(L, theta, c0=float(blk.get("shift0", 1.0)),
-                                         n_samples=int(blk.get("samples", 200)))
+    shift, report = find_sectorial_shift(L, theta, c0=shift0, n_samples=samples)
     return (-L).shifted(shift), theta, shift, report
 
 
@@ -297,14 +295,13 @@ def cmd_powers(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     path = output_path(args.out, cfg.get("output_dir"), "powers.json")
-    blk = cfg.get("powers", {})
-    z = complex(float(blk.get("z_re", -0.5)), float(blk.get("z_im", 0.0)))
+    z = powers_from_config(cfg)[0]
     M, theta, shift, sect = _shifted_mode_operator(cfg)
-    method, gate = power_route(M)
-    power = None
-    if method == "spectral" or M.dim <= _DENSE_LIMIT:
-        power = complex_power(M, z)
+    # at or below the dense limit every route forms, and the power records its route
+    route = power_route(M) if M.dim > _DENSE_LIMIT else None
+    power = complex_power(M, z) if route is None or route[0] == "spectral" else None
     prov = power.provenance if power is not None else {}
+    method, gate = route or (prov["method"], prov["gate"])
     report = {
         "z": [z.real, z.imag], "shift": shift, "theta": theta,
         "sectorial_K": sect.K,

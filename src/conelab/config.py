@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -68,6 +69,27 @@ def operator_from_config(cfg: dict, cs: CrossSection) -> ConeOperatorSpec:
 def grid_from_config(cfg: dict) -> LogGrid:
     block = cfg.get("grid", {})
     return LogGrid(float(block.get("tau_min", -8.0)), int(block.get("points", 513)))
+
+
+def powers_from_config(cfg: dict) -> tuple[complex, float, float, int]:
+    """(z, theta, shift0, samples) of the `powers` block; a bad value is a ConfigError naming its key."""
+    blk = cfg.get("powers", {})
+
+    def value(key, default, ok, need):
+        try:
+            v = float(blk.get(key, default))
+        except (TypeError, ValueError):
+            v = math.nan
+        if not ok(v):
+            raise ConfigError(f"powers.{key} must be {need}, got {blk[key]!r}")
+        return v
+
+    z = complex(value("z_re", -0.5, math.isfinite, "finite"),
+                value("z_im", 0.0, math.isfinite, "finite"))
+    theta = value("theta", 0.75 * math.pi, lambda v: 0.0 <= v < math.pi, "in [0, pi)")
+    shift0 = value("shift0", 1.0, lambda v: 0.0 < v < math.inf, "finite and > 0")
+    samples = value("samples", 200, lambda v: v >= 1 and v.is_integer(), "a whole number >= 1")
+    return z, theta, shift0, int(samples)
 
 
 def gamma_from_config(cfg: dict, cs: CrossSection, require_window: bool = False):

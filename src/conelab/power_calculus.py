@@ -2,21 +2,18 @@
 
 Operators here are finite-dimensional stand-ins (discretized per-mode radial
 operators or plain matrices). complex_power forms M^z exactly from the
-spectrum while the conditioning gate passes, takes the real-spectrum
-quadrature for every other operator with a symmetric form, and the keyhole
-Dunford integral for the rest: in along the lower ray arg(-theta), around
-the circle of radius rho through the negative axis, out along arg(+theta);
-the branch of (-lambda)^z is the principal one, cut along the positive real axis.
+spectrum while the conditioning gate passes, and by the real-spectrum
+quadrature of Hale, Higham & Trefethen otherwise. Both need a real positive
+spectrum; mu^z is the principal branch, cut along the negative real axis.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import ellipj, ellipk, ellipkm1
 
 from .errors import ConfigError, NotSectorialError, NumericalError
@@ -30,10 +27,8 @@ _SPECTRAL_GATE = 1e-3
 # a priori error bound the real-spectrum quadrature picks its node count for
 _QUAD_TOL = 1e-12
 
-# keyhole contour: ray angle, ray tail tolerance, and the K of its tail bound
-_THETA = 0.75 * math.pi
-_TOL_TAIL = 1e-10
-_SECTORIAL_BOUND = 10.0
+# an eigenvalue counts as real when |Im mu| is at most this times max|mu|
+_REAL_TOL = 1e-10
 
 # memory bound of the node loop: complex entries of resolvent columns held
 # for one chunk of nodes (2**12 entries, 64 KiB)
@@ -49,16 +44,6 @@ _MAX_DOUBLINGS = 24
 # first mean membership, at or above the second non-membership
 _STABILIZE_RATIO = 1.2
 _BLOWUP_RATIO = 5.0
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    rho: float | None = None     # circle radius; None: half the smallest |eigenvalue|
-    n_quad: int = 64             # Gauss-Legendre points per segment
-
-    def __post_init__(self):
-        if self.rho is not None and self.rho < 0:
-            raise ConfigError("contour radius must be >= 0")
 
 
 @dataclass
@@ -131,49 +116,6 @@ def find_sectorial_shift(L: OperatorMatrix, theta: float, c0: float = 1.0, *,
 
 # -- complex powers ---------------------------------------------------------
 
-def _contour_nodes(contour: ContourSpec, z: complex):
-    """Quadrature nodes/weights for (1/2 pi i) * integral over the keyhole.
-
-    Returns (lams, weights) with the 1/(2 pi i) factor and the orientation
-    folded into the weights, plus the analytic tail bound at the ray end r_max,
-    which meets _TOL_TAIL within [10 max(rho, 1), 1e300] (not near Re z = 0).
-    """
-    if z.real >= 0:
-        raise ConfigError("Dunford quadrature needs Re z < 0")
-    rho, theta, rez = contour.rho, _THETA, z.real
-    try:
-        r_max = (_TOL_TAIL * math.pi * (-rez) / _SECTORIAL_BOUND) ** (1.0 / rez)
-    except OverflowError:
-        r_max = math.inf
-    r_max = min(max(r_max, 10.0 * max(rho, 1.0)), 1e300)
-    tail = _SECTORIAL_BOUND / math.pi * r_max ** rez / (-rez)
-    xg, wg = leggauss(contour.n_quad)
-    # circle arc, traversed from 2pi-theta down to theta (through the cut-free
-    # negative axis): contributes minus the increasing-angle integral
-    a, b = theta, 2.0 * math.pi - theta
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    arc = rho * np.exp(1j * (mid + half * xg))
-    arc_w = -wg * half * 1j * arc * _neglam_pow(arc, z)
-    # rays, integrated in log r segment by segment (one per decade); nodes
-    # run segment by segment, then Gauss point, then upper/lower ray
-    n_dec = max(1, int(math.ceil(math.log10(max(r_max / max(rho, 1e-300), 10.0)))))
-    logs = np.log(np.geomspace(max(rho, 1e-300), r_max, n_dec + 1))
-    smid, shalf = 0.5 * (logs[:-1] + logs[1:]), 0.5 * (logs[1:] - logs[:-1])
-    r = np.exp(smid[:, None] + shalf[:, None] * xg)[..., None]
-    sgn = np.array([1.0, -1.0])
-    ray = np.exp(sgn * 1j * theta)
-    lam = r * ray
-    # dr = r ds; ray direction e^{sgn i theta}; lower ray reversed
-    ray_w = sgn * wg[:, None] * shalf[:, None, None] * r * ray * _neglam_pow(lam, z)
-    scale = 1.0 / (2.0j * math.pi)
-    return (np.concatenate([arc, lam.ravel()]),
-            scale * np.concatenate([arc_w, ray_w.ravel()]), tail)
-
-
-def _neglam_pow(lam, z: complex):
-    return np.exp(z * np.log(-lam))
-
-
 def _real_spectrum_nodes(lo: float, hi: float, z: complex):
     """Nodes/weights for A^z with spec(A) in [lo, hi], 0 < lo < hi, -1 <= Re z < 0.
 
@@ -183,7 +125,8 @@ def _real_spectrum_nodes(lo: float, hi: float, z: complex):
     trapezoid rule on 2N nodes. N is the least with the a priori bound
     exp(-2 pi^2 N / (log(hi/lo) + 6)) at most _QUAD_TOL. sn, cn and dn of
     the complex nodes come from real ellipj by Abramowitz & Stegun 16.21.
-    Returns (lams, weights, bound) in the form of _contour_nodes.
+    Returns (lams, weights, bound): sum_j weights[j] (A + lams[j])^-1
+    approximates A^z within the a priori bound.
     """
     q = (hi / lo) ** 0.25
     k, p = (q - 1.0) / (q + 1.0), 4.0 * q / (q + 1.0) ** 2     # p = 1 - k^2
@@ -205,66 +148,15 @@ def _real_spectrum_nodes(lo: float, hi: float, z: complex):
     return -w * w, weights, math.exp(-rate * n)
 
 
-def _node_sum(M: OperatorMatrix, lams, weights, v) -> np.ndarray:
-    """sum_j weights[j] (M + lams[j])^-1 v for v (dim,) or (dim, k): both quadratures' node loop.
-
-    Nodes are solved in chunks of at most _RESOLVENT_ENTRIES resolvent entries.
-    """
-    v = np.asarray(v, dtype=complex)
-    acc = np.zeros(v.shape, dtype=complex)
-    step = max(1, _RESOLVENT_ENTRIES // v.size)
-    for s in range(0, len(lams), step):
-        acc += np.tensordot(weights[s:s + step],
-                            M.solve_shifted_batch(lams[s:s + step], v), axes=1)
-    return acc
-
-
-def _dunford(M: OperatorMatrix, z: complex, v, contour: ContourSpec | None):
-    """The keyhole: (A^z v, contour, tail bound, node count) for Re z < 0.
-
-    contour None means ContourSpec(); a contour without rho gets half the
-    smallest |eigenvalue| of M, and the returned contour carries it.
-    """
-    contour = contour or ContourSpec()
-    if contour.rho is None:
-        min_eig = float(np.min(np.abs(M.eigenvalues())))
-        if min_eig <= 0:
-            raise NotSectorialError("operator has (numerically) zero eigenvalue")
-        contour = replace(contour, rho=0.5 * min_eig)
-    lams, weights, tail = _contour_nodes(contour, z)
-    if tail > 10.0 * _TOL_TAIL:
-        raise NumericalError(f"ray truncation tail bound {tail:.2e} above tolerance; "
-                             "increase R_max")
-    return _node_sum(M, lams, weights, v), contour, tail, len(lams)
-
-
-def dunford_apply(M: OperatorMatrix, z: complex, v: np.ndarray,
-                  contour: ContourSpec | None = None) -> np.ndarray:
-    """A^z v for Re z < 0 without forming the matrix; v is a vector or a block of columns."""
-    return _dunford(M, complex(z), v, contour)[0]
-
-
-def dunford_power(M: OperatorMatrix, z: complex, contour: ContourSpec | None = None) -> OperatorMatrix:
-    """A^z for Re z < 0: the keyhole node loop on the identity.
-
-    Dense result; the tail bound of the ray truncation is recorded in the
-    provenance and must sit below the contour tolerance.
-    """
-    z = complex(z)
-    acc, contour, tail, nodes = _dunford(M, z, np.eye(M.dim), contour)
-    return OperatorMatrix.dense(acc, z=z, contour=contour, tail_bound=tail, nodes=nodes,
-                                base=M.provenance)
-
-
 def _route(M: OperatorMatrix, forming: bool):
-    """(method, gate, spectrum) of complex_power (see power_route); an apply has no gate."""
+    """(method, gate, spectrum, symmetric form) of complex_power; an apply has no gate."""
     form = M._symmetric_form()
-    mu = None if form is None else M.eigenvalues()
-    if mu is None or not forming or form[2] is None:
-        return ("dunford" if mu is None else "quadrature"), None, mu
+    mu = M.eigenvalues()
+    if form is None or form[2] is None or not forming:
+        return "quadrature", None, mu, form
     amu = np.abs(mu)
     gate = float(np.finfo(float).eps * amu.max() / amu.min()) if amu.min() > 0 else math.inf
-    return ("spectral" if gate <= _SPECTRAL_GATE else "quadrature"), gate, mu
+    return ("spectral" if gate <= _SPECTRAL_GATE else "quadrature"), gate, mu, form
 
 
 def power_route(M: OperatorMatrix) -> tuple[str, float | None]:
@@ -272,11 +164,11 @@ def power_route(M: OperatorMatrix) -> tuple[str, float | None]:
 
     'spectral' needs M = D^-1 S D (see OperatorMatrix._symmetric_form) with
     the gate value eps * max|mu| / min|mu| over the eigenvalues of S at or
-    below _SPECTRAL_GATE; a symmetric form above the gate, or one without
-    the similarity D (a zero band product, as the frozen Dirichlet row;
-    gate None), takes 'quadrature'. An operator without a symmetric form
-    (dense storage, complex bands, a negative product dl[j+1]*du[j]) takes
-    'dunford', gate None.
+    below _SPECTRAL_GATE. Every other operator takes 'quadrature': a
+    symmetric form above the gate, one without the similarity D (a zero
+    band product, as the frozen Dirichlet row; gate None), and one without
+    a symmetric form (dense storage, complex bands, a negative product
+    dl[j+1]*du[j]; gate None).
     """
     return _route(M, True)[:2]
 
@@ -284,20 +176,27 @@ def power_route(M: OperatorMatrix) -> tuple[str, float | None]:
 def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None):
     """M^z as a dense OperatorMatrix (v None), or M^z v; the routes are power_route's.
 
-    Spectral forming: M^z = D^-1 V diag(mu^z) V^T D from eigh_tridiagonal(S).
-    The quadrature (every apply with a symmetric form too) runs on
-    [min mu / 2, Gershgorin bound of S], the keyhole on the default contour,
-    both after an integer part m of z is applied by m products (or -m solves),
-    leaving Re in [-1, 0); forming applies this to the identity. Provenance:
-    "method", "gate", "nodes" and "tail_bound", the error bound (0.0 spectral).
+    An eigenvalue with |Im mu| above _REAL_TOL * max|mu|, or a real one
+    <= 0, raises NotSectorialError. Spectral forming: M^z = D^-1 V
+    diag(mu^z) V^T D from eigh_tridiagonal(S). The quadrature (every apply
+    too) runs on [min mu / 2, hi], hi the Gershgorin bound of S or, without
+    a symmetric form, the inf-norm of M, after an integer part m of z is
+    applied by m products (or -m solves), leaving Re in [-1, 0); forming
+    applies this to the identity. Its nodes are solved in chunks of at most
+    _RESOLVENT_ENTRIES resolvent entries. Provenance: "method", "gate",
+    "nodes" and "tail_bound", the error bound (0.0 spectral).
     """
     z = complex(z)
-    method, gate, mu = _route(M, v is None)
-    if mu is not None and mu[0] <= 0:
+    method, gate, mu, form = _route(M, v is None)
+    i = int(np.argmax(np.abs(mu.imag)))
+    if abs(mu.imag[i]) > _REAL_TOL * np.max(np.abs(mu)):
+        raise NotSectorialError(f"eigenvalue {mu[i]} off the real axis: no real spectrum")
+    mu = np.sort(mu.real)
+    if mu[0] <= 0:
         raise NotSectorialError(f"eigenvalue {mu[0]} on the branch cut of M^z")
     if method == "spectral":
         from scipy.linalg import eigh_tridiagonal
-        d, e, log_delta = M._symmetric_form()
+        d, e, log_delta = form
         mu, V = eigh_tridiagonal(d, e)
         P = (V * np.exp(z * np.log(mu))) @ V.T * np.exp(log_delta[None, :] - log_delta[:, None])
         return OperatorMatrix.dense(P, z=z, method=method, gate=gate, tail_bound=0.0,
@@ -307,13 +206,18 @@ def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None):
     for _ in range(abs(m)):
         out = M.matvec(out) if m > 0 else M.solve_shifted_batch([0.0], out)[0]
     tail, nodes = 0.0, 0
-    if z != m and method == "quadrature":
-        d, e, _ = M._symmetric_form()
-        hi = float(np.max(d + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])))
+    if z != m:
+        if form is None:
+            hi = float(np.linalg.norm(M.to_dense(), np.inf))
+        else:
+            d, e, _ = form
+            hi = float(np.max(d + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])))
         lams, weights, tail = _real_spectrum_nodes(0.5 * mu[0], hi, z - m)
-        out, nodes = _node_sum(M, lams, weights, out), len(lams)
-    elif z != m:
-        out, _contour, tail, nodes = _dunford(M, z - m, out, None)
+        acc, step = np.zeros(out.shape, dtype=complex), max(1, _RESOLVENT_ENTRIES // out.size)
+        for s in range(0, len(lams), step):
+            acc += np.tensordot(weights[s:s + step],
+                                M.solve_shifted_batch(lams[s:s + step], out), axes=1)
+        out, nodes = acc, len(lams)
     if v is not None:
         return out
     return OperatorMatrix.dense(out, z=z, method=method, gate=gate, tail_bound=tail,
@@ -334,7 +238,7 @@ def eig_power_oracle(M: OperatorMatrix, z: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerProbeConfig:
-    """Shifted per-mode realization and the refinement ladder for the probe."""
+    """Shifted per-mode realization and the refinement ladder (levels >= 2) for the probe."""
 
     cross_section: object
     mode_label: str
@@ -345,6 +249,11 @@ class PowerProbeConfig:
     points: int = 161
     levels: int = 3
     n_quad: int = 48             # unused: the quadrature picks its node count
+
+    def __post_init__(self):
+        # a verdict reads norm ratios between levels; one level has none
+        if self.levels < 2:
+            raise ConfigError(f"probe needs levels >= 2, got {self.levels}")
 
 
 @dataclass

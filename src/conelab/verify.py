@@ -24,7 +24,7 @@ from .heat_solver import (HeatConfig, assemble_mode_operator,
                           bessel_series_solution, relative_l2_error, solve_heat)
 from .mellin_sobolev import LogGrid, RadialField
 from .operators import OperatorMatrix
-from .power_calculus import (PowerProbeConfig, dunford_power, eig_power_oracle,
+from .power_calculus import (PowerProbeConfig, complex_power, eig_power_oracle,
                              find_sectorial_shift, power_domain_probe)
 from .rational import QRat
 from .symbol_algebra import ConeOperatorSpec, pole_set, pole_set_power
@@ -305,13 +305,13 @@ def criterion_complex_powers() -> tuple[bool, str]:
         M = OperatorMatrix.dense(H)
         z1 = complex(-rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
         z2 = complex(-rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
-        P1 = dunford_power(M, z1).data
-        P2 = dunford_power(M, z2).data
-        P12 = dunford_power(M, z1 + z2).data
+        P1 = complex_power(M, z1).data
+        P2 = complex_power(M, z2).data
+        P12 = complex_power(M, z1 + z2).data
         worst_oracle = max(worst_oracle,
                            float(np.max(np.abs(P1 - eig_power_oracle(M, z1)))))
         worst_semi = max(worst_semi, float(np.max(np.abs(P1 @ P2 - P12))))
-    scalar = dunford_power(OperatorMatrix.dense([[2.0]]), -0.5).data[0, 0]
+    scalar = complex_power(OperatorMatrix.dense([[2.0]]), -0.5).data[0, 0]
     scalar_err = abs(scalar - 2.0 ** -0.5)
     ok = worst_oracle <= 1e-7 and worst_semi <= 1e-7 and scalar_err <= 1e-8
     return ok, (f"oracle err {worst_oracle:.2e} <= 1e-7, semigroup err {worst_semi:.2e} "

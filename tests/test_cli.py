@@ -18,6 +18,7 @@ from conelab.cone_geometry import CrossSection
 from conelab.config import fmt
 from conelab.heat_solver import assemble_mode_operator
 from conelab.mellin_sobolev import LogGrid, RadialField
+from conelab.operators import OperatorMatrix
 from conelab.power_calculus import eig_power_oracle
 
 CIRCLE_CFG = {
@@ -500,6 +501,38 @@ def test_unknown_outer_bc_exit_2(cmd, tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     assert main([cmd, "--config", str(p), "--out", str(tmp_path / "out.json")]) == 2
     assert "config error: unknown outer boundary condition 'robin'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("samples", -3), ("samples", 2.5), ("samples", 0),
+                                        ("theta", 4.0), ("theta", -1.0), ("theta", math.pi),
+                                        ("shift0", 0), ("shift0", -1), ("shift0", math.inf),
+                                        ("z_re", math.nan), ("z_im", math.inf),
+                                        ("z_re", "half")])
+@pytest.mark.parametrize("cmd", ["powers", "sectorial-probe"])
+def test_bad_powers_block_exit_2(cmd, key, value, tmp_path, capsys):
+    cfg = dict(CIRCLE_CFG, grid={"tau_min": -4.0, "points": 33}, powers={key: value})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out.json"
+    assert main([cmd, "--config", str(p), "--out", str(out)]) == 2
+    assert f"config error: powers.{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_powers_command_computes_the_spectrum_twice(cfg_path, tmp_path, monkeypatch):
+    # once for the sectorial probe, once for the power; the route comes from the power
+    calls = []
+    eigenvalues = OperatorMatrix.eigenvalues
+
+    def counted(self):
+        calls.append(self.dim)
+        return eigenvalues(self)
+
+    monkeypatch.setattr(OperatorMatrix, "eigenvalues", counted)
+    out = tmp_path / "powers.json"
+    assert main(["powers", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert calls == [129, 129]
+    assert json.loads(out.read_text())["method"] == "spectral"
 
 
 def test_powers_command_reports_no_contour_when_skipped(tmp_path):

@@ -1,4 +1,4 @@
-"""Sectorial probes, Dunford powers, domain probes."""
+"""Sectorial probes, complex powers, domain probes."""
 
 import math
 
@@ -9,14 +9,12 @@ from conelab import operators, power_calculus
 from conelab._kernels import thomas_batch
 from conelab.asymptotics import AsymptoticsTerm
 from conelab.cone_geometry import CrossSection
-from conelab.errors import ConfigError, NotSectorialError, NumericalError
+from conelab.errors import ConfigError, NotSectorialError
 from conelab.heat_solver import assemble_mode_operator
 from conelab.mellin_sobolev import LogGrid
 from conelab.operators import OperatorMatrix
-from conelab.power_calculus import (ContourSpec, PowerProbeConfig, complex_power,
-                                    dunford_apply, dunford_power, eig_power_oracle,
-                                    find_sectorial_shift,
-                                    _contour_nodes, _real_spectrum_nodes, _sector_samples,
+from conelab.power_calculus import (PowerProbeConfig, complex_power, eig_power_oracle,
+                                    find_sectorial_shift, _real_spectrum_nodes, _sector_samples,
                                     power_domain_probe, power_route, sectorial_probe)
 from conelab.rational import QRat
 
@@ -30,13 +28,13 @@ def _random_hpd(rng, dim=8, shift=0.5):
 
 def test_scalar_powers():
     M = OperatorMatrix.dense([[2.0]])
-    assert abs(dunford_power(M, -1.0).data[0, 0] - 0.5) < 1e-10
-    assert abs(dunford_power(M, -0.5).data[0, 0] - 2.0 ** -0.5) < 1e-8
+    assert abs(complex_power(M, -1.0).data[0, 0] - 0.5) < 1e-10
+    assert abs(complex_power(M, -0.5).data[0, 0] - 2.0 ** -0.5) < 1e-8
 
 
 def test_diagonal_power():
     D = OperatorMatrix.dense(np.diag([1.0, 4.0]))
-    P = dunford_power(D, -0.3).data
+    P = complex_power(D, -0.3).data
     assert abs(P[0, 0] - 1.0) < 1e-8 and abs(P[1, 1] - 4.0 ** -0.3) < 1e-8
     assert abs(P[0, 1]) < 1e-10 and abs(P[1, 0]) < 1e-10
 
@@ -45,28 +43,30 @@ def test_oracle_equivalence_and_semigroup():
     rng = np.random.default_rng(7)
     M = _random_hpd(rng)
     z1, z2 = -0.6 + 0.2j, -0.35 - 0.15j
-    P1, P2 = dunford_power(M, z1).data, dunford_power(M, z2).data
+    P1, P2 = complex_power(M, z1).data, complex_power(M, z2).data
     assert np.max(np.abs(P1 - eig_power_oracle(M, z1))) < 1e-7
-    assert np.max(np.abs(P1 @ P2 - dunford_power(M, z1 + z2).data)) < 1e-7
+    assert np.max(np.abs(P1 @ P2 - complex_power(M, z1 + z2).data)) < 1e-7
 
 
-def test_contour_independence():
+def test_contour_independence(monkeypatch):
+    # a tighter a priori bound takes more nodes on the same contour
     rng = np.random.default_rng(3)
     M = _random_hpd(rng)
-    rho = 0.5 * float(np.min(np.abs(M.eigenvalues())))
-    a = dunford_power(M, -0.4, ContourSpec(rho=rho, n_quad=64)).data
-    b = dunford_power(M, -0.4, ContourSpec(rho=rho, n_quad=128)).data
-    assert np.max(np.abs(a - b)) < 1e-8
+    a = complex_power(M, -0.4)
+    monkeypatch.setattr(power_calculus, "_QUAD_TOL", 1e-15)
+    b = complex_power(M, -0.4)
+    assert b.provenance["nodes"] > a.provenance["nodes"]
+    assert np.max(np.abs(a.data - b.data)) < 1e-8
 
 
 def test_dunford_apply_matches_power():
     rng = np.random.default_rng(5)
     M = _random_hpd(rng)
-    P = dunford_power(M, -0.5).data
+    P = complex_power(M, -0.5).data
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    assert np.max(np.abs(dunford_apply(M, -0.5, v) - P @ v)) < 1e-9
+    assert np.max(np.abs(complex_power(M, -0.5, v) - P @ v)) < 1e-9
     V = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-    assert np.max(np.abs(dunford_apply(M, -0.5, V) - P @ V)) < 1e-9
+    assert np.max(np.abs(complex_power(M, -0.5, V) - P @ V)) < 1e-9
 
 
 @pytest.mark.parametrize("k", [None, 1, 5])
@@ -83,11 +83,17 @@ def test_dunford_node_chunks_stay_bounded(k, monkeypatch):
         return solve(self, lams, rhs)
 
     monkeypatch.setattr(OperatorMatrix, "solve_shifted_batch", counted)
-    contour = ContourSpec(rho=0.5, n_quad=16)
-    out = dunford_apply(M, -0.1, v, contour)
+    nodes = []
+
+    def recorded(*args):
+        out = _real_spectrum_nodes(*args)
+        nodes.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(power_calculus, "_real_spectrum_nodes", recorded)
+    out = complex_power(M, -0.1, v)
     assert out.shape == shape
-    nodes = len(_contour_nodes(contour, -0.1 + 0j)[0])
-    assert sum(calls) == nodes and len(calls) > 1 and max(calls) <= limit
+    assert sum(calls) == nodes[0] and len(calls) > 1 and max(calls) <= limit
 
 
 def test_complex_power_integer_and_fraction():
@@ -167,6 +173,14 @@ def test_power_domain_probe_verdicts():
     assert all(rr >= r2.thresholds[1] for rr in r2.ratios)
 
 
+@pytest.mark.parametrize("levels", [0, 1])
+def test_power_domain_probe_needs_two_levels(levels):
+    # one level has no norm ratio, and all([]) would read "member"
+    with pytest.raises(ConfigError, match="levels >= 2"):
+        PowerProbeConfig(cross_section=CIRCLE, mode_label="k=+1", gamma=-0.5, shift=1.0,
+                         levels=levels)
+
+
 def test_power_domain_probe_unknown_mode():
     pc = PowerProbeConfig(cross_section=CIRCLE, mode_label="k=+99", gamma=-0.5, shift=1.0)
     with pytest.raises(ConfigError, match="k=\\+99"):
@@ -180,31 +194,17 @@ def test_power_domain_probe_unknown_outer_bc():
         power_domain_probe(AsymptoticsTerm(QRat(0), 0, "k=0"), 0.5, pc)
 
 
-def test_dunford_rejects_nonnegative_exponent():
-    M = OperatorMatrix.dense([[2.0]])
-    with pytest.raises(ConfigError):
-        dunford_power(M, 0.5)
+def test_zero_eigenvalue_is_not_sectorial():
+    with pytest.raises(NotSectorialError, match="branch cut"):
+        complex_power(OperatorMatrix.dense(np.diag([0.0, 1.0])), -0.5)
 
 
-def test_tail_bound_guard():
-    # at Re z = -0.01 the ray end that meets the tail tolerance overflows a
-    # float; it stops at the 1e300 ceiling, where the tail bound misses it
-    M = OperatorMatrix.dense([[2.0]])
-    contour = ContourSpec(rho=1.0)
-    assert _contour_nodes(contour, -0.01 + 0j)[2] > 10.0 * power_calculus._TOL_TAIL
-    with pytest.raises(NumericalError, match="tail bound"):
-        dunford_power(M, -0.01, contour)
-
-
-def test_contour_without_rho_takes_half_the_smallest_eigenvalue():
-    M = (-assemble_mode_operator(1, 0, LogGrid(-4.0, 33), "dirichlet")).shifted(1.0)
-    z = -0.5 + 0.2j
-    P = dunford_power(M, z, ContourSpec(n_quad=48))
-    assert P.provenance["contour"].rho == 0.5 * float(np.min(np.abs(M.eigenvalues())))
-    want = eig_power_oracle(M, z)
-    assert np.max(np.abs(P.data - want)) <= 1e-8 * np.max(np.abs(want))
-    with pytest.raises(NotSectorialError, match="zero eigenvalue"):
-        dunford_power(OperatorMatrix.dense(np.diag([0.0, 1.0])), -0.5)
+def test_complex_shifted_mode_operator_is_not_sectorial():
+    # no symmetric form: the dense spectrum is tested for reality first
+    M = _shifted_mode(33).shifted(0.5j)
+    for v in (None, np.ones(33)):
+        with pytest.raises(NotSectorialError, match=r"\+0\.5.*off the real axis"):
+            complex_power(M, -0.5, v)
 
 
 def _shifted_mode(J):
@@ -310,26 +310,18 @@ def test_inv_norm_stops_when_converged():
     assert iterations == 40 and unconverged > 0
 
 
-@pytest.mark.parametrize("spec, z, count", [((0.5, 16), -0.5 + 0.2j, 720),
-                                            ((0.01, 48), -0.9, 1392)])
-def test_contour_node_count(spec, z, count):
-    lams, weights, _tail = _contour_nodes(ContourSpec(rho=spec[0], n_quad=spec[1]), z)
-    assert len(lams) == len(weights) == count
-
-
 @pytest.mark.parametrize("a", [1.0, 3.7, 50.0])
 @pytest.mark.parametrize("z", [-0.25, -0.5 + 0.3j, -0.9])
 def test_contour_reproduces_scalar_power(a, z):
-    lams, weights, _tail = _contour_nodes(ContourSpec(rho=0.5), z)
+    lams, weights, _bound = _real_spectrum_nodes(0.5, 50.0, complex(z))
     assert abs(np.sum(weights / (a + lams)) - a ** z) <= 1e-9 * abs(a ** z)
 
 
 def test_tridiagonal_power_chunks_match_dense_route():
-    M = _shifted_mode(33)       # 12 chunks of nodes, a few nodes per kernel call
+    M = _shifted_mode(33)       # an apply to the identity: 3 nodes per kernel call
     z = -0.5 + 0.1j
-    contour = ContourSpec(rho=0.5, n_quad=32)
-    tri = dunford_power(M, z, contour).data
-    dense = dunford_power(OperatorMatrix.dense(M.to_dense()), z, contour).data
+    tri = complex_power(M, z, np.eye(33))
+    dense = complex_power(OperatorMatrix.dense(M.to_dense()), z).data
     assert np.max(np.abs(tri - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -387,16 +379,14 @@ def test_quadrature_matches_the_dirichlet_oracle(z):
 
 
 @pytest.mark.parametrize("label, eigenvalue", [("k=0", 0), ("k=+1", -1)])
-def test_quadrature_matches_a_tight_keyhole_past_the_gate(label, eigenvalue, monkeypatch):
+def test_semigroup_matches_one_solve_past_the_gate(label, eigenvalue):
+    # M^(-0.5+0.2i) M^(-0.5-0.2i) v = M^-1 v, the right side by one LAPACK solve
     grid = LogGrid(-16.0, 641)
     M = (-assemble_mode_operator(1, eigenvalue, grid, "neumann")).shifted(1.0)
     assert power_route(M)[0] == "quadrature"
     v = np.ones(641) if label == "k=0" else 1.0 / grid.x
-    z = -0.5 + 0.2j
-    got = complex_power(M, z, v)
-    monkeypatch.setattr(power_calculus, "_SECTORIAL_BOUND", 1e9)
-    monkeypatch.setattr(power_calculus, "_TOL_TAIL", 1e-14)
-    want = dunford_apply(M, z, v)
+    got = complex_power(M, -0.5 - 0.2j, complex_power(M, -0.5 + 0.2j, v))
+    want = np.linalg.solve(M.to_dense(), v)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
@@ -415,7 +405,8 @@ def test_real_spectrum_nodes_reproduce_scalar_powers(z):
      None, "quadrature"),
     (lambda: _shifted_mode(33), None, "spectral"),
     (lambda: _shifted_mode(33), np.ones(33), "quadrature"),
-], ids=["dirichlet", "gated-out", "spectral", "apply"])
+    (lambda: OperatorMatrix.dense(_shifted_mode(33).to_dense()), None, "quadrature"),
+], ids=["dirichlet", "gated-out", "spectral", "apply", "dense"])
 def test_one_spectrum_per_call(make, v, route, monkeypatch):
     M = make()
     calls = []
