@@ -3,10 +3,11 @@
 Band convention: a batch of nb systems of size J is stored as three (nb, J)
 arrays (dl, d, du) with dl[:, 0] and du[:, -1] unused. Set those two entries
 to zero and the batch is one block-diagonal tridiagonal system of size
-nb*J, so one LAPACK call solves every block: ``zgtsv`` for solves,
-``zgttrf`` once plus ``zgttrs`` per step for the theta march. Both pivot by
-rows, which the shifted resolvents need: they are neither diagonally
-dominant nor M-matrices. The march stacks B the same way and forms B u on
+nb*J, so one LAPACK call solves every block: ``zgtsv`` for solves, and
+``factor_batch`` (one ``zgttrf``) once plus ``zgttrs`` per solve for the
+theta march and the resolvent-norm estimate. Both pivot by rows, which the
+shifted resolvents need: they are neither diagonally dominant nor
+M-matrices. The march stacks B the same way and forms B u on
 the flat arrays, where the zeroed corners keep each block's product exact.
 
 Why the blocks stay independent: the subdiagonal entry at a block boundary
@@ -20,10 +21,12 @@ one possible trace is the sign of a zero in the solution, which can differ
 from that of a solve on its own (seen when a block's right-hand side is
 all zeros).
 
-Chunks: one call takes at most _CHUNK solution entries (block rows times
-right-hand sides, at least one block). Bands and right-hand sides are
-converted and copied one chunk at a time, so a batch over thousands of
-shifts never holds a second full copy of broadcast bands. An exactly
+Chunks: one ``thomas_batch`` call takes at most _CHUNK solution entries
+(block rows times right-hand sides, at least one block). Bands and
+right-hand sides are converted and copied one chunk at a time, so a batch
+over thousands of shifts never holds a second full copy of broadcast
+bands. ``factor_batch`` factors its whole batch in one call: its factors
+are kept for every later solve, so they are one full copy. An exactly
 singular block (``info > 0``) raises NumericalError naming its batch row and
 the pivot position inside it.
 """
@@ -62,6 +65,19 @@ def _matvec(bands, x, out, prod):
     out[1:] += np.multiply(lo, x[:-1], out=prod)
     out[:-1] += np.multiply(up, x[1:], out=prod)
     return out
+
+
+def factor_batch(dl, d, du):
+    """LU factors of (nb, J) bands stacked into one block-diagonal system: one ``zgttrf``.
+
+    Returns the factors (dl, d, du, du2, ipiv) as ``zgttrs`` takes them; a
+    solve with trans 'N' applies the inverse, one with trans 'C' the inverse
+    of the adjoint. The bands are copied, never written. An exactly singular
+    block raises NumericalError naming its batch row and pivot position.
+    """
+    *lu, info = zgttrf(*_stacked(dl, d, du), overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    _check(info, "zgttrf", 0, np.shape(d)[1])
+    return lu
 
 
 def thomas_batch(dl, d, du, rhs):
@@ -112,9 +128,7 @@ def evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, n_steps, snap_every, forcing=No
     """
     lo, up = _stacked(Bdl, Bd, Bdu)[::2]              # B is only read: its diagonal needs no copy
     B = lo, np.ascontiguousarray(Bd, dtype=np.complex128).reshape(-1), up
-    *lu, info = zgttrf(*_stacked(Adl, Ad, Adu), overwrite_dl=1, overwrite_d=1,
-                          overwrite_du=1)
-    _check(info, "zgttrf", 0, np.shape(Ad)[1])
+    lu = factor_batch(Adl, Ad, Adu)
     u = np.array(u0, dtype=np.complex128, order="C")   # never the caller's array
     rhs = np.empty_like(u)
     prod = np.empty(u.size - 1, dtype=np.complex128)

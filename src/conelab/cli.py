@@ -28,7 +28,7 @@ from .mellin_sobolev import LogGrid, RadialField, mellin_norm
 from .rational import root_to_complex
 from .symbol_algebra import pole_set_power
 from .heat_solver import HeatConfig, assemble_mode_operator, solve_heat
-from .power_calculus import complex_power, find_sectorial_shift, power_route
+from .power_calculus import complex_power, find_sectorial_shift, power_route, sectorial_probe
 from .tip_analysis import fit_tip_series
 
 # largest operator whose quadrature power `powers` forms: J unit columns per node
@@ -277,18 +277,19 @@ def cmd_fit_tip(args) -> int:
 
 
 def _shifted_mode_operator(cfg: dict):
-    """(M, theta, c, report): M = c - L for the config's first mode, c from the shift ladder.
+    """(M, theta, c, min_abs_eig): M = c - L for the config's first mode, c from the shift ladder.
 
-    The ladder probes the sector of angle `powers.theta` with `powers.samples`
-    per ray; `powers` and `sectorial-probe` both take this one probe.
+    The ladder tests the spectrum against the sector of angle `powers.theta`
+    from `powers.shift0` on; `powers` and `sectorial-probe` both take this
+    one ladder, and only `sectorial-probe` probes the resolvent at c.
     """
-    _z, theta, shift0, samples = powers_from_config(cfg)
+    theta, shift0 = powers_from_config(cfg)[1:3]
     cs = cross_section_from_config(cfg["cross_section"])
     mode = cs.mode_table(int(cfg.get("operator", {}).get("max_modes", 1)))[0]
     L = assemble_mode_operator(cs.n, mode.eigenvalue, grid_from_config(cfg),
                                cfg.get("heat", {}).get("outer_bc", "neumann"))
-    shift, report = find_sectorial_shift(L, theta, c0=shift0, n_samples=samples)
-    return (-L).shifted(shift), theta, shift, report
+    shift, min_eig = find_sectorial_shift(L, theta, c0=shift0)
+    return (-L).shifted(shift), theta, shift, min_eig
 
 
 def cmd_powers(args) -> int:
@@ -296,7 +297,7 @@ def cmd_powers(args) -> int:
     cfg = load_config(args.config)
     path = output_path(args.out, cfg.get("output_dir"), "powers.json")
     z = powers_from_config(cfg)[0]
-    M, theta, shift, sect = _shifted_mode_operator(cfg)
+    M, theta, shift, min_eig = _shifted_mode_operator(cfg)
     # at or below the dense limit every route forms, and the power records its route
     route = power_route(M) if M.dim > _DENSE_LIMIT else None
     power = complex_power(M, z) if route is None or route[0] == "spectral" else None
@@ -304,8 +305,7 @@ def cmd_powers(args) -> int:
     method, gate = route or (prov["method"], prov["gate"])
     report = {
         "z": [z.real, z.imag], "shift": shift, "theta": theta,
-        "sectorial_K": sect.K,
-        "min_abs_eig": sect.min_abs_eig,
+        "min_abs_eig": min_eig,
         "method": method, "gate": gate,
         "nodes": prov.get("nodes"),
         "power_norm": float(np.linalg.norm(power.data, 2)) if power is not None else None,
@@ -322,7 +322,8 @@ def cmd_sectorial_probe(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     path = output_path(args.out, cfg.get("output_dir"), "sectorial.json")
-    _M, theta, shift, report = _shifted_mode_operator(cfg)
+    M, theta, shift, _min_eig = _shifted_mode_operator(cfg)
+    report = sectorial_probe(M, theta, n_samples=powers_from_config(cfg)[3])
     payload = {
         "theta": theta, "shift": shift, "K": report.K,
         "min_abs_eig": report.min_abs_eig,

@@ -71,19 +71,6 @@ def smooth_cutoff(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sharp_cutoff(x: np.ndarray, edge: float = 0.5, edge_value: float = 0.5) -> np.ndarray:
-    """Indicator of x <= edge with an adjustable value on the edge node.
-
-    When the edge lands on a grid node, edge_value = 2**(-1/p) keeps the
-    trapezoid quadrature of |u|^p second order through the jump (the
-    closed-form norm oracles use p = 2, hence 2**-0.5).
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.where(x < edge, 1.0, 0.0)
-    out[np.isclose(x, edge, rtol=1e-12, atol=1e-14)] = edge_value
-    return out
-
-
 @dataclass
 class RadialField:
     """Per-mode complex samples on a shared LogGrid."""

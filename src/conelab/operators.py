@@ -6,8 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import zgttrs
 
-from ._kernels import thomas_batch, tridiag_matvec
+from ._kernels import factor_batch, thomas_batch, tridiag_matvec
 from .errors import ConfigError, NumericalError
 
 _STOP_TOL = 1e-12      # relative change between iterations that ends an estimate
@@ -148,12 +149,15 @@ class OperatorMatrix:
     def inv_norm2_estimate(self, lams) -> tuple[np.ndarray, int, int]:
         """||(M+lam)^-1||_2 for each shift in lams: power iteration on the normal equations.
 
-        Every shift iterates from the same seeded start vector: two batched
-        solves per iteration, with (M+lam)^-1 and then its adjoint. A shift
-        leaves the batch once its sigma (the estimate of the squared norm)
-        changes by less than _STOP_TOL relative between iterations, and the
-        loop ends when no shift is left or after _NORM_ITERS iterations.
-        Power iteration approaches the norm from below.
+        Every shift iterates from the same seeded start vector. The batch of
+        shifted operators M + lam is factored once (factor_batch, one
+        stacked zgttrf), and each iteration makes two solves on those
+        factors: zgttrs with trans 'N' applies (M+lam)^-1, and with trans
+        'C' its adjoint. A shift leaves the batch once its sigma (the
+        estimate of the squared norm) changes by less than _STOP_TOL
+        relative between iterations; the shifts left are then refactored
+        once, and the loop ends when no shift is left or after _NORM_ITERS
+        iterations. Power iteration approaches the norm from below.
 
         Returns (norms, iterations, unconverged): the estimates in the order
         of lams, the iterations run, and how many shifts still missed the
@@ -166,24 +170,22 @@ class OperatorMatrix:
             norms = [np.linalg.norm(np.linalg.inv(self.data + lam * eye), 2) for lam in lams]
             return np.array(norms), 0, 0
         dl, d, du = self.data
-        # bands of the adjoint: sub/super diagonals swap and conjugate
-        dlh = np.zeros_like(dl)
-        dlh[1:] = np.conj(du[:-1])
-        duh = np.zeros_like(du)
-        duh[:-1] = np.conj(dl[1:])
         rng = np.random.default_rng(_NORM_SEED)
         v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         v = np.tile(v / np.linalg.norm(v), (len(lams), 1))
         sigma = np.zeros(len(lams))
         live = np.arange(len(lams))           # shifts still in the batch
         D = d + lams[:, None]
+        lu = None                             # factors of the live batch
         it = 0
         while it < _NORM_ITERS and live.size:
             it += 1
-            shape = D.shape
-            w = thomas_batch(np.broadcast_to(dlh, shape), np.conj(D), np.broadcast_to(duh, shape),
-                             thomas_batch(np.broadcast_to(dl, shape), D,
-                                          np.broadcast_to(du, shape), v))
+            if lu is None:
+                lu = factor_batch(np.broadcast_to(dl, D.shape), D, np.broadcast_to(du, D.shape))
+            # (M+lam)^-1 and then its adjoint, in place on v: a fresh array of this loop
+            x, _ = zgttrs(*lu, v.reshape(-1), overwrite_b=1)
+            x, _ = zgttrs(*lu, x, trans="C", overwrite_b=1)
+            w = x.reshape(v.shape)
             nw = np.linalg.norm(w, axis=1)
             bad = ~np.isfinite(nw) | (nw == 0)
             if bad.any():
@@ -191,5 +193,7 @@ class OperatorMatrix:
                                      f"lam={lams[live[np.argmax(bad)]]}")
             moving = np.abs(nw - sigma[live]) >= _STOP_TOL * nw
             sigma[live] = nw
-            live, D, v = live[moving], D[moving], w[moving] / nw[moving, None]
+            if not moving.all():
+                live, D, lu = live[moving], D[moving], None
+            v = w[moving] / nw[moving, None]
         return np.sqrt(sigma), it, live.size

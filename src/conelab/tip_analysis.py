@@ -255,13 +255,10 @@ class DecompositionTrack:
     max_jump: float               # worst coefficient jump between fits
     jumps: dict                   # (rho, m, mode) -> max jump
 
-    def coefficient_path(self, rho, m: int, mode: str):
-        return [f.coefficient(rho, m, mode) for f in self.fits]
-
 
 def decomposition_track(traj, basis: AsymptoticsBasis,
                         window: tuple[float, float] | None = None) -> DecompositionTrack:
-    """Fit every snapshot and report coefficient paths with jump diagnostics."""
+    """Fit every snapshot and report the coefficient jumps between consecutive fits."""
     fits = fit_tip_series(traj.fields, basis, window=window, times=traj.times)
     jumps: dict = {}
     for a, b in zip(fits, fits[1:]):

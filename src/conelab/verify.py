@@ -25,7 +25,7 @@ from .heat_solver import (HeatConfig, assemble_mode_operator,
 from .mellin_sobolev import LogGrid, RadialField
 from .operators import OperatorMatrix
 from .power_calculus import (PowerProbeConfig, complex_power, eig_power_oracle,
-                             find_sectorial_shift, power_domain_probe)
+                             find_sectorial_shift, power_domain_probe, sectorial_probe)
 from .rational import QRat
 from .symbol_algebra import ConeOperatorSpec, pole_set, pole_set_power
 from .tip_analysis import decomposition_track, fit_tip_expansion
@@ -360,7 +360,8 @@ def criterion_sectorial() -> tuple[bool, str]:
     for J in (257, 513):
         g = LogGrid(-6.0, J)
         L = assemble_mode_operator(1, 0, g, "neumann")
-        c, report = find_sectorial_shift(L, theta, n_samples=200)
+        c, _min_eig = find_sectorial_shift(L, theta)
+        report = sectorial_probe((-L).shifted(c), theta, n_samples=200)
         shifts.append(c)
         Ks.append(report.K)
         # the constant is an exact eigenvector of the k=0 Neumann operator with

@@ -474,14 +474,31 @@ def test_powers_command_power_ignores_the_probe_angle(tmp_path):
     assert a["power_norm"] == b["power_norm"] and a["nodes"] == b["nodes"]
 
 
-def test_powers_and_sectorial_probe_share_one_probe(cfg_path, tmp_path):
+def test_powers_and_sectorial_probe_share_one_ladder(cfg_path, tmp_path):
     sect, powers = tmp_path / "sect.json", tmp_path / "powers.json"
     assert main(["sectorial-probe", "--config", str(cfg_path), "--out", str(sect)]) == 0
     assert main(["powers", "--config", str(cfg_path), "--out", str(powers)]) == 0
     a, b = json.loads(sect.read_text()), json.loads(powers.read_text())
     assert len(a["samples"]) == 601                     # powers.samples defaults to 200
-    assert (a["shift"], a["K"], a["min_abs_eig"]) == (b["shift"], b["sectorial_K"],
-                                                      b["min_abs_eig"])
+    assert (a["shift"], a["min_abs_eig"]) == (b["shift"], b["min_abs_eig"])
+    assert "sectorial_K" not in b
+
+
+def test_only_sectorial_probe_estimates_resolvent_norms(cfg_path, tmp_path, monkeypatch):
+    # the ladder decides from the spectrum; K is the probe's alone
+    calls = []
+    estimate = OperatorMatrix.inv_norm2_estimate
+
+    def counted(self, lams):
+        calls.append(len(lams))
+        return estimate(self, lams)
+
+    monkeypatch.setattr(OperatorMatrix, "inv_norm2_estimate", counted)
+    assert main(["powers", "--config", str(cfg_path), "--out", str(tmp_path / "p.json")]) == 0
+    assert calls == []
+    assert main(["sectorial-probe", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "s.json")]) == 0
+    assert calls == [601]
 
 
 def test_powers_command_power_near_zero_exit_0(tmp_path):

@@ -240,3 +240,45 @@ def test_zero_pivot_in_later_chunk_names_row_and_position():
         _kernels.thomas_batch(dl, d, du, np.ones((nb, J)))
     with pytest.raises(NumericalError, match=msg.format("zgttrf")):
         _kernels.evolve_theta(dl, d, du, dl, d, du, np.ones((nb, J)), 1, 1)
+    with pytest.raises(NumericalError, match=msg.format("zgttrf")):
+        _kernels.factor_batch(dl, d, du)
+
+
+def _adjoint_bands(dl, d, du):
+    """Bands of the adjoint of each block: sub- and superdiagonal swap and conjugate."""
+    dlh, duh = np.zeros_like(dl), np.zeros_like(du)
+    dlh[:, 1:] = np.conj(du[:, :-1])
+    duh[:, :-1] = np.conj(dl[:, 1:])
+    return dlh, np.conj(d), duh
+
+
+@pytest.mark.parametrize("J", [24, 25])
+def test_factor_batch_solves_both_directions(J):
+    rng = np.random.default_rng(J)
+    nb = 6
+    for bands in (_random_bands, _pivoting_bands):
+        dl, d, du = bands(rng, nb, J)
+        dl[:, 0], du[:, -1] = 3.0 + 1j, -7.0          # garbage in the unused corners
+        rhs = rng.standard_normal((nb, J)) + 1j * rng.standard_normal((nb, J))
+        before = [a.copy() for a in (dl, d, du, rhs)]
+        lu = _kernels.factor_batch(dl, d, du)
+        if bands is _pivoting_bands:                  # elimination swapped rows
+            assert np.any(lu[4] != np.arange(1, nb * J + 1))
+        for trans, want in (("N", _kernels.thomas_batch(dl, d, du, rhs)),
+                            ("C", _kernels.thomas_batch(*_adjoint_bands(dl, d, du), rhs))):
+            x, info = zgttrs(*lu, rhs.reshape(-1), trans=trans)
+            assert info == 0
+            err = np.max(np.abs(x.reshape(nb, J) - want), axis=1)
+            assert np.all(err <= 1e-13 * np.max(np.abs(want), axis=1))
+        assert all(np.array_equal(a, b) for a, b in zip((dl, d, du, rhs), before))
+
+
+def test_inv_norm_estimate_never_writes_its_inputs():
+    # its solves run in place, on a start vector of its own
+    rng = np.random.default_rng(9)
+    dl, d, du = _pivoting_bands(rng, 1, 16)
+    M = OperatorMatrix.tridiag(dl[0], d[0] + 3.0, du[0])
+    lams = np.array([0.0, 1.0 + 2.0j, -0.5 + 4.0j])   # contiguous complex: no copy on entry
+    before = [a.copy() for a in (*M.data, lams)]
+    M.inv_norm2_estimate(lams)
+    assert all(np.array_equal(a, b) for a, b in zip((*M.data, lams), before))

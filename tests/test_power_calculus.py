@@ -48,7 +48,7 @@ def test_oracle_equivalence_and_semigroup():
     assert np.max(np.abs(P1 @ P2 - complex_power(M, z1 + z2).data)) < 1e-7
 
 
-def test_contour_independence(monkeypatch):
+def test_tighter_quadrature_tolerance_takes_more_nodes(monkeypatch):
     # a tighter a priori bound takes more nodes on the same contour
     rng = np.random.default_rng(3)
     M = _random_hpd(rng)
@@ -59,7 +59,7 @@ def test_contour_independence(monkeypatch):
     assert np.max(np.abs(a.data - b.data)) < 1e-8
 
 
-def test_dunford_apply_matches_power():
+def test_apply_matches_formed_power():
     rng = np.random.default_rng(5)
     M = _random_hpd(rng)
     P = complex_power(M, -0.5).data
@@ -70,7 +70,7 @@ def test_dunford_apply_matches_power():
 
 
 @pytest.mark.parametrize("k", [None, 1, 5])
-def test_dunford_node_chunks_stay_bounded(k, monkeypatch):
+def test_quadrature_node_chunks_stay_bounded(k, monkeypatch):
     M = (-assemble_mode_operator(1, 0, LogGrid(-16.0, 641), "neumann")).shifted(1.0)
     shape = (M.dim,) if k is None else (M.dim, k)
     v = np.ones(shape)
@@ -157,8 +157,9 @@ def test_weighted_probe_matches_base():
 def test_find_sectorial_shift_ladder():
     g = LogGrid(-5.0, 129)
     L = assemble_mode_operator(1, 0, g, "neumann")
-    c, rep = find_sectorial_shift(L, 0.75 * math.pi, n_samples=40)
-    assert c >= 1.0 and math.isfinite(rep.K)
+    c, min_eig = find_sectorial_shift(L, 0.75 * math.pi)
+    rep = sectorial_probe((-L).shifted(c), 0.75 * math.pi, n_samples=40)
+    assert c >= 1.0 and math.isfinite(rep.K) and rep.min_abs_eig == min_eig
 
 
 def test_power_domain_probe_verdicts():
@@ -312,7 +313,7 @@ def test_inv_norm_stops_when_converged():
 
 @pytest.mark.parametrize("a", [1.0, 3.7, 50.0])
 @pytest.mark.parametrize("z", [-0.25, -0.5 + 0.3j, -0.9])
-def test_contour_reproduces_scalar_power(a, z):
+def test_quadrature_nodes_reproduce_scalar_power(a, z):
     lams, weights, _bound = _real_spectrum_nodes(0.5, 50.0, complex(z))
     assert abs(np.sum(weights / (a + lams)) - a ** z) <= 1e-9 * abs(a ** z)
 

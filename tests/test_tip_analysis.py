@@ -102,7 +102,7 @@ def test_track_constant_steady_state():
                      snapshot_every=10)
     traj = solve_heat(u0, None, cfg)
     track = decomposition_track(traj, basis)
-    paths = track.coefficient_path(0.0, 0, "k=0")
+    paths = [f.coefficient(0.0, 0, "k=0") for f in track.fits]
     assert all(abs(c - 1.0) < 1e-10 for c in paths)
     assert track.max_jump <= 1e-10
 
