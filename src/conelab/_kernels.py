@@ -5,10 +5,13 @@ arrays (dl, d, du) with dl[:, 0] and du[:, -1] unused. Set those two entries
 to zero and the batch is one block-diagonal tridiagonal system of size
 nb*J, so one LAPACK call solves every block: ``zgtsv`` for solves, and
 ``factor_batch`` (one ``zgttrf``) once plus ``zgttrs`` per solve for the
-theta march and the resolvent-norm estimate. Both pivot by rows, which the
-shifted resolvents need: they are neither diagonally dominant nor
-M-matrices. The march stacks B the same way and forms B u on
-the flat arrays, where the zeroed corners keep each block's product exact.
+resolvent-norm estimate. Both pivot by rows, which the shifted resolvents
+need: they are neither diagonally dominant nor M-matrices.
+
+The theta march (``evolve_theta``) needs no pivoting: it runs on the
+symmetric form of the mode operators, where I - theta*dt*S is symmetric
+positive definite, with one ``dpttrf`` (L D L^T) for all modes and one
+``dpttrs`` per step.
 
 Why the blocks stay independent: the subdiagonal entry at a block boundary
 is zero, so elimination never swaps rows across it and any multiplier it
@@ -19,22 +22,24 @@ value while the neighbouring block is finite, and inside a block LAPACK
 does the operations of a solve on its own. The values agree exactly; the
 one possible trace is the sign of a zero in the solution, which can differ
 from that of a solve on its own (seen when a block's right-hand side is
-all zeros).
+all zeros). The same holds for ``dpttrf``/``dpttrs``, whose off-diagonal
+is zero at every block boundary.
 
 Chunks: one ``thomas_batch`` call takes at most _CHUNK solution entries
 (block rows times right-hand sides, at least one block). Bands and
 right-hand sides are converted and copied one chunk at a time, so a batch
 over thousands of shifts never holds a second full copy of broadcast
-bands. ``factor_batch`` factors its whole batch in one call: its factors
-are kept for every later solve, so they are one full copy. An exactly
-singular block (``info > 0``) raises NumericalError naming its batch row and
-the pivot position inside it.
+bands. ``factor_batch`` and the march factor their whole batch in one
+call: the factors are kept for every later solve, so they are one full
+copy. An exactly singular block (``info > 0``), or a march whose
+I - theta*dt*S is not positive definite, raises NumericalError naming its
+batch row and the pivot position inside it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs, zgtsv, zgttrf
 
 from .errors import NumericalError
 
@@ -56,15 +61,6 @@ def _stacked(dl, d, du):
     lo[:, 0] = 0.0
     up[:, -1] = 0.0
     return lo.ravel()[1:], diag.ravel(), up.ravel()[:-1]
-
-
-def _matvec(bands, x, out, prod):
-    """out = B x on flat stacked bands (``_stacked``); prod is work space of size x.size - 1."""
-    lo, diag, up = bands
-    np.multiply(diag, x, out=out)
-    out[1:] += np.multiply(lo, x[:-1], out=prod)
-    out[:-1] += np.multiply(up, x[1:], out=prod)
-    return out
 
 
 def factor_batch(dl, d, du):
@@ -108,40 +104,90 @@ def thomas_batch(dl, d, du, rhs):
 
 
 def tridiag_matvec(dl, d, du, u):
-    """Batched tridiagonal matrix-vector product."""
-    u = np.ascontiguousarray(u, dtype=np.complex128)
-    out = np.empty_like(u)
-    _matvec(_stacked(dl, d, du), u.reshape(-1), out.reshape(-1), np.empty(u.size - 1, complex))
-    return out
+    """Batched tridiagonal matrix-vector product on the flat stacked bands (``_stacked``)."""
+    x = np.ascontiguousarray(u, dtype=np.complex128).reshape(-1)
+    lo, diag, up = _stacked(dl, d, du)
+    out = diag * x
+    out[1:] += lo * x[:-1]
+    out[:-1] += up * x[1:]
+    return out.reshape(np.shape(u))
 
 
-def evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, n_steps, snap_every, forcing=None):
-    """March u <- A^-1 (B u + forcing(step)) for n_steps, snapshotting every snap_every.
+def evolve_theta(d, e, scale, coupling, theta, dt, u0, n_steps, snap_every, forcing=None):
+    """March A u+ = B u + forcing(step) for n_steps on the symmetric form, snapshotting.
 
-    A = I - theta*dt*L and B = I + (1-theta)*dt*L are prefactored bands;
-    both are stacked once into block-diagonal systems of size nb*J. A is
-    factored once and each step is one solve; B u is formed on the flat
-    stacked bands, whose zeroed corners make each block's product exact.
-    forcing, if given, maps the step index (1..n_steps) to the term added
-    to the right-hand side of that step.
-    Returns (final state, snapshots array of shape (n_steps//snap_every, ...)).
+    Each of the nb modes has a real mode operator L = D^-1 S D on its first
+    m = d.shape[1] rows: S is symmetric tridiagonal with diagonal d (nb, m)
+    and off-diagonal e (nb, m-1), and D = diag(scale). A = I - theta*dt*L
+    and B = I + (1-theta)*dt*L, so B = (1/theta) I - ((1-theta)/theta) A and
+    a step needs no B: on v = D u it is
+
+        v+ = S_A^-1 (v/theta + D forcing(step)) - ((1-theta)/theta) v,
+
+    with S_A = D A D^-1 = I - theta*dt*S symmetric positive definite. S_A
+    is stacked over the modes and factored once (one ``dpttrf``); the state
+    is one real (2, nb*m) array of real and imaginary parts, so each step is
+    one ``dpttrs`` with two right-hand sides. Each mode gets the values of
+    a march on its own, up to the sign of a zero.
+
+    Columns m.. of u0 are frozen (a Dirichlet row, m = J-1): they are copied
+    bit for bit into every snapshot, and the entry L[m-1, m] of each mode,
+    given in coupling (nb,), enters row m-1 as the constant dt*L[m-1, m]*u0[m]
+    (that is -A[m-1, m]/theta times u0[m]). coupling is None when m = J.
+    forcing, if given, maps the step index (1..n_steps) to the (nb, J) term
+    added to the right-hand side of A u+ = B u; its frozen columns are not read.
+    A non-positive pivot of S_A raises NumericalError naming its batch row.
+    Returns (final state, snapshots array of shape (n_steps//snap_every, nb, J)).
     """
-    lo, up = _stacked(Bdl, Bd, Bdu)[::2]              # B is only read: its diagonal needs no copy
-    B = lo, np.ascontiguousarray(Bd, dtype=np.complex128).reshape(-1), up
-    lu = factor_batch(Adl, Ad, Adu)
-    u = np.array(u0, dtype=np.complex128, order="C")   # never the caller's array
-    rhs = np.empty_like(u)
-    prod = np.empty(u.size - 1, dtype=np.complex128)
-    snaps = np.empty((n_steps // snap_every, *u.shape), dtype=complex)
+    u0 = np.asarray(u0)
+    nb, J = u0.shape
+    m = np.shape(d)[1]
+    off = np.zeros((nb, m))                 # zero at every block boundary
+    off[:, :-1] = e
+    off = -theta * dt * off.reshape(-1)
+    # nb*m - 1 entries; the wrapper takes one even for a 1x1 system
+    ad, ae, info = dpttrf(1.0 - theta * dt * np.ravel(d), off[:max(off.size - 1, 1)],
+                          overwrite_d=1, overwrite_e=1)
+    if info > 0:
+        row, pos = divmod(info - 1, m)
+        raise NumericalError(f"theta system not positive definite in batch row {row}: "
+                             f"dpttrf found a non-positive pivot at position {pos + 1}")
+    v = np.empty((2, nb, m))
+    np.multiply(u0.real[:, :m], scale, out=v[0])
+    np.multiply(u0.imag[:, :m], scale, out=v[1])
+    w = np.empty_like(v)
+    b = w.reshape(2, -1).T                  # Fortran order: dpttrs solves it in place
+    if coupling is not None:
+        c = dt * coupling * u0[:, m] * scale[:, m - 1]
+        push = np.stack([c.real, c.imag])
+    inv, keep = 1.0 / theta, (1.0 - theta) / theta
+    snaps = np.empty((n_steps // snap_every, nb, J), dtype=complex)
+    snaps[:, :, m:] = u0[:, m:]
     for step in range(1, n_steps + 1):
-        y = _matvec(B, u.reshape(-1), rhs.reshape(-1), prod)   # a view of rhs
+        np.multiply(v, inv, out=w)
+        if coupling is not None:
+            w[:, :, -1] += push
         if forcing is not None:
-            rhs += forcing(step)
-        zgttrs(*lu, y, overwrite_b=1)                   # solves in place
-        u, rhs = rhs, u
+            f = forcing(step)[:, :m]
+            w[0] += f.real * scale
+            if np.iscomplexobj(f):
+                w[1] += f.imag * scale
+        dpttrs(ad, ae, b, overwrite_b=1)
+        v *= -keep
+        v += w
         if step % snap_every == 0:
-            snaps[step // snap_every - 1] = u
-    return u, snaps
+            _unscale(v, scale, snaps[step // snap_every - 1])
+    final = np.empty((nb, J), dtype=complex)
+    final[:, m:] = u0[:, m:]
+    return _unscale(v, scale, final), snaps
+
+
+def _unscale(v, scale, out):
+    """Write u = D^-1 v into the first m columns of the complex (nb, J) array out."""
+    m = v.shape[2]
+    np.divide(v[0], scale, out=out.real[:, :m])
+    np.divide(v[1], scale, out=out.imag[:, :m])
+    return out
 
 
 def backend_name() -> str:

@@ -160,14 +160,25 @@ def _read_field_csv(path: Path, grid: LogGrid, cs, max_modes: int) -> RadialFiel
     return field
 
 
-def _write_field_csv(path: Path, field: RadialField):
-    """One format call per mode block, a row template of %.17g: the bytes fmt writes."""
+def _field_templates(field: RadialField) -> list[str]:
+    """Each mode's block template: its tau and label cells written out, %.17g for re and im."""
     taus = [fmt(t) for t in field.grid.tau.tolist()]
+    return ["".join([f"{t},{mode.label.replace('%', '%%')},%.17g,%.17g\r\n" for t in taus])
+            for mode in field.modes]
+
+
+def _write_field_csv(path: Path, field: RadialField, templates=None):
+    """One format call per mode block, on a template of %.17g: the bytes fmt writes.
+
+    templates (``_field_templates``) may be made once for many fields on
+    the same grid and mode table.
+    """
+    if templates is None:
+        templates = _field_templates(field)
     values = np.ascontiguousarray(field.values, dtype=np.complex128)
     _write_csv(path, ",".join(_FIELD_COLUMNS),
-               ("".join([f"{t},{mode.label.replace('%', '%%')},%.17g,%.17g\r\n" for t in taus])
-                % tuple(row.view(np.float64).tolist())
-                for mode, row in zip(field.modes, values)))
+               (template % tuple(row.view(np.float64).tolist())
+                for template, row in zip(templates, values)))
 
 
 def cmd_norm(args) -> int:
@@ -207,9 +218,10 @@ def cmd_solve_heat(args) -> int:
     u0 = _read_field_csv(Path(args.u0), grid, cs, max_modes)
     traj = solve_heat(u0, None, hc)
     outputs = []
-    for idx, (t, f) in enumerate(zip(traj.times, traj.fields)):
+    templates = _field_templates(u0)
+    for idx, f in enumerate(traj.fields):
         path = outdir / f"snapshot_{idx:05d}.csv"
-        _write_field_csv(path, f)
+        _write_field_csv(path, f, templates)
         outputs.append(str(path))
     meta = {"times": traj.times, "scheme": {"theta": hc.theta, "dt": hc.dt},
             "outer_bc": hc.outer_bc, "gamma": float(gamma)}

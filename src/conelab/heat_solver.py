@@ -138,19 +138,44 @@ def _mode_operators(cfg: HeatConfig) -> tuple[tuple[Mode, ...], list[OperatorMat
     return modes, ops
 
 
-def _theta_bands(ops, dt: float, theta: float):
-    dl, d, du = (np.stack(band) for band in zip(*(op.data for op in ops)))
-    return ((-theta * dt * dl, 1.0 - theta * dt * d, -theta * dt * du),
-            ((1.0 - theta) * dt * dl, 1.0 + (1.0 - theta) * dt * d, (1.0 - theta) * dt * du))
+def _symmetric_system(ops, cfg: HeatConfig):
+    """Stacked symmetric forms (d, e, scale) of the marched rows, and the frozen coupling.
+
+    A Dirichlet operator's last row is zero (the frozen boundary value), so
+    the march keeps rows 0..J-2 and returns L[J-2, J-1] of each mode as the
+    coupling; a Neumann operator is marched whole and the coupling is None.
+    Every band product must be positive: with n >= 2 that needs
+    h < 2/(n-1), else the lower band vanishes or changes sign and no
+    symmetric form exists, a ConfigError.
+    """
+    frozen = cfg.outer_bc == "dirichlet"
+    forms = []
+    for op in ops:
+        if frozen:
+            op = OperatorMatrix.tridiag(*(band[:-1] for band in op.data))
+        form = op._symmetric_form()
+        if form is None or form[2] is None:
+            n, h = cfg.cross_section.n, cfg.grid.h
+            raise ConfigError(f"the heat march needs grid spacing h < 2/(n-1) = "
+                              f"{2.0 / (n - 1):.6g} for n={n}; got h={h:.6g}")
+        forms.append(form)
+    d, e, log_delta = (np.stack(part) for part in zip(*forms))
+    coupling = np.array([op.data[2][-2].real for op in ops]) if frozen else None
+    return d, e, np.exp(log_delta), coupling
 
 
 def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
     """March u' = L u + f from u0 to T, collecting configured snapshots.
 
     Each step solves (I - theta dt L) u+ = (I + (1-theta) dt L) u + dt f
-    in ``evolve_theta`` on bands factored once. The forcing is evaluated
-    once per time level s*dt and blended as theta f(t+dt) + (1-theta) f(t);
-    dirichlet rows carry no forcing so the boundary value stays frozen.
+    in ``evolve_theta``, on the symmetric form L = D^-1 S D of every mode
+    (``OperatorMatrix._symmetric_form``): the march carries v = D u, and
+    I - theta dt S is symmetric positive definite and factored once. The
+    forcing is evaluated once per time level s*dt and blended as
+    theta f(t+dt) + (1-theta) f(t). A dirichlet row is left out of the
+    march: its boundary value stays frozen, bit for bit, and takes no
+    forcing. A grid too coarse for a symmetric form (h >= 2/(n-1)) raises
+    ConfigError.
     """
     if u0.grid.points != cfg.grid.points or u0.grid.tau_min != cfg.grid.tau_min:
         raise ConfigError("initial field lives on a different grid than the config")
@@ -161,19 +186,17 @@ def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
     every = cfg.snapshot_every if cfg.snapshot_every > 0 else n_steps
     forcing = None
     if f_provider is not None:
-        f_old = np.asarray(f_provider(0.0), dtype=complex)
+        f_old = np.asarray(f_provider(0.0))
 
         def forcing(s):
             nonlocal f_old
-            f_new = np.asarray(f_provider(s * cfg.dt), dtype=complex)
+            f_new = np.asarray(f_provider(s * cfg.dt))   # a real forcing stays real
             fb = cfg.theta * f_new + (1.0 - cfg.theta) * f_old
-            if cfg.outer_bc == "dirichlet":
-                fb[:, -1] = 0.0
             f_old = f_new
             return cfg.dt * fb
 
-    bands = _theta_bands(ops, cfg.dt, cfg.theta)
-    final, snaps = evolve_theta(*bands[0], *bands[1], u0.values, n_steps, every, forcing)
+    final, snaps = evolve_theta(*_symmetric_system(ops, cfg), cfg.theta, cfg.dt,
+                                u0.values, n_steps, every, forcing)
     if not np.all(np.isfinite(final)):
         raise NumericalError(f"non-finite state in the theta march (theta={cfg.theta}, "
                              f"dt={cfg.dt})")

@@ -65,35 +65,53 @@ def test_step_zero_and_steady():
 @pytest.mark.parametrize("outer_bc", ["neumann", "dirichlet"])
 def test_forced_march_matches_dense_theta_steps(outer_bc):
     g = LogGrid(-4.0, 33)
-    theta, dt, n_steps, every = 0.75, 1e-3, 10, 3
-    cfg = HeatConfig(cross_section=CIRCLE, grid=g, T=n_steps * dt, dt=dt,
-                     outer_bc=outer_bc, theta=theta, max_modes=2, snapshot_every=every)
+    dt, n_steps, every = 1e-3, 10, 3
     u0 = RadialField.zeros(g, CIRCLE, 2)
     nm = len(u0.modes)
-    u0.values[:] = np.cos(np.outer(np.arange(1, nm + 1), g.x))
+    k = np.arange(1, nm + 1)
+    u0.values[:] = np.cos(np.outer(k, g.x)) - 0.4j * np.sin(np.outer(k, 2.0 * g.x))
+    u0.values[:, -1] = [-0.0, complex(0.3, -0.0), complex(-2.0, 1e-300)][:nm]
     omega = np.array([40.0, 25.0, 60.0])[:nm, None]
-    f = lambda t: np.sin(omega * t + 0.3) * (1.0 + g.x)
-    traj = solve_heat(u0, f, cfg)
-
+    f = lambda t: (np.sin(omega * t + 0.3) + 0.5j * np.cos(omega * t)) * (1.0 + g.x)
     Ls = [assemble_mode_operator(1, m.eigenvalue, g, outer_bc).to_dense() for m in u0.modes]
     eye = np.eye(g.points)
-    u = u0.values.copy()
-    want = [u.copy()]
-    for s in range(1, n_steps + 1):
-        fb = theta * f(s * dt) + (1.0 - theta) * f((s - 1) * dt)
-        if outer_bc == "dirichlet":
-            fb[:, -1] = 0.0                      # the boundary value stays frozen
-        u = np.stack([np.linalg.solve(eye - theta * dt * L,
-                                      (eye + (1.0 - theta) * dt * L) @ u[b] + dt * fb[b])
-                      for b, L in enumerate(Ls)])
-        if s % every == 0 or s == n_steps:
-            want.append(u.copy())
-    assert traj.times == [s * dt for s in (0, 3, 6, 9, 10)]
-    got = np.stack([fl.values for fl in traj.fields])
-    want = np.stack(want)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    if outer_bc == "dirichlet":
-        assert np.all(got[:, :, -1] == u0.values[:, -1])
+    for theta in (0.5, 0.75, 1.0):
+        cfg = HeatConfig(cross_section=CIRCLE, grid=g, T=n_steps * dt, dt=dt,
+                         outer_bc=outer_bc, theta=theta, max_modes=2, snapshot_every=every)
+        traj = solve_heat(u0, f, cfg)
+        u = u0.values.copy()
+        want = [u.copy()]
+        for s in range(1, n_steps + 1):
+            fb = theta * f(s * dt) + (1.0 - theta) * f((s - 1) * dt)
+            if outer_bc == "dirichlet":
+                fb[:, -1] = 0.0                      # the boundary value stays frozen
+            u = np.stack([np.linalg.solve(eye - theta * dt * L,
+                                          (eye + (1.0 - theta) * dt * L) @ u[b] + dt * fb[b])
+                          for b, L in enumerate(Ls)])
+            if s % every == 0 or s == n_steps:
+                want.append(u.copy())
+        assert traj.times == [s * dt for s in (0, 3, 6, 9, 10)]
+        got = np.stack([fl.values for fl in traj.fields])
+        want = np.stack(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if outer_bc == "dirichlet":             # frozen bit for bit, signs of zeros too
+            bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+            assert np.array_equal(bits(got[:, :, -1]),
+                                  bits(np.broadcast_to(u0.values[:, -1], got.shape[:2])))
+
+
+@pytest.mark.parametrize("outer_bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("tau_min, points", [(-4.0, 9), (-7.0, 8)])
+def test_grid_too_coarse_for_the_symmetric_form_raises_config_error(outer_bc, tau_min,
+                                                                    points):
+    # n = 5: the lower band 1/h^2 - 2/h is zero at h = 1/2 and negative beyond
+    g = LogGrid(tau_min, points)
+    assert g.h >= 0.5
+    cs = CrossSection.sphere(5)
+    cfg = HeatConfig(cross_section=cs, grid=g, T=0.01, dt=1e-3, outer_bc=outer_bc,
+                     max_modes=2)
+    with pytest.raises(ConfigError, match=rf"h < 2/\(n-1\) = 0\.5 for n=5; got h={g.h:g}"):
+        solve_heat(RadialField.zeros(g, cs, 2), None, cfg)
 
 
 def test_eigenfunction_exponential_decay():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
+from scipy.linalg.lapack import zgtsv, zgttrs
 
 from conelab import _kernels
 from conelab.errors import ConfigError, NumericalError
@@ -54,94 +54,95 @@ def test_matvec_matches_dense():
         assert np.allclose(out[b], _dense(dl[b], d[b], du[b]) @ u[b])
 
 
+def _symmetric_modes(rng, nb, m):
+    """Symmetric forms (d, e, scale) of nb modes L = D^-1 S D: S is negative definite."""
+    e = rng.standard_normal((nb, m - 1))
+    d = -(1.0 + rng.random((nb, m)))
+    d[:, 1:] -= np.abs(e)                   # diagonally dominant: S <= -I
+    d[:, :-1] -= np.abs(e)
+    scale = np.exp(rng.uniform(-8.0, 0.0, (nb, m)))
+    return d, e, scale
+
+
+def _dense_mode(d, e, scale, coupling, J):
+    """The (J, J) mode operator: D^-1 S D on the first m rows, then a frozen zero row."""
+    m = len(d)
+    L = np.zeros((J, J))
+    L[:m, :m] = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)) * scale[None, :] / scale[:, None]
+    if m < J:
+        L[m - 1, m] = coupling
+    return L
+
+
 def test_evolve_theta_equals_stepwise():
     rng = np.random.default_rng(5)
-    for bands in (_random_bands, _pivoting_bands):
-        dl, d, du = bands(rng, 2, 25)
-        Adl, Ad, Adu = -0.5 * dl, 1.0 - 0.5 * d, -0.5 * du
-        Bdl, Bd, Bdu = 0.5 * dl, 1.0 + 0.5 * d, 0.5 * du
-        if bands is _pivoting_bands:
-            Ad = d.copy()              # A itself needs row interchanges
-        u0 = rng.standard_normal((2, 25)) + 0j
+    nb, J, theta, dt = 2, 25, 0.6, 0.05
+    for m in (J, J - 1):                    # without and with a frozen Dirichlet row
+        d, e, scale = _symmetric_modes(rng, nb, m)
+        coupling = rng.standard_normal(nb) if m < J else None
+        u0 = rng.standard_normal((nb, J)) + 1j * rng.standard_normal((nb, J))
         u0_before = u0.copy()
-        terms = rng.standard_normal((7, 2, 25)) + 1j * rng.standard_normal((7, 2, 25))
-        for forcing in (None, lambda step: terms[step]):
-            final, snaps = _kernels.evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, 6, 2,
+        terms = rng.standard_normal((7, nb, J)) + 1j * rng.standard_normal((7, nb, J))
+        for forcing in (None, lambda step: terms[step], lambda step: terms[step].real):
+            final, snaps = _kernels.evolve_theta(d, e, scale, coupling, theta, dt, u0, 6, 2,
                                                  forcing)
             assert np.array_equal(u0, u0_before)
-            u = u0.copy()
-            for step in range(1, 7):
-                rhs = _kernels.tridiag_matvec(Bdl, Bd, Bdu, u)
-                if forcing is not None:
-                    rhs = rhs + terms[step]
-                u = _kernels.thomas_batch(Adl, Ad, Adu, rhs)
-            assert np.allclose(final, u, atol=1e-12)
-            assert snaps.shape == (3, 2, 25)
-            assert np.allclose(snaps[-1], u, atol=1e-12)
-            # two dense steps (3 and 4) from the first snapshot reproduce the second
-            for b in range(2):
-                A, B = _dense(Adl[b], Ad[b], Adu[b]), _dense(Bdl[b], Bd[b], Bdu[b])
-                f3, f4 = (0, 0) if forcing is None else (terms[3, b], terms[4, b])
-                two = np.linalg.solve(A, B @ np.linalg.solve(A, B @ snaps[0, b] + f3) + f4)
-                assert np.allclose(snaps[1, b], two, rtol=1e-8, atol=1e-10)
-
-
-def _unstacked_march(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, n_steps, snap_every, forcing):
-    """The march with B u on 2-D row slices, as evolve_theta formed it before B was stacked."""
-    Bdl, Bd, Bdu = (np.ascontiguousarray(b, dtype=np.complex128) for b in (Bdl, Bd, Bdu))
-    *lu, info = zgttrf(*_kernels._stacked(Adl, Ad, Adu))
-    assert info == 0
-    u = np.array(u0, dtype=np.complex128)
-    snaps = []
-    for step in range(1, n_steps + 1):
-        rhs = Bd * u
-        rhs[:, 1:] += Bdl[:, 1:] * u[:, :-1]
-        rhs[:, :-1] += Bdu[:, :-1] * u[:, 1:]
-        if forcing is not None:
-            rhs += forcing(step)
-        x, info = zgttrs(*lu, rhs.reshape(-1))
-        assert info == 0
-        u = x.reshape(u.shape)
-        if step % snap_every == 0:
-            snaps.append(u)
-    return u, np.array(snaps).reshape(-1, *u.shape)
+            assert snaps.shape == (3, nb, J)
+            assert np.array_equal(snaps[-1], final)
+            for b in range(nb):
+                L = _dense_mode(d[b], e[b], scale[b], None if coupling is None else coupling[b],
+                                J)
+                A, B = np.eye(J) - theta * dt * L, np.eye(J) + (1.0 - theta) * dt * L
+                u = u0[b]
+                for step in range(1, 7):
+                    f = np.zeros(J, complex) if forcing is None else forcing(step)[b] + 0j
+                    f[m:] = 0.0                 # frozen columns take no forcing
+                    u = np.linalg.solve(A, B @ u + f)
+                    if step % 2 == 0:
+                        got = snaps[step // 2 - 1, b]
+                        assert np.max(np.abs(got - u)) <= 1e-12 * np.max(np.abs(u))
+                assert np.all(final[b, m:] == u0[b, m:])
 
 
 @pytest.mark.parametrize("nb,J", [(4, 2), (2, 25), (5, 129)])
 def test_evolve_theta_matches_the_unstacked_march_bit_for_bit(nb, J):
+    # the stacked march gives every mode the values of a march of that mode
+    # on its own, up to the sign of a zero (== treats -0 and 0 alike)
     rng = np.random.default_rng(100 * nb + J)
-
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    for kind in ("complex", "pivoting", "frozen"):
-        dl, d, du = cplx(nb, J), cplx(nb, J), cplx(nb, J)
-        Adl, Ad, Adu = -0.3 * dl, 1.0 - 0.3 * d, -0.3 * du
-        Bdl, Bd, Bdu = 0.7 * dl, 1.0 + 0.7 * d, 0.7 * du
-        if kind == "pivoting":
-            Ad = 1e-8 * cplx(nb, J)             # A itself needs row interchanges
-            Ad[:, 0] = 0.0
-        if kind == "frozen":                    # a Dirichlet row: u[:, -1] never moves
-            Adl[:, -1] = Bdl[:, -1] = 0.0
-            Ad[:, -1] = Bd[:, -1] = 1.0
-        for band in (Adl, Bdl):
-            band[:, 0] = 1e3 * cplx(nb)         # garbage in the unused corners
-        for band in (Adu, Bdu):
-            band[:, -1] = -1e3 * cplx(nb)
-        u0 = cplx(nb, J)
-        terms = cplx(8, nb, J)
-        if kind == "frozen":
-            terms[:, :, -1] = 0.0
-        before = [a.copy() for a in (Bdl, Bd, Bdu, u0)]
+    for m in (J, J - 1):
+        d, e, scale = _symmetric_modes(rng, nb, m)
+        coupling = rng.standard_normal(nb) if m < J else None
+        u0 = rng.standard_normal((nb, J)) + 1j * rng.standard_normal((nb, J))
+        u0[0] = 0.0                             # a mode at rest
+        u0[:, m:] = complex(-0.0, 5e-324)
+        terms = rng.standard_normal((8, nb, J)) + 1j * rng.standard_normal((8, nb, J))
+        terms[:, :, m:] = np.nan                # frozen columns of a forcing are not read
+        before = [a.copy() for a in (d, e, scale, u0)]
         for forcing in (None, lambda step: terms[step]):
-            final, snaps = _kernels.evolve_theta(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, 7, 2,
+            final, snaps = _kernels.evolve_theta(d, e, scale, coupling, 0.7, 0.3, u0, 7, 2,
                                                  forcing)
-            ref_final, ref_snaps = _unstacked_march(Adl, Ad, Adu, Bdl, Bd, Bdu, u0, 7, 2,
-                                                    forcing)
-            assert np.array_equal(final, ref_final)
-            assert snaps.shape == ref_snaps.shape == (3, nb, J)
-            assert np.array_equal(snaps, ref_snaps)
-            for a, b in zip((Bdl, Bd, Bdu, u0), before):
+            assert snaps.shape == (3, nb, J)
+            for b in range(nb):
+                # LAPACK solves a lone 1x1 system by a multiply with 1/d, not a
+                # division: a mode with m = 1 is marched beside a copy of itself
+                own = [b] if m > 1 else [b, b]
+                alone = None if forcing is None else (lambda step, own=own: terms[step, own])
+                ref_final, ref_snaps = _kernels.evolve_theta(
+                    d[own], e[own], scale[own], None if coupling is None else coupling[own],
+                    0.7, 0.3, u0[own], 7, 2, alone)
+                assert np.array_equal(final[b], ref_final[0])
+                assert np.array_equal(snaps[:, b], ref_snaps[:, 0])
+                if m == 1:                      # the lone 1x1 system agrees to rounding
+                    lone, _ = _kernels.evolve_theta(
+                        d[b:b + 1], e[b:b + 1], scale[b:b + 1], coupling[b:b + 1], 0.7, 0.3,
+                        u0[b:b + 1], 7, 2, None if forcing is None else
+                        (lambda step, b=b: terms[step, b:b + 1]))
+                    assert np.allclose(lone, final[b:b + 1], rtol=1e-14, atol=0)
+            # frozen columns: u0 bit for bit in every snapshot
+            frozen = np.concatenate([snaps[:, :, m:], final[None, :, m:]]).view(np.uint64)
+            assert np.all(frozen == u0[:, m:].view(np.uint64))
+            assert np.all(np.isfinite(final))
+            for a, b in zip((d, e, scale, u0), before):
                 assert np.array_equal(a, b)
 
 
@@ -151,8 +152,11 @@ def test_singular_system_raises_numerical_error():
     d[1, -1] = dl[1, -1] = 0.0                      # zero last row in batch row 1
     with pytest.raises(NumericalError, match="batch row 1"):
         _kernels.thomas_batch(dl, d, du, np.ones((2, 12)))
-    with pytest.raises(NumericalError, match="batch row 1"):
-        _kernels.evolve_theta(dl, d, du, dl, d, du, np.ones((2, 12)), 2, 1)
+    # an indefinite S_A = I - theta*dt*S: S has an eigenvalue above 1/(theta*dt)
+    d, e, scale = _symmetric_modes(rng, 2, 12)
+    d[1, 5] = 40.0
+    with pytest.raises(NumericalError, match="not positive definite in batch row 1"):
+        _kernels.evolve_theta(d, e, scale, None, 0.5, 0.1, np.ones((2, 12)), 2, 1)
 
 
 def test_solve_shifted_zero_last_row_raises_numerical_error():
@@ -238,8 +242,11 @@ def test_zero_pivot_in_later_chunk_names_row_and_position():
     msg = rf"batch row {row}: {{}} found a zero pivot at position {pos}$"
     with pytest.raises(NumericalError, match=msg.format("zgtsv")):
         _kernels.thomas_batch(dl, d, du, np.ones((nb, J)))
-    with pytest.raises(NumericalError, match=msg.format("zgttrf")):
-        _kernels.evolve_theta(dl, d, du, dl, d, du, np.ones((nb, J)), 1, 1)
+    # S_A = I - S is diagonal in that row, with a first negative entry at pos
+    sd, se, scale = _symmetric_modes(rng, nb, J)
+    se[row], sd[row, pos - 1:] = 0.0, 3.0
+    with pytest.raises(NumericalError, match=msg.format("dpttrf").replace("zero", "non-positive")):
+        _kernels.evolve_theta(sd, se, scale, None, 1.0, 1.0, np.ones((nb, J)), 1, 1)
     with pytest.raises(NumericalError, match=msg.format("zgttrf")):
         _kernels.factor_batch(dl, d, du)
 
