@@ -27,7 +27,7 @@ from .errors import ConelabError, ConfigError
 from .mellin_sobolev import LogGrid, RadialField, mellin_norm
 from .rational import root_to_complex
 from .symbol_algebra import pole_set_power
-from .heat_solver import HeatConfig, assemble_mode_operator, solve_heat
+from .heat_solver import HeatConfig, assemble_mode_operator, coarse_grid_error, solve_heat
 from .power_calculus import complex_power, find_sectorial_shift, power_route, sectorial_probe
 from .tip_analysis import fit_tip_series
 
@@ -310,6 +310,8 @@ def cmd_powers(args) -> int:
     path = output_path(args.out, cfg.get("output_dir"), "powers.json")
     z = powers_from_config(cfg)[0]
     M, theta, shift, min_eig = _shifted_mode_operator(cfg)
+    if M._symmetric_form() is None:          # no real spectrum by structure
+        raise coarse_grid_error("powers", M.provenance["n"], grid_from_config(cfg).h)
     # at or below the dense limit every route forms, and the power records its route
     route = power_route(M) if M.dim > _DENSE_LIMIT else None
     power = complex_power(M, z) if route is None or route[0] == "spectral" else None

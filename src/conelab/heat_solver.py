@@ -138,15 +138,19 @@ def _mode_operators(cfg: HeatConfig) -> tuple[tuple[Mode, ...], list[OperatorMat
     return modes, ops
 
 
+def coarse_grid_error(what: str, n: int, h: float) -> ConfigError:
+    """The error for h >= 2/(n-1), where a mode operator's lower band is zero or negative."""
+    return ConfigError(f"{what} needs grid spacing h < 2/(n-1) = {2.0 / (n - 1):.6g} "
+                       f"for n={n}; got h={h:.6g}")
+
+
 def _symmetric_system(ops, cfg: HeatConfig):
     """Stacked symmetric forms (d, e, scale) of the marched rows, and the frozen coupling.
 
     A Dirichlet operator's last row is zero (the frozen boundary value), so
     the march keeps rows 0..J-2 and returns L[J-2, J-1] of each mode as the
     coupling; a Neumann operator is marched whole and the coupling is None.
-    Every band product must be positive: with n >= 2 that needs
-    h < 2/(n-1), else the lower band vanishes or changes sign and no
-    symmetric form exists, a ConfigError.
+    Every band product must be positive, else coarse_grid_error.
     """
     frozen = cfg.outer_bc == "dirichlet"
     forms = []
@@ -155,9 +159,7 @@ def _symmetric_system(ops, cfg: HeatConfig):
             op = OperatorMatrix.tridiag(*(band[:-1] for band in op.data))
         form = op._symmetric_form()
         if form is None or form[2] is None:
-            n, h = cfg.cross_section.n, cfg.grid.h
-            raise ConfigError(f"the heat march needs grid spacing h < 2/(n-1) = "
-                              f"{2.0 / (n - 1):.6g} for n={n}; got h={h:.6g}")
+            raise coarse_grid_error("the heat march", cfg.cross_section.n, cfg.grid.h)
         forms.append(form)
     d, e, log_delta = (np.stack(part) for part in zip(*forms))
     coupling = np.array([op.data[2][-2].real for op in ops]) if frozen else None

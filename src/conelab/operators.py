@@ -135,16 +135,26 @@ class OperatorMatrix:
                                                              - np.log(np.abs(lo))))])
         return d.real, e, log_delta - log_delta.max()
 
-    def eigenvalues(self) -> np.ndarray:
-        """The spectrum; exact symmetric tridiagonal eigenvalues where the bands allow.
+    def _real_structure(self) -> tuple:
+        """(form, why): what makes the spectrum real; eigenvalues() and complex_power read it.
 
-        A tridiagonal with a symmetric form (_symmetric_form) takes
-        eigvalsh_tridiagonal on it; any other operator takes dense eigvals.
+        form: the symmetric form, None for dense storage Hermitian to rounding
+        (max|A - A^H| <= dim eps max|A|); why: None for both, else what the operator lacks.
         """
+        if self.kind == "dense":
+            a, eps = self.data, np.finfo(float).eps
+            hermitian = np.abs(a - a.conj().T).max() <= self.dim * eps * np.abs(a).max()
+            return None, (None if hermitian else "dense, not Hermitian")
         form = self._symmetric_form()
-        if form is not None:
-            return eigvalsh_tridiagonal(form[0], form[1])
-        return np.linalg.eigvals(self.to_dense())
+        return form, (None if form is not None
+                      else "no symmetric form: complex bands or a negative band product")
+
+    def eigenvalues(self) -> np.ndarray:
+        """The spectrum: eigvalsh(_tridiagonal) if _real_structure finds it real, else eigvals."""
+        form, why = self._real_structure()
+        if why is not None:
+            return np.linalg.eigvals(self.to_dense())
+        return np.linalg.eigvalsh(self.data) if form is None else eigvalsh_tridiagonal(*form[:2])
 
     def inv_norm2_estimate(self, lams) -> tuple[np.ndarray, int, int]:
         """||(M+lam)^-1||_2 for each shift in lams: power iteration on the normal equations.

@@ -2,9 +2,9 @@
 
 Operators here are finite-dimensional stand-ins (discretized per-mode radial
 operators or plain matrices). complex_power forms M^z exactly from the
-spectrum while the conditioning gate passes, and by the real-spectrum
-quadrature of Hale, Higham & Trefethen otherwise. Both need a real positive
-spectrum; mu^z is the principal branch, cut along the negative real axis.
+spectrum (dense Hermitian, or a symmetric form within the conditioning gate)
+and by the quadrature of Hale, Higham & Trefethen otherwise. Both need a
+spectrum real by structure and positive; mu^z is the principal branch.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ _SPECTRAL_GATE = 1e-3
 
 # a priori error bound the real-spectrum quadrature picks its node count for
 _QUAD_TOL = 1e-12
-
-# an eigenvalue counts as real when |Im mu| is at most this times max|mu|
-_REAL_TOL = 1e-10
 
 # memory bound of the node loop: complex entries of resolvent columns held
 # for one chunk of nodes (2**12 entries, 64 KiB)
@@ -152,10 +149,12 @@ def _real_spectrum_nodes(lo: float, hi: float, z: complex):
 
 def _route(M: OperatorMatrix, forming: bool):
     """(method, gate, spectrum, symmetric form) of complex_power; an apply has no gate."""
-    form = M._symmetric_form()
+    form, why = M._real_structure()
+    if why is not None:
+        raise NotSectorialError(f"no real spectrum by structure: {why}")
     mu = M.eigenvalues()
-    if form is None or form[2] is None or not forming:
-        return "quadrature", None, mu, form
+    if form is None or form[2] is None or not forming:    # dense Hermitian: no gate needed
+        return ("spectral" if form is None else "quadrature"), None, mu, form
     amu = np.abs(mu)
     gate = float(np.finfo(float).eps * amu.max() / amu.min()) if amu.min() > 0 else math.inf
     return ("spectral" if gate <= _SPECTRAL_GATE else "quadrature"), gate, mu, form
@@ -164,13 +163,10 @@ def _route(M: OperatorMatrix, forming: bool):
 def power_route(M: OperatorMatrix) -> tuple[str, float | None]:
     """The route by which complex_power forms M^z, and its gate value.
 
-    'spectral' needs M = D^-1 S D (see OperatorMatrix._symmetric_form) with
-    the gate value eps * max|mu| / min|mu| over the eigenvalues of S at or
-    below _SPECTRAL_GATE. Every other operator takes 'quadrature': a
-    symmetric form above the gate, one without the similarity D (a zero
-    band product, as the frozen Dirichlet row; gate None), and one without
-    a symmetric form (dense storage, complex bands, a negative product
-    dl[j+1]*du[j]; gate None).
+    'spectral' takes a dense Hermitian matrix (gate None: a normal matrix
+    needs none), and M = D^-1 S D (OperatorMatrix._symmetric_form) while the
+    gate eps * max|mu| / min|mu| over the eigenvalues of S is at most
+    _SPECTRAL_GATE; 'quadrature' takes the rest (gate None without D).
     """
     return _route(M, True)[:2]
 
@@ -178,48 +174,41 @@ def power_route(M: OperatorMatrix) -> tuple[str, float | None]:
 def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None):
     """M^z as a dense OperatorMatrix (v None), or M^z v; the routes are power_route's.
 
-    An eigenvalue with |Im mu| above _REAL_TOL * max|mu|, or a real one
-    <= 0, raises NotSectorialError. Spectral forming: M^z = D^-1 V
-    diag(mu^z) V^T D from eigh_tridiagonal(S). The quadrature (every apply
-    too) runs on [min mu / 2, hi], hi the Gershgorin bound of S or, without
-    a symmetric form, the inf-norm of M, after an integer part m of z is
-    applied by m products (or -m solves), leaving Re in [-1, 0); forming
-    applies this to the identity. Its nodes are solved in chunks of at most
-    _RESOLVENT_ENTRIES resolvent entries. Provenance: "method", "gate",
-    "nodes" and "tail_bound", the error bound (0.0 spectral).
+    NotSectorialError names what M lacks for a real spectrum by structure
+    (OperatorMatrix._real_structure), or an eigenvalue <= 0. Spectral: M^z =
+    D^-1 V diag(mu^z) V^H D from eigh(M) (dense, D = I) or eigh_tridiagonal(S).
+    The quadrature (every tridiagonal apply too) runs on [min mu / 2, hi], hi
+    the Gershgorin bound of S, after an integer part m of z is applied by m
+    products (or -m solves), leaving Re in [-1, 0); forming applies this to
+    the identity, its nodes in chunks of _RESOLVENT_ENTRIES resolvent entries.
+    Provenance: "method", "gate", "nodes" and "tail_bound", the error bound.
     """
     z = complex(z)
     method, gate, mu, form = _route(M, v is None)
-    i = int(np.argmax(np.abs(mu.imag)))
-    if abs(mu.imag[i]) > _REAL_TOL * np.max(np.abs(mu)):
-        raise NotSectorialError(f"eigenvalue {mu[i]} off the real axis: no real spectrum")
-    mu = np.sort(mu.real)
     if mu[0] <= 0:
         raise NotSectorialError(f"eigenvalue {mu[0]} on the branch cut of M^z")
+    tail, nodes = 0.0, 0
     if method == "spectral":
         from scipy.linalg import eigh_tridiagonal
-        d, e, log_delta = form
-        mu, V = eigh_tridiagonal(d, e)
-        P = (V * np.exp(z * np.log(mu))) @ V.T * np.exp(log_delta[None, :] - log_delta[:, None])
-        return OperatorMatrix.dense(P, z=z, method=method, gate=gate, tail_bound=0.0,
-                                    nodes=0, base=M.provenance)
-    m = int(z.real) if z.imag == 0 and z.real.is_integer() else math.floor(z.real) + 1
-    out = np.eye(M.dim, dtype=complex) if v is None else np.asarray(v, dtype=complex)
-    for _ in range(abs(m)):
-        out = M.matvec(out) if m > 0 else M.solve_shifted_batch([0.0], out)[0]
-    tail, nodes = 0.0, 0
-    if z != m:
-        if form is None:
-            hi = float(np.linalg.norm(M.to_dense(), np.inf))
-        else:
+        mu, V = np.linalg.eigh(M.data) if form is None else eigh_tridiagonal(*form[:2])
+        P = (V * np.exp(z * np.log(mu))) @ V.conj().T
+        if form is not None:
+            P *= np.exp(form[2][None, :] - form[2][:, None])
+        out = P if v is None else P @ v
+    else:
+        m = int(z.real) if z.imag == 0 and z.real.is_integer() else math.floor(z.real) + 1
+        out = np.eye(M.dim, dtype=complex) if v is None else np.asarray(v, dtype=complex)
+        for _ in range(abs(m)):
+            out = M.matvec(out) if m > 0 else M.solve_shifted_batch([0.0], out)[0]
+        if z != m:
             d, e, _ = form
             hi = float(np.max(d + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])))
-        lams, weights, tail = _real_spectrum_nodes(0.5 * mu[0], hi, z - m)
-        acc, step = np.zeros(out.shape, dtype=complex), max(1, _RESOLVENT_ENTRIES // out.size)
-        for s in range(0, len(lams), step):
-            acc += np.tensordot(weights[s:s + step],
-                                M.solve_shifted_batch(lams[s:s + step], out), axes=1)
-        out, nodes = acc, len(lams)
+            lams, weights, tail = _real_spectrum_nodes(0.5 * mu[0], hi, z - m)
+            acc, step = np.zeros(out.shape, dtype=complex), max(1, _RESOLVENT_ENTRIES // out.size)
+            for s in range(0, len(lams), step):
+                acc += np.tensordot(weights[s:s + step],
+                                    M.solve_shifted_batch(lams[s:s + step], out), axes=1)
+            out, nodes = acc, len(lams)
     if v is not None:
         return out
     return OperatorMatrix.dense(out, z=z, method=method, gate=gate, tail_bound=tail,

@@ -24,7 +24,7 @@ from .heat_solver import (HeatConfig, assemble_mode_operator,
                           bessel_series_solution, relative_l2_error, solve_heat)
 from .mellin_sobolev import LogGrid, RadialField
 from .operators import OperatorMatrix
-from .power_calculus import (PowerProbeConfig, complex_power, eig_power_oracle,
+from .power_calculus import (PowerProbeConfig, complex_power, eig_power_oracle, power_route,
                              find_sectorial_shift, power_domain_probe, sectorial_probe)
 from .rational import QRat
 from .symbol_algebra import ConeOperatorSpec, pole_set, pole_set_power
@@ -297,25 +297,25 @@ def criterion_decomposition() -> tuple[bool, str]:
 
 def criterion_complex_powers() -> tuple[bool, str]:
     rng = np.random.default_rng(2024)
-    worst_oracle = 0.0
-    worst_semi = 0.0
+    dirichlet = (-assemble_mode_operator(1, 0, LogGrid(-4.0, 33), "dirichlet")).shifted(1.0)
+    worst = np.zeros((2, 2))                 # rows dense, Dirichlet; columns oracle, semigroup
     for _ in range(20):
         A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         H = A @ A.conj().T / 8.0 + 0.5 * np.eye(8)
-        M = OperatorMatrix.dense(H)
         z1 = complex(-rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
         z2 = complex(-rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
-        P1 = complex_power(M, z1).data
-        P2 = complex_power(M, z2).data
-        P12 = complex_power(M, z1 + z2).data
-        worst_oracle = max(worst_oracle,
-                           float(np.max(np.abs(P1 - eig_power_oracle(M, z1)))))
-        worst_semi = max(worst_semi, float(np.max(np.abs(P1 @ P2 - P12))))
+        for row, M in enumerate((OperatorMatrix.dense(H), dirichlet)):
+            P1, P2, P12 = (complex_power(M, z).data for z in (z1, z2, z1 + z2))
+            worst[row] = np.maximum(worst[row], [np.max(np.abs(P1 - eig_power_oracle(M, z1))),
+                                                 np.max(np.abs(P1 @ P2 - P12))])
+    route = power_route(dirichlet)[0]
     scalar = complex_power(OperatorMatrix.dense([[2.0]]), -0.5).data[0, 0]
     scalar_err = abs(scalar - 2.0 ** -0.5)
-    ok = worst_oracle <= 1e-7 and worst_semi <= 1e-7 and scalar_err <= 1e-8
-    return ok, (f"oracle err {worst_oracle:.2e} <= 1e-7, semigroup err {worst_semi:.2e} "
-                f"<= 1e-7, scalar [2]^-1/2 err {scalar_err:.2e} <= 1e-8")
+    ok = route == "quadrature" and float(worst.max()) <= 1e-7 and scalar_err <= 1e-8
+    (do, ds), (qo, qs) = worst
+    return ok, (f"dense Hermitian oracle err {do:.2e}, semigroup err {ds:.2e}; Dirichlet "
+                f"mode ({route}) oracle err {qo:.2e}, semigroup err {qs:.2e}; all <= 1e-7; "
+                f"scalar [2]^-1/2 err {scalar_err:.2e} <= 1e-8")
 
 
 # -- 9: power-domain membership -------------------------------------------------

@@ -511,6 +511,25 @@ def test_powers_command_positive_power_on_dirichlet(tmp_path):
     _dirichlet_powers(tmp_path, z_re=0.5)
 
 
+def test_powers_on_a_grid_too_coarse_for_the_symmetric_form_exit_2(tmp_path, capsys):
+    # sphere n=5 at h = 4/7: the lower band 1/h^2 - 2/h is negative, so the
+    # mode operator has no symmetric form and no real spectrum by structure
+    cfg = dict(CIRCLE_CFG, cross_section={"kind": "sphere", "n": 5},
+               grid={"tau_min": -4.0, "points": 8})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "powers.json"
+    assert main(["powers", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: powers needs grid spacing h < 2/(n-1) = 0.5 for n=5; got h=0.571429" \
+        in err
+    assert not out.exists()
+    # the sectorial probe needs no real spectrum and keeps running there
+    sect = tmp_path / "sect.json"
+    assert main(["sectorial-probe", "--config", str(p), "--out", str(sect)]) == 0
+    assert json.loads(sect.read_text())["K"] >= 1.0
+
+
 @pytest.mark.parametrize("cmd", ["powers", "sectorial-probe"])
 def test_unknown_outer_bc_exit_2(cmd, tmp_path, capsys):
     cfg = dict(CIRCLE_CFG, heat={"outer_bc": "robin"})

@@ -50,9 +50,9 @@ def test_oracle_equivalence_and_semigroup():
 
 def test_tighter_quadrature_tolerance_takes_more_nodes(monkeypatch):
     # a tighter a priori bound takes more nodes on the same contour
-    rng = np.random.default_rng(3)
-    M = _random_hpd(rng)
+    M = _dirichlet_mode(33)
     a = complex_power(M, -0.4)
+    assert a.provenance["method"] == "quadrature"
     monkeypatch.setattr(power_calculus, "_QUAD_TOL", 1e-15)
     b = complex_power(M, -0.4)
     assert b.provenance["nodes"] > a.provenance["nodes"]
@@ -201,11 +201,31 @@ def test_zero_eigenvalue_is_not_sectorial():
 
 
 def test_complex_shifted_mode_operator_is_not_sectorial():
-    # no symmetric form: the dense spectrum is tested for reality first
-    M = _shifted_mode(33).shifted(0.5j)
-    for v in (None, np.ones(33)):
-        with pytest.raises(NotSectorialError, match=r"\+0\.5.*off the real axis"):
-            complex_power(M, -0.5, v)
+    # complex bands leave no symmetric form, so no real spectrum by
+    # structure; a tolerance on Im mu let the wide 321- and 641-point
+    # spectra through
+    for tau_min, J in ((-4.0, 33), (-10.0, 321), (-16.0, 641)):
+        M = (-assemble_mode_operator(1, 0, LogGrid(tau_min, J), "neumann")).shifted(1.0)
+        for v in (None, np.ones(J)):
+            with pytest.raises(NotSectorialError, match="no symmetric form: complex bands"):
+                complex_power(M.shifted(0.5j), -0.5, v)
+
+
+def test_complex_power_needs_a_real_spectrum_by_structure():
+    not_hermitian = OperatorMatrix.dense(_shifted_mode(33).to_dense())
+    negative = OperatorMatrix.tridiag(np.full(9, -1.0), np.full(9, 3.0), np.ones(9))
+    for M, why in ((not_hermitian, "dense, not Hermitian"),
+                   (negative, "no symmetric form: complex bands or a negative band product")):
+        for v in (None, np.ones(M.dim)):
+            with pytest.raises(NotSectorialError, match=why):
+                complex_power(M, 0.5, v)
+    M = _random_hpd(np.random.default_rng(17))
+    z = -0.5 + 0.3j
+    P = complex_power(M, z)
+    assert (P.provenance["method"], P.provenance["gate"]) == ("spectral", None)
+    assert P.provenance["nodes"] == 0 and P.provenance["tail_bound"] == 0.0
+    want = eig_power_oracle(M, z)
+    assert np.max(np.abs(P.data - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _shifted_mode(J):
@@ -322,8 +342,9 @@ def test_tridiagonal_power_chunks_match_dense_route():
     M = _shifted_mode(33)       # an apply to the identity: 3 nodes per kernel call
     z = -0.5 + 0.1j
     tri = complex_power(M, z, np.eye(33))
-    dense = complex_power(OperatorMatrix.dense(M.to_dense()), z).data
-    assert np.max(np.abs(tri - dense)) <= 1e-12 * np.max(np.abs(dense))
+    dense = complex_power(M, z)         # the spectral forming of the same operator
+    assert dense.provenance["method"] == "spectral"
+    assert np.max(np.abs(tri - dense.data)) <= 1e-12 * np.max(np.abs(dense.data))
 
 
 @pytest.mark.parametrize("z", [-0.5 + 0.2j, 0.5, 0.9, 0.5j, 1 + 0.5j, 2 + 0.3j])
@@ -406,7 +427,7 @@ def test_real_spectrum_nodes_reproduce_scalar_powers(z):
      None, "quadrature"),
     (lambda: _shifted_mode(33), None, "spectral"),
     (lambda: _shifted_mode(33), np.ones(33), "quadrature"),
-    (lambda: OperatorMatrix.dense(_shifted_mode(33).to_dense()), None, "quadrature"),
+    (lambda: _random_hpd(np.random.default_rng(11)), None, "spectral"),
 ], ids=["dirichlet", "gated-out", "spectral", "apply", "dense"])
 def test_one_spectrum_per_call(make, v, route, monkeypatch):
     M = make()
