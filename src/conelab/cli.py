@@ -8,6 +8,9 @@ the job; CSV payloads are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
+import itertools
 import json
 import math
 import sys
@@ -107,17 +110,21 @@ def cmd_asymptotics(args) -> int:
 _FIELD_COLUMNS = ("tau", "mode", "re", "im")
 
 
-def _write_csv(path: Path, header: str, blocks) -> None:
+def _write_csv(path: Path, header: str, blocks):
     """A CSV file: the header line, then each block of rows in one write.
 
     A block is a list of rows or a str of ended rows. A row is its cells
     joined by commas; cells (numbers, flags, program-made mode labels) need
-    no quoting. Lines end in \\r\\n, as the csv module's do.
+    no quoting. Lines end in \\r\\n, as the csv module's do. Returns the
+    SHA-256 of the bytes written, hashed as they are written.
     """
+    digest = hashlib.sha256()
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for rows in blocks:
-            fh.write(rows if isinstance(rows, str) else "".join([f"{row}\r\n" for row in rows]))
+        for text in itertools.chain([header + "\r\n"], blocks):
+            text = text if isinstance(text, str) else "".join([f"{row}\r\n" for row in text])
+            fh.write(text)
+            digest.update(text.encode(fh.encoding))
+    return digest
 
 
 def _read_field_csv(path: Path, grid: LogGrid, cs, max_modes: int) -> RadialField:
@@ -171,14 +178,92 @@ def _write_field_csv(path: Path, field: RadialField, templates=None):
     """One format call per mode block, on a template of %.17g: the bytes fmt writes.
 
     templates (``_field_templates``) may be made once for many fields on
-    the same grid and mode table.
+    the same grid and mode table. Returns the SHA-256 of the file's bytes.
     """
     if templates is None:
         templates = _field_templates(field)
     values = np.ascontiguousarray(field.values, dtype=np.complex128)
-    _write_csv(path, ",".join(_FIELD_COLUMNS),
-               (template % tuple(row.view(np.float64).tolist())
-                for template, row in zip(templates, values)))
+    return _write_csv(path, ",".join(_FIELD_COLUMNS),
+                      (template % tuple(row.view(np.float64).tolist())
+                       for template, row in zip(templates, values)))
+
+
+_SNAPSHOT_ARRAY = "snapshots.npy"
+
+
+def _snapshots_digest(grid: LogGrid, labels: list[str], parts) -> str:
+    """trajectory.json's snapshots_sha256 over the grid, the mode labels and the parts.
+
+    The grid (tau_min, points) and the labels go in as JSON, then the SHA-256
+    of each part in order: every snapshot CSV, then the array's bytes.
+    """
+    digest = hashlib.sha256(json.dumps([grid.tau_min, grid.points, labels]).encode())
+    for part in parts:
+        digest.update(part.digest())
+    return digest.hexdigest()
+
+
+def _snapshot_array_header(shape: tuple[int, int, int]) -> bytes:
+    """The .npy header (version 1.0) of a C-ordered complex128 array of this shape."""
+    fh = io.BytesIO()
+    np.lib.format.write_array_header_1_0(fh, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.complex128)),
+        "fortran_order": False, "shape": shape})
+    return fh.getvalue()
+
+
+def _write_snapshots(outdir: Path, fields: list[RadialField]) -> tuple[list[str], str]:
+    """(paths, snapshots_sha256): each field to snapshot_{idx:05d}.csv, and all to snapshots.npy.
+
+    The array holds exactly the values written, complex128 of shape
+    (snapshots, modes, J) in index order. It is written as its .npy header
+    and then each snapshot's bytes, so no second copy of the trajectory is
+    stacked; each CSV is hashed as its text is written.
+    """
+    grid, modes = fields[0].grid, fields[0].modes
+    templates = _field_templates(fields[0])
+    paths, parts, array_digest = [], [], hashlib.sha256()
+    array_path = outdir / _SNAPSHOT_ARRAY
+    with open(array_path, "wb") as fh:
+        fh.write(_snapshot_array_header((len(fields), len(modes), grid.points)))
+        for idx, field in enumerate(fields):
+            path = outdir / f"snapshot_{idx:05d}.csv"
+            parts.append(_write_field_csv(path, field, templates))
+            paths.append(str(path))
+            values = np.ascontiguousarray(field.values, dtype=np.complex128)
+            fh.write(values)
+            array_digest.update(values)
+    digest = _snapshots_digest(grid, [m.label for m in modes], [*parts, array_digest])
+    return [*paths, str(array_path)], digest
+
+
+def _read_snapshots(trajdir: Path, snaps: list[Path], meta: dict, grid: LogGrid, cs,
+                    max_modes: int) -> list[RadialField]:
+    """The snapshot fields, from snapshots.npy when snapshots_sha256 vouches for it.
+
+    The array is taken only under the exact .npy header `_write_snapshots`
+    writes for the run config's shape, so its dtype, order and shape are
+    known before any value is read, and no file content sizes an allocation.
+    The digest is then recomputed from the run config's grid and mode
+    labels, the CSV bytes and the array. On a match the CSVs hold the
+    array's values (%.17g round-trips every double, and the reader keeps the
+    sign of a zero), so parsing them would give the same bits and pass its
+    checks. Anything else (no key, no array, another header, a short array,
+    a mismatch) reads the CSVs with ``_read_field_csv``.
+    """
+    modes = cs.mode_table(max_modes)
+    values = np.empty((len(snaps), len(modes), grid.points), np.complex128)
+    header = _snapshot_array_header(values.shape)
+    try:
+        with open(trajdir / _SNAPSHOT_ARRAY, "rb") as fh:
+            intact = fh.read(len(header)) == header and fh.readinto(values) == values.nbytes
+    except OSError:
+        intact = False
+    if intact and meta.get("snapshots_sha256") == _snapshots_digest(
+            grid, [m.label for m in modes],
+            [*(hashlib.sha256(p.read_bytes()) for p in snaps), hashlib.sha256(values)]):
+        return [RadialField(grid, modes, v, n=cs.n, vol=cs.vol) for v in values]
+    return [_read_field_csv(p, grid, cs, max_modes) for p in snaps]
 
 
 def cmd_norm(args) -> int:
@@ -217,29 +302,39 @@ def cmd_solve_heat(args) -> int:
     outdir = meta_path.parent
     u0 = _read_field_csv(Path(args.u0), grid, cs, max_modes)
     traj = solve_heat(u0, None, hc)
-    outputs = []
-    templates = _field_templates(u0)
-    for idx, f in enumerate(traj.fields):
-        path = outdir / f"snapshot_{idx:05d}.csv"
-        _write_field_csv(path, f, templates)
-        outputs.append(str(path))
+    outputs, digest = _write_snapshots(outdir, traj.fields)
     meta = {"times": traj.times, "scheme": {"theta": hc.theta, "dt": hc.dt},
-            "outer_bc": hc.outer_bc, "gamma": float(gamma)}
+            "outer_bc": hc.outer_bc, "gamma": float(gamma), "snapshots_sha256": digest}
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2)
     _write_manifest(outdir, {"subcommand": "solve-heat", "u0": str(args.u0)}, cfg,
                     t0, outputs)
-    print(f"wrote {len(outputs)} snapshots to {outdir}")
+    print(f"wrote {len(traj.fields)} snapshots to {outdir}")
     return 0
+
+
+def _read_json(path: Path, what: str, key: str, kind: type) -> dict:
+    """The JSON object in a `what` file, whose `key` holds a `kind`.
+
+    Anything else (not JSON, not an object, no such key, another type) is a
+    ConfigError naming the file.
+    """
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        if not isinstance(obj[key], kind):
+            raise TypeError(f"{key!r} is not a {kind.__name__}")
+    except KeyError as exc:
+        raise ConfigError(f"{what} file {path}: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{what} file {path} is malformed: {exc}") from None
+    return obj
 
 
 def _read_basis(path: Path) -> AsymptoticsBasis:
     """The basis list of an `asymptotics` output file (re_rho, im_rho, m, mode per entry)."""
+    entries = _read_json(path, "basis", "basis", list)["basis"]
     try:
-        with open(path) as fh:
-            entries = json.load(fh)["basis"]
-        if not isinstance(entries, list):
-            raise TypeError("'basis' is not a list")
         triples = tuple((complex(b["re_rho"], b["im_rho"]), int(b["m"]), b["mode"])
                         for b in entries)
     except KeyError as exc:
@@ -257,11 +352,9 @@ def cmd_fit_tip(args) -> int:
     meta_path = trajdir / "trajectory.json"
     if not meta_path.exists():
         raise ConfigError(f"no trajectory.json in {trajdir}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    meta = _read_json(meta_path, "trajectory", "times", list)
     basis = _read_basis(Path(args.basis))
-    manifest = json.loads((trajdir / "manifest.json").read_text())
-    run_cfg = manifest["config"]
+    run_cfg = _read_json(trajdir / "manifest.json", "manifest", "config", dict)["config"]
     cs = cross_section_from_config(run_cfg["cross_section"])
     grid = grid_from_config(run_cfg)
     max_modes = int(run_cfg.get("operator", {}).get("max_modes", 3))
@@ -273,7 +366,7 @@ def cmd_fit_tip(args) -> int:
     if missing or extra:
         raise ConfigError(f"trajectory {trajdir} does not match its {len(snaps)} times: "
                           f"missing {missing}, without a time {extra}")
-    fits = fit_tip_series([_read_field_csv(snap, grid, cs, max_modes) for snap in snaps],
+    fits = fit_tip_series(_read_snapshots(trajdir, snaps, meta, grid, cs, max_modes),
                           basis, window=window, times=meta["times"])
     rows = []
     for fit in fits:

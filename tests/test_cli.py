@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -387,6 +388,128 @@ def test_fit_tip_malformed_basis_exit_2(payload, fit_inputs, tmp_path, capsys):
     assert main(["fit-tip", "--traj", str(traj), "--basis", str(basis), "--out", str(out)]) == 2
     assert f"config error: basis file {basis}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, payload", [
+    ("trajectory.json", "{not json"),
+    ("trajectory.json", json.dumps({"scheme": {}})),
+    ("trajectory.json", json.dumps({"times": 0.01})),
+    ("trajectory.json", json.dumps([0.0, 0.01])),
+    ("manifest.json", "{not json"),
+    ("manifest.json", json.dumps({"tool": "conelab"})),
+    ("manifest.json", json.dumps({"config": [CIRCLE_CFG]})),
+], ids=["trajectory-not-json", "no-times", "times-not-a-list", "trajectory-not-an-object",
+        "manifest-not-json", "no-config", "config-not-an-object"])
+def test_fit_tip_malformed_trajectory_metadata_exit_2(name, payload, fit_inputs, tmp_path,
+                                                       capsys):
+    traj, basis = fit_inputs
+    copy, out = tmp_path / "traj", tmp_path / "fits.csv"
+    shutil.copytree(traj, copy)
+    (copy / name).write_text(payload)
+    assert main(["fit-tip", "--traj", str(copy), "--basis", str(basis), "--out", str(out)]) == 2
+    what = name.removesuffix(".json")
+    assert f"config error: {what} file {copy / name}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _flip_array_byte(traj):
+    """Change one mantissa byte of snapshot 1, mode k=0, point 50 (inside the fit window)."""
+    path = traj / "snapshots.npy"
+    data = bytearray(path.read_bytes())
+    values = np.load(path)
+    header = len(data) - values.nbytes
+    data[header + np.ravel_multi_index((1, 0, 50), values.shape) * 16 + 3] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _edit_csv_value(traj):
+    """Set the re cell of snapshot 1, mode k=0, point 50 to another finite value."""
+    path = traj / "snapshot_00001.csv"
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[1 + 50].split(b",")
+    assert cells[1] == b"k=0"
+    cells[2] = b"1.5"
+    lines[1 + 50] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def _edit_json(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+_TRAJECTORY_FAULTS = {
+    "no-array": lambda traj: (traj / "snapshots.npy").unlink(),
+    "array-byte": _flip_array_byte,
+    "csv-value": _edit_csv_value,
+    "manifest-grid": lambda traj: _edit_json(
+        traj / "manifest.json", lambda m: m["config"]["grid"].update(tau_min=-6.5)),
+    "no-digest": lambda traj: _edit_json(
+        traj / "trajectory.json", lambda meta: meta.pop("snapshots_sha256")),
+    "array-truncated": lambda traj: (traj / "snapshots.npy").write_bytes(
+        (traj / "snapshots.npy").read_bytes()[:-16]),
+    "array-big-endian": lambda traj: np.save(traj / "snapshots.npy",
+                                             np.load(traj / "snapshots.npy").astype(">c16")),
+}
+
+
+@pytest.mark.parametrize("fault", list(_TRAJECTORY_FAULTS))
+def test_fit_tip_array_fault_reads_as_without_the_array(fault, fit_inputs, tmp_path, capsys):
+    """A fault in the array or what its digest covers gives what the CSVs alone give."""
+    traj, basis = fit_inputs
+    runs = []
+    for side in ("faulted", "csv-only", "clean"):
+        d = tmp_path / side
+        shutil.copytree(traj, d / "traj")
+        if side != "clean":
+            _TRAJECTORY_FAULTS[fault](d / "traj")
+        if side == "csv-only":
+            (d / "traj" / "snapshots.npy").unlink(missing_ok=True)
+        out = d / "fits.csv"
+        capsys.readouterr()
+        rc = main(["fit-tip", "--traj", str(d / "traj"), "--basis", str(basis),
+                   "--out", str(out)])
+        printed = capsys.readouterr()
+        runs.append((rc, printed.out.replace(str(d), ""), printed.err.replace(str(d), ""),
+                     out.read_bytes() if out.exists() else None))
+    faulted, csv_only, clean = runs
+    assert faulted == csv_only
+    if fault == "csv-value":                 # the edit reaches the fits
+        assert faulted[3] != clean[3]
+    if fault == "manifest-grid":
+        assert faulted[0] == 2 and "does not match the config grid" in faulted[2]
+    else:
+        assert faulted[0] == 0
+
+
+def test_fit_tip_reads_the_array_solve_heat_writes(cfg_path, tmp_path, monkeypatch):
+    u0, basis = tmp_path / "u0.csv", tmp_path / "basis.json"
+    _write_u0(u0)
+    a, b = tmp_path / "a", tmp_path / "override"
+    assert main(["solve-heat", "--config", str(cfg_path), "--u0", str(u0),
+                 "--out", str(a)]) == 0
+    monkeypatch.setenv("CONELAB_OUTDIR", str(b))       # the array follows the CSVs
+    assert main(["solve-heat", "--config", str(cfg_path), "--u0", str(u0),
+                 "--out", str(tmp_path / "unused")]) == 0
+    monkeypatch.delenv("CONELAB_OUTDIR")
+    assert (a / "snapshots.npy").read_bytes() == (b / "snapshots.npy").read_bytes()
+    assert str(a / "snapshots.npy") in json.loads((a / "manifest.json").read_text())["outputs"]
+    snaps = sorted(a.glob("snapshot_*.csv"))
+    want = np.stack([_read_field_csv(p, GRID, CIRCLE, 3).values for p in snaps])
+    assert np.array_equal(np.load(a / "snapshots.npy").view(np.uint64), want.view(np.uint64))
+    assert main(["asymptotics", "--config", str(cfg_path), "--out", str(basis)]) == 0
+
+    def no_parse(*args):
+        raise AssertionError("fit-tip parsed a snapshot CSV")
+    monkeypatch.setattr(conelab.cli, "_read_field_csv", no_parse)
+    assert main(["fit-tip", "--traj", str(a), "--basis", str(basis),
+                 "--out", str(a / "fits.csv")]) == 0
+    monkeypatch.undo()
+    (b / "snapshots.npy").unlink()
+    assert main(["fit-tip", "--traj", str(b), "--basis", str(basis),
+                 "--out", str(b / "fits.csv")]) == 0
+    assert (a / "fits.csv").read_bytes() == (b / "fits.csv").read_bytes()
 
 
 def test_solve_heat_gamma_window_enforced(tmp_path):
