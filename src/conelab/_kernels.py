@@ -1,4 +1,4 @@
-"""Batched tridiagonal kernels: one stacked LAPACK call per chunk of the batch.
+"""Batched tridiagonal kernels: one stacked LAPACK call per batch.
 
 Band convention: a batch of nb systems of size J is stored as three (nb, J)
 arrays (dl, d, du) with dl[:, 0] and du[:, -1] unused. Set those two entries
@@ -25,15 +25,12 @@ from that of a solve on its own (seen when a block's right-hand side is
 all zeros). The same holds for ``dpttrf``/``dpttrs``, whose off-diagonal
 is zero at every block boundary.
 
-Chunks: one ``thomas_batch`` call takes at most _CHUNK solution entries
-(block rows times right-hand sides, at least one block). Bands and
-right-hand sides are converted and copied one chunk at a time, so a batch
-over thousands of shifts never holds a second full copy of broadcast
-bands. ``factor_batch`` and the march factor their whole batch in one
-call: the factors are kept for every later solve, so they are one full
-copy. An exactly singular block (``info > 0``), or a march whose
-I - theta*dt*S is not positive definite, raises NumericalError naming its
-batch row and the pivot position inside it.
+Batches: callers bound them (``complex_power`` hands ``thomas_batch`` at
+most 4096 solution entries, or one shift), and each call copies its whole
+batch once. ``factor_batch`` and the march factor their whole batch in one
+call: the factors are kept for every later solve. An exactly singular block
+(``info > 0``), or a march whose I - theta*dt*S is not positive definite,
+raises NumericalError naming its batch row and the pivot position inside it.
 """
 
 from __future__ import annotations
@@ -43,13 +40,11 @@ from scipy.linalg.lapack import dpttrf, dpttrs, zgtsv, zgttrf
 
 from .errors import NumericalError
 
-_CHUNK = 4096          # solution entries per stacked LAPACK call
 
-
-def _check(info: int, routine: str, first_row: int, J: int):
+def _check(info: int, routine: str, J: int):
     if info > 0:
         row, pos = divmod(info - 1, J)
-        raise NumericalError(f"singular tridiagonal system in batch row {first_row + row}: "
+        raise NumericalError(f"singular tridiagonal system in batch row {row}: "
                              f"{routine} found a zero pivot at position {pos + 1}")
 
 
@@ -72,7 +67,7 @@ def factor_batch(dl, d, du):
     block raises NumericalError naming its batch row and pivot position.
     """
     *lu, info = zgttrf(*_stacked(dl, d, du), overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    _check(info, "zgttrf", 0, np.shape(d)[1])
+    _check(info, "zgttrf", np.shape(d)[1])
     return lu
 
 
@@ -88,18 +83,13 @@ def thomas_batch(dl, d, du, rhs):
     if vector:
         rhs = rhs[..., None]
     k = rhs.shape[2]
-    out = np.empty((k, nb, J), dtype=np.complex128)
-    step = max(1, _CHUNK // (J * k))
-    for s in range(0, nb, step):
-        e = min(s + step, nb)
-        # column c of the stacked system is rhs[s:e, :, c]: Fortran order
-        b = np.array(rhs[s:e].transpose(2, 0, 1), dtype=np.complex128,
-                     order="C").reshape(k, -1).T
-        # overwrite_dl/d/du/b on the chunk's own copies, passed by position:
-        # keywords cost about 1 us per call
-        *_, x, info = zgtsv(*_stacked(dl[s:e], d[s:e], du[s:e]), b, 1, 1, 1, 1)
-        _check(info, "zgtsv", s, J)
-        out[:, s:e] = x.T.reshape(k, e - s, J)
+    # column c of the stacked system is rhs[:, :, c]: Fortran order
+    b = np.array(rhs.transpose(2, 0, 1), dtype=np.complex128, order="C").reshape(k, -1).T
+    # overwrite_dl/d/du/b on the batch's own copies, passed by position:
+    # keywords cost about 1 us per call
+    *_, x, info = zgtsv(*_stacked(dl, d, du), b, 1, 1, 1, 1)
+    _check(info, "zgtsv", J)
+    out = x.T.reshape(k, nb, J)
     return out[0] if vector else out.transpose(1, 2, 0)
 
 

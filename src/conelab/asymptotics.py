@@ -204,20 +204,17 @@ class Realization:
                                        "not among the realization's admitted asymptotics")
 
 
-def build_realization(realization, gamma, spec: ConeOperatorSpec) -> Realization:
-    """The domain of 'min', 'DD', 'max', 'power:k' or ('power', k), with k >= 1.
+def build_realization(realization: str, gamma, spec: ConeOperatorSpec) -> Realization:
+    """The domain of 'min', 'DD', 'max' or 'power:k', with k >= 1.
 
     Minimal-domain regularity means Re rho strictly below the strip's left
     edge (log powers are harmless under a strict inequality); 'max' admits
-    the pole basis, 'DD' exactly the constants, ('power', k) the basis of
+    the pole basis, 'DD' exactly the constants, 'power:k' the basis of
     Q_(A^k), which makes it the maximal domain of A^k.
     """
-    name = realization
-    if isinstance(name, str) and name.startswith("power:") and name[6:].isdecimal():
-        realization = ("power", int(name[6:]))
-    if isinstance(realization, tuple) and len(realization) == 2 \
-            and realization[0] == "power" and realization[1] >= 1:
-        k = realization[1]
+    if isinstance(realization, str) and realization.startswith("power:") \
+            and realization[6:].isdecimal() and int(realization[6:]) >= 1:
+        k = int(realization[6:])
         return Realization(strip_bounds(spec.n, gamma, spec.mu, power=k)[0],
                            enumerate_asymptotics(pole_set_power(spec, gamma, k)),
                            f"term appears in the Q_(A^{k}) asymptotics basis")
@@ -232,7 +229,7 @@ def build_realization(realization, gamma, spec: ConeOperatorSpec) -> Realization
                            "constants are adjoined to the minimal domain by the realization")
     if realization == "min":
         return Realization(left, AsymptoticsBasis((), None), "")
-    raise ConfigError(f"bad realization {name!r}: "
+    raise ConfigError(f"bad realization {realization!r}: "
                       "expected min, DD, max or power:k with k >= 1")
 
 

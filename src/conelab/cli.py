@@ -57,7 +57,7 @@ def cmd_poles(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     path = output_path(args.out, cfg.get("output_dir"), "poles.csv")
-    cs = cross_section_from_config(cfg["cross_section"])
+    cs = cross_section_from_config(cfg)
     spec = operator_from_config(cfg, cs)
     gamma = gamma_from_config(cfg, cs)
     ps = pole_set_power(spec, gamma, args.power)
@@ -80,7 +80,7 @@ def cmd_asymptotics(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     path = output_path(args.out, cfg.get("output_dir"), "asymptotics.json")
-    cs = cross_section_from_config(cfg["cross_section"])
+    cs = cross_section_from_config(cfg)
     spec = operator_from_config(cfg, cs)
     gamma = gamma_from_config(cfg, cs)
     names = args.realizations.split(",") if args.realizations else ["DD", "max"]
@@ -269,7 +269,7 @@ def _read_snapshots(trajdir: Path, snaps: list[Path], meta: dict, grid: LogGrid,
 def cmd_norm(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
-    cs = cross_section_from_config(cfg["cross_section"])
+    cs = cross_section_from_config(cfg)
     grid = grid_from_config(cfg)
     gamma = gamma_from_config(cfg, cs)
     max_modes = int(cfg.get("operator", {}).get("max_modes", 3))
@@ -288,7 +288,7 @@ def cmd_norm(args) -> int:
 def cmd_solve_heat(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
-    cs = cross_section_from_config(cfg["cross_section"])
+    cs = cross_section_from_config(cfg)
     grid = grid_from_config(cfg)
     gamma = gamma_from_config(cfg, cs, require_window=True)
     heat = cfg.get("heat", {})
@@ -355,7 +355,7 @@ def cmd_fit_tip(args) -> int:
     meta = _read_json(meta_path, "trajectory", "times", list)
     basis = _read_basis(Path(args.basis))
     run_cfg = _read_json(trajdir / "manifest.json", "manifest", "config", dict)["config"]
-    cs = cross_section_from_config(run_cfg["cross_section"])
+    cs = cross_section_from_config(run_cfg)
     grid = grid_from_config(run_cfg)
     max_modes = int(run_cfg.get("operator", {}).get("max_modes", 3))
     window = cfg.get("fit", {}).get("window")
@@ -389,7 +389,7 @@ def _shifted_mode_operator(cfg: dict):
     one ladder, and only `sectorial-probe` probes the resolvent at c.
     """
     theta, shift0 = powers_from_config(cfg)[1:3]
-    cs = cross_section_from_config(cfg["cross_section"])
+    cs = cross_section_from_config(cfg)
     mode = cs.mode_table(int(cfg.get("operator", {}).get("max_modes", 1)))[0]
     L = assemble_mode_operator(cs.n, mode.eigenvalue, grid_from_config(cfg),
                                cfg.get("heat", {}).get("outer_bc", "neumann"))

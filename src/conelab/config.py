@@ -21,25 +21,41 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         with open(p) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {p} is not a JSON object")
+    return cfg
 
 
-def cross_section_from_config(block: dict) -> CrossSection:
+def cross_section_from_config(cfg: dict) -> CrossSection:
+    """The cross_section block of cfg; a missing or bad key is a ConfigError naming it."""
+    block = cfg.get("cross_section")
+    if not isinstance(block, dict):
+        raise ConfigError("config needs a 'cross_section' object")
     kind = block.get("kind")
+
+    def value(key, conv, default=None):
+        if default is None and key not in block:
+            raise ConfigError(f"{kind} cross_section needs {key!r}")
+        try:
+            return conv(block.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"cross_section.{key} is malformed: {exc}") from None
+
     if kind == "circle":
         if "L_over_pi" in block:
-            return CrossSection.circle(length_over_pi=Fraction(str(block["L_over_pi"])))
+            return CrossSection.circle(length_over_pi=value("L_over_pi", lambda v: Fraction(str(v))))
         if "L" in block:
-            return CrossSection.circle(length=float(block["L"]))
+            return CrossSection.circle(length=value("L", float))
         raise ConfigError("circle cross-section needs 'L' or 'L_over_pi'")
     if kind == "sphere":
-        return CrossSection.sphere(int(block["n"]))
+        return CrossSection.sphere(value("n", int))
     if kind == "explicit":
-        eigs = [(e, m) for e, m in block["eigs"]]
-        return CrossSection.explicit(eigs, n=int(block.get("n", 1)),
-                                     volume=float(block.get("volume", 1.0)))
+        n, volume = value("n", int, 1), value("volume", float, 1.0)
+        return value("eigs", lambda eigs: CrossSection.explicit([(e, m) for e, m in eigs],
+                                                                n=n, volume=volume))
     raise ConfigError(f"unknown cross-section kind {kind!r}")
 
 

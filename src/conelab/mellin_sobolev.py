@@ -152,12 +152,11 @@ def mellin_norm(u: RadialField, s: int, gamma: float, p: float = 2.0) -> float:
             if k > 0:
                 dk_c = dtau(dk_c, h)
                 dk_i = dtau(dk_i, h)
+            t_c, t_i = _trapz(np.abs(weight * dk_c) ** p, h), _trapz(np.abs(dk_i) ** p, h)
             for a in range(s + 1 - k):
                 lamw = lam ** a
-                total += u.vol * mode.multiplicity * lamw * _trapz(
-                    np.abs(weight * dk_c) ** p, h)
-                total += u.vol * mode.multiplicity * lamw * _trapz(
-                    np.abs(dk_i) ** p, h)
+                total += u.vol * mode.multiplicity * lamw * t_c
+                total += u.vol * mode.multiplicity * lamw * t_i
     return total ** (1.0 / p)
 
 

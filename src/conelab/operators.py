@@ -20,9 +20,9 @@ _NORM_SEED = 3         # seed of the shared start vector
 class OperatorMatrix:
     """Dense or tridiagonal complex matrix with provenance metadata.
 
-    Tridiagonal storage keeps three length-J bands (dl, d, du) with dl[0]
-    and du[-1] unused; dense storage keeps the full array. Provenance
-    records where the matrix came from so probe reports are reproducible.
+    Tridiagonal storage keeps three length-J bands (dl, d, du) with dl[0] and
+    du[-1] unused; dense storage keeps the full array and has no band operations.
+    Provenance records where the matrix came from so probe reports are reproducible.
     """
 
     kind: str                    # 'tridiag' | 'dense'
@@ -65,44 +65,39 @@ class OperatorMatrix:
         a += np.diag(du[:-1], 1)
         return a
 
+    def _bands(self) -> tuple:
+        """(dl, d, du); band operations need tridiagonal storage."""
+        if self.kind != "tridiag":
+            raise ConfigError(f"band operations need tridiagonal storage, not {self.kind}")
+        return self.data
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """M v for a vector (dim,) or a block of columns (dim, k)."""
         v = np.asarray(v, dtype=complex)
-        if self.kind == "dense":
-            return self.data @ v
         cols = v.reshape(self.dim, -1).T
-        bands = (np.broadcast_to(b, cols.shape) for b in self.data)
+        bands = (np.broadcast_to(b, cols.shape) for b in self._bands())
         return tridiag_matvec(*bands, cols).T.reshape(v.shape)
 
     def shifted(self, c: complex) -> "OperatorMatrix":
         """M + c*I with provenance recording the shift."""
+        dl, d, du = self._bands()
         prov = dict(self.provenance)
         prov["shift"] = prov.get("shift", 0.0) + c
-        if self.kind == "dense":
-            return OperatorMatrix("dense", self.data + c * np.eye(self.dim), prov)
-        dl, d, du = self.data
         return OperatorMatrix("tridiag", (dl.copy(), d + c, du.copy()), prov)
 
     def __neg__(self) -> "OperatorMatrix":
-        if self.kind == "dense":
-            return OperatorMatrix("dense", -self.data, dict(self.provenance))
-        dl, d, du = self.data
+        dl, d, du = self._bands()
         return OperatorMatrix("tridiag", (-dl, -d, -du), dict(self.provenance))
 
     def solve_shifted_batch(self, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """(M + lam_i)^-1 rhs for a batch of shifts and one right-hand side.
 
         rhs is a vector (dim,) or a block of columns (dim, k); returns
-        (len(lams), dim) or (len(lams), dim, k).
+        (len(lams), dim) or (len(lams), dim, k). The caller bounds the batch.
         """
+        dl, d, du = self._bands()
         lams = np.asarray(lams, dtype=complex)
         rhs = np.asarray(rhs, dtype=complex)
-        if self.kind == "dense":
-            n, dim = len(lams), self.dim
-            block = np.broadcast_to(rhs.reshape(dim, -1), (n, dim, rhs.size // dim))
-            sol = np.linalg.solve(self.data + lams[:, None, None] * np.eye(dim), block)
-            return sol.reshape((n,) + rhs.shape)
-        dl, d, du = self.data
         shape = (len(lams), self.dim)
         return thomas_batch(np.broadcast_to(dl, shape), d + lams[:, None],
                             np.broadcast_to(du, shape),
@@ -171,15 +166,10 @@ class OperatorMatrix:
 
         Returns (norms, iterations, unconverged): the estimates in the order
         of lams, the iterations run, and how many shifts still missed the
-        stopping test at the end. Dense storage gives exact norms with 0
-        iterations.
+        stopping test at the end.
         """
+        dl, d, du = self._bands()
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-        if self.kind == "dense":
-            eye = np.eye(self.dim)
-            norms = [np.linalg.norm(np.linalg.inv(self.data + lam * eye), 2) for lam in lams]
-            return np.array(norms), 0, 0
-        dl, d, du = self.data
         rng = np.random.default_rng(_NORM_SEED)
         v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         v = np.tile(v / np.linalg.norm(v), (len(lams), 1))

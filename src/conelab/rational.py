@@ -134,10 +134,6 @@ class Poly:
     def constant(c) -> "Poly":
         return Poly([c])
 
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial

@@ -149,14 +149,14 @@ def test_domain_membership_min_and_power():
     # power(1) coincides with max
     for term in (AsymptoticsTerm(QRat(1), 0, "k=+1"), AsymptoticsTerm(QRat(0), 1, "k=0"),
                  smooth):
-        assert domain_membership(term, ("power", 1), gamma, spec).member == \
+        assert domain_membership(term, "power:1", gamma, spec).member == \
             domain_membership(term, "max", gamma, spec).member
     # the mode-2 constant is killed by A^2 but not A: outside D(A_max),
     # inside D(A^2_max)
     spec3 = ConeOperatorSpec.laplacian(CIRCLE, 3)
     c2 = AsymptoticsTerm(QRat(0), 0, "k=+2")
     assert domain_membership(c2, "max", gamma, spec3).member is False
-    assert domain_membership(c2, ("power", 2), gamma, spec3).member is True
+    assert domain_membership(c2, "power:2", gamma, spec3).member is True
 
 
 def test_domain_membership_boundary_reported():

@@ -119,6 +119,23 @@ def test_bad_json_exit_2(tmp_path):
     assert main(["poles", "--config", str(p)]) == 2
 
 
+@pytest.mark.parametrize("cfg, key", [
+    ({"gamma": -0.5}, "cross_section"),
+    ({"cross_section": {"kind": "sphere"}}, "'n'"),
+    ({"cross_section": {"kind": "explicit", "n": 1}}, "'eigs'"),
+    ({"cross_section": {"kind": "circle", "L_over_pi": "abc"}}, "L_over_pi"),
+    ({"cross_section": "circle"}, "cross_section"),
+    ([CIRCLE_CFG], "JSON object"),
+], ids=["no-block", "sphere-no-n", "explicit-no-eigs", "bad-L_over_pi", "string-block",
+        "not-an-object"])
+def test_malformed_cross_section_exit_2(tmp_path, capsys, cfg, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["poles", "--config", str(p), "--out", str(tmp_path / "poles.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 def test_asymptotics_json(cfg_path, tmp_path):
     out = tmp_path / "asym.json"
     assert main(["asymptotics", "--config", str(cfg_path),

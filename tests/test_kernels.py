@@ -180,16 +180,16 @@ def test_operator_rejects_non_finite_entries(kind, dim, bad):
         OperatorMatrix(kind, bands if kind == "tridiag" else dense)
 
 
-@pytest.mark.parametrize("rhs_shape", [(7,), (7, 3)])
-def test_dense_solve_shifted_batch_matches_per_shift_solve(rhs_shape):
-    rng = np.random.default_rng(4)
-    A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    rhs = rng.standard_normal(rhs_shape) + 1j * rng.standard_normal(rhs_shape)
-    lams = np.array([0.0, 1.5j, -0.3 + 2.0j, 4.0])
-    got = OperatorMatrix.dense(A).solve_shifted_batch(lams, rhs)
-    assert got.shape == (len(lams),) + rhs_shape
-    for lam, sol in zip(lams, got):
-        assert np.allclose(sol, np.linalg.solve(A + lam * np.eye(7), rhs), rtol=1e-12, atol=0)
+@pytest.mark.parametrize("op", [
+    lambda M: M.matvec(np.ones(3)),
+    lambda M: M.shifted(1.0),
+    lambda M: -M,
+    lambda M: M.solve_shifted_batch(np.array([0.0, 1j]), np.ones(3)),
+    lambda M: M.inv_norm2_estimate(np.array([0.0, 1j])),
+], ids=["matvec", "shifted", "neg", "solve_shifted_batch", "inv_norm2_estimate"])
+def test_dense_storage_rejects_band_operations(op):
+    with pytest.raises(ConfigError, match="tridiagonal storage"):
+        op(OperatorMatrix.dense(np.diag([1.0, 2.0, 3.0])))
 
 
 def test_backend_name():
@@ -207,8 +207,8 @@ def _per_row_zgtsv(dl, d, du, rhs):
 
 def test_thomas_batch_stacked_chunks_equal_per_row_solves():
     rng = np.random.default_rng(11)
-    # full per-row bands whose unused corners hold garbage, over several chunks
-    nb, J = 3 * _kernels._CHUNK // 40 + 5, 40
+    # full per-row bands whose unused corners hold garbage, over 3 * 4096 entries
+    nb, J = 3 * 4096 // 40 + 5, 40
     for bands in (_random_bands, _pivoting_bands):
         dl, d, du = bands(rng, nb, J)
         dl[:, 0], du[:, -1] = 3.0 + 1j, -7.0
@@ -219,7 +219,7 @@ def test_thomas_batch_stacked_chunks_equal_per_row_solves():
         assert all(np.array_equal(a, b) for a, b in zip((dl, d, du, rhs), before))
     # broadcast read-only bands and right-hand sides with a trailing axis
     nb, J, k = 50, 33, 7
-    assert nb * J * k > 2 * _kernels._CHUNK
+    assert nb * J * k > 2 * 4096
     dl, d, du = _pivoting_bands(rng, 1, J)
     shape = (nb, J)
     D = d + rng.standard_normal((nb, 1)) + 1j * rng.standard_normal((nb, 1))
@@ -234,9 +234,9 @@ def test_thomas_batch_stacked_chunks_equal_per_row_solves():
 def test_zero_pivot_in_later_chunk_names_row_and_position():
     rng = np.random.default_rng(4)
     J = 40
-    nb = 3 * (_kernels._CHUNK // J) + 2
+    nb = 3 * (4096 // J) + 2
     dl, d, du = _random_bands(rng, nb, J)
-    row, pos = nb - 2, 17                     # in the last chunk
+    row, pos = nb - 2, 17                     # far into the stacked system
     dl[row] = 0.0                             # upper bidiagonal: no elimination
     d[row, pos - 1] = 0.0
     msg = rf"batch row {row}: {{}} found a zero pivot at position {pos}$"
