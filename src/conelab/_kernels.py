@@ -163,8 +163,11 @@ def evolve_theta(d, e, scale, coupling, theta, dt, u0, n_steps, snap_every, forc
             if np.iscomplexobj(f):
                 w[1] += f.imag * scale
         dpttrs(ad, ae, b, overwrite_b=1)
-        v *= -keep
-        v += w
+        if keep == 1.0:                     # theta = 1/2: w - v, the same bits as -v + w
+            np.subtract(w, v, out=v)
+        else:
+            v *= -keep
+            v += w
         if step % snap_every == 0:
             _unscale(v, scale, snaps[step // snap_every - 1])
     final = np.empty((nb, J), dtype=complex)

@@ -429,8 +429,8 @@ def cmd_sectorial_probe(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     path = output_path(args.out, cfg.get("output_dir"), "sectorial.json")
-    M, theta, shift, _min_eig = _shifted_mode_operator(cfg)
-    report = sectorial_probe(M, theta, n_samples=powers_from_config(cfg)[3])
+    M, theta, shift, min_eig = _shifted_mode_operator(cfg)
+    report = sectorial_probe(M, theta, n_samples=powers_from_config(cfg)[3], min_abs_eig=min_eig)
     payload = {
         "theta": theta, "shift": shift, "K": report.K,
         "min_abs_eig": report.min_abs_eig,

@@ -74,17 +74,20 @@ def _check_sector_clear(M: OperatorMatrix, theta: float) -> float:
     return float(np.min(np.abs(eigs)))
 
 
-def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200) -> SectorialReport:
+def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200,
+                    min_abs_eig: float | None = None) -> SectorialReport:
     """K = max over sampled lambda in S_theta of (1+|lambda|) ||(M+lambda)^-1||.
 
     Samples run log-spaced along the boundary rays +/- theta, the positive
     real axis, and lambda = 0 exactly. _check_sector_clear first tests
-    every eigenvalue of M against the sector and gives min |eig|. One
+    every eigenvalue of M against the sector and gives min |eig|; a caller
+    that has already checked M (find_sectorial_shift) passes min_abs_eig
+    instead, and the spectrum is not computed again. One
     batched inv_norm2_estimate call gives every resolvent norm, factoring
     each live batch of shifted operators once; its iteration count and the
     number of samples that missed its stopping test go into the report.
     """
-    min_eig = _check_sector_clear(M, theta)
+    min_eig = _check_sector_clear(M, theta) if min_abs_eig is None else min_abs_eig
     lams = _sector_samples(theta, n_samples, _LAM_MAX)
     norms, iterations, unconverged = M.inv_norm2_estimate(lams)
     vals = (1.0 + np.abs(lams)) * norms

@@ -64,6 +64,8 @@ class QRat:
         o = _coerce(other)
         if o is None:
             return NotImplemented
+        if not (self.im or o.im):          # real times real: the same Fractions, fewer of them
+            return QRat(self.re * o.re, self.im)
         return QRat(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
@@ -72,6 +74,10 @@ class QRat:
         o = _coerce(other)
         if o is None:
             return NotImplemented
+        if not o.im:                        # a real divisor divides each part
+            if not o.re:
+                raise ZeroDivisionError("division by zero QRat")
+            return QRat(self.re / o.re, self.im / o.re)
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero QRat")
@@ -90,7 +96,8 @@ class QRat:
         return NotImplemented if o is None else (self.re == o.re and self.im == o.im)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # == coerces int, Fraction and float, so a real value hashes like its Fraction
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -149,7 +156,10 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant (zero included) hashes like the number it equals
+        if len(self.coeffs) > 1:
+            return hash(self.coeffs)
+        return hash(self.coeffs[0] if self.coeffs else 0)
 
     def __add__(self, other):
         other = self._as_poly(other)
@@ -305,9 +315,10 @@ class RationalFamily:
         if num.is_zero():
             self.num, self.den = Poly(), Poly.constant(1)
             return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num, den = num // g, den // g
+        if num.degree > 0 and den.degree > 0:    # else the gcd is a constant
+            g = num.gcd(den)
+            if g.degree > 0:
+                num, den = num // g, den // g
         lead = den.coeffs[-1]
         self.num = Poly([c / lead for c in num.coeffs])
         self.den = Poly([c / lead for c in den.coeffs])

@@ -103,8 +103,9 @@ def recursive_symbols(spec: ConeOperatorSpec, mode: str) -> list[RationalFamily]
     for k in range(1, spec.mu):
         acc = RationalFamily(Poly())
         for i in range(k):
-            acc = acc + RationalFamily(fs[k - i].shift(-i)) * g[i]
-        g.append(-(inv_f0.shift(-k)) * acc)
+            if not (fs[k - i].is_zero() or g[i].is_zero()):    # a zero term adds nothing
+                acc = acc + RationalFamily(fs[k - i].shift(-i)) * g[i]
+        g.append(acc if acc.is_zero() else -(inv_f0.shift(-k)) * acc)
     return g
 
 

@@ -189,7 +189,7 @@ def fit_tip_series(fields, basis: AsymptoticsBasis, window: tuple[float, float] 
         # products follows the strides, and a fit must not depend on its chunk
         R = np.empty((len(modes), n, x.size), complex)
         for k, f in enumerate(chunk):
-            R[:, k] = f.values[:, idx]        # modes without columns keep their field
+            R[:, k] = f.values.take(idx, axis=1)    # modes without columns keep their field
         conds = np.ones((n, len(modes)))
         floors = np.zeros((len(modes), n))
         coeffs = {}
@@ -229,17 +229,18 @@ def fit_tip_series(fields, basis: AsymptoticsBasis, window: tuple[float, float] 
                                     floors.ravel()).reshape(len(modes), n)
         overall = _decay_exponent(x[:inner], np.sqrt(np.sum(inner_mag ** 2, axis=0)),
                                   np.sqrt(np.sum(floors ** 2, axis=0)))
-        for k in range(n):
-            coefficients = [FitCoefficient(rho, m, label, complex(cv))
-                            for i, c in coeffs.items()
-                            for (rho, m, label), cv in zip(designs[i][0], c[k])]
+        # Python numbers for the whole chunk at once; np.sqrt rounds as math.sqrt does
+        columns = [(designs[i][0], c.tolist()) for i, c in coeffs.items()]
+        for k, (t, res, slope, slopes, cond) in enumerate(zip(
+                times[start:start + n], np.sqrt(res_sq).tolist(), overall.tolist(),
+                mode_exps.T.tolist(), conds.max(axis=1).tolist())):
+            coefficients = [FitCoefficient(rho, m, label, cv) for keys, c in columns
+                            for (rho, m, label), cv in zip(keys, c[k])]
             fits.append(TipFit(
-                t=times[start + k], coefficients=coefficients, window=(x_a, x_b),
-                residual_norm=math.sqrt(res_sq[k]),
-                residual_decay_exponent=float(overall[k]),
-                mode_residual_exponents={mode.label: float(e)
-                                         for mode, e in zip(modes, mode_exps[:, k])},
-                condition=float(conds[k].max())))
+                t=t, coefficients=coefficients, window=(x_a, x_b), residual_norm=res,
+                residual_decay_exponent=slope,
+                mode_residual_exponents={mode.label: e for mode, e in zip(modes, slopes)},
+                condition=cond))
     return fits
 
 

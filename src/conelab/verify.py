@@ -360,8 +360,8 @@ def criterion_sectorial() -> tuple[bool, str]:
     for J in (257, 513):
         g = LogGrid(-6.0, J)
         L = assemble_mode_operator(1, 0, g, "neumann")
-        c, _min_eig = find_sectorial_shift(L, theta)
-        report = sectorial_probe((-L).shifted(c), theta, n_samples=200)
+        c, min_eig = find_sectorial_shift(L, theta)
+        report = sectorial_probe((-L).shifted(c), theta, n_samples=200, min_abs_eig=min_eig)
         shifts.append(c)
         Ks.append(report.K)
         # the constant is an exact eigenvector of the k=0 Neumann operator with

@@ -1,6 +1,7 @@
 """CLI subcommands: schemas, determinism, exit codes, manifests."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -69,6 +70,26 @@ def test_poles_deterministic_bytes(cfg_path, tmp_path):
         assert main([*command, "--config", str(cfg_path), "--out", str(a)]) == 0
         assert main([*command, "--config", str(cfg_path), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of the symbolic outputs on configs/circle.json. Exact arithmetic
+# must reproduce them byte for byte; a change here is a change of results.
+SYMBOLIC_DIGESTS = {
+    "poles.csv": "e232d59fe000eaed90ba083cba3c05346dad327e27a9102ad1f00842de3e4e27",
+    "poles2.csv": "7447a4edd991c14e763b7ad0af2646da5a186893bc919ed8bb49de50b09b5795",
+    "asymptotics.json": "7098a88f2c27eb42252ab577af9f44df326b4eca9ca8218621825d06c24c71d8",
+}
+
+
+def test_symbolic_outputs_pinned(tmp_path, monkeypatch):
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "circle.json")
+    monkeypatch.setenv("CONELAB_OUTDIR", str(tmp_path))
+    assert main(["poles", "--config", cfg]) == 0
+    assert main(["poles", "--config", cfg, "--power", "2", "--out", "poles2.csv"]) == 0
+    assert main(["asymptotics", "--config", cfg, "--realizations", "DD,max,power:2"]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in SYMBOLIC_DIGESTS}
+    assert got == SYMBOLIC_DIGESTS
 
 
 @pytest.mark.parametrize("power", ["0", "-3"])
@@ -210,6 +231,20 @@ def test_out_file_in_new_directory(cmd, cfg_path, tmp_path):
     out = tmp_path / "new" / "dir" / "result"
     assert main([cmd, *inputs[cmd], "--out", str(out)]) == 0
     assert out.exists() and (out.parent / "manifest.json").exists()
+
+
+def test_sectorial_probe_computes_the_spectrum_once(cfg_path, tmp_path, monkeypatch):
+    calls = []
+    eigenvalues = OperatorMatrix.eigenvalues
+
+    def counted(self):
+        calls.append(self.dim)
+        return eigenvalues(self)
+    monkeypatch.setattr(OperatorMatrix, "eigenvalues", counted)
+    out = tmp_path / "sectorial.json"
+    assert main(["sectorial-probe", "--config", str(cfg_path), "--out", str(out)]) == 0
+    # the first rung of the shift ladder clears the sector; the probe reuses its spectrum
+    assert json.loads(out.read_text())["shift"] == 1.0 and calls == [129]
 
 
 def test_non_finite_field_csv_exit_2(cfg_path, tmp_path, capsys):

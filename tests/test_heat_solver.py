@@ -162,6 +162,37 @@ def test_non_finite_forcing_raises_numerical_error():
         solve_heat(u0, f, cfg)
 
 
+def test_one_non_finite_forcing_step_raises_numerical_error():
+    g = LogGrid(-5.0, 65)
+    cfg = HeatConfig(cross_section=CIRCLE, grid=g, T=0.01, dt=1e-3, outer_bc="neumann",
+                     theta=0.5, max_modes=1, snapshot_every=1)
+    u0 = RadialField.zeros(g, CIRCLE, 1)
+    bad_t = 4 * cfg.dt
+
+    def f(t):
+        return np.full((1, g.points), math.nan if t == bad_t else 1.0)
+    with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+        solve_heat(u0, f, cfg)
+    with pytest.raises(ConfigError, match="non-finite"):
+        RadialField(g, u0.modes, np.full((1, g.points), math.nan))
+
+
+def test_non_finite_snapshot_with_finite_final_state_raises(monkeypatch):
+    # the single check covers every snapshot, not only the final state
+    g = LogGrid(-5.0, 65)
+    cfg = HeatConfig(cross_section=CIRCLE, grid=g, T=0.005, dt=1e-3, outer_bc="neumann",
+                     theta=0.5, max_modes=1, snapshot_every=1)
+    march = heat_solver.evolve_theta
+
+    def overflowing(*args):
+        final, snaps = march(*args)
+        snaps[2, 0, 7] = complex(math.inf, 0.0)
+        return final, snaps
+    monkeypatch.setattr(heat_solver, "evolve_theta", overflowing)
+    with pytest.raises(NumericalError, match="non-finite"):
+        solve_heat(RadialField.zeros(g, CIRCLE, 1), None, cfg)
+
+
 def test_discrete_maximum_principle_theta1():
     g = LogGrid(-5.0, 129)
     rng = np.random.default_rng(4)

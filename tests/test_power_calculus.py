@@ -162,6 +162,27 @@ def test_find_sectorial_shift_ladder():
     assert c >= 1.0 and math.isfinite(rep.K) and rep.min_abs_eig == min_eig
 
 
+
+def test_sectorial_probe_takes_the_ladders_spectrum(monkeypatch):
+    L = assemble_mode_operator(1, 0, LogGrid(-5.0, 129), "neumann")
+    theta = 0.75 * math.pi
+    c, min_eig = find_sectorial_shift(L, theta)
+    M = (-L).shifted(c)
+    calls = []
+    eigenvalues = OperatorMatrix.eigenvalues
+
+    def counted(self):
+        calls.append(self.dim)
+        return eigenvalues(self)
+    monkeypatch.setattr(OperatorMatrix, "eigenvalues", counted)
+    passed = sectorial_probe(M, theta, n_samples=40, min_abs_eig=min_eig)
+    assert calls == []
+    bare = sectorial_probe(M, theta, n_samples=40)
+    assert calls == [129]
+    assert (bare.K, bare.min_abs_eig, bare.samples) == (passed.K, passed.min_abs_eig,
+                                                       passed.samples)
+
+
 def test_power_domain_probe_verdicts():
     pc0 = PowerProbeConfig(cross_section=CIRCLE, mode_label="k=0", gamma=-0.5,
                            shift=1.0, tau_min=-3.0, points=121, levels=3)

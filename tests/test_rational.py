@@ -86,3 +86,58 @@ def test_zero_division_guards():
         RationalFamily(Poly([1]), Poly([]))
     with pytest.raises(ZeroDivisionError):
         RationalFamily(Poly([])).inverse()
+
+
+def _gaussian_rationals(seed, count):
+    """Seeded Gaussian rationals: about half real, both signs, zero parts included."""
+    rng = random.Random(seed)
+
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    return [QRat(part(), part() if rng.random() < 0.5 else 0) for _ in range(count)]
+
+
+def test_real_fast_paths_match_the_general_formula():
+    vals = _gaussian_rationals(5, 40)
+    assert sum(not v.im for v in vals) >= 10 and sum(bool(v.im) for v in vals) >= 10
+    for a in vals:
+        for b in vals:
+            # (a + bi)(c + di) and (a + bi)/(c + di), formed on Fractions alone
+            re = a.re * b.re - a.im * b.im
+            im = a.re * b.im + a.im * b.re
+            prod = a * b
+            assert (prod.re, prod.im) == (re, im)
+            assert type(prod.re) is Fraction and type(prod.im) is Fraction
+            d = b.re * b.re + b.im * b.im
+            if d == 0:
+                with pytest.raises(ZeroDivisionError):
+                    a / b
+                continue
+            quot = a / b
+            assert (quot.re, quot.im) == ((a.re * b.re + a.im * b.im) / d,
+                                          (a.im * b.re - a.re * b.im) / d)
+            assert type(quot.re) is Fraction and type(quot.im) is Fraction
+            assert repr(quot) == repr(QRat((a.re * b.re + a.im * b.im) / d,
+                                           (a.im * b.re - a.re * b.im) / d))
+
+
+@pytest.mark.parametrize("zero", [QRat(0), 0, Fraction(0), 0.0])
+def test_real_zero_divisor_raises(zero):
+    for a in (QRat(Fraction(3, 4)), QRat(-2, 5), QRat(0)):
+        with pytest.raises(ZeroDivisionError):
+            a / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / QRat(0)
+
+
+def test_hashes_agree_with_equality():
+    assert QRat(1) in {1} and QRat(Fraction(1, 2)) in {0.5} and QRat(-3) in {Fraction(-3)}
+    assert 2 in {QRat(2)} and Fraction(1, 3) in {QRat(Fraction(1, 3))}
+    assert {QRat(0): "zero"}[0] == "zero"
+    assert QRat(1, 1) in {QRat(1, 1)} and QRat(1, 1) not in {1}
+    assert Poly([]) in {0} and Poly([5]) in {5} and Poly([QRat(1, 2)]) in {QRat(1, 2)}
+    assert {Poly([Fraction(1, 2)]): "half"}[0.5] == "half"
+    assert 3 in {Poly([3])} and Poly([1, 1]) in {Poly([1, 1])}
+    for a, b in ((QRat(7), 7), (QRat(Fraction(-5, 2)), -2.5), (Poly([]), 0),
+                 (Poly([4]), QRat(4)), (Poly([2, 1]), Poly([QRat(2), 1]))):
+        assert a == b and hash(a) == hash(b)

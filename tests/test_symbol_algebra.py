@@ -170,6 +170,29 @@ def test_warped_pole_set_flagged():
     assert ps.convention_pending
 
 
+
+def test_warped_pole_set_pinned():
+    # a0 = lambda (1 + x/3): g_1 != 0 on every mode with lambda != 0, and its
+    # poles 0 and 2 (k=+-1) appear in no g_0, so a skipped nonzero term would show
+    warped = ConeOperatorSpec.laplacian(CIRCLE, 3, warp_a0=Fraction(1, 3))
+    g = {m.label: recursive_symbols(warped, m.label) for m in warped.modes}
+    assert g["k=0"][1].is_zero()
+    assert g["k=+1"][1] == RationalFamily(Poly([Fraction(1, 3)]), Poly([0, 2, -1, -2, 1]))
+    assert g["k=-2"][1] == RationalFamily(Poly([Fraction(4, 3)]), Poly([12, 8, -7, -2, 1]))
+    ps = pole_set(warped, Fraction(-1, 2))
+    assert [(e.rho, e.mode_orders) for e in ps.entries] == [
+        (0, {"k=+1": 1, "k=-1": 1, "k=0": 2}), (1, {"k=+1": 1, "k=-1": 1})]
+    assert ps.exact and ps.strip == (Fraction(-1, 2), Fraction(3, 2))
+    roots = {"k=0": [(0, 2)], "k=+1": [(-1, 1), (1, 1), (0, 1), (2, 1)],
+             "k=+2": [(-2, 1), (2, 1), (-1, 1), (3, 1)]}
+    roots["k=-1"], roots["k=-2"] = roots["k=+1"], roots["k=+2"]
+    want = [(label, rho, order, Fraction(-1, 2) <= rho < Fraction(3, 2))
+            for label in ("k=0", "k=+1", "k=-1", "k=+2", "k=-2")
+            for rho, order in roots[label]]
+    assert list(ps.candidates) == want
+    assert all(type(rho).__name__ == "QRat" for _l, rho, _o, _i in ps.candidates)
+
+
 # eigenvalues -0.1 and -2 give the irrational indicial roots +-sqrt(0.1), +-sqrt(2)
 FLOAT_ROOTS = CrossSection.explicit([(0, 1), (-0.1, 1), (-2, 1)], n=1)
 R1, R2 = math.sqrt(0.1), math.sqrt(2)
