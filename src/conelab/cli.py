@@ -23,9 +23,9 @@ import numpy as np
 from . import __version__
 from ._kernels import backend_name
 from .asymptotics import AsymptoticsBasis, AsymptoticsTerm, build_realization, domain_membership
-from .config import (cross_section_from_config, fmt, gamma_from_config,
-                     grid_from_config, load_config, operator_from_config,
-                     output_path, powers_from_config)
+from .config import (cross_section_from_config, fmt, gamma_from_config, grid_from_config,
+                     heat_from_config, load_config, max_modes_from_config,
+                     operator_from_config, output_path, powers_from_config)
 from .errors import ConelabError, ConfigError
 from .mellin_sobolev import LogGrid, RadialField, mellin_norm
 from .rational import root_to_complex
@@ -272,9 +272,8 @@ def cmd_norm(args) -> int:
     cs = cross_section_from_config(cfg)
     grid = grid_from_config(cfg)
     gamma = gamma_from_config(cfg, cs)
-    max_modes = int(cfg.get("operator", {}).get("max_modes", 3))
     path = output_path(args.out) if args.out else None
-    field = _read_field_csv(Path(args.field), grid, cs, max_modes)
+    field = _read_field_csv(Path(args.field), grid, cs, max_modes_from_config(cfg))
     value = mellin_norm(field, s=args.s, gamma=float(gamma), p=args.p)
     print(f"H^({args.s},{float(gamma)})_{args.p} norm = {fmt(value)}")
     if path is not None:
@@ -291,16 +290,11 @@ def cmd_solve_heat(args) -> int:
     cs = cross_section_from_config(cfg)
     grid = grid_from_config(cfg)
     gamma = gamma_from_config(cfg, cs, require_window=True)
-    heat = cfg.get("heat", {})
-    max_modes = int(cfg.get("operator", {}).get("max_modes", 3))
-    hc = HeatConfig(cross_section=cs, grid=grid, T=float(heat.get("T", 0.1)),
-                    dt=float(heat.get("dt", 1e-4)),
-                    outer_bc=heat.get("outer_bc", "dirichlet"),
-                    theta=float(heat.get("theta", 0.5)), max_modes=max_modes,
-                    snapshot_every=heat.get("snapshot_every", 0))
+    hc = HeatConfig(cross_section=cs, grid=grid, max_modes=max_modes_from_config(cfg),
+                    **heat_from_config(cfg))
     meta_path = output_path(None, args.out, "trajectory.json")
     outdir = meta_path.parent
-    u0 = _read_field_csv(Path(args.u0), grid, cs, max_modes)
+    u0 = _read_field_csv(Path(args.u0), grid, cs, hc.max_modes)
     traj = solve_heat(u0, None, hc)
     outputs, digest = _write_snapshots(outdir, traj.fields)
     meta = {"times": traj.times, "scheme": {"theta": hc.theta, "dt": hc.dt},
@@ -357,7 +351,7 @@ def cmd_fit_tip(args) -> int:
     run_cfg = _read_json(trajdir / "manifest.json", "manifest", "config", dict)["config"]
     cs = cross_section_from_config(run_cfg)
     grid = grid_from_config(run_cfg)
-    max_modes = int(run_cfg.get("operator", {}).get("max_modes", 3))
+    max_modes = max_modes_from_config(run_cfg)
     window = cfg.get("fit", {}).get("window")
     # snapshot_{idx:05d}.csv holds the field at times[idx]
     snaps = [trajdir / f"snapshot_{idx:05d}.csv" for idx in range(len(meta["times"]))]
@@ -382,19 +376,18 @@ def cmd_fit_tip(args) -> int:
 
 
 def _shifted_mode_operator(cfg: dict):
-    """(M, theta, c, min_abs_eig): M = c - L for the config's first mode, c from the shift ladder.
+    """(M, theta, c): M = c - L for the config's first mode, c from the shift ladder.
 
-    The ladder tests the spectrum against the sector of angle `powers.theta`
-    from `powers.shift0` on; `powers` and `sectorial-probe` both take this
-    one ladder, and only `sectorial-probe` probes the resolvent at c.
+    The ladder starts at `powers.shift0` and tests the spectrum against the
+    sector of angle `powers.theta`; M keeps the spectrum of its last rung.
     """
     theta, shift0 = powers_from_config(cfg)[1:3]
     cs = cross_section_from_config(cfg)
-    mode = cs.mode_table(int(cfg.get("operator", {}).get("max_modes", 1)))[0]
+    mode = cs.mode_table(max_modes_from_config(cfg))[0]
     L = assemble_mode_operator(cs.n, mode.eigenvalue, grid_from_config(cfg),
-                               cfg.get("heat", {}).get("outer_bc", "neumann"))
-    shift, min_eig = find_sectorial_shift(L, theta, c0=shift0)
-    return (-L).shifted(shift), theta, shift, min_eig
+                               heat_from_config(cfg, outer_bc="neumann")["outer_bc"])
+    shift, M = find_sectorial_shift(L, theta, c0=shift0)
+    return M, theta, shift
 
 
 def cmd_powers(args) -> int:
@@ -402,17 +395,15 @@ def cmd_powers(args) -> int:
     cfg = load_config(args.config)
     path = output_path(args.out, cfg.get("output_dir"), "powers.json")
     z = powers_from_config(cfg)[0]
-    M, theta, shift, min_eig = _shifted_mode_operator(cfg)
-    if M._symmetric_form() is None:          # no real spectrum by structure
+    M, theta, shift = _shifted_mode_operator(cfg)
+    if M.real_structure[1] is not None:
         raise coarse_grid_error("powers", M.provenance["n"], grid_from_config(cfg).h)
-    # at or below the dense limit every route forms, and the power records its route
-    route = power_route(M) if M.dim > _DENSE_LIMIT else None
-    power = complex_power(M, z) if route is None or route[0] == "spectral" else None
+    method, gate = power_route(M)
+    power = complex_power(M, z) if method == "spectral" or M.dim <= _DENSE_LIMIT else None
     prov = power.provenance if power is not None else {}
-    method, gate = route or (prov["method"], prov["gate"])
     report = {
         "z": [z.real, z.imag], "shift": shift, "theta": theta,
-        "min_abs_eig": min_eig,
+        "min_abs_eig": float(np.min(np.abs(M.eigenvalues()))),
         "method": method, "gate": gate,
         "nodes": prov.get("nodes"),
         "power_norm": float(np.linalg.norm(power.data, 2)) if power is not None else None,
@@ -429,8 +420,8 @@ def cmd_sectorial_probe(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     path = output_path(args.out, cfg.get("output_dir"), "sectorial.json")
-    M, theta, shift, min_eig = _shifted_mode_operator(cfg)
-    report = sectorial_probe(M, theta, n_samples=powers_from_config(cfg)[3], min_abs_eig=min_eig)
+    M, theta, shift = _shifted_mode_operator(cfg)
+    report = sectorial_probe(M, theta, n_samples=powers_from_config(cfg)[3])
     payload = {
         "theta": theta, "shift": shift, "K": report.K,
         "min_abs_eig": report.min_abs_eig,
@@ -510,10 +501,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConelabError as exc:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.linalg import eigvals, eigvalsh
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import zgttrs
 
@@ -16,12 +18,19 @@ _NORM_ITERS = 40       # iteration cap of an estimate
 _NORM_SEED = 3         # seed of the shared start vector
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense or tridiagonal complex matrix with provenance metadata.
+    """Immutable dense or tridiagonal complex matrix with provenance metadata.
 
     Tridiagonal storage keeps three length-J bands (dl, d, du) with dl[0] and
     du[-1] unused; dense storage keeps the full array and has no band operations.
+    The constructor keeps read-only copies of the bands (or the array), so the
+    real structure and the spectrum derived from them are computed once, on first use.
     Provenance records where the matrix came from so probe reports are reproducible.
     """
 
@@ -31,18 +40,19 @@ class OperatorMatrix:
 
     def __post_init__(self):
         if self.kind == "tridiag":
-            dl, d, du = (np.asarray(a, dtype=complex) for a in self.data)
+            data = tuple(_read_only(np.array(a, dtype=complex)) for a in self.data)
+            dl, d, du = data
             if not (dl.shape == d.shape == du.shape) or d.ndim != 1:
                 raise ConfigError("tridiagonal bands must be three equal-length 1-d arrays")
-            self.data = (dl, d, du)
         elif self.kind == "dense":
-            self.data = np.asarray(self.data, dtype=complex)
-            if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
+            data = _read_only(np.array(self.data, dtype=complex))
+            if data.ndim != 2 or data.shape[0] != data.shape[1]:
                 raise ConfigError("dense operator must be a square matrix")
         else:
             raise ConfigError(f"unknown operator storage {self.kind!r}")
-        if not np.isfinite(self.data).all():
+        if not np.isfinite(data).all():
             raise ConfigError("operator contains non-finite entries")
+        object.__setattr__(self, "data", data)
 
     @staticmethod
     def tridiag(dl, d, du, **provenance) -> "OperatorMatrix":
@@ -81,9 +91,8 @@ class OperatorMatrix:
     def shifted(self, c: complex) -> "OperatorMatrix":
         """M + c*I with provenance recording the shift."""
         dl, d, du = self._bands()
-        prov = dict(self.provenance)
-        prov["shift"] = prov.get("shift", 0.0) + c
-        return OperatorMatrix("tridiag", (dl.copy(), d + c, du.copy()), prov)
+        prov = dict(self.provenance, shift=self.provenance.get("shift", 0.0) + c)
+        return OperatorMatrix("tridiag", (dl, d + c, du), prov)
 
     def __neg__(self) -> "OperatorMatrix":
         dl, d, du = self._bands()
@@ -103,53 +112,47 @@ class OperatorMatrix:
                             np.broadcast_to(du, shape),
                             np.broadcast_to(rhs, shape + rhs.shape[1:]))
 
-    def _symmetric_form(self) -> tuple | None:
-        """(d, e, log_delta) with M = D^-1 S D, or None where the bands forbid it.
+    @cached_property
+    def real_structure(self) -> tuple:
+        """(form, why), decided on first use: why is None if the spectrum is real
+        by structure, else what the operator lacks.
 
-        S is the real symmetric tridiagonal with diagonal d and off-diagonal
-        e[j] = sign(du[j]) sqrt(dl[j+1] du[j]); D = diag(exp(log_delta)).
-        The eigenvalues of S ignore the sign of e, its eigenvectors do not.
-        It needs real bands with products dl[j+1]*du[j] >= 0, else None. A
-        zero product (the frozen Dirichlet row is one) splits M into blocks:
-        S keeps M's eigenvalues but no D exists, and log_delta is None.
-        """
-        if self.kind != "tridiag":
-            return None
-        dl, d, du = self.data
-        if dl.imag.any() or d.imag.any() or du.imag.any():
-            return None
-        lo, hi = dl.real[1:], du.real[:-1]
-        p = lo * hi
-        if np.any(p < 0):
-            return None
-        e = np.sign(hi) * np.sqrt(p)
-        if not p.all():
-            return d.real, e, None
-        # (delta[j+1] / delta[j])^2 = du[j] / dl[j+1], summed in logs
-        log_delta = np.concatenate([[0.0], np.cumsum(0.5 * (np.log(np.abs(hi))
-                                                             - np.log(np.abs(lo))))])
-        return d.real, e, log_delta - log_delta.max()
-
-    def _real_structure(self) -> tuple:
-        """(form, why): what makes the spectrum real; eigenvalues() and complex_power read it.
-
-        form: the symmetric form, None for dense storage Hermitian to rounding
-        (max|A - A^H| <= dim eps max|A|); why: None for both, else what the operator lacks.
+        form is the symmetric form (d, e, log_delta), M = D^-1 S D: S is real
+        symmetric tridiagonal with diagonal d and off-diagonal e[j] =
+        sign(du[j]) sqrt(dl[j+1] du[j]) (its eigenvectors, not its eigenvalues,
+        depend on that sign), D = diag(exp(log_delta)). It needs real bands
+        with products dl[j+1]*du[j] >= 0; a zero product (the frozen Dirichlet
+        row) splits M into blocks, and no D exists: log_delta is None. form is
+        None for dense storage, whose spectrum is real when it is Hermitian to
+        rounding (max|A - A^H| <= dim eps max|A|).
         """
         if self.kind == "dense":
             a, eps = self.data, np.finfo(float).eps
             hermitian = np.abs(a - a.conj().T).max() <= self.dim * eps * np.abs(a).max()
             return None, (None if hermitian else "dense, not Hermitian")
-        form = self._symmetric_form()
-        return form, (None if form is not None
-                      else "no symmetric form: complex bands or a negative band product")
+        dl, d, du = self.data
+        lo, hi = dl.real[1:], du.real[:-1]
+        p = lo * hi
+        if dl.imag.any() or d.imag.any() or du.imag.any() or np.any(p < 0):
+            return None, "no symmetric form: complex bands or a negative band product"
+        e = _read_only(np.sign(hi) * np.sqrt(p))
+        if not p.all():
+            return (d.real, e, None), None
+        # (delta[j+1] / delta[j])^2 = du[j] / dl[j+1], summed in logs
+        log_delta = np.concatenate([[0.0], np.cumsum(0.5 * (np.log(np.abs(hi))
+                                                             - np.log(np.abs(lo))))])
+        return (d.real, e, _read_only(log_delta - log_delta.max())), None
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        form, why = self.real_structure
+        if why is not None:
+            return _read_only(eigvals(self.to_dense()))
+        return _read_only(eigvalsh(self.data) if form is None else eigvalsh_tridiagonal(*form[:2]))
 
     def eigenvalues(self) -> np.ndarray:
-        """The spectrum: eigvalsh(_tridiagonal) if _real_structure finds it real, else eigvals."""
-        form, why = self._real_structure()
-        if why is not None:
-            return np.linalg.eigvals(self.to_dense())
-        return np.linalg.eigvalsh(self.data) if form is None else eigvalsh_tridiagonal(*form[:2])
+        """The spectrum, computed on first use and kept read-only."""
+        return self._spectrum
 
     def inv_norm2_estimate(self, lams) -> tuple[np.ndarray, int, int]:
         """||(M+lam)^-1||_2 for each shift in lams: power iteration on the normal equations.

@@ -74,20 +74,19 @@ def _check_sector_clear(M: OperatorMatrix, theta: float) -> float:
     return float(np.min(np.abs(eigs)))
 
 
-def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200,
-                    min_abs_eig: float | None = None) -> SectorialReport:
+def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200) -> SectorialReport:
     """K = max over sampled lambda in S_theta of (1+|lambda|) ||(M+lambda)^-1||.
 
     Samples run log-spaced along the boundary rays +/- theta, the positive
     real axis, and lambda = 0 exactly. _check_sector_clear first tests
-    every eigenvalue of M against the sector and gives min |eig|; a caller
-    that has already checked M (find_sectorial_shift) passes min_abs_eig
-    instead, and the spectrum is not computed again. One
-    batched inv_norm2_estimate call gives every resolvent norm, factoring
-    each live batch of shifted operators once; its iteration count and the
-    number of samples that missed its stopping test go into the report.
+    every eigenvalue of M against the sector and gives min |eig|; M keeps
+    its spectrum, so an operator the shift ladder has checked is not
+    diagonalized again. One batched inv_norm2_estimate call gives every
+    resolvent norm, factoring each live batch of shifted operators once;
+    its iteration count and the number of samples that missed its stopping
+    test go into the report.
     """
-    min_eig = _check_sector_clear(M, theta) if min_abs_eig is None else min_abs_eig
+    min_eig = _check_sector_clear(M, theta)
     lams = _sector_samples(theta, n_samples, _LAM_MAX)
     norms, iterations, unconverged = M.inv_norm2_estimate(lams)
     vals = (1.0 + np.abs(lams)) * norms
@@ -98,19 +97,21 @@ def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200,
 
 
 def find_sectorial_shift(L: OperatorMatrix, theta: float,
-                         c0: float = 1.0) -> tuple[float, float]:
+                         c0: float = 1.0) -> tuple[float, OperatorMatrix]:
     """Doubling-ladder search for a shift c with c - L sectorial of angle theta.
 
     A numerical surrogate for the existence statement. Each rung decides
     from the spectrum alone (_check_sector_clear); no resolvent norm is
-    computed. Returns (c, min |eig| of c - L) for the first c on the ladder
-    whose shifted operator clears the sector; sectorial_probe at that c
+    computed. Returns (c, M) for the first c on the ladder whose M = c - L
+    clears the sector; M keeps the spectrum checked, and sectorial_probe(M)
     gives the constant K.
     """
-    c = c0
+    c, neg = c0, -L
     for _ in range(_MAX_DOUBLINGS):
+        M = neg.shifted(c)
         try:
-            return c, _check_sector_clear((-L).shifted(c), theta)
+            _check_sector_clear(M, theta)
+            return c, M
         except NotSectorialError:
             c *= 2.0
     raise NotSectorialError(f"no sectorial shift found on the ladder up to c={c}")
@@ -150,35 +151,34 @@ def _real_spectrum_nodes(lo: float, hi: float, z: complex):
     return -w * w, weights, math.exp(-rate * n)
 
 
-def _route(M: OperatorMatrix, forming: bool):
-    """(method, gate, spectrum, symmetric form) of complex_power; an apply has no gate."""
-    form, why = M._real_structure()
+def _route(M: OperatorMatrix, forming: bool) -> tuple[str, float | None]:
+    """(method, gate) of complex_power; an apply has no gate."""
+    form, why = M.real_structure
     if why is not None:
         raise NotSectorialError(f"no real spectrum by structure: {why}")
-    mu = M.eigenvalues()
     if form is None or form[2] is None or not forming:    # dense Hermitian: no gate needed
-        return ("spectral" if form is None else "quadrature"), None, mu, form
-    amu = np.abs(mu)
+        return ("spectral" if form is None else "quadrature"), None
+    amu = np.abs(M.eigenvalues())
     gate = float(np.finfo(float).eps * amu.max() / amu.min()) if amu.min() > 0 else math.inf
-    return ("spectral" if gate <= _SPECTRAL_GATE else "quadrature"), gate, mu, form
+    return ("spectral" if gate <= _SPECTRAL_GATE else "quadrature"), gate
 
 
 def power_route(M: OperatorMatrix) -> tuple[str, float | None]:
     """The route by which complex_power forms M^z, and its gate value.
 
     'spectral' takes a dense Hermitian matrix (gate None: a normal matrix
-    needs none), and M = D^-1 S D (OperatorMatrix._symmetric_form) while the
+    needs none), and M = D^-1 S D (OperatorMatrix.real_structure) while the
     gate eps * max|mu| / min|mu| over the eigenvalues of S is at most
     _SPECTRAL_GATE; 'quadrature' takes the rest (gate None without D).
     """
-    return _route(M, True)[:2]
+    return _route(M, True)
 
 
 def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None):
     """M^z as a dense OperatorMatrix (v None), or M^z v; the routes are power_route's.
 
     NotSectorialError names what M lacks for a real spectrum by structure
-    (OperatorMatrix._real_structure), or an eigenvalue <= 0. Spectral: M^z =
+    (OperatorMatrix.real_structure), or an eigenvalue <= 0. Spectral: M^z =
     D^-1 V diag(mu^z) V^H D from eigh(M) (dense, D = I) or eigh_tridiagonal(S).
     The quadrature (every tridiagonal apply too) runs on [min mu / 2, hi], hi
     the Gershgorin bound of S, after an integer part m of z is applied by m
@@ -187,7 +187,8 @@ def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None):
     Provenance: "method", "gate", "nodes" and "tail_bound", the error bound.
     """
     z = complex(z)
-    method, gate, mu, form = _route(M, v is None)
+    method, gate = _route(M, v is None)
+    form, mu = M.real_structure[0], M.eigenvalues()
     if mu[0] <= 0:
         raise NotSectorialError(f"eigenvalue {mu[0]} on the branch cut of M^z")
     tail, nodes = 0.0, 0

@@ -102,9 +102,6 @@ class QRat:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conj(self) -> "QRat":
-        return QRat(self.re, -self.im)
-
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -120,10 +117,6 @@ def _coerce(v):
     if isinstance(v, (int, Fraction, float)):
         return QRat(v)
     return None
-
-
-_ZERO = QRat(0)
-_ONE = QRat(1)
 
 
 class Poly:
@@ -374,10 +367,6 @@ class RationalFamily:
             raise ZeroDivisionError("division by zero rational family")
         return RationalFamily(self.num * o.den, self.den * o.num)
 
-    def __rtruediv__(self, other):
-        o = self._as_family(other)
-        return NotImplemented if o is None else o / self
-
     def inverse(self) -> "RationalFamily":
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero family")
@@ -386,9 +375,6 @@ class RationalFamily:
     def shift(self, sigma) -> "RationalFamily":
         """T^sigma action: evaluate the family at (lambda + sigma)."""
         return RationalFamily(self.num.shift(sigma), self.den.shift(sigma))
-
-    def eval(self, z: complex) -> complex:
-        return self.num.eval(z) / self.den.eval(z)
 
     def poles(self):
         """Poles with orders: list of (location, order, is_exact)."""
@@ -399,16 +385,10 @@ class RationalFamily:
 
 
 def _snap_fraction(x: float):
-    """Candidate exact rationals near a float, best first."""
-    cands = []
-    seen = set()
-    for d in _SNAP_DENOMS:
-        f = Fraction(x).limit_denominator(d)
-        if f not in seen and abs(float(f) - x) < 1e-6:
-            seen.add(f)
-            cands.append(f)
-    cands.sort(key=lambda f: abs(float(f) - x))
-    return cands
+    """Candidate exact rationals near a float, best first (ties in denominator order)."""
+    exact = Fraction(x)
+    near = (f for f in map(exact.limit_denominator, _SNAP_DENOMS) if abs(float(f) - x) < 1e-6)
+    return sorted(dict.fromkeys(near), key=lambda f: abs(float(f) - x))
 
 
 def poly_roots(p: Poly):

@@ -115,10 +115,6 @@ class PoleEntry:
     mode_orders: dict            # label -> pole order (>= 1)
 
     @property
-    def max_log_power(self) -> int:
-        return max(self.mode_orders.values()) - 1
-
-    @property
     def rho_complex(self) -> complex:
         return root_to_complex(self.rho)
 

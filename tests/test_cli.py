@@ -157,6 +157,30 @@ def test_malformed_cross_section_exit_2(tmp_path, capsys, cfg, key):
     assert err.startswith("config error:") and key in err
 
 
+@pytest.mark.parametrize("block, value, cmd, key", [
+    ("grid", {"tau_min": "abc", "points": 129}, "solve-heat", "grid.tau_min"),
+    ("grid", [1, 2], "sectorial-probe", "'grid'"),
+    ("grid", {"tau_min": -6.0, "points": 33.7}, "norm", "grid.points"),
+    ("operator", {"max_modes": "x"}, "norm", "operator.max_modes"),
+    ("operator", {"warp_a0": "q"}, "poles", "operator.warp_a0"),
+    ("operator", {"preset": "explicit"}, "poles", "operator needs 'mu'"),
+    ("gamma", "abc", "poles", "gamma must be"),
+    ("heat", {"T": "x"}, "solve-heat", "heat.T"),
+    ("heat", [1], "sectorial-probe", "'heat'"),
+], ids=["grid.tau_min", "grid-list", "grid.points", "operator.max_modes", "operator.warp_a0",
+        "explicit-no-mu", "gamma", "heat.T", "heat-list"])
+def test_malformed_config_exit_2(tmp_path, capsys, block, value, cmd, key):
+    p, u0 = tmp_path / "cfg.json", tmp_path / "u0.csv"
+    p.write_text(json.dumps(dict(CIRCLE_CFG, **{block: value})))
+    _write_u0(u0)
+    inputs = {"poles": [], "sectorial-probe": [], "norm": ["--field", str(u0)],
+              "solve-heat": ["--u0", str(u0)]}
+    out = tmp_path / "out"
+    assert main([cmd, "--config", str(p), *inputs[cmd], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 def test_asymptotics_json(cfg_path, tmp_path):
     out = tmp_path / "asym.json"
     assert main(["asymptotics", "--config", str(cfg_path),
@@ -233,18 +257,11 @@ def test_out_file_in_new_directory(cmd, cfg_path, tmp_path):
     assert out.exists() and (out.parent / "manifest.json").exists()
 
 
-def test_sectorial_probe_computes_the_spectrum_once(cfg_path, tmp_path, monkeypatch):
-    calls = []
-    eigenvalues = OperatorMatrix.eigenvalues
-
-    def counted(self):
-        calls.append(self.dim)
-        return eigenvalues(self)
-    monkeypatch.setattr(OperatorMatrix, "eigenvalues", counted)
+def test_sectorial_probe_computes_the_spectrum_once(cfg_path, tmp_path, spectra):
     out = tmp_path / "sectorial.json"
     assert main(["sectorial-probe", "--config", str(cfg_path), "--out", str(out)]) == 0
     # the first rung of the shift ladder clears the sector; the probe reuses its spectrum
-    assert json.loads(out.read_text())["shift"] == 1.0 and calls == [129]
+    assert json.loads(out.read_text())["shift"] == 1.0 and spectra == [129]
 
 
 def test_non_finite_field_csv_exit_2(cfg_path, tmp_path, capsys):
@@ -730,19 +747,11 @@ def test_bad_powers_block_exit_2(cmd, key, value, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_powers_command_computes_the_spectrum_twice(cfg_path, tmp_path, monkeypatch):
-    # once for the sectorial probe, once for the power; the route comes from the power
-    calls = []
-    eigenvalues = OperatorMatrix.eigenvalues
-
-    def counted(self):
-        calls.append(self.dim)
-        return eigenvalues(self)
-
-    monkeypatch.setattr(OperatorMatrix, "eigenvalues", counted)
+def test_powers_command_computes_the_spectrum_once(cfg_path, tmp_path, spectra):
+    # the ladder's last rung keeps its spectrum; the route, the power and min_abs_eig read it
     out = tmp_path / "powers.json"
     assert main(["powers", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert calls == [129, 129]
+    assert spectra == [129]
     assert json.loads(out.read_text())["method"] == "spectral"
 
 

@@ -1,5 +1,7 @@
 """LAPACK tridiagonal kernels against dense linear algebra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import zgtsv, zgttrs
@@ -190,6 +192,23 @@ def test_operator_rejects_non_finite_entries(kind, dim, bad):
 def test_dense_storage_rejects_band_operations(op):
     with pytest.raises(ConfigError, match="tridiagonal storage"):
         op(OperatorMatrix.dense(np.diag([1.0, 2.0, 3.0])))
+
+
+def test_operator_owns_read_only_bands():
+    bands = [np.ones(3, dtype=complex) for _ in range(3)]
+    M = OperatorMatrix.tridiag(*bands)
+    bands[1][0] = 5.0                           # the caller's array was copied
+    assert M.data[1][0] == 1.0
+    for band in M.data:
+        with pytest.raises(ValueError, match="read-only"):
+            band[0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        M.eigenvalues()[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        M.data = tuple(bands)
+    dense = OperatorMatrix.dense(np.eye(3))
+    with pytest.raises(ValueError, match="read-only"):
+        dense.data[0, 0] = 2.0
 
 
 def test_backend_name():

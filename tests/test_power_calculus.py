@@ -157,30 +157,24 @@ def test_weighted_probe_matches_base():
 def test_find_sectorial_shift_ladder():
     g = LogGrid(-5.0, 129)
     L = assemble_mode_operator(1, 0, g, "neumann")
-    c, min_eig = find_sectorial_shift(L, 0.75 * math.pi)
-    rep = sectorial_probe((-L).shifted(c), 0.75 * math.pi, n_samples=40)
-    assert c >= 1.0 and math.isfinite(rep.K) and rep.min_abs_eig == min_eig
+    c, M = find_sectorial_shift(L, 0.75 * math.pi)
+    rep = sectorial_probe(M, 0.75 * math.pi, n_samples=40)
+    assert c >= 1.0 and math.isfinite(rep.K)
+    assert rep.min_abs_eig == float(np.min(np.abs(M.eigenvalues())))
+    assert all(np.array_equal(a, b) for a, b in zip(M.data, (-L).shifted(c).data))
 
 
-
-def test_sectorial_probe_takes_the_ladders_spectrum(monkeypatch):
+def test_sectorial_probe_takes_the_ladders_spectrum(spectra):
     L = assemble_mode_operator(1, 0, LogGrid(-5.0, 129), "neumann")
     theta = 0.75 * math.pi
-    c, min_eig = find_sectorial_shift(L, theta)
-    M = (-L).shifted(c)
-    calls = []
-    eigenvalues = OperatorMatrix.eigenvalues
-
-    def counted(self):
-        calls.append(self.dim)
-        return eigenvalues(self)
-    monkeypatch.setattr(OperatorMatrix, "eigenvalues", counted)
-    passed = sectorial_probe(M, theta, n_samples=40, min_abs_eig=min_eig)
-    assert calls == []
-    bare = sectorial_probe(M, theta, n_samples=40)
-    assert calls == [129]
-    assert (bare.K, bare.min_abs_eig, bare.samples) == (passed.K, passed.min_abs_eig,
-                                                       passed.samples)
+    c, M = find_sectorial_shift(L, theta)
+    assert spectra == [129]                   # the first rung clears the sector
+    kept = sectorial_probe(M, theta, n_samples=40)
+    assert spectra == [129]
+    fresh = sectorial_probe((-L).shifted(c), theta, n_samples=40)
+    assert spectra == [129, 129]
+    assert (fresh.K, fresh.min_abs_eig, fresh.samples) == (kept.K, kept.min_abs_eig,
+                                                          kept.samples)
 
 
 def test_power_domain_probe_verdicts():
@@ -450,20 +444,12 @@ def test_real_spectrum_nodes_reproduce_scalar_powers(z):
     (lambda: _shifted_mode(33), np.ones(33), "quadrature"),
     (lambda: _random_hpd(np.random.default_rng(11)), None, "spectral"),
 ], ids=["dirichlet", "gated-out", "spectral", "apply", "dense"])
-def test_one_spectrum_per_call(make, v, route, monkeypatch):
+def test_one_spectrum_per_call(make, v, route, spectra):
     M = make()
-    calls = []
-    eigenvalues = OperatorMatrix.eigenvalues
-
-    def counted(self):
-        calls.append(self.dim)
-        return eigenvalues(self)
-
-    monkeypatch.setattr(OperatorMatrix, "eigenvalues", counted)
-    out = complex_power(M, 0.5 + 0.1j, v)
-    assert len(calls) == 1
+    outs = [complex_power(M, z, v) for z in (0.5 + 0.1j, -0.5, 1.25)]
+    assert spectra == [M.dim]                 # three powers of one operator
     if v is None:
-        assert out.provenance["method"] == route
+        assert all(out.provenance["method"] == route for out in outs)
 
 
 def test_spectral_power_rejects_eigenvalue_on_the_cut():
