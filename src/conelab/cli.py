@@ -23,9 +23,10 @@ import numpy as np
 from . import __version__
 from ._kernels import backend_name
 from .asymptotics import AsymptoticsBasis, AsymptoticsTerm, build_realization, domain_membership
-from .config import (cross_section_from_config, fmt, gamma_from_config, grid_from_config,
-                     heat_from_config, load_config, max_modes_from_config,
-                     operator_from_config, output_path, powers_from_config)
+from .config import (_value, cross_section_from_config, fmt, gamma_from_config,
+                     grid_from_config, heat_from_config, load_config, max_modes_from_config,
+                     operator_from_config, output_dir_from_config, output_path,
+                     powers_from_config)
 from .errors import ConelabError, ConfigError
 from .mellin_sobolev import LogGrid, RadialField, mellin_norm
 from .rational import root_to_complex
@@ -56,7 +57,7 @@ def _write_manifest(outdir: Path, args_echo: dict, cfg: dict, t0: float, outputs
 def cmd_poles(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
-    path = output_path(args.out, cfg.get("output_dir"), "poles.csv")
+    path = output_path(args.out, output_dir_from_config(cfg), "poles.csv")
     cs = cross_section_from_config(cfg)
     spec = operator_from_config(cfg, cs)
     gamma = gamma_from_config(cfg, cs)
@@ -79,7 +80,7 @@ def cmd_poles(args) -> int:
 def cmd_asymptotics(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
-    path = output_path(args.out, cfg.get("output_dir"), "asymptotics.json")
+    path = output_path(args.out, output_dir_from_config(cfg), "asymptotics.json")
     cs = cross_section_from_config(cfg)
     spec = operator_from_config(cfg, cs)
     gamma = gamma_from_config(cfg, cs)
@@ -347,12 +348,15 @@ def cmd_fit_tip(args) -> int:
     if not meta_path.exists():
         raise ConfigError(f"no trajectory.json in {trajdir}")
     meta = _read_json(meta_path, "trajectory", "times", list)
+    # a bool is not a time, nor a number float() cannot hold
+    if not all(type(t) in (int, float) and abs(t) <= sys.float_info.max for t in meta["times"]):
+        raise ConfigError(f"trajectory file {meta_path} is malformed: times must be finite numbers")
     basis = _read_basis(Path(args.basis))
     run_cfg = _read_json(trajdir / "manifest.json", "manifest", "config", dict)["config"]
     cs = cross_section_from_config(run_cfg)
     grid = grid_from_config(run_cfg)
     max_modes = max_modes_from_config(run_cfg)
-    window = cfg.get("fit", {}).get("window")
+    window = _value(cfg, "fit.window", lambda w: w, "two numbers [x_a, x_b]", None)
     # snapshot_{idx:05d}.csv holds the field at times[idx]
     snaps = [trajdir / f"snapshot_{idx:05d}.csv" for idx in range(len(meta["times"]))]
     missing = [p.name for p in snaps if not p.exists()]
@@ -393,20 +397,20 @@ def _shifted_mode_operator(cfg: dict):
 def cmd_powers(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
-    path = output_path(args.out, cfg.get("output_dir"), "powers.json")
+    path = output_path(args.out, output_dir_from_config(cfg), "powers.json")
     z = powers_from_config(cfg)[0]
     M, theta, shift = _shifted_mode_operator(cfg)
-    if M.real_structure[1] is not None:
+    if M.symmetric_form is None:
         raise coarse_grid_error("powers", M.provenance["n"], grid_from_config(cfg).h)
     method, gate = power_route(M)
-    power = complex_power(M, z) if method == "spectral" or M.dim <= _DENSE_LIMIT else None
-    prov = power.provenance if power is not None else {}
+    formed = method == "spectral" or M.dim <= _DENSE_LIMIT
+    data, prov = complex_power(M, z) if formed else (None, {})
     report = {
         "z": [z.real, z.imag], "shift": shift, "theta": theta,
         "min_abs_eig": float(np.min(np.abs(M.eigenvalues()))),
         "method": method, "gate": gate,
         "nodes": prov.get("nodes"),
-        "power_norm": float(np.linalg.norm(power.data, 2)) if power is not None else None,
+        "power_norm": float(np.linalg.norm(data, 2)) if formed else None,
         "tail_bound": prov.get("tail_bound"),
     }
     with open(path, "w") as fh:
@@ -419,7 +423,7 @@ def cmd_powers(args) -> int:
 def cmd_sectorial_probe(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
-    path = output_path(args.out, cfg.get("output_dir"), "sectorial.json")
+    path = output_path(args.out, output_dir_from_config(cfg), "sectorial.json")
     M, theta, shift = _shifted_mode_operator(cfg)
     report = sectorial_probe(M, theta, n_samples=powers_from_config(cfg)[3])
     payload = {

@@ -150,6 +150,11 @@ def gamma_from_config(cfg: dict, cs: CrossSection, require_window: bool = False)
     return gamma
 
 
+def output_dir_from_config(cfg: dict) -> str | None:
+    return _value(cfg, "output_dir", lambda d: d, "a string", None,
+                  ok=lambda d: d is None or isinstance(d, str))
+
+
 def output_path(out, default_dir=None, name: str = "") -> Path:
     """The file a command writes, its directory created before any work starts.
 

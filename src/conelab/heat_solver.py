@@ -157,7 +157,7 @@ def _symmetric_system(ops, cfg: HeatConfig):
     for op in ops:
         if frozen:
             op = OperatorMatrix.tridiag(*(band[:-1] for band in op.data))
-        form = op.real_structure[0]
+        form = op.symmetric_form
         if form is None or form[2] is None:
             raise coarse_grid_error("the heat march", cfg.cross_section.n, cfg.grid.h)
         forms.append(form)
@@ -171,7 +171,7 @@ def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
 
     Each step solves (I - theta dt L) u+ = (I + (1-theta) dt L) u + dt f
     in ``evolve_theta``, on the symmetric form L = D^-1 S D of every mode
-    (``OperatorMatrix.real_structure``): the march carries v = D u, and
+    (``OperatorMatrix.symmetric_form``): the march carries v = D u, and
     I - theta dt S is symmetric positive definite and factored once. The
     forcing is evaluated once per time level s*dt and blended as
     theta f(t+dt) + (1-theta) f(t). A dirichlet row is left out of the

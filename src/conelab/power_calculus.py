@@ -1,19 +1,21 @@
 """Sectoriality probes and complex powers.
 
-Operators here are finite-dimensional stand-ins (discretized per-mode radial
-operators or plain matrices). complex_power forms M^z exactly from the
-spectrum (dense Hermitian, or a symmetric form within the conditioning gate)
-and by the quadrature of Hale, Higham & Trefethen otherwise. Both need a
-spectrum real by structure and positive; mu^z is the principal branch.
+Operators here are finite-dimensional stand-ins: discretized per-mode radial
+operators, tridiagonal. complex_power forms M^z exactly from the spectrum of
+a symmetric form within the conditioning gate, and by the quadrature of
+Hale, Higham & Trefethen otherwise. Both need a spectrum real by structure
+and positive; mu^z is the principal branch.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import ellipj, ellipk, ellipkm1
 
 from .errors import ConfigError, NotSectorialError, NumericalError
@@ -151,72 +153,78 @@ def _real_spectrum_nodes(lo: float, hi: float, z: complex):
     return -w * w, weights, math.exp(-rate * n)
 
 
-def _route(M: OperatorMatrix, forming: bool) -> tuple[str, float | None]:
-    """(method, gate) of complex_power; an apply has no gate."""
-    form, why = M.real_structure
-    if why is not None:
-        raise NotSectorialError(f"no real spectrum by structure: {why}")
-    if form is None or form[2] is None or not forming:    # dense Hermitian: no gate needed
-        return ("spectral" if form is None else "quadrature"), None
-    amu = np.abs(M.eigenvalues())
-    gate = float(np.finfo(float).eps * amu.max() / amu.min()) if amu.min() > 0 else math.inf
-    return ("spectral" if gate <= _SPECTRAL_GATE else "quadrature"), gate
+class FormedPower(namedtuple("FormedPower", "data provenance")):
+    """M^z formed: the dense array and its provenance; a non-finite entry is a NumericalError."""
+
+    def __new__(cls, data: np.ndarray, provenance: dict):
+        if not np.isfinite(data).all():
+            raise NumericalError(f"M^z has non-finite entries at z={provenance['z']}")
+        return super().__new__(cls, data, provenance)
 
 
 def power_route(M: OperatorMatrix) -> tuple[str, float | None]:
     """The route by which complex_power forms M^z, and its gate value.
 
-    'spectral' takes a dense Hermitian matrix (gate None: a normal matrix
-    needs none), and M = D^-1 S D (OperatorMatrix.real_structure) while the
+    'spectral' takes M = D^-1 S D (OperatorMatrix.symmetric_form) while the
     gate eps * max|mu| / min|mu| over the eigenvalues of S is at most
     _SPECTRAL_GATE; 'quadrature' takes the rest (gate None without D).
     """
-    return _route(M, True)
+    form = M.symmetric_form
+    if form is None:
+        raise NotSectorialError("no real spectrum by structure: no symmetric form: "
+                                "complex bands or a negative band product")
+    if form[2] is None:
+        return "quadrature", None
+    amu = np.abs(M.eigenvalues())
+    gate = float(np.finfo(float).eps * amu.max() / amu.min()) if amu.min() > 0 else math.inf
+    return ("spectral" if gate <= _SPECTRAL_GATE else "quadrature"), gate
+
+
+def _quadrature_power(M: OperatorMatrix, z: complex, out: np.ndarray) -> tuple:
+    """(M^z out, nodes, tail_bound): the integer part m of z by m products (or -m
+    solves), the rest on [min mu / 2, hi], hi the Gershgorin bound of S."""
+    m = int(z.real) if z.imag == 0 and z.real.is_integer() else math.floor(z.real) + 1
+    for _ in range(abs(m)):
+        out = M.matvec(out) if m > 0 else M.solve_shifted_batch([0.0], out)[0]
+    if z == m:
+        return out, 0, 0.0
+    d, e, _ = M.symmetric_form
+    hi = float(np.max(d + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])))
+    lams, weights, tail = _real_spectrum_nodes(0.5 * M.eigenvalues()[0], hi, z - m)
+    acc, step = np.zeros(out.shape, dtype=complex), max(1, _RESOLVENT_ENTRIES // out.size)
+    for s in range(0, len(lams), step):
+        acc += np.tensordot(weights[s:s + step],
+                            M.solve_shifted_batch(lams[s:s + step], out), axes=1)
+    return acc, len(lams), tail
 
 
 def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None):
-    """M^z as a dense OperatorMatrix (v None), or M^z v; the routes are power_route's.
+    """M^z as a FormedPower (v None) by power_route's route, or M^z v by the quadrature.
 
     NotSectorialError names what M lacks for a real spectrum by structure
-    (OperatorMatrix.real_structure), or an eigenvalue <= 0. Spectral: M^z =
-    D^-1 V diag(mu^z) V^H D from eigh(M) (dense, D = I) or eigh_tridiagonal(S).
-    The quadrature (every tridiagonal apply too) runs on [min mu / 2, hi], hi
-    the Gershgorin bound of S, after an integer part m of z is applied by m
-    products (or -m solves), leaving Re in [-1, 0); forming applies this to
-    the identity, its nodes in chunks of _RESOLVENT_ENTRIES resolvent entries.
-    Provenance: "method", "gate", "nodes" and "tail_bound", the error bound.
+    (power_route), or an eigenvalue <= 0. Spectral: M^z = D^-1 V diag(mu^z)
+    V^T D from eigh_tridiagonal(S). The quadrature forms M^z on the identity,
+    its nodes in chunks of _RESOLVENT_ENTRIES resolvent entries. Provenance:
+    "method", "gate", "nodes" and "tail_bound", the error bound.
     """
     z = complex(z)
-    method, gate = _route(M, v is None)
-    form, mu = M.real_structure[0], M.eigenvalues()
-    if mu[0] <= 0:
-        raise NotSectorialError(f"eigenvalue {mu[0]} on the branch cut of M^z")
-    tail, nodes = 0.0, 0
-    if method == "spectral":
-        from scipy.linalg import eigh_tridiagonal
-        mu, V = np.linalg.eigh(M.data) if form is None else eigh_tridiagonal(*form[:2])
-        P = (V * np.exp(z * np.log(mu))) @ V.conj().T
-        if form is not None:
-            P *= np.exp(form[2][None, :] - form[2][:, None])
-        out = P if v is None else P @ v
-    else:
-        m = int(z.real) if z.imag == 0 and z.real.is_integer() else math.floor(z.real) + 1
-        out = np.eye(M.dim, dtype=complex) if v is None else np.asarray(v, dtype=complex)
-        for _ in range(abs(m)):
-            out = M.matvec(out) if m > 0 else M.solve_shifted_batch([0.0], out)[0]
-        if z != m:
-            d, e, _ = form
-            hi = float(np.max(d + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])))
-            lams, weights, tail = _real_spectrum_nodes(0.5 * mu[0], hi, z - m)
-            acc, step = np.zeros(out.shape, dtype=complex), max(1, _RESOLVENT_ENTRIES // out.size)
-            for s in range(0, len(lams), step):
-                acc += np.tensordot(weights[s:s + step],
-                                    M.solve_shifted_batch(lams[s:s + step], out), axes=1)
-            out, nodes = acc, len(lams)
+    method, gate = power_route(M)
+    lowest = M.eigenvalues()[0]
+    if lowest <= 0:
+        raise NotSectorialError(f"eigenvalue {lowest} on the branch cut of M^z")
     if v is not None:
-        return out
-    return OperatorMatrix.dense(out, z=z, method=method, gate=gate, tail_bound=tail,
-                                nodes=nodes, base=M.provenance)
+        return _quadrature_power(M, z, np.asarray(v, dtype=complex))[0]
+    with np.errstate(over="ignore", invalid="ignore"):     # FormedPower checks the result
+        if method == "spectral":
+            d, e, log_delta = M.symmetric_form
+            mu, V = eigh_tridiagonal(d, e)
+            out = (V * np.exp(z * np.log(mu))) @ V.T
+            out *= np.exp(log_delta[None, :] - log_delta[:, None])
+            nodes, tail = 0, 0.0
+        else:
+            out, nodes, tail = _quadrature_power(M, z, np.eye(M.dim, dtype=complex))
+    return FormedPower(out, dict(z=z, method=method, gate=gate, tail_bound=tail,
+                                 nodes=nodes, base=M.provenance))
 
 
 def eig_power_oracle(M: OperatorMatrix, z: complex) -> np.ndarray:

@@ -262,10 +262,10 @@ def decomposition_track(traj, basis: AsymptoticsBasis,
     """Fit every snapshot and report the coefficient jumps between consecutive fits."""
     fits = fit_tip_series(traj.fields, basis, window=window, times=traj.times)
     jumps: dict = {}
-    for a, b in zip(fits, fits[1:]):
-        for fa, fb in zip(a.coefficients, b.coefficients):
-            key = (fa.rho, fa.m, fa.mode)
-            jump = abs(fb.c - fa.c)
-            jumps[key] = max(jumps.get(key, 0.0), jump)
+    if len(fits) > 1:
+        steps = np.diff([[fc.c for fc in fit.coefficients] for fit in fits], axis=0)
+        keys = [(fc.rho, fc.m, fc.mode) for fc in fits[0].coefficients]
+        # hypot gives abs() of a Python complex bit for bit; np.abs may differ by an ulp
+        jumps = dict(zip(keys, np.hypot(steps.real, steps.imag).max(axis=0).tolist()))
     return DecompositionTrack(fits=fits, max_jump=max(jumps.values(), default=0.0),
                               jumps=jumps)

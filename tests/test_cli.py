@@ -440,6 +440,17 @@ def test_fit_tip_malformed_window_exit_2(window, fit_inputs, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fit", [[1], None, "window"], ids=["list", "null", "string"])
+def test_fit_tip_malformed_fit_block_exit_2(fit, fit_inputs, tmp_path, capsys):
+    traj, basis = fit_inputs
+    cfg, out = tmp_path / "fit.json", tmp_path / "fits.csv"
+    cfg.write_text(json.dumps({"fit": fit}))
+    assert main(["fit-tip", "--traj", str(traj), "--basis", str(basis), "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert "config error: config 'fit' must be an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _ENTRY = {"re_rho": 0.0, "im_rho": 0.0, "m": 0, "mode": "k=0"}
 
 
@@ -464,10 +475,16 @@ def test_fit_tip_malformed_basis_exit_2(payload, fit_inputs, tmp_path, capsys):
     ("trajectory.json", json.dumps({"scheme": {}})),
     ("trajectory.json", json.dumps({"times": 0.01})),
     ("trajectory.json", json.dumps([0.0, 0.01])),
+    ("trajectory.json", json.dumps({"times": [0.0, "x"]})),
+    ("trajectory.json", json.dumps({"times": [0.0, None]})),
+    ("trajectory.json", json.dumps({"times": [0.0, True]})),
+    ("trajectory.json", '{"times": [0.0, NaN]}'),
+    ("trajectory.json", json.dumps({"times": [0.0, 10 ** 400]})),
     ("manifest.json", "{not json"),
     ("manifest.json", json.dumps({"tool": "conelab"})),
     ("manifest.json", json.dumps({"config": [CIRCLE_CFG]})),
 ], ids=["trajectory-not-json", "no-times", "times-not-a-list", "trajectory-not-an-object",
+        "time-string", "time-null", "time-bool", "time-nan", "time-too-large",
         "manifest-not-json", "no-config", "config-not-an-object"])
 def test_fit_tip_malformed_trajectory_metadata_exit_2(name, payload, fit_inputs, tmp_path,
                                                        capsys):
@@ -720,6 +737,30 @@ def test_powers_on_a_grid_too_coarse_for_the_symmetric_form_exit_2(tmp_path, cap
     sect = tmp_path / "sect.json"
     assert main(["sectorial-probe", "--config", str(p), "--out", str(sect)]) == 0
     assert json.loads(sect.read_text())["K"] >= 1.0
+
+
+@pytest.mark.parametrize("outer_bc", ["neumann", "dirichlet"])
+def test_powers_overflow_exit_3(outer_bc, tmp_path, capsys):
+    # M^1000 overflows on either route; the formed power's finiteness check catches it
+    cfg = dict(CIRCLE_CFG, heat={"outer_bc": outer_bc}, powers={"z_re": 1000})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "powers.json"
+    assert main(["powers", "--config", str(p), "--out", str(out)]) == 3
+    assert "numerical failure: M^z has non-finite entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["poles", "asymptotics", "powers", "sectorial-probe"])
+def test_non_string_output_dir_exit_2(cmd, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(CIRCLE_CFG, output_dir=5)))
+    assert main([cmd, "--config", str(p)]) == 2
+    assert "config error: output_dir must be a string, got 5" in capsys.readouterr().err
+    p.write_text(json.dumps(dict(CIRCLE_CFG, output_dir=None)))      # the working directory
+    assert main([cmd, "--config", str(p)]) == 0
+    assert (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("cmd", ["powers", "sectorial-probe"])

@@ -170,28 +170,13 @@ def test_solve_shifted_zero_last_row_raises_numerical_error():
         op.solve_shifted_batch(np.array([0.0]), np.ones(9))
 
 
-@pytest.mark.parametrize("kind, dim", [("tridiag", 3), ("tridiag", 9),
-                                       ("dense", 3), ("dense", 9)])
+@pytest.mark.parametrize("dim", [3, 9], ids=["tridiag-3", "tridiag-9"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_operator_rejects_non_finite_entries(kind, dim, bad):
+def test_operator_rejects_non_finite_entries(dim, bad):
     bands = [np.ones(dim, dtype=complex) for _ in range(3)]
     bands[0][0] = bad                  # the unused slot dl[0] is stored too
-    dense = np.eye(dim, dtype=complex)
-    dense[0, -1] = bad
     with pytest.raises(ConfigError, match="non-finite"):
-        OperatorMatrix(kind, bands if kind == "tridiag" else dense)
-
-
-@pytest.mark.parametrize("op", [
-    lambda M: M.matvec(np.ones(3)),
-    lambda M: M.shifted(1.0),
-    lambda M: -M,
-    lambda M: M.solve_shifted_batch(np.array([0.0, 1j]), np.ones(3)),
-    lambda M: M.inv_norm2_estimate(np.array([0.0, 1j])),
-], ids=["matvec", "shifted", "neg", "solve_shifted_batch", "inv_norm2_estimate"])
-def test_dense_storage_rejects_band_operations(op):
-    with pytest.raises(ConfigError, match="tridiagonal storage"):
-        op(OperatorMatrix.dense(np.diag([1.0, 2.0, 3.0])))
+        OperatorMatrix(tuple(bands))
 
 
 def test_operator_owns_read_only_bands():
@@ -206,9 +191,6 @@ def test_operator_owns_read_only_bands():
         M.eigenvalues()[0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         M.data = tuple(bands)
-    dense = OperatorMatrix.dense(np.eye(3))
-    with pytest.raises(ValueError, match="read-only"):
-        dense.data[0, 0] = 2.0
 
 
 def test_backend_name():

@@ -21,19 +21,22 @@ from conelab.rational import QRat
 CIRCLE = CrossSection.circle(length_over_pi=2)
 
 
-def _random_hpd(rng, dim=8, shift=0.5):
-    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return OperatorMatrix.dense(A @ A.conj().T / dim + shift * np.eye(dim))
+def _symmetrizable_tridiagonal(rng, dim):
+    """Real bands with products dl[j+1]*du[j] > 0; S is diagonally dominant, mu >= 0.5."""
+    lo, hi = rng.choice([-1.0, 1.0], dim - 1) * rng.uniform(0.5, 2.0, (2, dim - 1))
+    e = np.r_[0.0, np.sqrt(lo * hi), 0.0]
+    return OperatorMatrix.tridiag(np.r_[0.0, lo], e[:-1] + e[1:] + rng.uniform(0.5, 1.5, dim),
+                                  np.r_[hi, 0.0])
 
 
 def test_scalar_powers():
-    M = OperatorMatrix.dense([[2.0]])
+    M = OperatorMatrix.tridiag([0.0], [2.0], [0.0])
     assert abs(complex_power(M, -1.0).data[0, 0] - 0.5) < 1e-10
     assert abs(complex_power(M, -0.5).data[0, 0] - 2.0 ** -0.5) < 1e-8
 
 
 def test_diagonal_power():
-    D = OperatorMatrix.dense(np.diag([1.0, 4.0]))
+    D = OperatorMatrix.tridiag(np.zeros(2), [1.0, 4.0], np.zeros(2))
     P = complex_power(D, -0.3).data
     assert abs(P[0, 0] - 1.0) < 1e-8 and abs(P[1, 1] - 4.0 ** -0.3) < 1e-8
     assert abs(P[0, 1]) < 1e-10 and abs(P[1, 0]) < 1e-10
@@ -41,7 +44,7 @@ def test_diagonal_power():
 
 def test_oracle_equivalence_and_semigroup():
     rng = np.random.default_rng(7)
-    M = _random_hpd(rng)
+    M = _symmetrizable_tridiagonal(rng, 8)
     z1, z2 = -0.6 + 0.2j, -0.35 - 0.15j
     P1, P2 = complex_power(M, z1).data, complex_power(M, z2).data
     assert np.max(np.abs(P1 - eig_power_oracle(M, z1))) < 1e-7
@@ -61,7 +64,7 @@ def test_tighter_quadrature_tolerance_takes_more_nodes(monkeypatch):
 
 def test_apply_matches_formed_power():
     rng = np.random.default_rng(5)
-    M = _random_hpd(rng)
+    M = _symmetrizable_tridiagonal(rng, 8)
     P = complex_power(M, -0.5).data
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     assert np.max(np.abs(complex_power(M, -0.5, v) - P @ v)) < 1e-9
@@ -98,19 +101,20 @@ def test_quadrature_node_chunks_stay_bounded(k, monkeypatch):
 
 def test_complex_power_integer_and_fraction():
     rng = np.random.default_rng(9)
-    M = _random_hpd(rng)
+    M = _symmetrizable_tridiagonal(rng, 8)
     v = rng.standard_normal(8)
     want = eig_power_oracle(M, 1.5) @ v
     got = complex_power(M, 1.5, v)
     assert np.max(np.abs(got - want)) < 1e-7
     # plain integer power
     got2 = complex_power(M, 2.0, v)
-    assert np.max(np.abs(got2 - M.data @ (M.data @ v))) < 1e-9
+    A = M.to_dense()
+    assert np.max(np.abs(got2 - A @ (A @ v))) < 1e-9
 
 
 def test_imaginary_power_regularized():
     rng = np.random.default_rng(13)
-    M = _random_hpd(rng)
+    M = _symmetrizable_tridiagonal(rng, 8)
     v = rng.standard_normal(8)
     got = complex_power(M, 0.5j, v)
     want = eig_power_oracle(M, 0.5j) @ v
@@ -133,7 +137,7 @@ def test_sectorial_probe_scalar_identity():
 
 
 def test_sectorial_rejects_sector_hit():
-    M = OperatorMatrix.dense(np.diag([-1.0, 2.0]))
+    M = OperatorMatrix.tridiag(np.zeros(2), [-1.0, 2.0], np.zeros(2))
     with pytest.raises(NotSectorialError):
         sectorial_probe(M, 0.5)
     # k=+-1 Neumann mode shifted by -5: one eigenvalue at -1.61, at a size
@@ -147,7 +151,7 @@ def test_weighted_probe_matches_base():
     # power-scale lemma: W = M^2 commutes with the resolvent, so the
     # weighted resolvent W (M+lam)^-1 W^-1 is the base one
     rng = np.random.default_rng(1)
-    A = _random_hpd(rng, shift=1.0).data
+    A = _symmetrizable_tridiagonal(rng, 8).to_dense()
     W = A @ A
     for lam in (0.0, 2.0, 3.0 * np.exp(0.6j * math.pi)):
         R = np.linalg.inv(A + lam * np.eye(8))
@@ -212,7 +216,7 @@ def test_power_domain_probe_unknown_outer_bc():
 
 def test_zero_eigenvalue_is_not_sectorial():
     with pytest.raises(NotSectorialError, match="branch cut"):
-        complex_power(OperatorMatrix.dense(np.diag([0.0, 1.0])), -0.5)
+        complex_power(OperatorMatrix.tridiag(np.zeros(2), [0.0, 1.0], np.zeros(2)), -0.5)
 
 
 def test_complex_shifted_mode_operator_is_not_sectorial():
@@ -227,17 +231,16 @@ def test_complex_shifted_mode_operator_is_not_sectorial():
 
 
 def test_complex_power_needs_a_real_spectrum_by_structure():
-    not_hermitian = OperatorMatrix.dense(_shifted_mode(33).to_dense())
     negative = OperatorMatrix.tridiag(np.full(9, -1.0), np.full(9, 3.0), np.ones(9))
-    for M, why in ((not_hermitian, "dense, not Hermitian"),
-                   (negative, "no symmetric form: complex bands or a negative band product")):
-        for v in (None, np.ones(M.dim)):
-            with pytest.raises(NotSectorialError, match=why):
-                complex_power(M, 0.5, v)
-    M = _random_hpd(np.random.default_rng(17))
+    for v in (None, np.ones(negative.dim)):
+        with pytest.raises(NotSectorialError, match="no symmetric form: complex bands or a "
+                                                    "negative band product"):
+            complex_power(negative, 0.5, v)
+    M = _symmetrizable_tridiagonal(np.random.default_rng(17), 8)
     z = -0.5 + 0.3j
     P = complex_power(M, z)
-    assert (P.provenance["method"], P.provenance["gate"]) == ("spectral", None)
+    assert P.provenance["method"] == "spectral"
+    assert 0.0 < P.provenance["gate"] <= power_calculus._SPECTRAL_GATE
     assert P.provenance["nodes"] == 0 and P.provenance["tail_bound"] == 0.0
     want = eig_power_oracle(M, z)
     assert np.max(np.abs(P.data - want)) <= 1e-12 * np.max(np.abs(want))
@@ -442,8 +445,7 @@ def test_real_spectrum_nodes_reproduce_scalar_powers(z):
      None, "quadrature"),
     (lambda: _shifted_mode(33), None, "spectral"),
     (lambda: _shifted_mode(33), np.ones(33), "quadrature"),
-    (lambda: _random_hpd(np.random.default_rng(11)), None, "spectral"),
-], ids=["dirichlet", "gated-out", "spectral", "apply", "dense"])
+], ids=["dirichlet", "gated-out", "spectral", "apply"])
 def test_one_spectrum_per_call(make, v, route, spectra):
     M = make()
     outs = [complex_power(M, z, v) for z in (0.5 + 0.1j, -0.5, 1.25)]

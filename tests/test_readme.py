@@ -1,9 +1,12 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example runs and prints what its comments say; its CLI lines parse."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from conelab.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +31,14 @@ def test_readme_library_example_prints_its_comments():
     assert comments["[t for t in enumerate_asymptotics(ps).terms]"] == \
         "includes the log term at rho=0"
     assert "(0, 1, 'k=0')" in lines[3] and len(lines) == 4
+
+
+def test_readme_cli_lines_parse():
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("conelab ")]
+    assert len(lines) == 9
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.cmd == line.split()[1]

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,6 +119,37 @@ def test_track_zero_trajectory():
     assert track.max_jump == 0.0
     assert all(abs(c) == 0.0 for f in track.fits for c in
                [fc.c for fc in f.coefficients])
+
+
+def _pairwise_jumps(fits):
+    """The coefficient jumps by a loop over consecutive pairs of fits."""
+    jumps = {}
+    for a, b in zip(fits, fits[1:]):
+        for fa, fb in zip(a.coefficients, b.coefficients):
+            key = (fa.rho, fa.m, fa.mode)
+            jumps[key] = max(jumps.get(key, 0.0), abs(fb.c - fa.c))
+    return jumps
+
+
+def test_track_jumps_match_the_pairwise_loop():
+    g = LogGrid(-6.0, 129)
+    basis = _circle_basis(max_modes=2)
+    u0 = RadialField.zeros(g, CIRCLE, 2)
+    u0.values[0] = np.cos(3.0 * g.x)
+    u0.values[1] = g.x * (1.0 - g.x) + 0.5j * g.x
+    u0.values[2] = 0.25 * g.x
+    cfg = HeatConfig(cross_section=CIRCLE, grid=g, T=0.02, dt=1e-3,
+                     outer_bc="neumann", theta=0.5, max_modes=2, snapshot_every=2)
+    traj = solve_heat(u0, None, cfg)
+    track = decomposition_track(traj, basis)
+    want = _pairwise_jumps(track.fits)
+    assert len(track.fits) > 2 and len(want) == len(basis.terms)
+    assert list(track.jumps.items()) == list(want.items())
+    assert track.max_jump == max(want.values()) > 0.0
+    for n in (0, 1):
+        one = decomposition_track(SimpleNamespace(fields=traj.fields[:n], times=traj.times[:n]),
+                                  basis)
+        assert (one.jumps, one.max_jump) == ({}, 0.0)
 
 
 def test_ill_conditioned_window_rejected():
