@@ -14,7 +14,7 @@ from .symbol_algebra import (ConeOperatorSpec, PoleSet, conormal_symbol, pole_se
                              pole_set_power, recursive_symbols, taylor_symbols)
 from .asymptotics import (AsymptoticsBasis, AsymptoticsTerm, apply_operator_symbolic,
                           domain_membership, enumerate_asymptotics)
-from .mellin_sobolev import LogGrid, RadialField, mellin_norm, membership_probe
+from .mellin_sobolev import LogGrid, RadialField, mellin_norm
 from .heat_solver import (HeatConfig, HeatTrajectory, assemble_mode_operator,
                           bessel_series_solution, solve_heat)
 from .tip_analysis import TipFit, decomposition_track, fit_tip_expansion, fit_tip_series

@@ -1,17 +1,20 @@
-"""Batched tridiagonal kernels: one stacked LAPACK call per batch.
+"""Batched tridiagonal kernels: conelab's LAPACK layer, one stacked call per batch.
+
+No other module calls LAPACK or reads its factor format. Entry points:
+``thomas_batch`` solves a batch (``zgtsv``); ``factor_batch`` factors one
+(``zgttrf``) for ``solve_normal``, which applies (A A^*)^-1 on the factors
+(``zgttrs`` with the inverse, then its adjoint: the resolvent-norm
+estimate); ``evolve_theta`` runs the theta march of the heat modes and
+returns its trajectory as one array; ``backend_name`` names the backend.
 
 Band convention: a batch of nb systems of size J is stored as three (nb, J)
 arrays (dl, d, du) with dl[:, 0] and du[:, -1] unused. Set those two entries
 to zero and the batch is one block-diagonal tridiagonal system of size
-nb*J, so one LAPACK call solves every block: ``zgtsv`` for solves, and
-``factor_batch`` (one ``zgttrf``) once plus ``zgttrs`` per solve for the
-resolvent-norm estimate. Both pivot by rows, which the shifted resolvents
-need: they are neither diagonally dominant nor M-matrices.
-
-The theta march (``evolve_theta``) needs no pivoting: it runs on the
-symmetric form of the mode operators, where I - theta*dt*S is symmetric
-positive definite, with one ``dpttrf`` (L D L^T) for all modes and one
-``dpttrs`` per step.
+nb*J, so one LAPACK call solves every block. ``zgtsv`` and ``zgttrf`` pivot
+by rows, which the shifted resolvents need: they are neither diagonally
+dominant nor M-matrices. The march needs no pivoting: on the symmetric form
+of the mode operators I - theta*dt*S is symmetric positive definite, so it
+takes one ``dpttrf`` (L D L^T) for all modes and one ``dpttrs`` per step.
 
 Why the blocks stay independent: the subdiagonal entry at a block boundary
 is zero, so elimination never swaps rows across it and any multiplier it
@@ -36,7 +39,7 @@ raises NumericalError naming its batch row and the pivot position inside it.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs, zgtsv, zgttrf
+from scipy.linalg.lapack import dpttrf, dpttrs, zgtsv, zgttrf, zgttrs
 
 from .errors import NumericalError
 
@@ -61,14 +64,24 @@ def _stacked(dl, d, du):
 def factor_batch(dl, d, du):
     """LU factors of (nb, J) bands stacked into one block-diagonal system: one ``zgttrf``.
 
-    Returns the factors (dl, d, du, du2, ipiv) as ``zgttrs`` takes them; a
-    solve with trans 'N' applies the inverse, one with trans 'C' the inverse
-    of the adjoint. The bands are copied, never written. An exactly singular
+    Returns the factors (dl, d, du, du2, ipiv) as ``zgttrs`` takes them, for
+    ``solve_normal``. The bands are copied, never written. An exactly singular
     block raises NumericalError naming its batch row and pivot position.
     """
     *lu, info = zgttrf(*_stacked(dl, d, du), overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     _check(info, "zgttrf", np.shape(d)[1])
     return lu
+
+
+def solve_normal(lu, b):
+    """(A A^*)^-1 b on the factors ``factor_batch`` made of A, in place on b.
+
+    b is the stacked right-hand side (nb*J,), overwritten: two ``zgttrs``
+    solves on the same factors, A^-1 (trans 'N') and then A^-* (trans 'C').
+    """
+    x, _ = zgttrs(*lu, b, overwrite_b=1)
+    x, _ = zgttrs(*lu, x, trans="C", overwrite_b=1)
+    return x
 
 
 def thomas_batch(dl, d, du, rhs):
@@ -93,18 +106,8 @@ def thomas_batch(dl, d, du, rhs):
     return out[0] if vector else out.transpose(1, 2, 0)
 
 
-def tridiag_matvec(dl, d, du, u):
-    """Batched tridiagonal matrix-vector product on the flat stacked bands (``_stacked``)."""
-    x = np.ascontiguousarray(u, dtype=np.complex128).reshape(-1)
-    lo, diag, up = _stacked(dl, d, du)
-    out = diag * x
-    out[1:] += lo * x[:-1]
-    out[:-1] += up * x[1:]
-    return out.reshape(np.shape(u))
-
-
 def evolve_theta(d, e, scale, coupling, theta, dt, u0, n_steps, snap_every, forcing=None):
-    """March A u+ = B u + forcing(step) for n_steps on the symmetric form, snapshotting.
+    """March A u+ = B u + forcing(step) for n_steps on the symmetric form; return the trajectory.
 
     Each of the nb modes has a real mode operator L = D^-1 S D on its first
     m = d.shape[1] rows: S is symmetric tridiagonal with diagonal d (nb, m)
@@ -121,13 +124,15 @@ def evolve_theta(d, e, scale, coupling, theta, dt, u0, n_steps, snap_every, forc
     a march on its own, up to the sign of a zero.
 
     Columns m.. of u0 are frozen (a Dirichlet row, m = J-1): they are copied
-    bit for bit into every snapshot, and the entry L[m-1, m] of each mode,
-    given in coupling (nb,), enters row m-1 as the constant dt*L[m-1, m]*u0[m]
-    (that is -A[m-1, m]/theta times u0[m]). coupling is None when m = J.
-    forcing, if given, maps the step index (1..n_steps) to the (nb, J) term
-    added to the right-hand side of A u+ = B u; its frozen columns are not read.
-    A non-positive pivot of S_A raises NumericalError naming its batch row.
-    Returns (final state, snapshots array of shape (n_steps//snap_every, nb, J)).
+    bit for bit into every row of the trajectory, and the entry L[m-1, m] of
+    each mode, given in coupling (nb,), enters row m-1 as the constant
+    dt*L[m-1, m]*u0[m] (that is -A[m-1, m]/theta times u0[m]). coupling is
+    None when m = J. forcing, if given, maps the step index (1..n_steps) to
+    the (nb, J) term added to the right-hand side of A u+ = B u; its frozen
+    columns are not read. A non-positive pivot of S_A raises NumericalError
+    naming its batch row. Returns the trajectory, one complex array: row
+    ceil(s/snap_every) holds the state at step s = 0, snap_every,
+    2*snap_every, ... and n_steps, and row 0 is a copy of u0.
     """
     u0 = np.asarray(u0)
     nb, J = u0.shape
@@ -151,8 +156,10 @@ def evolve_theta(d, e, scale, coupling, theta, dt, u0, n_steps, snap_every, forc
         c = dt * coupling * u0[:, m] * scale[:, m - 1]
         push = np.stack([c.real, c.imag])
     inv, keep = 1.0 / theta, (1.0 - theta) / theta
-    snaps = np.empty((n_steps // snap_every, nb, J), dtype=complex)
-    snaps[:, :, m:] = u0[:, m:]
+    rows = -(-n_steps // snap_every) + 1
+    traj = np.empty((rows, nb, J), dtype=complex)
+    traj[0] = u0
+    traj[1:, :, m:] = u0[:, m:]
     for step in range(1, n_steps + 1):
         np.multiply(v, inv, out=w)
         if coupling is not None:
@@ -168,19 +175,11 @@ def evolve_theta(d, e, scale, coupling, theta, dt, u0, n_steps, snap_every, forc
         else:
             v *= -keep
             v += w
-        if step % snap_every == 0:
-            _unscale(v, scale, snaps[step // snap_every - 1])
-    final = np.empty((nb, J), dtype=complex)
-    final[:, m:] = u0[:, m:]
-    return _unscale(v, scale, final), snaps
-
-
-def _unscale(v, scale, out):
-    """Write u = D^-1 v into the first m columns of the complex (nb, J) array out."""
-    m = v.shape[2]
-    np.divide(v[0], scale, out=out.real[:, :m])
-    np.divide(v[1], scale, out=out.imag[:, :m])
-    return out
+        if step % snap_every == 0 or step == n_steps:
+            row = traj[-(-step // snap_every)]          # u = D^-1 v in the first m columns
+            np.divide(v[0], scale, out=row.real[:, :m])
+            np.divide(v[1], scale, out=row.imag[:, :m])
+    return traj
 
 
 def backend_name() -> str:

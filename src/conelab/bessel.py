@@ -13,6 +13,8 @@ from scipy.special import jv, jvp
 
 from .errors import NumericalError
 
+_SCAN_STEP = 0.05      # spacing of the sign scan that brackets the roots
+
 
 def _bisect_newton(f, df, lo: float, hi: float) -> float:
     """Root of f in [lo, hi], where f changes sign: bisection, then Newton on f/df.
@@ -50,8 +52,7 @@ def _bisect_newton(f, df, lo: float, hi: float) -> float:
     raise NumericalError(f"Newton polish did not converge in [{lo}, {hi}] (last iterate {r})")
 
 
-def radial_eigenvalue_roots(nu: float, n: int, outer_bc: str, count: int,
-                            scan_step: float = 0.05) -> list[float]:
+def radial_eigenvalue_roots(nu: float, n: int, outer_bc: str, count: int) -> list[float]:
     """Positive roots k of the outer boundary condition at x = 1.
 
     dirichlet: J_nu(k) = 0; neumann: k J'_nu(k) - (n-1)/2 J_nu(k) = 0
@@ -69,11 +70,11 @@ def radial_eigenvalue_roots(nu: float, n: int, outer_bc: str, count: int,
         raise NumericalError(f"unknown outer boundary condition {outer_bc!r}")
 
     roots: list[float] = []
-    k = max(scan_step, 1e-3)
+    k = _SCAN_STEP
     fprev = f(k)
     guard = 0
     while len(roots) < count:
-        k2 = k + scan_step
+        k2 = k + _SCAN_STEP
         fcur = f(k2)
         if fprev == 0.0:
             roots.append(k)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 failure. Every run directory receives a manifest.json sufficient to re-run
-the job; CSV payloads are deterministic for a fixed config and seed.
+the job; CSV payloads are deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ def _write_manifest(outdir: Path, args_echo: dict, cfg: dict, t0: float, outputs
         "backend": backend_name(),
         "command": args_echo,
         "config": cfg,
-        "seed": cfg.get("seed", 0),
         "wall_time_s": time.perf_counter() - t0,
         "outputs": outputs,
     }
@@ -388,8 +387,9 @@ def _shifted_mode_operator(cfg: dict):
     theta, shift0 = powers_from_config(cfg)[1:3]
     cs = cross_section_from_config(cfg)
     mode = cs.mode_table(max_modes_from_config(cfg))[0]
-    L = assemble_mode_operator(cs.n, mode.eigenvalue, grid_from_config(cfg),
-                               heat_from_config(cfg, outer_bc="neumann")["outer_bc"])
+    # only the outer condition of the heat block: T, dt and theta are not read
+    outer_bc = _value(cfg, "heat.outer_bc", lambda bc: bc, "a boundary condition", "neumann")
+    L = assemble_mode_operator(cs.n, mode.eigenvalue, grid_from_config(cfg), outer_bc)
     shift, M = find_sectorial_shift(L, theta, c0=shift0)
     return M, theta, shift
 
@@ -401,7 +401,8 @@ def cmd_powers(args) -> int:
     z = powers_from_config(cfg)[0]
     M, theta, shift = _shifted_mode_operator(cfg)
     if M.symmetric_form is None:
-        raise coarse_grid_error("powers", M.provenance["n"], grid_from_config(cfg).h)
+        raise coarse_grid_error("powers", cross_section_from_config(cfg).n,
+                                grid_from_config(cfg).h)
     method, gate = power_route(M)
     formed = method == "spectral" or M.dim <= _DENSE_LIMIT
     data, prov = complex_power(M, z) if formed else (None, {})

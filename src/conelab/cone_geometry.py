@@ -39,7 +39,6 @@ class CrossSection:
     n: int
     # circle: q = (2*pi/L)^2, exact Fraction when derivable, else float
     circle_q: object = None
-    circle_length: float = 0.0
     explicit_eigs: tuple = ()
     vol: float = 1.0
 
@@ -61,7 +60,7 @@ class CrossSection:
             q = snap if abs(float(snap) - qf) < 1e-12 * max(1.0, qf) else qf
         else:
             raise ConfigError("circle needs 'L' or 'L_over_pi'")
-        return CrossSection(kind="circle", n=1, circle_q=q, circle_length=L, vol=L)
+        return CrossSection(kind="circle", n=1, circle_q=q, vol=L)
 
     @staticmethod
     def sphere(n: int) -> "CrossSection":

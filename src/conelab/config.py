@@ -120,12 +120,12 @@ def grid_from_config(cfg: dict) -> LogGrid:
                    _value(cfg, "grid.points", _whole, "a whole number", 513))
 
 
-def heat_from_config(cfg: dict, outer_bc: str = "dirichlet") -> dict:
-    """HeatConfig's T, dt, theta, outer_bc (default as given) and snapshot_every."""
+def heat_from_config(cfg: dict) -> dict:
+    """HeatConfig's T, dt, theta, outer_bc (default dirichlet) and snapshot_every."""
     out = {key: _value(cfg, f"heat.{key}", float, "a finite number", default)
            for key, default in (("T", 0.1), ("dt", 1e-4), ("theta", 0.5))}
     block = cfg.get("heat", {})                     # an object: _value checked it
-    return dict(out, outer_bc=block.get("outer_bc", outer_bc),
+    return dict(out, outer_bc=block.get("outer_bc", "dirichlet"),
                 snapshot_every=block.get("snapshot_every", 0))
 
 

@@ -25,9 +25,5 @@ class NotSectorialError(NumericalError):
     """Spectrum meets the requested sector; resolvent bound undefined there."""
 
 
-class CriticalExponentError(ConelabError):
-    """Membership test landed exactly on the critical exponent; verdict indeterminate."""
-
-
 class IllConditionedFitError(NumericalError):
     """Least-squares design matrix too ill-conditioned; change the fit window."""

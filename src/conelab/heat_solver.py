@@ -126,9 +126,7 @@ def assemble_mode_operator(n: int, eigenvalue, grid: LogGrid, outer_bc: str) -> 
     du *= w
     dl[0] = 0.0
     du[-1] = 0.0
-    return OperatorMatrix.tridiag(dl, d, du, role="mode-laplacian", n=n,
-                                  eigenvalue=lam, outer_bc=outer_bc,
-                                  tau_min=grid.tau_min, points=J)
+    return OperatorMatrix.tridiag(dl, d, du)
 
 
 def _mode_operators(cfg: HeatConfig) -> tuple[tuple[Mode, ...], list[OperatorMatrix]]:
@@ -197,20 +195,15 @@ def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
             f_old = f_new
             return cfg.dt * fb
 
-    final, snaps = evolve_theta(*_symmetric_system(ops, cfg), cfg.theta, cfg.dt,
-                                u0.values, n_steps, every, forcing)
-    # one check for the whole trajectory; the snapshot fields below skip their own
-    if not (np.isfinite(snaps).all() and np.isfinite(final).all()):
+    traj = evolve_theta(*_symmetric_system(ops, cfg), cfg.theta, cfg.dt,
+                        u0.values, n_steps, every, forcing)
+    # one check for the whole trajectory; the fields below skip their own
+    if not np.isfinite(traj).all():
         raise NumericalError(f"non-finite state in the theta march (theta={cfg.theta}, "
                              f"dt={cfg.dt})")
-    steps = list(range(every, n_steps + 1, every))
-    states = list(snaps)
-    if n_steps % every:
-        steps.append(n_steps)
-        states.append(final)
-    times = [0.0] + [s * cfg.dt for s in steps]
-    fields = [u0.copy()] + [RadialField._checked(u0.grid, u0.modes, values, u0.n, u0.vol)
-                            for values in states]
+    # rows at steps 0, every, 2*every, ... and n_steps
+    times = [s * cfg.dt for s in (*range(0, n_steps, every), n_steps)]
+    fields = [RadialField._checked(u0.grid, u0.modes, values, u0.n, u0.vol) for values in traj]
     return HeatTrajectory(times=times, fields=fields, config=cfg)
 
 

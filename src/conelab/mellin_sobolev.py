@@ -1,4 +1,4 @@
-"""Weighted Mellin-Sobolev norms on log-radial grids, plus membership probes.
+"""Weighted Mellin-Sobolev norms on log-radial grids.
 
 The collar quadrature norm is the package's reference norm: with tau = log x
 the weighted integrals become trapezoid sums on a uniform tau grid and
@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import AsymptoticsTerm
 from .cone_geometry import CrossSection, Mode
-from .errors import ConfigError, CriticalExponentError, UnsupportedError
-from .rational import QRat
+from .errors import ConfigError, UnsupportedError
 
 
 @dataclass(frozen=True)
@@ -170,24 +168,3 @@ def mellin_norm(u: RadialField, s: int, gamma: float, p: float = 2.0) -> float:
                 total += u.vol * mode.multiplicity * lamw * t_c
                 total += u.vol * mode.multiplicity * lamw * t_i
     return total ** (1.0 / p)
-
-
-def membership_probe(term: AsymptoticsTerm, n: int, s: int, gamma, p: float = 2.0) -> bool:
-    """Analytic H^{s,gamma}_p membership of a power-log term near the tip.
-
-    True iff Re(-rho) + (n+1)/2 - gamma > 0; log factors never matter under
-    the strict inequality, and equality raises CriticalExponentError since
-    the verdict would depend on the log fine structure.
-    """
-    if isinstance(term.rho, QRat) and isinstance(gamma, (int, float)) \
-            and term.rho.im == 0:
-        from fractions import Fraction
-        crit = -term.rho.re + Fraction(n + 1, 2) - Fraction(gamma)
-        if crit == 0:
-            raise CriticalExponentError(f"critical exponent: Re rho = {term.rho.re}, "
-                                        f"(n+1)/2 - gamma = {Fraction(n+1,2) - Fraction(gamma)}")
-        return crit > 0
-    crit = -term.rho_complex.real + (n + 1) / 2.0 - float(gamma)
-    if abs(crit) <= 1e-12:
-        raise CriticalExponentError("critical exponent within float tolerance")
-    return crit > 0

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.linalg import eigvals
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import zgttrs
 
-from ._kernels import factor_batch, thomas_batch, tridiag_matvec
+from ._kernels import factor_batch, solve_normal, thomas_batch
 from .errors import ConfigError, NumericalError
 
 _STOP_TOL = 1e-12      # relative change between iterations that ends an estimate
@@ -25,16 +24,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Immutable tridiagonal complex matrix with provenance metadata.
+    """Immutable tridiagonal complex matrix: its three bands and nothing else.
 
     It keeps three length-J bands (dl, d, du) with dl[0] and du[-1] unused.
     The constructor keeps read-only copies of the bands, so the symmetric
     form and the spectrum derived from them are computed once, on first use.
-    Provenance records where the matrix came from so probe reports are reproducible.
     """
 
     data: tuple
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         data = tuple(_read_only(np.array(a, dtype=complex)) for a in self.data)
@@ -46,8 +43,8 @@ class OperatorMatrix:
         object.__setattr__(self, "data", data)
 
     @staticmethod
-    def tridiag(dl, d, du, **provenance) -> "OperatorMatrix":
-        return OperatorMatrix((dl, d, du), dict(provenance))
+    def tridiag(dl, d, du) -> "OperatorMatrix":
+        return OperatorMatrix((dl, d, du))
 
     @property
     def dim(self) -> int:
@@ -59,20 +56,22 @@ class OperatorMatrix:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """M v for a vector (dim,) or a block of columns (dim, k)."""
+        dl, d, du = (band[:, None] for band in self.data)
         v = np.asarray(v, dtype=complex)
-        cols = v.reshape(self.dim, -1).T
-        bands = (np.broadcast_to(b, cols.shape) for b in self.data)
-        return tridiag_matvec(*bands, cols).T.reshape(v.shape)
+        cols = v.reshape(self.dim, -1)
+        out = d * cols
+        out[1:] += dl[1:] * cols[:-1]
+        out[:-1] += du[:-1] * cols[1:]
+        return out.reshape(v.shape)
 
     def shifted(self, c: complex) -> "OperatorMatrix":
-        """M + c*I with provenance recording the shift."""
+        """M + c*I."""
         dl, d, du = self.data
-        prov = dict(self.provenance, shift=self.provenance.get("shift", 0.0) + c)
-        return OperatorMatrix((dl, d + c, du), prov)
+        return OperatorMatrix((dl, d + c, du))
 
     def __neg__(self) -> "OperatorMatrix":
         dl, d, du = self.data
-        return OperatorMatrix((-dl, -d, -du), dict(self.provenance))
+        return OperatorMatrix((-dl, -d, -du))
 
     def solve_shifted_batch(self, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """(M + lam_i)^-1 rhs for a batch of shifts and one right-hand side.
@@ -128,13 +127,12 @@ class OperatorMatrix:
 
         Every shift iterates from the same seeded start vector. The batch of
         shifted operators M + lam is factored once (factor_batch, one
-        stacked zgttrf), and each iteration makes two solves on those
-        factors: zgttrs with trans 'N' applies (M+lam)^-1, and with trans
-        'C' its adjoint. A shift leaves the batch once its sigma (the
-        estimate of the squared norm) changes by less than _STOP_TOL
-        relative between iterations; the shifts left are then refactored
-        once, and the loop ends when no shift is left or after _NORM_ITERS
-        iterations. Power iteration approaches the norm from below.
+        stacked zgttrf), and each iteration applies (M+lam)^-1 and then its
+        adjoint on those factors (solve_normal). A shift leaves the batch
+        once its sigma (the estimate of the squared norm) changes by less
+        than _STOP_TOL relative between iterations; the shifts left are then
+        refactored once, and the loop ends when no shift is left or after
+        _NORM_ITERS iterations. Power iteration approaches the norm from below.
 
         Returns (norms, iterations, unconverged): the estimates in the order
         of lams, the iterations run, and how many shifts still missed the
@@ -155,9 +153,7 @@ class OperatorMatrix:
             if lu is None:
                 lu = factor_batch(np.broadcast_to(dl, D.shape), D, np.broadcast_to(du, D.shape))
             # (M+lam)^-1 and then its adjoint, in place on v: a fresh array of this loop
-            x, _ = zgttrs(*lu, v.reshape(-1), overwrite_b=1)
-            x, _ = zgttrs(*lu, x, trans="C", overwrite_b=1)
-            w = x.reshape(v.shape)
+            w = solve_normal(lu, v.reshape(-1)).reshape(v.shape)
             nw = np.linalg.norm(w, axis=1)
             bad = ~np.isfinite(nw) | (nw == 0)
             if bad.any():

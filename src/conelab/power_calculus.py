@@ -223,8 +223,7 @@ def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None):
             nodes, tail = 0, 0.0
         else:
             out, nodes, tail = _quadrature_power(M, z, np.eye(M.dim, dtype=complex))
-    return FormedPower(out, dict(z=z, method=method, gate=gate, tail_bound=tail,
-                                 nodes=nodes, base=M.provenance))
+    return FormedPower(out, dict(z=z, method=method, gate=gate, tail_bound=tail, nodes=nodes))
 
 
 def eig_power_oracle(M: OperatorMatrix, z: complex) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,8 +117,9 @@ def _fit_window(grid, window) -> tuple[float, float]:
         x_a, x_b = window
     except (TypeError, ValueError):
         raise ConfigError(f"fit window {window!r} must be two numbers [x_a, x_b]") from None
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-               for v in (x_a, x_b)):
+    # a comparison, not math.isfinite: an int beyond the float range fails it, not overflows
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and abs(v) <= sys.float_info.max for v in (x_a, x_b)):
         raise ConfigError(f"fit window {window!r} must be two finite numbers")
     x_a, x_b = float(x_a), float(x_b)
     if not (math.exp(grid.tau_min) < x_a < x_b):

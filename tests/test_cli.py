@@ -429,7 +429,9 @@ def fit_inputs(tmp_path_factory):
     return d / "traj", d / "basis.json"
 
 
-@pytest.mark.parametrize("window", [[0.01, 0.05, 0.1], ["a", "b"], [0.01], "0.01"])
+# the last two hold a JSON integer of 401 digits, beyond the float range
+@pytest.mark.parametrize("window", [[0.01, 0.05, 0.1], ["a", "b"], [0.01], "0.01",
+                                    [0.001, 10**400], [-10**400, 0.1]])
 def test_fit_tip_malformed_window_exit_2(window, fit_inputs, tmp_path, capsys):
     traj, basis = fit_inputs
     cfg, out = tmp_path / "fit.json", tmp_path / "fits.csv"
@@ -770,6 +772,32 @@ def test_unknown_outer_bc_exit_2(cmd, tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     assert main([cmd, "--config", str(p), "--out", str(tmp_path / "out.json")]) == 2
     assert "config error: unknown outer boundary condition 'robin'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["powers", "sectorial-probe"])
+def test_powers_read_only_the_outer_condition_of_the_heat_block(cmd, tmp_path):
+    # T, dt and theta are the march's: a bad value there changes nothing here
+    outs = []
+    for name, heat in (("plain", {"outer_bc": "neumann"}),
+                       ("bad-march", {"outer_bc": "neumann", "T": "x", "dt": None,
+                                      "theta": [1]})):
+        p, out = tmp_path / f"{name}.json", tmp_path / name / "out.json"
+        p.write_text(json.dumps(dict(CIRCLE_CFG, heat=heat)))
+        assert main([cmd, "--config", str(p), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_manifest_records_no_unused_seed(tmp_path):
+    # no computation reads a config seed: the manifest only echoes it with the config
+    for name, cfg in (("with", CIRCLE_CFG), ("without", {k: v for k, v in CIRCLE_CFG.items()
+                                                          if k != "seed"})):
+        p, out = tmp_path / f"{name}.json", tmp_path / name / "poles.csv"
+        p.write_text(json.dumps(cfg))
+        assert main(["poles", "--config", str(p), "--out", str(out)]) == 0
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        assert "seed" not in manifest
+        assert manifest["config"] == cfg
 
 
 @pytest.mark.parametrize("key, value", [("samples", -3), ("samples", 2.5), ("samples", 0),

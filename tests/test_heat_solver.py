@@ -178,16 +178,16 @@ def test_one_non_finite_forcing_step_raises_numerical_error():
 
 
 def test_non_finite_snapshot_with_finite_final_state_raises(monkeypatch):
-    # the single check covers every snapshot, not only the final state
+    # the single check covers every row of the trajectory, not only the last
     g = LogGrid(-5.0, 65)
     cfg = HeatConfig(cross_section=CIRCLE, grid=g, T=0.005, dt=1e-3, outer_bc="neumann",
                      theta=0.5, max_modes=1, snapshot_every=1)
     march = heat_solver.evolve_theta
 
     def overflowing(*args):
-        final, snaps = march(*args)
-        snaps[2, 0, 7] = complex(math.inf, 0.0)
-        return final, snaps
+        traj = march(*args)
+        traj[2, 0, 7] = complex(math.inf, 0.0)   # a middle row; the last one stays finite
+        return traj
     monkeypatch.setattr(heat_solver, "evolve_theta", overflowing)
     with pytest.raises(NumericalError, match="non-finite"):
         solve_heat(RadialField.zeros(g, CIRCLE, 1), None, cfg)

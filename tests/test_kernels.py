@@ -1,6 +1,7 @@
 """LAPACK tridiagonal kernels against dense linear algebra."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -51,9 +52,14 @@ def test_matvec_matches_dense():
     rng = np.random.default_rng(2)
     dl, d, du = _random_bands(rng, 2, 17)
     u = rng.standard_normal((2, 17)) + 0j
-    out = _kernels.tridiag_matvec(dl, d, du, u)
     for b in range(2):
-        assert np.allclose(out[b], _dense(dl[b], d[b], du[b]) @ u[b])
+        M = OperatorMatrix.tridiag(dl[b], d[b], du[b])
+        A = _dense(dl[b], d[b], du[b])
+        assert np.allclose(M.matvec(u[b]), A @ u[b])
+        assert np.allclose(M.matvec(u.T), A @ u.T)     # a block of columns
+    dl[0, 0], du[0, -1] = 3.0, -7.0                     # the unused corners are not read
+    M = OperatorMatrix.tridiag(dl[0], d[0], du[0])
+    assert np.allclose(M.matvec(u[0]), _dense(dl[0], d[0], du[0]) @ u[0])
 
 
 def _symmetric_modes(rng, nb, m):
@@ -85,12 +91,14 @@ def test_evolve_theta_equals_stepwise():
         u0 = rng.standard_normal((nb, J)) + 1j * rng.standard_normal((nb, J))
         u0_before = u0.copy()
         terms = rng.standard_normal((7, nb, J)) + 1j * rng.standard_normal((7, nb, J))
-        for forcing in (None, lambda step: terms[step], lambda step: terms[step].real):
-            final, snaps = _kernels.evolve_theta(d, e, scale, coupling, theta, dt, u0, 6, 2,
-                                                 forcing)
+        # rows at steps 0, 2, 4, 6 and at 0, 4, 6: the last step falls off the grid
+        for every, forcing in itertools.product(
+                (2, 4), (None, lambda step: terms[step], lambda step: terms[step].real)):
+            traj = _kernels.evolve_theta(d, e, scale, coupling, theta, dt, u0, 6, every,
+                                         forcing)
             assert np.array_equal(u0, u0_before)
-            assert snaps.shape == (3, nb, J)
-            assert np.array_equal(snaps[-1], final)
+            assert traj.shape == ({2: 4, 4: 3}[every], nb, J)
+            assert np.array_equal(traj[0], u0)
             for b in range(nb):
                 L = _dense_mode(d[b], e[b], scale[b], None if coupling is None else coupling[b],
                                 J)
@@ -100,10 +108,10 @@ def test_evolve_theta_equals_stepwise():
                     f = np.zeros(J, complex) if forcing is None else forcing(step)[b] + 0j
                     f[m:] = 0.0                 # frozen columns take no forcing
                     u = np.linalg.solve(A, B @ u + f)
-                    if step % 2 == 0:
-                        got = snaps[step // 2 - 1, b]
+                    if step % every == 0 or step == 6:
+                        got = traj[-(-step // every), b]
                         assert np.max(np.abs(got - u)) <= 1e-12 * np.max(np.abs(u))
-                assert np.all(final[b, m:] == u0[b, m:])
+                assert np.all(traj[:, b, m:] == u0[b, m:])   # frozen columns in every row
 
 
 @pytest.mark.parametrize("nb,J", [(4, 2), (2, 25), (5, 129)])
@@ -121,29 +129,29 @@ def test_evolve_theta_matches_the_unstacked_march_bit_for_bit(nb, J):
         terms[:, :, m:] = np.nan                # frozen columns of a forcing are not read
         before = [a.copy() for a in (d, e, scale, u0)]
         for forcing in (None, lambda step: terms[step]):
-            final, snaps = _kernels.evolve_theta(d, e, scale, coupling, 0.7, 0.3, u0, 7, 2,
-                                                 forcing)
-            assert snaps.shape == (3, nb, J)
+            # rows at steps 0, 2, 4, 6 and 7
+            traj = _kernels.evolve_theta(d, e, scale, coupling, 0.7, 0.3, u0, 7, 2, forcing)
+            assert traj.shape == (5, nb, J)
             for b in range(nb):
                 # LAPACK solves a lone 1x1 system by a multiply with 1/d, not a
                 # division: a mode with m = 1 is marched beside a copy of itself
                 own = [b] if m > 1 else [b, b]
                 alone = None if forcing is None else (lambda step, own=own: terms[step, own])
-                ref_final, ref_snaps = _kernels.evolve_theta(
+                ref = _kernels.evolve_theta(
                     d[own], e[own], scale[own], None if coupling is None else coupling[own],
                     0.7, 0.3, u0[own], 7, 2, alone)
-                assert np.array_equal(final[b], ref_final[0])
-                assert np.array_equal(snaps[:, b], ref_snaps[:, 0])
+                assert np.array_equal(traj[:, b], ref[:, 0])
                 if m == 1:                      # the lone 1x1 system agrees to rounding
-                    lone, _ = _kernels.evolve_theta(
+                    lone = _kernels.evolve_theta(
                         d[b:b + 1], e[b:b + 1], scale[b:b + 1], coupling[b:b + 1], 0.7, 0.3,
                         u0[b:b + 1], 7, 2, None if forcing is None else
                         (lambda step, b=b: terms[step, b:b + 1]))
-                    assert np.allclose(lone, final[b:b + 1], rtol=1e-14, atol=0)
-            # frozen columns: u0 bit for bit in every snapshot
-            frozen = np.concatenate([snaps[:, :, m:], final[None, :, m:]]).view(np.uint64)
+                    assert np.allclose(lone[-1], traj[-1, b:b + 1], rtol=1e-14, atol=0)
+            # frozen columns: u0 bit for bit in every row, row 0 included
+            frozen = traj[:, :, m:].view(np.uint64)
             assert np.all(frozen == u0[:, m:].view(np.uint64))
-            assert np.all(np.isfinite(final))
+            assert np.all(traj[0].view(np.uint64) == u0.view(np.uint64))
+            assert np.all(np.isfinite(traj))
             for a, b in zip((d, e, scale, u0), before):
                 assert np.array_equal(a, b)
 
@@ -279,6 +287,22 @@ def test_factor_batch_solves_both_directions(J):
             err = np.max(np.abs(x.reshape(nb, J) - want), axis=1)
             assert np.all(err <= 1e-13 * np.max(np.abs(want), axis=1))
         assert all(np.array_equal(a, b) for a, b in zip((dl, d, du, rhs), before))
+
+
+def test_solve_normal_is_the_solve_then_the_adjoint_solve():
+    rng = np.random.default_rng(12)
+    dl, d, du = _pivoting_bands(rng, 3, 20)
+    lu = _kernels.factor_batch(dl, d, du)
+    rhs = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    x, _ = zgttrs(*lu, rhs)
+    want, _ = zgttrs(*lu, x, trans="C")
+    b = rhs.copy()
+    got = _kernels.solve_normal(lu, b)
+    assert np.array_equal(got, want)
+    for row in range(3):                      # (A A^*)^-1 of each block
+        A = _dense(dl[row], d[row], du[row])
+        part = slice(20 * row, 20 * row + 20)
+        assert np.allclose(A @ A.conj().T @ got[part], rhs[part], rtol=1e-9, atol=1e-9)
 
 
 def test_inv_norm_estimate_never_writes_its_inputs():

@@ -1,0 +1,35 @@
+"""Module boundaries of the package, read from its source with ast."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "conelab"
+SYMBOLIC = {"conelab.asymptotics", "conelab.rational", "conelab.symbol_algebra"}
+
+
+def _imports(path: Path):
+    """(module, imported names) of every import in a source file; relative ones as conelab.*."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            if node.level:
+                mod = f"conelab.{mod}" if mod else "conelab"
+            yield mod, {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, set()
+
+
+def test_only_kernels_imports_lapack():
+    users = {path.name for path in SRC.glob("*.py") for mod, names in _imports(path)
+             if mod.startswith("scipy.linalg.lapack")
+             or (mod == "scipy.linalg" and "lapack" in names)}
+    assert users == {"_kernels.py"}
+
+
+def test_numeric_modules_import_no_symbolic_module():
+    for name in ("operators.py", "mellin_sobolev.py"):
+        for mod, names in _imports(SRC / name):
+            assert mod not in SYMBOLIC, (name, mod)
+            if mod == "conelab":
+                assert not SYMBOLIC & {f"conelab.{n}" for n in names}, (name, names)

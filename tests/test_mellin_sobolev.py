@@ -1,4 +1,4 @@
-"""Mellin-Sobolev quadrature norms and membership probes."""
+"""Mellin-Sobolev quadrature norms."""
 
 import math
 from fractions import Fraction
@@ -8,9 +8,8 @@ import pytest
 
 from conelab.asymptotics import AsymptoticsTerm
 from conelab.cone_geometry import CrossSection
-from conelab.errors import (ConfigError, CriticalExponentError, UnsupportedError)
-from conelab.mellin_sobolev import (LogGrid, RadialField, dtau, mellin_norm,
-                                    membership_probe, smooth_cutoff)
+from conelab.errors import ConfigError, UnsupportedError
+from conelab.mellin_sobolev import LogGrid, RadialField, dtau, mellin_norm, smooth_cutoff
 from conelab.rational import QRat
 
 CIRCLE = CrossSection.circle(length_over_pi=2)
@@ -97,19 +96,10 @@ def test_p_restriction():
     assert mellin_norm(u, 0, 0.0, p=3.0) == 0.0
 
 
-def test_membership_probe_examples():
-    assert membership_probe(AsymptoticsTerm(QRat(Fraction(-1, 5)), 0, "k=0"), 1, 0, 0.5)
-    assert not membership_probe(AsymptoticsTerm(QRat(1), 0, "k=0"), 1, 0, 0.5)
-    assert membership_probe(AsymptoticsTerm(QRat(0), 1, "k=0"), 1, 0, Fraction(-1, 2))
-    with pytest.raises(CriticalExponentError):
-        membership_probe(AsymptoticsTerm(QRat(1), 0, "k=0"), 1, 0, 0)
-
-
 def test_nonmember_norm_grows_under_extension():
     # term x^{-2}, n=1, gamma=1/2: clearly non-member; norms must grow >=
     # 10x per tau_min doubling (divergence rate e^{1.5 |tau_min|})
     term = AsymptoticsTerm(QRat(2), 0, "k=0")
-    assert not membership_probe(term, 1, 0, 0.5)
     norms = []
     grid = LogGrid(-4.0, 129)
     for _ in range(3):
