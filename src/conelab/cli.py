@@ -137,20 +137,19 @@ def _read_field_csv(path: Path, grid: LogGrid, cs, max_modes: int) -> RadialFiel
     labels = [m.label for m in field.modes]
     # one character beyond the longest label: a longer one stays unknown
     mode_dtype = f"U{max(map(len, labels)) + 1}"
-    with open(path) as fh:
-        names = fh.readline().rstrip("\n").split(",")
-        cols = [i for i, c in enumerate(names) if c in _FIELD_COLUMNS]
-        if sorted(names[i] for i in cols) != sorted(_FIELD_COLUMNS):
-            raise ConfigError(f"field file {path} needs the columns "
-                              f"{','.join(_FIELD_COLUMNS)} once each, not {','.join(names)}")
-        dtype = [(names[i], mode_dtype if names[i] == "mode" else "f8") for i in cols]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)   # a header-only file
-                data = np.loadtxt(fh, delimiter=",", quotechar='"', dtype=dtype,
-                                  usecols=cols, ndmin=1)
-        except ValueError as exc:
-            raise ConfigError(f"field file {path} is malformed: {exc}") from exc
+    try:                                      # a directory, bytes that are not text, a bad cell
+        with open(path) as fh, warnings.catch_warnings():
+            names = fh.readline().rstrip("\n").split(",")
+            cols = [i for i, c in enumerate(names) if c in _FIELD_COLUMNS]
+            if sorted(names[i] for i in cols) != sorted(_FIELD_COLUMNS):
+                raise ConfigError(f"field file {path} needs the columns "
+                                  f"{','.join(_FIELD_COLUMNS)} once each, not {','.join(names)}")
+            dtype = [(names[i], mode_dtype if names[i] == "mode" else "f8") for i in cols]
+            warnings.simplefilter("ignore", UserWarning)       # a header-only file
+            data = np.loadtxt(fh, delimiter=",", quotechar='"', dtype=dtype,
+                              usecols=cols, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"field file {path} cannot be read: {exc}") from exc
     for mode in np.unique(data["mode"]):
         if mode not in labels:
             raise ConfigError(f"field file {path} holds a mode not among "
@@ -167,22 +166,20 @@ def _read_field_csv(path: Path, grid: LogGrid, cs, max_modes: int) -> RadialFiel
     return field
 
 
-def _field_templates(field: RadialField) -> list[str]:
+def _field_templates(grid: LogGrid, modes) -> list[str]:
     """Each mode's block template: its tau and label cells written out, %.17g for re and im."""
-    taus = [fmt(t) for t in field.grid.tau.tolist()]
+    taus = [fmt(t) for t in grid.tau.tolist()]
     return ["".join([f"{t},{mode.label.replace('%', '%%')},%.17g,%.17g\r\n" for t in taus])
-            for mode in field.modes]
+            for mode in modes]
 
 
-def _write_field_csv(path: Path, field: RadialField, templates=None):
+def _write_field_csv(path: Path, values: np.ndarray, templates: list[str]):
     """One format call per mode block, on a template of %.17g: the bytes fmt writes.
 
-    templates (``_field_templates``) may be made once for many fields on
-    the same grid and mode table. Returns the SHA-256 of the file's bytes.
+    values holds one field's (modes, points) samples, C-ordered complex128;
+    templates (``_field_templates``) are made once for every field on the
+    same grid and mode table. Returns the SHA-256 of the file's bytes.
     """
-    if templates is None:
-        templates = _field_templates(field)
-    values = np.ascontiguousarray(field.values, dtype=np.complex128)
     return _write_csv(path, ",".join(_FIELD_COLUMNS),
                       (template % tuple(row.view(np.float64).tolist())
                        for template, row in zip(templates, values)))
@@ -212,34 +209,30 @@ def _snapshot_array_header(shape: tuple[int, int, int]) -> bytes:
     return fh.getvalue()
 
 
-def _write_snapshots(outdir: Path, fields: list[RadialField]) -> tuple[list[str], str]:
-    """(paths, snapshots_sha256): each field to snapshot_{idx:05d}.csv, and all to snapshots.npy.
+def _write_snapshots(outdir: Path, traj) -> tuple[list[str], str]:
+    """(paths, snapshots_sha256): traj.values[k] to snapshot_{k:05d}.csv, and all to snapshots.npy.
 
     The array holds exactly the values written, complex128 of shape
-    (snapshots, modes, J) in index order. It is written as its .npy header
-    and then each snapshot's bytes, so no second copy of the trajectory is
-    stacked; each CSV is hashed as its text is written.
+    (snapshots, modes, J) in index order: its .npy header, then the
+    trajectory's array in one write. Each CSV is hashed as its text is
+    written, the array once.
     """
-    grid, modes = fields[0].grid, fields[0].modes
-    templates = _field_templates(fields[0])
-    paths, parts, array_digest = [], [], hashlib.sha256()
+    values = np.ascontiguousarray(traj.values, dtype=np.complex128)
+    templates = _field_templates(traj.grid, traj.modes)
+    paths = [outdir / f"snapshot_{idx:05d}.csv" for idx in range(len(values))]
+    parts = [_write_field_csv(path, v, templates) for path, v in zip(paths, values)]
     array_path = outdir / _SNAPSHOT_ARRAY
     with open(array_path, "wb") as fh:
-        fh.write(_snapshot_array_header((len(fields), len(modes), grid.points)))
-        for idx, field in enumerate(fields):
-            path = outdir / f"snapshot_{idx:05d}.csv"
-            parts.append(_write_field_csv(path, field, templates))
-            paths.append(str(path))
-            values = np.ascontiguousarray(field.values, dtype=np.complex128)
-            fh.write(values)
-            array_digest.update(values)
-    digest = _snapshots_digest(grid, [m.label for m in modes], [*parts, array_digest])
-    return [*paths, str(array_path)], digest
+        fh.write(_snapshot_array_header(values.shape))
+        fh.write(values)
+    digest = _snapshots_digest(traj.grid, [m.label for m in traj.modes],
+                               [*parts, hashlib.sha256(values)])
+    return [*map(str, paths), str(array_path)], digest
 
 
 def _read_snapshots(trajdir: Path, snaps: list[Path], meta: dict, grid: LogGrid, cs,
-                    max_modes: int) -> list[RadialField]:
-    """The snapshot fields, from snapshots.npy when snapshots_sha256 vouches for it.
+                    max_modes: int) -> np.ndarray:
+    """The snapshot values (snapshots, modes, J), from snapshots.npy when snapshots_sha256 vouches.
 
     The array is taken only under the exact .npy header `_write_snapshots`
     writes for the run config's shape, so its dtype, order and shape are
@@ -249,7 +242,7 @@ def _read_snapshots(trajdir: Path, snaps: list[Path], meta: dict, grid: LogGrid,
     array's values (%.17g round-trips every double, and the reader keeps the
     sign of a zero), so parsing them would give the same bits and pass its
     checks. Anything else (no key, no array, another header, a short array,
-    a mismatch) reads the CSVs with ``_read_field_csv``.
+    a mismatch) reads the CSVs with ``_read_field_csv`` into the same array.
     """
     modes = cs.mode_table(max_modes)
     values = np.empty((len(snaps), len(modes), grid.points), np.complex128)
@@ -262,8 +255,10 @@ def _read_snapshots(trajdir: Path, snaps: list[Path], meta: dict, grid: LogGrid,
     if intact and meta.get("snapshots_sha256") == _snapshots_digest(
             grid, [m.label for m in modes],
             [*(hashlib.sha256(p.read_bytes()) for p in snaps), hashlib.sha256(values)]):
-        return [RadialField(grid, modes, v, n=cs.n, vol=cs.vol) for v in values]
-    return [_read_field_csv(p, grid, cs, max_modes) for p in snaps]
+        return values
+    for k, p in enumerate(snaps):
+        values[k] = _read_field_csv(p, grid, cs, max_modes).values
+    return values
 
 
 def cmd_norm(args) -> int:
@@ -296,22 +291,22 @@ def cmd_solve_heat(args) -> int:
     outdir = meta_path.parent
     u0 = _read_field_csv(Path(args.u0), grid, cs, hc.max_modes)
     traj = solve_heat(u0, None, hc)
-    outputs, digest = _write_snapshots(outdir, traj.fields)
+    outputs, digest = _write_snapshots(outdir, traj)
     meta = {"times": traj.times, "scheme": {"theta": hc.theta, "dt": hc.dt},
             "outer_bc": hc.outer_bc, "gamma": float(gamma), "snapshots_sha256": digest}
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2)
     _write_manifest(outdir, {"subcommand": "solve-heat", "u0": str(args.u0)}, cfg,
                     t0, outputs)
-    print(f"wrote {len(traj.fields)} snapshots to {outdir}")
+    print(f"wrote {len(traj.times)} snapshots to {outdir}")
     return 0
 
 
 def _read_json(path: Path, what: str, key: str, kind: type) -> dict:
     """The JSON object in a `what` file, whose `key` holds a `kind`.
 
-    Anything else (not JSON, not an object, no such key, another type) is a
-    ConfigError naming the file.
+    Anything else (unreadable, not JSON, not an object, no such key, another
+    type) is a ConfigError naming the file.
     """
     try:
         with open(path) as fh:
@@ -322,6 +317,8 @@ def _read_json(path: Path, what: str, key: str, kind: type) -> dict:
         raise ConfigError(f"{what} file {path}: missing key {exc}") from None
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{what} file {path} is malformed: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"{what} file {path} cannot be read: {exc}") from None
     return obj
 
 
@@ -363,8 +360,8 @@ def cmd_fit_tip(args) -> int:
     if missing or extra:
         raise ConfigError(f"trajectory {trajdir} does not match its {len(snaps)} times: "
                           f"missing {missing}, without a time {extra}")
-    fits = fit_tip_series(_read_snapshots(trajdir, snaps, meta, grid, cs, max_modes),
-                          basis, window=window, times=meta["times"])
+    fits = fit_tip_series(_read_snapshots(trajdir, snaps, meta, grid, cs, max_modes), grid,
+                          cs.mode_table(max_modes), basis, window=window, times=meta["times"])
     rows = []
     for fit in fits:
         for fc in fit.coefficients:

@@ -22,8 +22,8 @@ def load_config(path) -> dict:
     try:
         with open(p) as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:     # a directory, bytes that are not text, not JSON
+        raise ConfigError(f"config {p} is not a readable JSON file: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {p} is not a JSON object")
     return cfg

@@ -62,16 +62,32 @@ class HeatConfig:
 
 @dataclass
 class HeatTrajectory:
+    """The state values[k], of shape (modes, points), at times[k], increasing.
+
+    ``values`` is the march's array; every snapshot shares the grid, mode
+    table, n and vol. ``fields`` and ``final()`` build RadialFields on request.
+    """
+
     times: list
-    fields: list                          # RadialField snapshots, t increasing
-    config: HeatConfig
+    values: np.ndarray                    # (snapshots, modes, points), complex
+    grid: LogGrid
+    modes: tuple[Mode, ...]
+    n: int
+    vol: float
 
     def __post_init__(self):
         if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
             raise ConfigError("snapshot times must increase strictly")
 
+    def _field(self, values) -> RadialField:
+        return RadialField(self.grid, self.modes, values, self.n, self.vol)
+
+    @property
+    def fields(self) -> list[RadialField]:
+        return [self._field(v) for v in self.values]
+
     def final(self) -> RadialField:
-        return self.fields[-1]
+        return self._field(self.values[-1])
 
 
 def regular_indicial_root(n: int, eigenvalue) -> float:
@@ -175,7 +191,8 @@ def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
     theta f(t+dt) + (1-theta) f(t). A dirichlet row is left out of the
     march: its boundary value stays frozen, bit for bit, and takes no
     forcing. A grid too coarse for a symmetric form (h >= 2/(n-1)) raises
-    ConfigError.
+    ConfigError. The trajectory keeps the march's array, checked once for
+    finite values, and builds no field.
     """
     if u0.grid.points != cfg.grid.points or u0.grid.tau_min != cfg.grid.tau_min:
         raise ConfigError("initial field lives on a different grid than the config")
@@ -195,16 +212,14 @@ def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
             f_old = f_new
             return cfg.dt * fb
 
-    traj = evolve_theta(*_symmetric_system(ops, cfg), cfg.theta, cfg.dt,
-                        u0.values, n_steps, every, forcing)
-    # one check for the whole trajectory; the fields below skip their own
-    if not np.isfinite(traj).all():
+    values = evolve_theta(*_symmetric_system(ops, cfg), cfg.theta, cfg.dt,
+                          u0.values, n_steps, every, forcing)
+    if not np.isfinite(values).all():
         raise NumericalError(f"non-finite state in the theta march (theta={cfg.theta}, "
                              f"dt={cfg.dt})")
     # rows at steps 0, every, 2*every, ... and n_steps
     times = [s * cfg.dt for s in (*range(0, n_steps, every), n_steps)]
-    fields = [RadialField._checked(u0.grid, u0.modes, values, u0.n, u0.vol) for values in traj]
-    return HeatTrajectory(times=times, fields=fields, config=cfg)
+    return HeatTrajectory(times, values, u0.grid, u0.modes, u0.n, u0.vol)
 
 
 def bessel_series_solution(u0_modal_coeffs, n: int, eigenvalue, t: float,

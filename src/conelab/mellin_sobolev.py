@@ -74,8 +74,7 @@ class RadialField:
     """Per-mode complex samples on a shared LogGrid.
 
     The constructor casts the values to complex and rejects a wrong shape
-    or a non-finite value with ConfigError. ``_checked`` skips both for
-    values a caller has already checked (the snapshots of ``solve_heat``).
+    or a non-finite value with ConfigError.
     """
 
     grid: LogGrid
@@ -91,13 +90,6 @@ class RadialField:
                               f"({len(self.modes)}, {self.grid.points})")
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("field contains non-finite values")
-
-    @classmethod
-    def _checked(cls, grid, modes, values, n, vol) -> "RadialField":
-        """A field of finite complex values of shape (len(modes), grid.points), not re-checked."""
-        field = object.__new__(cls)
-        field.grid, field.modes, field.values, field.n, field.vol = grid, modes, values, n, vol
-        return field
 
     @staticmethod
     def zeros(grid: LogGrid, cs: CrossSection, max_modes: int) -> "RadialField":

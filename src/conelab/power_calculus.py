@@ -48,7 +48,6 @@ _BLOWUP_RATIO = 5.0
 @dataclass
 class SectorialReport:
     K: float
-    theta: float
     samples: list                # (lambda, (1+|lambda|)*norm) pairs
     min_abs_eig: float           # min |eig| of the probed operator
     iterations: int = 0          # power iterations run by the norm estimate
@@ -92,10 +91,8 @@ def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200) -> Se
     lams = _sector_samples(theta, n_samples, _LAM_MAX)
     norms, iterations, unconverged = M.inv_norm2_estimate(lams)
     vals = (1.0 + np.abs(lams)) * norms
-    return SectorialReport(K=max(float(vals.max()), 1.0), theta=theta,
-                           samples=list(zip(lams, vals.tolist())),
-                           min_abs_eig=min_eig, iterations=iterations,
-                           unconverged=unconverged)
+    return SectorialReport(K=max(float(vals.max()), 1.0), samples=list(zip(lams, vals.tolist())),
+                           min_abs_eig=min_eig, iterations=iterations, unconverged=unconverged)
 
 
 def find_sectorial_shift(L: OperatorMatrix, theta: float,

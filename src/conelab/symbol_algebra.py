@@ -33,7 +33,6 @@ class ConeOperatorSpec:
     modes: tuple[Mode, ...]
     coeffs: dict
     n_taylor: int = 0
-    name: str = "custom"
 
     def __post_init__(self):
         if self.mu < 1:
@@ -69,7 +68,7 @@ class ConeOperatorSpec:
             a0 = Poly([lam]) if warp_a0 in (None, 0) else Poly([lam, QRat(lam) * QRat(warp_a0)])
             coeffs[m.label] = (a0, Poly([-(cs.n - 1)]), Poly([1]))
         return ConeOperatorSpec(mu=2, n=cs.n, modes=modes, coeffs=coeffs,
-                                n_taylor=1 if warp_a0 else 0, name="laplacian")
+                                n_taylor=1 if warp_a0 else 0)
 
 
 def conormal_symbol(spec: ConeOperatorSpec, mode: str) -> Poly:
@@ -123,10 +122,6 @@ class PoleEntry:
 class PoleSet:
     entries: tuple[PoleEntry, ...]
     strip: tuple                 # (left closed, right open), Fraction or float
-    gamma: object
-    mu: int
-    n: int
-    power: int = 1
     exact: bool = True
     convention_pending: bool = False
     # every candidate root before the strip filter: (mode, rho, order, in_strip)
@@ -190,9 +185,8 @@ def _pole_set(spec: ConeOperatorSpec, gamma, power: int, mode_poles, combine) ->
     entries = sorted((PoleEntry(rho=rho, mode_orders=dict(sorted(orders.items())))
                       for rho, orders in merged),
                      key=lambda e: (e.rho_complex.real, e.rho_complex.imag))
-    return PoleSet(entries=tuple(entries), strip=(left, right), gamma=gamma, mu=spec.mu,
-                   n=spec.n, power=power, exact=exact, convention_pending=spec.warped,
-                   candidates=tuple(candidates))
+    return PoleSet(entries=tuple(entries), strip=(left, right), exact=exact,
+                   convention_pending=spec.warped, candidates=tuple(candidates))
 
 
 def pole_set(spec: ConeOperatorSpec, gamma) -> PoleSet:

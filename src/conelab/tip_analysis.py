@@ -5,7 +5,7 @@ x^{-rho} log^m x over an inner window; what the fit cannot explain is the
 residual, whose log-log slope against x estimates the next exponent in the
 expansion. Tracking the fitted coefficients along a trajectory is how the
 package observes that the singular-part decomposition survives the
-evolution.
+evolution. The fit takes a stack of snapshot values, whatever produced it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .rational import root_to_complex
 
 MAX_FIT_POINTS = 200
 COND_LIMIT = 1e10
-# window samples (fields x modes x points) fitted in one batch. tracemalloc
+# window samples (snapshots x modes x points) fitted in one batch. tracemalloc
 # puts a chunk's peak at 33-38 bytes a sample: the 16-byte sample, its weight
 # and the stacked SVD factors of one mode (3 modes, 109 points), so 2**13
 # samples stay near 300 KiB, well within 512 KiB. Larger chunks cut the
@@ -44,9 +44,7 @@ class FitCoefficient:
 class TipFit:
     t: float
     coefficients: list            # FitCoefficient entries
-    window: tuple                 # (x_a, x_b)
     residual_norm: float
-    residual_decay_exponent: float
     mode_residual_exponents: dict  # label -> slope of log|residual| vs log x
     condition: float
 
@@ -129,34 +127,35 @@ def _fit_window(grid, window) -> tuple[float, float]:
     return x_a, x_b
 
 
-def fit_tip_series(fields, basis: AsymptoticsBasis, window: tuple[float, float] | None = None,
-                   times=None) -> list[TipFit]:
-    """Fit the basis terms to every field over one window, per mode.
+def fit_tip_series(values, grid, modes, basis: AsymptoticsBasis,
+                   window: tuple[float, float] | None = None, times=None) -> list[TipFit]:
+    """Fit the basis terms to every snapshot over one window, per mode.
 
     Coefficients come from a relative-error weighted least-squares solve on
     the inner quarter (log scale) of the window: an asymptotic expansion is
     an x -> 0 statement, and estimating there keeps coefficients from
     absorbing the next, not-yet-modeled exponent. The residual is formed
-    over the whole window; its decay exponent is measured on the inner half
-    above the fit's own resolution floor. Modes without basis columns
-    contribute their raw field as residual, which is how a not-yet-modeled
-    exponent shows up.
+    over the whole window; each mode's decay exponent is measured on the
+    inner half above the fit's own resolution floor. Modes without basis
+    columns contribute their raw values as residual, which is how a
+    not-yet-modeled exponent shows up.
 
-    The fields share one grid and mode table; ``times[k]`` is the time of
-    ``fields[k]`` (0.0 for all if omitted). Each fit depends on its own field
-    only. The fields are fitted in chunks of at most _FIT_ENTRIES window
-    samples, each chunk with one stacked SVD per mode; the first ill
-    conditioned (field, mode) in field-then-mode order raises.
+    ``values[k]`` holds snapshot k on ``grid``, of shape (len(modes),
+    grid.points); ``times[k]`` is its time (0.0 for all if omitted). Each fit
+    depends on its own snapshot only. The snapshots are fitted in chunks of
+    at most _FIT_ENTRIES window samples, each chunk with one stacked SVD per
+    mode; the first ill conditioned (snapshot, mode) in snapshot-then-mode
+    order raises.
     """
-    fields = list(fields)
-    times = [0.0] * len(fields) if times is None else list(times)
-    if len(times) != len(fields):
-        raise ConfigError(f"{len(times)} times for {len(fields)} fields")
-    if not fields:
+    values = np.asarray(values, dtype=complex)
+    times = [0.0] * len(values) if times is None else list(times)
+    if len(times) != len(values):
+        raise ConfigError(f"{len(times)} times for {len(values)} snapshots")
+    if not len(values):
         return []
-    grid, modes = fields[0].grid, fields[0].modes
-    if any(f.grid != grid or f.modes != modes for f in fields):
-        raise ConfigError("fields fitted together must share one grid and mode table")
+    if values.shape[1:] != (len(modes), grid.points):
+        raise ConfigError(f"snapshot shape {values.shape[1:]} does not match "
+                          f"({len(modes)}, {grid.points})")
     x_a, x_b = _fit_window(grid, window)
     idx = _log_spaced_subsample(grid.window_indices(x_a, x_b), MAX_FIT_POINTS)
     x = grid.x[idx]               # ascending, so every sub-window below is a prefix
@@ -184,14 +183,12 @@ def fit_tip_series(fields, basis: AsymptoticsBasis, window: tuple[float, float] 
 
     fits: list[TipFit] = []
     step = max(1, _FIT_ENTRIES // (len(modes) * x.size))
-    for start in range(0, len(fields), step):
-        chunk = fields[start:start + step]
-        n = len(chunk)
+    for start in range(0, len(values), step):
         # residuals, mode-major and C-ordered: the BLAS path of the stacked
-        # products follows the strides, and a fit must not depend on its chunk
-        R = np.empty((len(modes), n, x.size), complex)
-        for k, f in enumerate(chunk):
-            R[:, k] = f.values.take(idx, axis=1)    # modes without columns keep their field
+        # products follows the strides, and a fit must not depend on its chunk.
+        # The take reads a contiguous slice (on a strided one it copies it whole)
+        R = values[start:start + step].take(idx, axis=2).transpose(1, 0, 2).copy(order="C")
+        n = R.shape[1]
         conds = np.ones((n, len(modes)))
         floors = np.zeros((len(modes), n))
         coeffs = {}
@@ -229,18 +226,15 @@ def fit_tip_series(fields, basis: AsymptoticsBasis, window: tuple[float, float] 
         del R                             # the exponents below need |R| on the inner window only
         mode_exps = _decay_exponent(x[:inner], inner_mag.reshape(-1, inner),
                                     floors.ravel()).reshape(len(modes), n)
-        overall = _decay_exponent(x[:inner], np.sqrt(np.sum(inner_mag ** 2, axis=0)),
-                                  np.sqrt(np.sum(floors ** 2, axis=0)))
         # Python numbers for the whole chunk at once; np.sqrt rounds as math.sqrt does
         columns = [(designs[i][0], c.tolist()) for i, c in coeffs.items()]
-        for k, (t, res, slope, slopes, cond) in enumerate(zip(
-                times[start:start + n], np.sqrt(res_sq).tolist(), overall.tolist(),
-                mode_exps.T.tolist(), conds.max(axis=1).tolist())):
+        for k, (t, res, slopes, cond) in enumerate(zip(
+                times[start:start + n], np.sqrt(res_sq).tolist(), mode_exps.T.tolist(),
+                conds.max(axis=1).tolist())):
             coefficients = [FitCoefficient(rho, m, label, cv) for keys, c in columns
                             for (rho, m, label), cv in zip(keys, c[k])]
             fits.append(TipFit(
-                t=t, coefficients=coefficients, window=(x_a, x_b), residual_norm=res,
-                residual_decay_exponent=slope,
+                t=t, coefficients=coefficients, residual_norm=res,
                 mode_residual_exponents={mode.label: e for mode, e in zip(modes, slopes)},
                 condition=cond))
     return fits
@@ -249,25 +243,26 @@ def fit_tip_series(fields, basis: AsymptoticsBasis, window: tuple[float, float] 
 def fit_tip_expansion(snapshot: RadialField, basis: AsymptoticsBasis,
                       window: tuple[float, float] | None = None, t: float = 0.0) -> TipFit:
     """Fit the basis terms to one snapshot over a window: fit_tip_series of one field."""
-    return fit_tip_series([snapshot], basis, window=window, times=[t])[0]
+    return fit_tip_series(snapshot.values[None], snapshot.grid, snapshot.modes, basis,
+                          window=window, times=[t])[0]
 
 
 @dataclass
 class DecompositionTrack:
     fits: list                    # one TipFit per snapshot
-    max_jump: float               # worst coefficient jump between fits
     jumps: dict                   # (rho, m, mode) -> max jump
 
 
-def decomposition_track(traj, basis: AsymptoticsBasis,
-                        window: tuple[float, float] | None = None) -> DecompositionTrack:
-    """Fit every snapshot and report the coefficient jumps between consecutive fits."""
-    fits = fit_tip_series(traj.fields, basis, window=window, times=traj.times)
+def decomposition_track(traj, basis: AsymptoticsBasis) -> DecompositionTrack:
+    """Fit every snapshot and report the coefficient jumps between consecutive fits.
+
+    One fit_tip_series call on ``traj.values``, with the trajectory's grid, modes and times.
+    """
+    fits = fit_tip_series(traj.values, traj.grid, traj.modes, basis, times=traj.times)
     jumps: dict = {}
     if len(fits) > 1:
         steps = np.diff([[fc.c for fc in fit.coefficients] for fit in fits], axis=0)
         keys = [(fc.rho, fc.m, fc.mode) for fc in fits[0].coefficients]
         # hypot gives abs() of a Python complex bit for bit; np.abs may differ by an ulp
         jumps = dict(zip(keys, np.hypot(steps.real, steps.imag).max(axis=0).tolist()))
-    return DecompositionTrack(fits=fits, max_jump=max(jumps.values(), default=0.0),
-                              jumps=jumps)
+    return DecompositionTrack(fits=fits, jumps=jumps)

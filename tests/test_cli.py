@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import conelab
-from conelab.cli import _read_field_csv, _write_field_csv, main
+from conelab.cli import _field_templates, _read_field_csv, _write_field_csv, main
 from conelab.cone_geometry import CrossSection
 from conelab.config import fmt
 from conelab.heat_solver import assemble_mode_operator
@@ -297,10 +297,15 @@ def _field(seed=0):
     return f
 
 
+def _write_field(path, f):
+    """A RadialField to CSV through the snapshot writer."""
+    _write_field_csv(path, f.values, _field_templates(f.grid, f.modes))
+
+
 def test_field_csv_writer_bytes_match_csv_module(tmp_path):
     f = _field()
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    _write_field_csv(got, f)
+    _write_field(got, f)
     with open(want, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["tau", "mode", "re", "im"])
@@ -320,7 +325,7 @@ def test_field_csv_writer_bytes_match_csv_module(tmp_path):
 def test_field_csv_reader_any_column_and_row_order(tmp_path):
     f = _field(1)
     plain = tmp_path / "plain.csv"
-    _write_field_csv(plain, f)
+    _write_field(plain, f)
     header, *lines = plain.read_text().splitlines()
     order = [2, 0, 3, 1]                     # re,tau,im,mode, then a column to ignore
     cells = [line.split(",") for line in lines]
@@ -349,7 +354,7 @@ def test_field_csv_block_writer_bytes_equal_the_per_value_writer(tmp_path):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     for label in ("k=0", "50%s%%"):          # a '%' in a label is not a format field
         f.modes = (f.modes[0]._replace(label=label), *f.modes[1:])
-        _write_field_csv(got, f)
+        _write_field(got, f)
         _per_value_field_writer(want, f)
         assert got.read_bytes() == want.read_bytes()
 
@@ -359,9 +364,9 @@ def test_field_csv_round_trip_keeps_negative_zeros(tmp_path):
     f.values[1, :4] = [complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.0),
                        complex(2.0, -0.0)]
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-    _write_field_csv(first, f)
+    _write_field(first, f)
     back = _read_field_csv(first, GRID, CIRCLE, 2)
-    _write_field_csv(second, back)
+    _write_field(second, back)
     assert second.read_bytes() == first.read_bytes()
     assert np.array_equal(np.signbit(back.values.imag[1, :4]), [True, True, False, True])
 
@@ -598,6 +603,42 @@ def test_fit_tip_reads_the_array_solve_heat_writes(cfg_path, tmp_path, monkeypat
     assert main(["fit-tip", "--traj", str(b), "--basis", str(basis),
                  "--out", str(b / "fits.csv")]) == 0
     assert (a / "fits.csv").read_bytes() == (b / "fits.csv").read_bytes()
+
+
+def test_fit_tip_builds_no_field_from_an_intact_array(fit_inputs, tmp_path, monkeypatch):
+    traj, basis = fit_inputs
+    built = []
+    post_init = RadialField.__post_init__
+    monkeypatch.setattr(RadialField, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    assert main(["fit-tip", "--traj", str(traj), "--basis", str(basis),
+                 "--out", str(tmp_path / "fits.csv")]) == 0
+    assert not built
+
+
+@pytest.mark.parametrize("case", ["config-dir", "config-utf16", "field-dir", "u0-dir",
+                                  "field-ff-byte", "basis-dir"])
+def test_unreadable_input_file_exit_2(case, cfg_path, fit_inputs, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    if case.endswith("-dir"):
+        bad.mkdir()
+    elif case == "config-utf16":
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    else:
+        _write_u0(bad)
+        data = bad.read_bytes()
+        bad.write_bytes(data[:40] + b"\xff" + data[40:])    # in a data row
+    argv = {
+        "config": ["poles", "--config", str(bad), "--out", str(tmp_path / "p.csv")],
+        "field": ["norm", "--config", str(cfg_path), "--field", str(bad)],
+        "u0": ["solve-heat", "--config", str(cfg_path), "--u0", str(bad),
+               "--out", str(tmp_path / "traj")],
+        "basis": ["fit-tip", "--traj", str(fit_inputs[0]), "--basis", str(bad),
+                  "--out", str(tmp_path / "fits.csv")],
+    }[case.split("-")[0]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(bad) in err
 
 
 def test_solve_heat_gamma_window_enforced(tmp_path):

@@ -27,6 +27,16 @@ def test_only_kernels_imports_lapack():
     assert users == {"_kernels.py"}
 
 
+def test_tip_analysis_imports_no_producer_of_trajectories():
+    # the fit consumes arrays, whatever marched or integrated them
+    producers = {"conelab.heat_solver", "conelab.cli", "conelab._kernels", "conelab.operators",
+                 "conelab.power_calculus"}
+    for mod, names in _imports(SRC / "tip_analysis.py"):
+        assert mod not in producers, mod
+        if mod == "conelab":
+            assert not producers & {f"conelab.{n}" for n in names}, names
+
+
 def test_numeric_modules_import_no_symbolic_module():
     for name in ("operators.py", "mellin_sobolev.py"):
         for mod, names in _imports(SRC / name):

@@ -105,7 +105,7 @@ def test_track_constant_steady_state():
     track = decomposition_track(traj, basis)
     paths = [f.coefficient(0.0, 0, "k=0") for f in track.fits]
     assert all(abs(c - 1.0) < 1e-10 for c in paths)
-    assert track.max_jump <= 1e-10
+    assert max(track.jumps.values(), default=0.0) <= 1e-10
 
 
 def test_track_zero_trajectory():
@@ -116,7 +116,7 @@ def test_track_zero_trajectory():
                      outer_bc="neumann", theta=0.5, max_modes=1,
                      snapshot_every=5)
     track = decomposition_track(solve_heat(u0, None, cfg), basis)
-    assert track.max_jump == 0.0
+    assert max(track.jumps.values(), default=0.0) == 0.0
     assert all(abs(c) == 0.0 for f in track.fits for c in
                [fc.c for fc in f.coefficients])
 
@@ -145,11 +145,11 @@ def test_track_jumps_match_the_pairwise_loop():
     want = _pairwise_jumps(track.fits)
     assert len(track.fits) > 2 and len(want) == len(basis.terms)
     assert list(track.jumps.items()) == list(want.items())
-    assert track.max_jump == max(want.values()) > 0.0
+    assert max(track.jumps.values(), default=0.0) == max(want.values()) > 0.0
     for n in (0, 1):
-        one = decomposition_track(SimpleNamespace(fields=traj.fields[:n], times=traj.times[:n]),
-                                  basis)
-        assert (one.jumps, one.max_jump) == ({}, 0.0)
+        one = decomposition_track(SimpleNamespace(values=traj.values[:n], grid=traj.grid,
+                                                  modes=traj.modes, times=traj.times[:n]), basis)
+        assert one.jumps == {}
 
 
 def test_ill_conditioned_window_rejected():
@@ -200,7 +200,7 @@ def _reference_fit(snapshot, basis, window=None):
     idx = tip_analysis._log_spaced_subsample(snapshot.grid.window_indices(x_a, x_b), 200)
     x = snapshot.grid.x[idx]
     inner = x <= math.sqrt(x_a * x_b)
-    coefficients, exponents, floors, inner_res = [], {}, [], []
+    coefficients, exponents = [], {}
     res_sq, worst = 0.0, 1.0
     for i, mode in enumerate(snapshot.modes):
         terms = basis.for_mode(mode.label)
@@ -227,11 +227,7 @@ def _reference_fit(snapshot, basis, window=None):
                              for (rho, m, _lbl), cv in zip(terms, c)]
         res_sq += float(np.sum(np.abs(residual) ** 2))
         exponents[mode.label] = _reference_decay(x[inner], residual[inner], floor)
-        floors.append(floor)
-        inner_res.append(residual[inner])
-    total = np.sqrt(np.sum(np.abs(np.stack(inner_res)) ** 2, axis=0))
-    overall = _reference_decay(x[inner], total, math.sqrt(sum(f * f for f in floors)))
-    return coefficients, math.sqrt(res_sq), overall, exponents, worst
+    return coefficients, math.sqrt(res_sq), exponents, worst
 
 
 def _assert_exponent_close(got, want):
@@ -242,17 +238,22 @@ def _assert_exponent_close(got, want):
 
 
 def _assert_matches_reference(fit, snapshot, basis, window=None):
-    coefficients, res, overall, exponents, cond = _reference_fit(snapshot, basis, window)
+    coefficients, res, exponents, cond = _reference_fit(snapshot, basis, window)
     assert [(fc.rho, fc.m, fc.mode) for fc in fit.coefficients] == [k for k, _c in coefficients]
     scale = max([abs(c) for _k, c in coefficients], default=0.0)
     for fc, (_k, want) in zip(fit.coefficients, coefficients):
         assert abs(fc.c - want) <= 1e-12 * scale
     assert abs(fit.residual_norm - res) <= 1e-10 * res
-    _assert_exponent_close(fit.residual_decay_exponent, overall)
     assert list(fit.mode_residual_exponents) == list(exponents)
     for label, want in exponents.items():
         _assert_exponent_close(fit.mode_residual_exponents[label], want)
     assert abs(fit.condition - cond) <= 1e-8 * cond
+
+
+def _fit_fields(fields, basis, **kwargs):
+    """fit_tip_series on the stacked values of fields on one grid and mode table."""
+    return fit_tip_series(np.stack([u.values for u in fields]), fields[0].grid,
+                          fields[0].modes, basis, **kwargs)
 
 
 def _series(g, count, seed, basis):
@@ -283,13 +284,13 @@ def test_series_matches_per_snapshot_reference():
     last = fields[0].modes[-1].label
     basis = AsymptoticsBasis(terms=tuple(t for t in full.terms if t[2] != last),
                              provenance=None)
-    fits = fit_tip_series(fields, basis, times=[0.1 * k for k in range(6)])
+    fits = _fit_fields(fields, basis, times=[0.1 * k for k in range(6)])
     assert [f.t for f in fits] == [0.1 * k for k in range(6)]
     for fit, u in zip(fits, fields):
         _assert_matches_reference(fit, u, basis)
     zero = fits[1]                # the all-zero field: zero fit, nothing above resolution
     assert all(fc.c == 0 for fc in zero.coefficients) and zero.residual_norm == 0.0
-    assert zero.residual_decay_exponent == math.inf
+    assert all(e == math.inf for e in zero.mode_residual_exponents.values())
 
 
 def test_series_longer_than_a_chunk_equals_single_fits(monkeypatch):
@@ -297,11 +298,11 @@ def test_series_longer_than_a_chunk_equals_single_fits(monkeypatch):
     basis = _circle_basis()
     fields = _series(g, 7, 5, basis)
     monkeypatch.setattr(tip_analysis, "_FIT_ENTRIES", 2 * 5 * 200)   # two fields a chunk
-    fits = fit_tip_series(fields, basis, window=(0.001, 0.1))
+    fits = _fit_fields(fields, basis, window=(0.001, 0.1))
     monkeypatch.undo()
     assert len(fits) == 7
     for fit, u in zip(fits, fields):
-        assert fit == fit_tip_series([u], basis, window=(0.001, 0.1))[0]
+        assert fit == _fit_fields([u], basis, window=(0.001, 0.1))[0]
         _assert_matches_reference(fit, u, basis, (0.001, 0.1))
 
 
@@ -339,7 +340,7 @@ def test_ill_conditioned_series_names_first_field_and_mode():
     with pytest.raises(IllConditionedFitError) as want:
         _reference_fit(fields[0], basis)
     with pytest.raises(IllConditionedFitError) as got:
-        fit_tip_series(fields, basis)
+        _fit_fields(fields, basis)
     assert str(got.value) == str(want.value)
     assert "on mode k=+1;" in str(got.value)
 
@@ -349,4 +350,32 @@ def test_ill_conditioned_series_names_first_field_and_mode():
 def test_malformed_window_is_config_error(window):
     u = RadialField.zeros(LogGrid(-6.0, 129), CIRCLE, 1)
     with pytest.raises(ConfigError, match="fit window"):
-        fit_tip_series([u], _circle_basis(max_modes=1), window=window)
+        _fit_fields([u], _circle_basis(max_modes=1), window=window)
+
+
+def test_series_checks_the_stack_shape():
+    g = LogGrid(-6.0, 129)
+    basis = _circle_basis(max_modes=1)
+    modes = CIRCLE.mode_table(1)
+    assert fit_tip_series(np.empty((0, len(modes), g.points)), g, modes, basis) == []
+    for shape in [(2, len(modes), g.points - 1), (2, len(modes) + 1, g.points), (2, g.points)]:
+        with pytest.raises(ConfigError, match="snapshot shape"):
+            fit_tip_series(np.zeros(shape), g, modes, basis)
+
+
+def test_trajectory_is_fitted_without_building_a_field(monkeypatch):
+    g = LogGrid(-6.0, 129)
+    u0 = RadialField.zeros(g, CIRCLE, 2)
+    u0.values[0] = np.cos(3.0 * g.x)
+    cfg = HeatConfig(cross_section=CIRCLE, grid=g, T=0.02, dt=1e-3,
+                     outer_bc="neumann", theta=0.5, max_modes=2, snapshot_every=1)
+    basis = _circle_basis(max_modes=2)
+    built = []
+    post_init = RadialField.__post_init__
+    monkeypatch.setattr(RadialField, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    traj = solve_heat(u0, None, cfg)
+    track = decomposition_track(traj, basis)
+    assert not built and len(track.fits) == len(traj.times) == 21
+    final = traj.final()                      # one field, on request
+    assert len(built) == 1 and np.array_equal(final.values, traj.values[-1])
