@@ -1,8 +1,9 @@
 """Command-line entry point wiring configs to the computational modules.
 
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
-failure. Every run directory receives a manifest.json sufficient to re-run
-the job; CSV payloads are deterministic for a fixed config.
+Exit codes: 0 success, 1 verification failure, 2 config error (also an
+unsupported or degenerate input), 3 numerical failure. Every run directory
+receives a manifest.json sufficient to re-run the job; CSV payloads are
+deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .config import (_value, cross_section_from_config, fmt, gamma_from_config,
                      grid_from_config, heat_from_config, load_config, max_modes_from_config,
                      operator_from_config, output_dir_from_config, output_path,
                      powers_from_config)
-from .errors import ConelabError, ConfigError
+from .errors import ConelabError, ConfigError, DegenerateSymbolError, UnsupportedError
 from .mellin_sobolev import LogGrid, RadialField, mellin_norm
 from .rational import root_to_complex
 from .symbol_algebra import pole_set_power
@@ -503,7 +504,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, UnsupportedError, DegenerateSymbolError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConelabError as exc:

@@ -1,9 +1,10 @@
 """Model cross-sections: spectra, Bessel orders, admissible weight windows.
 
-Cross-sections are spectrum-only. Everything downstream consumes pairs
-(eigenvalue, multiplicity); eigenfunctions are never materialized. Circle
-and sphere eigenvalues are kept as exact rationals so that coincident
-conormal-symbol poles can be told apart from nearly coincident ones.
+Cross-sections are spectrum-only. Everything downstream consumes the mode
+table, one (label, eigenvalue, multiplicity) per mode; eigenfunctions are
+never materialized. Circle and sphere eigenvalues are kept as exact
+rationals so that coincident conormal-symbol poles can be told apart from
+nearly coincident ones.
 """
 
 from __future__ import annotations
@@ -85,52 +86,32 @@ class CrossSection:
 
     # -- spectrum ---------------------------------------------------------
 
-    def eigen_data(self, max_modes: int):
-        """Distinct eigenvalues with multiplicities, sorted decreasing.
+    def mode_table(self, max_modes: int) -> tuple[Mode, ...]:
+        """The spectrum as per-label modes, for the first max_modes eigenvalues.
 
-        Returns at most max_modes triples (eigenvalue, multiplicity, label);
-        the first entry is (0, 1, ...) for the connected kinds.
+        circle: k=0, then k=+j and k=-j with eigenvalue -q*j*j, multiplicity 1
+        each; sphere: l=j with eigenvalue -j(j+n-1) and the harmonic
+        multiplicity; explicit: the first max_modes entries as e{i}.
         """
         if max_modes < 1:
             raise ConfigError("max_modes must be >= 1")
-        out = []
         if self.kind == "circle":
-            for k in range(max_modes):
-                ev = -self.circle_q * k * k
-                out.append((ev, 1 if k == 0 else 2, f"k={k}"))
-        elif self.kind == "sphere":
-            for l in range(max_modes):
-                ev = Fraction(-l * (l + self.n - 1))
-                out.append((ev, sphere_multiplicity(self.n, l), f"l={l}"))
-        else:
-            out = [(ev, mult, f"e{i}") for i, (ev, mult) in enumerate(self.explicit_eigs)]
-            out = out[:max_modes]
-        return out
+            evs = [-self.circle_q * j * j for j in range(max_modes)]
+            return (Mode("k=0", evs[0], 1),) + tuple(
+                Mode(f"k={sign}{j}", evs[j], 1) for j in range(1, max_modes) for sign in "+-")
+        if self.kind == "sphere":
+            return tuple(Mode(f"l={l}", Fraction(-l * (l + self.n - 1)),
+                              sphere_multiplicity(self.n, l)) for l in range(max_modes))
+        return tuple(Mode(f"e{i}", ev, mult)
+                     for i, (ev, mult) in enumerate(self.explicit_eigs[:max_modes]))
 
-    def mode_table(self, max_modes: int) -> tuple[Mode, ...]:
-        """Per-label modes; circle eigenvalues k >= 1 expand into +k/-k labels."""
-        modes = []
-        if self.kind == "circle":
-            for k, (ev, _mult, _lbl) in enumerate(self.eigen_data(max_modes)):
-                if k == 0:
-                    modes.append(Mode("k=0", ev, 1))
-                else:
-                    modes.append(Mode(f"k=+{k}", ev, 1))
-                    modes.append(Mode(f"k=-{k}", ev, 1))
-        else:
-            for ev, mult, lbl in self.eigen_data(max_modes):
-                modes.append(Mode(lbl, ev, mult))
-        return tuple(modes)
 
-    def greatest_nonzero_eigenvalue(self):
-        for ev, _mult, _lbl in self.eigen_data(max_modes=64):
-            if float(ev) != 0.0:
-                return ev
-        raise ConfigError("cross-section has no non-zero eigenvalue")
-
-    def is_connected(self) -> bool:
-        data = self.eigen_data(max_modes=1)
-        return float(data[0][0]) == 0.0 and data[0][1] == 1
+def mode_index(modes, label: str) -> int:
+    """Position of the mode with this label in a mode table."""
+    for i, m in enumerate(modes):
+        if m.label == label:
+            return i
+    raise ConfigError(f"unknown mode {label!r}")
 
 
 def sphere_multiplicity(n: int, l: int) -> int:
@@ -161,10 +142,13 @@ def weight_window(cs: CrossSection) -> WeightWindow:
     lambda_1 the greatest non-zero eigenvalue. Empty windows raise instead of
     returning a degenerate interval.
     """
-    if not cs.is_connected():
+    modes = cs.mode_table(64)
+    if float(modes[0].eigenvalue) != 0.0 or modes[0].multiplicity != 1:
         raise ConfigError("weight window defined for connected cross-sections only "
                           "(zero eigenvalue must be simple)")
-    lam1 = cs.greatest_nonzero_eigenvalue()
+    lam1 = next((m.eigenvalue for m in modes if float(m.eigenvalue) != 0.0), None)
+    if lam1 is None:
+        raise ConfigError("cross-section has no non-zero eigenvalue")
     n = cs.n
     lo = (n - 3) / 2.0
     hi = min(-1.0 + float(bessel_order(n, lam1)), (n + 1) / 2.0)

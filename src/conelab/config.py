@@ -79,7 +79,9 @@ def cross_section_from_config(cfg: dict) -> CrossSection:
                                                      "a finite number"))
         raise ConfigError("circle cross-section needs 'L' or 'L_over_pi'")
     if kind == "sphere":
-        return CrossSection.sphere(_value(cfg, "cross_section.n", _whole, "a whole number"))
+        # math.gamma in the area of S^n overflows from n = 343 on; _value reports it on this key
+        return _value(cfg, "cross_section.n", lambda n: CrossSection.sphere(_whole(n)),
+                      "a whole number from 2 to 342")
     if kind == "explicit":
         n = _value(cfg, "cross_section.n", _whole, "a whole number", 1)
         volume = _value(cfg, "cross_section.volume", float, "a finite number", 1.0)

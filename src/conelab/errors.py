@@ -14,11 +14,11 @@ class NumericalError(ConelabError):
 
 
 class UnsupportedError(ConelabError):
-    """Requested combination of parameters is outside the supported scope."""
+    """Requested combination of parameters is outside the supported scope (CLI exit code 2)."""
 
 
 class DegenerateSymbolError(ConelabError):
-    """Conormal symbol identically zero; no meromorphic inverse exists."""
+    """Conormal symbol identically zero; no meromorphic inverse exists (CLI exit code 2)."""
 
 
 class NotSectorialError(NumericalError):

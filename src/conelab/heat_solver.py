@@ -239,20 +239,15 @@ def bessel_series_solution(u0_modal_coeffs, n: int, eigenvalue, t: float,
     return out
 
 
+@functools.lru_cache(maxsize=256)
 def bessel_mode_roots(n: int, eigenvalue, outer_bc: str, count: int) -> tuple[float, ...]:
     """Outer-BC eigenvalue roots k_j for one mode (k = 0 first when admitted).
 
-    Memoised on the Bessel order: the series oracle asks for the same roots
-    at every time. A failed root search raises and is not cached.
+    Memoised: the series oracle asks for the same roots at every time. A
+    failed root search raises and is not cached.
     """
+    ks = (0.0,) if outer_bc == "neumann" and float(eigenvalue) == 0.0 else ()
     nu = float(bessel_order(n, eigenvalue))
-    zero_first = outer_bc == "neumann" and float(eigenvalue) == 0.0
-    return _mode_roots(n, nu, outer_bc, count, zero_first)
-
-
-@functools.lru_cache(maxsize=256)
-def _mode_roots(n: int, nu: float, outer_bc: str, count: int, zero_first: bool):
-    ks = (0.0,) if zero_first else ()
     return (ks + tuple(bessel.radial_eigenvalue_roots(nu, n, outer_bc, count - len(ks))))[:count]
 
 

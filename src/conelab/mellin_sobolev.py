@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone_geometry import CrossSection, Mode
+from .cone_geometry import CrossSection, Mode, mode_index
 from .errors import ConfigError, UnsupportedError
 
 
@@ -98,10 +98,7 @@ class RadialField:
                            n=cs.n, vol=cs.vol)
 
     def mode_index(self, label: str) -> int:
-        for i, m in enumerate(self.modes):
-            if m.label == label:
-                return i
-        raise ConfigError(f"unknown mode {label!r}")
+        return mode_index(self.modes, label)
 
     def copy(self) -> "RadialField":
         return RadialField(self.grid, self.modes, self.values.copy(), self.n, self.vol)

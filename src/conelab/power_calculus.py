@@ -18,6 +18,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import ellipj, ellipk, ellipkm1
 
+from .cone_geometry import mode_index
 from .errors import ConfigError, NotSectorialError, NumericalError
 from .operators import OperatorMatrix
 
@@ -258,12 +259,8 @@ class PowerProbeConfig:
 @dataclass
 class PowerProbeReport:
     verdict: str                 # 'member' | 'non-member' | 'inconclusive'
-    z: complex
-    norms: list
-    ratios: list
-    grids: list                  # (tau_min, points) per level
+    ratios: list                 # norm ratio between consecutive levels
     thresholds: tuple
-    config: PowerProbeConfig
 
 
 def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProbeReport:
@@ -283,11 +280,9 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
     if not 0.0 < z.real:
         raise ConfigError("probe expects 0 < Re z")
     cs = probe.cross_section
-    mode = next((m for m in cs.mode_table(64) if m.label == probe.mode_label), None)
-    if mode is None:
-        raise ConfigError(f"unknown probe mode {probe.mode_label!r}")
+    modes = cs.mode_table(64)
+    mode = modes[mode_index(modes, probe.mode_label)]
     norms = []
-    grids = []
     grid = LogGrid(probe.tau_min, probe.points)
     for _ in range(probe.levels):
         M = (-assemble_mode_operator(cs.n, mode.eigenvalue, grid, probe.outer_bc)
@@ -299,7 +294,6 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
         w = complex_power(M, z, vals)
         f = RadialField(grid, (mode,), w[None, :], n=cs.n, vol=cs.vol)
         norms.append(mellin_norm(f, s=0, gamma=probe.gamma))
-        grids.append((grid.tau_min, grid.points))
         grid = grid.extended()
     ratios = [norms[i + 1] / norms[i] if norms[i] > 0 else math.inf
               for i in range(len(norms) - 1)]
@@ -309,7 +303,5 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
         verdict = "non-member"
     else:
         verdict = "inconclusive"
-    return PowerProbeReport(verdict=verdict, z=z, norms=norms, ratios=ratios,
-                            grids=grids,
-                            thresholds=(_STABILIZE_RATIO, _BLOWUP_RATIO),
-                            config=probe)
+    return PowerProbeReport(verdict=verdict, ratios=ratios,
+                            thresholds=(_STABILIZE_RATIO, _BLOWUP_RATIO))

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone_geometry import CrossSection, Mode
+from .cone_geometry import CrossSection, Mode, mode_index
 from .errors import ConfigError, DegenerateSymbolError, UnsupportedError
 from .rational import (Poly, QRat, RationalFamily, poly_roots,
                        root_to_complex, roots_equal)
@@ -48,10 +48,7 @@ class ConeOperatorSpec:
         return any(p.degree > 0 for polys in self.coeffs.values() for p in polys)
 
     def mode(self, label: str) -> Mode:
-        for m in self.modes:
-            if m.label == label:
-                return m
-        raise ConfigError(f"unknown mode {label!r}")
+        return self.modes[mode_index(self.modes, label)]
 
     @staticmethod
     def laplacian(cs: CrossSection, max_modes: int, warp_a0=None) -> "ConeOperatorSpec":

@@ -7,8 +7,11 @@ calibration.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
 import tempfile
 import time
 from dataclasses import dataclass
@@ -88,9 +91,23 @@ def _closed_form_poles(cs: CrossSection, gamma: Fraction, max_modes: int):
     return out
 
 
-def criterion_poles() -> tuple[bool, str]:
+def _silent_cli(argv: list[str]) -> int:
+    """The CLI exit code for argv, its stdout dropped and CONELAB_OUTDIR ignored.
+
+    The files go where argv names them, never into the user's output directory.
+    """
     from .cli import main as cli_main
 
+    outdir = os.environ.pop("CONELAB_OUTDIR", None)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli_main(argv)
+    finally:
+        if outdir is not None:
+            os.environ["CONELAB_OUTDIR"] = outdir
+
+
+def criterion_poles() -> tuple[bool, str]:
     worst = 0.0
     checks = 0
     with tempfile.TemporaryDirectory() as td:
@@ -103,7 +120,7 @@ def criterion_poles() -> tuple[bool, str]:
                 "cross_section": cs_block,
                 "operator": {"preset": "laplacian", "max_modes": 4},
                 "gamma": float(gamma)}))
-            rc = cli_main(["poles", "--config", str(cfgp), "--out", str(outp)])
+            rc = _silent_cli(["poles", "--config", str(cfgp), "--out", str(outp)])
             if rc != 0:
                 return False, f"CLI exit {rc} on {kind} {param}"
             cs = CrossSection.circle(length_over_pi=param) if kind == "circle" \

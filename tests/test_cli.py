@@ -81,15 +81,46 @@ SYMBOLIC_DIGESTS = {
 }
 
 
-def test_symbolic_outputs_pinned(tmp_path, monkeypatch):
-    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "circle.json")
-    monkeypatch.setenv("CONELAB_OUTDIR", str(tmp_path))
+def _symbolic_digests(cfg: str, outdir: Path, monkeypatch) -> dict:
+    """SHA-256 of poles.csv, poles2.csv (--power 2) and asymptotics.json written for cfg."""
+    monkeypatch.setenv("CONELAB_OUTDIR", str(outdir))
     assert main(["poles", "--config", cfg]) == 0
     assert main(["poles", "--config", cfg, "--power", "2", "--out", "poles2.csv"]) == 0
     assert main(["asymptotics", "--config", cfg, "--realizations", "DD,max,power:2"]) == 0
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in SYMBOLIC_DIGESTS}
-    assert got == SYMBOLIC_DIGESTS
+    return {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+            for name in SYMBOLIC_DIGESTS}
+
+
+def test_symbolic_outputs_pinned(tmp_path, monkeypatch):
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "circle.json")
+    assert _symbolic_digests(cfg, tmp_path, monkeypatch) == SYMBOLIC_DIGESTS
+
+
+# The same three outputs off the circle: a sphere S^3, and an explicit
+# spectrum with a float eigenvalue beside the exact ones.
+SYMBOLIC_CONFIGS = {
+    "sphere": ({"cross_section": {"kind": "sphere", "n": 3}, "gamma": "1/2",
+                "operator": {"preset": "laplacian", "max_modes": 3}}, {
+        "poles.csv": "0b3c78373c942a93337ef2c9549be610a72b9da949c32f47ce1d1611fe26f064",
+        "poles2.csv": "6612a4f7c2e0019ca8dbc550b4c3ca258581d637c27bb12136c59cfe60b86c56",
+        "asymptotics.json": "bd93aade71841d7477d5ef93c41b3a0d75faebf2ef92620f90498dd97881f99f",
+    }),
+    "explicit": ({"cross_section": {"kind": "explicit", "n": 1,
+                                    "eigs": [[0, 1], [-3, 4], [-4.5, 2]]},
+                  "gamma": "-1/2", "operator": {"preset": "laplacian", "max_modes": 3}}, {
+        "poles.csv": "920285a737122f5fe6cb0bad0302bb3ca1c22c8417d6a3c42f29839ce479990f",
+        "poles2.csv": "df6f20d94c4d0a971166ec7c63e337dc371a963718b074af47ee1d1938bad505",
+        "asymptotics.json": "db9e241f221497f0f267461b233a95051a917db395fc105197b5d0cb7ec6ce43",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMBOLIC_CONFIGS))
+def test_symbolic_outputs_pinned_off_the_circle(name, tmp_path, monkeypatch):
+    cfg_json, digests = SYMBOLIC_CONFIGS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_json))
+    assert _symbolic_digests(str(cfg), tmp_path, monkeypatch) == digests
 
 
 @pytest.mark.parametrize("power", ["0", "-3"])
@@ -147,8 +178,9 @@ def test_bad_json_exit_2(tmp_path):
     ({"cross_section": {"kind": "circle", "L_over_pi": "abc"}}, "L_over_pi"),
     ({"cross_section": "circle"}, "cross_section"),
     ([CIRCLE_CFG], "JSON object"),
+    ({"cross_section": {"kind": "sphere", "n": 343}, "gamma": 0.5}, "cross_section.n"),
 ], ids=["no-block", "sphere-no-n", "explicit-no-eigs", "bad-L_over_pi", "string-block",
-        "not-an-object"])
+        "not-an-object", "sphere-area-overflow"])
 def test_malformed_cross_section_exit_2(tmp_path, capsys, cfg, key):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
@@ -204,6 +236,23 @@ def test_norm_roundtrip(cfg_path, tmp_path, capsys):
     rc = main(["norm", "--config", str(cfg_path), "--field", str(field), "--s", "0"])
     assert rc == 0
     assert "norm" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("operator, cmd", [
+    (CIRCLE_CFG["operator"], ["norm", "--s", "1", "--p", "3"]),
+    (dict(CIRCLE_CFG["operator"], warp_a0="1/2"), ["poles", "--power", "2"]),
+    ({"preset": "explicit", "max_modes": 1, "mu": 2, "coeffs": {"k=0": [[0], [0], [0]]}},
+     ["poles"]),
+], ids=["norm-s1-p3", "warped-power", "zero-conormal-symbol"])
+def test_unsupported_or_degenerate_input_exit_2(operator, cmd, tmp_path, capsys):
+    p, field = tmp_path / "cfg.json", tmp_path / "field.csv"
+    p.write_text(json.dumps(dict(CIRCLE_CFG, operator=operator)))
+    _write_u0(field)
+    inputs = ["--field", str(field)] if cmd[0] == "norm" else []
+    out = tmp_path / "out.csv"
+    assert main([cmd[0], "--config", str(p), *inputs, *cmd[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def _write_u0(path, nan_row=None):
@@ -896,6 +945,16 @@ def test_outdir_override_takes_the_out_basename(cmd, cfg_path, tmp_path, monkeyp
     assert main(argv) == 0
     assert (override / "result").exists() and (override / "manifest.json").exists()
     assert not (tmp_path / "newdir").exists()
+
+
+def test_verify_ignores_the_output_directory(tmp_path, monkeypatch, capsys):
+    # the poles criterion runs the CLI into a directory of its own, silently
+    monkeypatch.setenv("CONELAB_OUTDIR", str(tmp_path))
+    assert main(["verify", "--suite", "poles"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[PASS] poles ") and lines[1:] == ["1/1 criteria passed"]
+    assert list(tmp_path.iterdir()) == []
+    assert os.environ["CONELAB_OUTDIR"] == str(tmp_path)
 
 
 def test_verify_single_suite_exit_zero():

@@ -5,27 +5,45 @@ from fractions import Fraction
 
 import pytest
 
-from conelab.cone_geometry import (CrossSection, bessel_order,
-                                   indicial_roots_closed_form,
+from conelab.cone_geometry import (CrossSection, Mode, bessel_order,
+                                   indicial_roots_closed_form, mode_index,
                                    sphere_multiplicity, weight_window)
 from conelab.errors import ConfigError
 
 
-def test_circle_eigen_data_unit():
+def test_circle_mode_table_unit():
     cs = CrossSection.circle(length_over_pi=2)
-    data = cs.eigen_data(3)
-    assert [(int(e), m) for e, m, _ in data] == [(0, 1), (-1, 2), (-4, 2)]
+    assert cs.mode_table(3) == (Mode("k=0", 0, 1), Mode("k=+1", -1, 1), Mode("k=-1", -1, 1),
+                                Mode("k=+2", -4, 1), Mode("k=-2", -4, 1))
+    assert all(type(m.eigenvalue) is Fraction for m in cs.mode_table(3))
+    # a circumference without an exact q keeps float eigenvalues, -0.0 included
+    evs = [m.eigenvalue for m in CrossSection.circle(length=7.1).mode_table(2)]
+    assert all(type(e) is float for e in evs) and math.copysign(1.0, evs[0]) == -1.0
 
 
-def test_sphere_eigen_data():
+def test_sphere_mode_table():
     cs = CrossSection.sphere(2)
-    data = cs.eigen_data(2)
-    assert [(int(e), m) for e, m, _ in data] == [(0, 1), (-2, 3)]
+    assert cs.mode_table(2) == (Mode("l=0", 0, 1), Mode("l=1", -2, 3))
 
 
 def test_explicit_echoed():
     cs = CrossSection.explicit([(0, 1), (-3, 4)])
-    assert [(e, m) for e, m, _ in cs.eigen_data(5)] == [(Fraction(0), 1), (Fraction(-3), 4)]
+    assert cs.mode_table(5) == (Mode("e0", Fraction(0), 1), Mode("e1", Fraction(-3), 4))
+    assert cs.mode_table(1) == (Mode("e0", Fraction(0), 1),)
+
+
+def test_mode_table_needs_a_mode():
+    for cs in (CrossSection.circle(length_over_pi=2), CrossSection.sphere(3),
+               CrossSection.explicit([(0, 1)])):
+        with pytest.raises(ConfigError, match="max_modes"):
+            cs.mode_table(0)
+
+
+def test_mode_index_finds_each_label_once():
+    modes = CrossSection.circle(length_over_pi=2).mode_table(3)
+    assert [mode_index(modes, m.label) for m in modes] == list(range(len(modes)))
+    with pytest.raises(ConfigError, match="unknown mode 'k=3'"):
+        mode_index(modes, "k=3")
 
 
 def test_explicit_rejects_positive():
@@ -41,6 +59,12 @@ def test_weight_windows():
     # circumference 4*pi: lambda_1 = -1/4, window (-1, -1/2), nonempty
     win = weight_window(CrossSection.circle(length_over_pi=4))
     assert abs(win.lo + 1.0) < 1e-15 and abs(win.hi + 0.5) < 1e-15
+    win = weight_window(CrossSection.explicit([(0, 1), (-3, 4)]))
+    assert win.lo == -1.0 and abs(win.hi - (-1.0 + math.sqrt(3.0))) < 1e-15
+    with pytest.raises(ConfigError, match="connected cross-sections only"):
+        weight_window(CrossSection.explicit([(0, 2), (-3, 1)]))
+    with pytest.raises(ConfigError, match="no non-zero eigenvalue"):
+        weight_window(CrossSection.explicit([(0, 1)]))
 
 
 def test_weight_window_needs_nonzero_eigenvalue():

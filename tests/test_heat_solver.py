@@ -266,7 +266,7 @@ def test_snapshot_every_must_be_a_whole_number_at_least_zero(bad):
 
 
 def test_mode_roots_memoised_and_failures_not_cached(monkeypatch):
-    heat_solver._mode_roots.cache_clear()
+    bessel_mode_roots.cache_clear()
     calls = []
     real = bessel.radial_eigenvalue_roots
 

@@ -43,3 +43,13 @@ def test_numeric_modules_import_no_symbolic_module():
             assert mod not in SYMBOLIC, (name, mod)
             if mod == "conelab":
                 assert not SYMBOLIC & {f"conelab.{n}" for n in names}, (name, names)
+
+
+def test_only_cone_geometry_constructs_modes():
+    # the cross-section spectrum is built in one module: CrossSection.mode_table
+    def builds_mode(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "Mode" or getattr(node.func, "attr", None) == "Mode")
+    builders = {path.name for path in SRC.glob("*.py")
+                if any(builds_mode(node) for node in ast.walk(ast.parse(path.read_text())))}
+    assert builders == {"cone_geometry.py"}
