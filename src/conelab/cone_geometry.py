@@ -17,6 +17,10 @@ from typing import NamedTuple
 from .errors import ConfigError
 
 
+# S^n for these n: math.gamma in the area of S^n overflows from n = 343 on
+SPHERE_DIMENSIONS = range(2, 343)
+
+
 class Mode(NamedTuple):
     label: str
     eigenvalue: object  # Fraction (exact) or float
@@ -65,8 +69,8 @@ class CrossSection:
 
     @staticmethod
     def sphere(n: int) -> "CrossSection":
-        if n < 2:
-            raise ConfigError("sphere cross-section requires n >= 2")
+        if n not in SPHERE_DIMENSIONS:
+            raise ConfigError(f"sphere cross-section needs n from 2 to 342, got {n!r}")
         area = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
         return CrossSection(kind="sphere", n=n, vol=area)
 

@@ -8,7 +8,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from .cone_geometry import CrossSection, weight_window
+from .cone_geometry import SPHERE_DIMENSIONS, CrossSection, weight_window
 from .errors import ConfigError
 from .mellin_sobolev import LogGrid
 from .rational import Poly
@@ -79,9 +79,9 @@ def cross_section_from_config(cfg: dict) -> CrossSection:
                                                      "a finite number"))
         raise ConfigError("circle cross-section needs 'L' or 'L_over_pi'")
     if kind == "sphere":
-        # math.gamma in the area of S^n overflows from n = 343 on; _value reports it on this key
-        return _value(cfg, "cross_section.n", lambda n: CrossSection.sphere(_whole(n)),
-                      "a whole number from 2 to 342")
+        return CrossSection.sphere(_value(cfg, "cross_section.n", _whole,
+                                          "a whole number from 2 to 342",
+                                          ok=lambda n: n in SPHERE_DIMENSIONS))
     if kind == "explicit":
         n = _value(cfg, "cross_section.n", _whole, "a whole number", 1)
         volume = _value(cfg, "cross_section.volume", float, "a finite number", 1.0)

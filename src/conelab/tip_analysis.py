@@ -25,11 +25,12 @@ from .rational import root_to_complex
 MAX_FIT_POINTS = 200
 COND_LIMIT = 1e10
 # window samples (snapshots x modes x points) fitted in one batch. tracemalloc
-# puts a chunk's peak at 33-38 bytes a sample: the 16-byte sample, its weight
-# and the stacked SVD factors of one mode (3 modes, 109 points), so 2**13
-# samples stay near 300 KiB, well within 512 KiB. Larger chunks cut the
-# per-chunk overhead but raised the process's peak RSS, so none are taken
-_FIT_ENTRIES = (512 << 10) // 64
+# puts a chunk's transient peak at 29-34 bytes a sample (25 to 200 snapshots of
+# 3 modes, 109 points): the 16-byte sample, then either one mode's sweep (its
+# weights and weighted columns on the sub-window) or |residual| on the inner
+# window. Each chunk pays a fixed cost in numpy calls; 2**15 samples stay near
+# 1 MB and take a 251-snapshot trajectory of that size in 3 chunks
+_FIT_ENTRIES = (1 << 20) // 32
 
 
 @dataclass
@@ -127,6 +128,88 @@ def _fit_window(grid, window) -> tuple[float, float]:
     return x_a, x_b
 
 
+def _scaled(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """z * w, complex z by real w, part by part: numpy would buffer a complex cast of w."""
+    out = np.empty(w.shape, complex)
+    np.multiply(z.real, w, out=out.real)
+    np.multiply(z.imag, w, out=out.imag)
+    return out
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b) over the last axis, each row on its own."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _weighted_lstsq(A: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Coefficients minimising |w (sum_j c_j A[j] - y)| and the design's condition, per row.
+
+    ``A`` holds one design column a row, (p, m); ``y`` and ``w`` one snapshot a
+    row, (n, m). Modified Gram-Schmidt sweeps the weighted columns with the
+    weighted right-hand side carried along (Bjorck 1967), so c solves the
+    triangular R c = Q^H (w y); the condition is the ratio of R's extreme
+    singular values, inf where R is singular. Every reduction runs over a
+    row's own samples, so no row depends on another.
+    """
+    n, p = len(y), len(A)
+    cols = [_scaled(a, w) for a in A] + [_scaled(y, w)]
+    r = np.zeros((n, p, p + 1), complex)     # R, and Q^H (w y) as its last column
+    for j in range(p):
+        q = cols[j]
+        qf = q.view(float)
+        norm = np.sqrt(_row_dot(qf, qf))
+        r[:, j, j] = norm
+        qf /= np.where(norm > 0.0, norm, 1.0)[:, None]
+        np.conjugate(q, out=q)            # q^H for the products, in place
+        for k in range(j + 1, p + 1):
+            r[:, j, k] = _row_dot(q, cols[k])
+        if j < p - 1:                     # past the last column no update is read
+            np.conjugate(q, out=q)
+            for k in range(j + 1, p + 1):
+                cols[k] -= r[:, j, k, None] * q
+    diag = r[:, range(p), range(p)].real
+    c = np.zeros((n, p), complex)
+    for j in reversed(range(p)):
+        c[:, j] = (r[:, j, p] - _row_dot(r[:, j, j + 1:p], c[:, j + 1:])) / np.where(
+            diag[:, j] > 0.0, diag[:, j], 1.0)
+    # the condition as hi / lo; for p = 2 in closed form, sigma_max^2 over
+    # |det R| = sigma_max sigma_min, from sums of squares that cannot cancel
+    if p == 1:
+        hi = lo = diag[:, 0]
+    elif p == 2:
+        a, d, b2 = diag[:, 0], diag[:, 1], np.abs(r[:, 0, 1]) ** 2
+        hi = 0.5 * (a * a + b2 + d * d + np.sqrt(((a - d) ** 2 + b2) * ((a + d) ** 2 + b2)))
+        lo = a * d
+    else:
+        s = np.linalg.svd(r[:, :, :p], compute_uv=False)
+        hi, lo = s[:, 0], s[:, -1]
+    cond = np.full(n, math.inf)
+    pos = lo > 0.0
+    cond[pos] = hi[pos] / lo[pos]
+    return c, cond
+
+
+def _fit_mode(y: np.ndarray, A: np.ndarray, sub: int):
+    """Fit one mode's columns ``A`` (p, points) to the rows of ``y`` on the sub-window.
+
+    The relative-error weight of a sample is max|y| / |y|, capped at 1000.
+    Scaling a row's weights leaves its fit unchanged; this scale keeps the
+    weighted columns within 1000 times the design, whatever the size of the
+    snapshot. ``y`` is left holding the residual over the whole window.
+    Returns the coefficients (n, p), the design condition and the residual's
+    RMS on the sub-window, per row.
+    """
+    w = np.abs(y[:, :sub])
+    ymax = w.max(axis=1, initial=0.0)[:, None]
+    w /= np.where(ymax == 0.0, 1.0, ymax)
+    c, cond = _weighted_lstsq(A[:, :sub], y[:, :sub],
+                              np.reciprocal(np.maximum(w, 1e-3, out=w), out=w))
+    for cj, a in zip(c.T, A):                 # y - sum_j c_j A_j, row by row
+        y -= cj[:, None] * a
+    r = y[:, :sub].view(float)
+    return c, cond, np.sqrt(_row_dot(r, r) / sub)
+
+
 def fit_tip_series(values, grid, modes, basis: AsymptoticsBasis,
                    window: tuple[float, float] | None = None, times=None) -> list[TipFit]:
     """Fit the basis terms to every snapshot over one window, per mode.
@@ -143,9 +226,9 @@ def fit_tip_series(values, grid, modes, basis: AsymptoticsBasis,
     ``values[k]`` holds snapshot k on ``grid``, of shape (len(modes),
     grid.points); ``times[k]`` is its time (0.0 for all if omitted). Each fit
     depends on its own snapshot only. The snapshots are fitted in chunks of
-    at most _FIT_ENTRIES window samples, each chunk with one stacked SVD per
-    mode; the first ill conditioned (snapshot, mode) in snapshot-then-mode
-    order raises.
+    at most _FIT_ENTRIES window samples, each chunk with one Gram-Schmidt
+    sweep per mode; the first ill conditioned (snapshot, mode) in
+    snapshot-then-mode order raises.
     """
     values = np.asarray(values, dtype=complex)
     times = [0.0] * len(values) if times is None else list(times)
@@ -162,7 +245,7 @@ def fit_tip_series(values, grid, modes, basis: AsymptoticsBasis,
     log_x = np.log(x)
     inner = int(np.count_nonzero(x <= math.sqrt(x_a * x_b)))
     x_cut = x_a * (x_b / x_a) ** 0.25
-    designs = []                  # per mode: (coefficient keys, A, sub) or None
+    designs = []                  # per mode: (coefficient keys, columns (p, points), sub) or None
     for mode in modes:
         terms = basis.for_mode(mode.label)
         if not terms:
@@ -174,9 +257,9 @@ def fit_tip_series(values, grid, modes, basis: AsymptoticsBasis,
             if m:
                 col = col * log_x ** m
             cols.append(col)
-        A = np.stack(cols, axis=1)
+        A = np.stack(cols)
         sub = int(np.count_nonzero(x <= x_cut))
-        if sub < 2 * A.shape[1] + 2:
+        if sub < 2 * len(A) + 2:
             sub = x.size
         keys = [(root_to_complex(rho), m, mode.label) for rho, m, _lbl in terms]
         designs.append((keys, A, sub))
@@ -184,35 +267,15 @@ def fit_tip_series(values, grid, modes, basis: AsymptoticsBasis,
     fits: list[TipFit] = []
     step = max(1, _FIT_ENTRIES // (len(modes) * x.size))
     for start in range(0, len(values), step):
-        # residuals, mode-major and C-ordered: the BLAS path of the stacked
-        # products follows the strides, and a fit must not depend on its chunk.
-        # The take reads a contiguous slice (on a strided one it copies it whole)
-        R = values[start:start + step].take(idx, axis=2).transpose(1, 0, 2).copy(order="C")
-        n = R.shape[1]
+        # the window samples of the chunk, (snapshot, mode, point): one copy, rows contiguous
+        R = values[start:start + step].take(idx, axis=2)
+        n = len(R)
         conds = np.ones((n, len(modes)))
-        floors = np.zeros((len(modes), n))
+        floors = np.zeros((n, len(modes)))
         coeffs = {}
         for i, design in enumerate(designs):
-            if design is None:
-                continue
-            _keys, A, sub = design
-            y = R[i, :, :sub]
-            mag = np.abs(y)
-            ymax = mag.max(axis=1, initial=0.0)[:, None]
-            w = 1.0 / np.where(ymax == 0.0, 1.0, np.maximum(mag, 1e-3 * ymax))
-            del mag
-            U, s, Vh = np.linalg.svd(A[:sub] * w[:, :, None], full_matrices=False)
-            pos = s[:, -1] > 0
-            conds[:, i] = math.inf
-            conds[pos, i] = s[pos, 0] / s[pos, -1]
-            # c = Vh^H (U^H b / s), U conjugated in place; a singular design raises below
-            s[~pos] = 1.0
-            c = (y * w)[:, None, :] @ np.conjugate(U, out=U)
-            c = ((c[:, 0] / s)[:, None, :] @ Vh.conj())[:, 0]
-            R[i] -= (A @ c[:, :, None])[:, :, 0]
-            floors[i] = np.sqrt(np.mean(np.abs(R[i, :, :sub]) ** 2, axis=1))
-            coeffs[i] = c
-            del y, w, U, s, Vh            # free before the next mode and the residual stage
+            if design is not None:
+                coeffs[i], conds[:, i], floors[:, i] = _fit_mode(R[:, i], *design[1:])
         bad = np.argwhere(conds > COND_LIMIT)
         if bad.size:
             k, i = bad[0]
@@ -220,16 +283,15 @@ def fit_tip_series(values, grid, modes, basis: AsymptoticsBasis,
                 f"design condition {conds[k, i]:.2e} on mode {modes[i].label}; "
                 "shift or shrink the fit window")
 
-        res_sq = np.abs(R)                # |R|^2 in place: one temporary, not two
-        res_sq = np.sum(np.square(res_sq, out=res_sq), axis=2).sum(axis=0)
-        inner_mag = np.abs(R[:, :, :inner])
+        res_sq = _row_dot(R.view(float), R.view(float)).sum(axis=1)
+        inner_mag = np.abs(R[:, :, :inner]).reshape(-1, inner)
         del R                             # the exponents below need |R| on the inner window only
-        mode_exps = _decay_exponent(x[:inner], inner_mag.reshape(-1, inner),
-                                    floors.ravel()).reshape(len(modes), n)
+        mode_exps = _decay_exponent(x[:inner], inner_mag, floors.ravel()).reshape(n, len(modes))
+        del inner_mag                     # free before the next chunk's samples
         # Python numbers for the whole chunk at once; np.sqrt rounds as math.sqrt does
         columns = [(designs[i][0], c.tolist()) for i, c in coeffs.items()]
         for k, (t, res, slopes, cond) in enumerate(zip(
-                times[start:start + n], np.sqrt(res_sq).tolist(), mode_exps.T.tolist(),
+                times[start:start + n], np.sqrt(res_sq).tolist(), mode_exps.tolist(),
                 conds.max(axis=1).tolist())):
             coefficients = [FitCoefficient(rho, m, label, cv) for keys, c in columns
                             for (rho, m, label), cv in zip(keys, c[k])]

@@ -179,8 +179,9 @@ def test_bad_json_exit_2(tmp_path):
     ({"cross_section": "circle"}, "cross_section"),
     ([CIRCLE_CFG], "JSON object"),
     ({"cross_section": {"kind": "sphere", "n": 343}, "gamma": 0.5}, "cross_section.n"),
+    ({"cross_section": {"kind": "sphere", "n": 1}}, "cross_section.n"),
 ], ids=["no-block", "sphere-no-n", "explicit-no-eigs", "bad-L_over_pi", "string-block",
-        "not-an-object", "sphere-area-overflow"])
+        "not-an-object", "sphere-area-overflow", "sphere-n-1"])
 def test_malformed_cross_section_exit_2(tmp_path, capsys, cfg, key):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))

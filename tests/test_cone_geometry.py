@@ -26,6 +26,13 @@ def test_sphere_mode_table():
     assert cs.mode_table(2) == (Mode("l=0", 0, 1), Mode("l=1", -2, 3))
 
 
+def test_sphere_dimension_outside_2_to_342_is_config_error():
+    assert CrossSection.sphere(342).vol > 0.0
+    for n in (1, 343):
+        with pytest.raises(ConfigError, match="from 2 to 342"):
+            CrossSection.sphere(n)
+
+
 def test_explicit_echoed():
     cs = CrossSection.explicit([(0, 1), (-3, 4)])
     assert cs.mode_table(5) == (Mode("e0", Fraction(0), 1), Mode("e1", Fraction(-3), 4))

@@ -351,7 +351,7 @@ def test_inv_norm_stops_when_converged():
 
 @pytest.mark.parametrize("a", [1.0, 3.7, 50.0])
 @pytest.mark.parametrize("z", [-0.25, -0.5 + 0.3j, -0.9])
-def test_contour_reproduces_scalar_power(a, z):
+def test_quadrature_nodes_reproduce_scalar_power(a, z):
     lams, weights, _bound = _real_spectrum_nodes(0.5, 50.0, complex(z))
     assert abs(np.sum(weights / (a + lams)) - a ** z) <= 1e-9 * abs(a ** z)
 

@@ -1,6 +1,8 @@
 """Tip-expansion fitting: idempotence, robustness, exponent detection."""
 
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -379,3 +381,76 @@ def test_trajectory_is_fitted_without_building_a_field(monkeypatch):
     assert not built and len(track.fits) == len(traj.times) == 21
     final = traj.final()                      # one field, on request
     assert len(built) == 1 and np.array_equal(final.values, traj.values[-1])
+
+
+# -- the Gram-Schmidt sweep: conditioning, chunking, memory --------------------
+
+def _two_term_fit(eps):
+    """A one-mode fit of 1 + x against the nearly collinear columns 1 and x^-eps."""
+    u = RadialField.zeros(LogGrid(-8.0, 513), CIRCLE, 1)
+    u.values[0] = 1.0 + u.grid.x
+    basis = AsymptoticsBasis(terms=((QRat(0), 0, "k=0"), (complex(eps, 0.0), 0, "k=0")),
+                             provenance=None)
+    return u, basis
+
+
+def test_condition_between_1e8_and_1e9_is_accepted_and_matches_svd():
+    u, basis = _two_term_fit(1e-8)
+    want = _reference_fit(u, basis)[3]            # np.linalg.svd of the weighted design
+    assert 1e8 < want < 1e9
+    fit = fit_tip_expansion(u, basis)
+    assert abs(fit.condition - want) <= 1e-6 * want
+
+
+def test_condition_near_1e12_raises():
+    u, basis = _two_term_fit(6.4e-12)            # the condition is about 6.4 / eps here
+    with pytest.raises(IllConditionedFitError, match=r"design condition 9\.\d\de\+11"):
+        fit_tip_expansion(u, basis)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, 7])
+def test_seven_fields_fit_alike_in_chunks_of_1_3_and_7(monkeypatch, per_chunk):
+    g = LogGrid(-8.0, 513)
+    basis = _circle_basis()
+    fields = _series(g, 7, 11, basis)
+    single = [_fit_fields([u], basis)[0] for u in fields]
+    window = tip_analysis._log_spaced_subsample(g.window_indices(*default_window(g)), 200)
+    monkeypatch.setattr(tip_analysis, "_FIT_ENTRIES", per_chunk * len(fields[0].modes) * window.size)
+    assert _fit_fields(fields, basis) == single
+
+
+def test_fit_scales_with_a_tiny_field():
+    # relative weights keep the weighted columns bounded for a field near the float floor
+    g = LogGrid(-8.0, 513)
+    basis = _circle_basis()
+    u = _series(g, 1, 4, basis)[0]
+    fit = fit_tip_expansion(u, basis)
+    tiny = fit_tip_expansion(RadialField(g, u.modes, 1e-200 * u.values, n=u.n, vol=u.vol), basis)
+    assert abs(tiny.condition - fit.condition) <= 1e-12 * fit.condition
+    for a, b in zip(fit.coefficients, tiny.coefficients):
+        assert abs(b.c - 1e-200 * a.c) <= 1e-12 * 1e-200 * abs(a.c)
+
+
+def test_track_of_251_snapshots_stays_within_its_memory_budget():
+    # 251 snapshots x 3 circle modes x 513 points, as on the benchmark's forced track:
+    # 82k window samples, fitted in 3 chunks. The peak, outputs included, measured
+    # 1.23 MB (1227377 bytes); the budget is that plus 25%
+    g = LogGrid(-8.0, 513)
+    basis = _circle_basis()
+    rng = np.random.default_rng(6)
+    modes = CIRCLE.mode_table(2)
+    columns = np.stack([AsymptoticsTerm(rho, m, mode).evaluate(g.x) for rho, m, mode in basis.terms])
+    which = np.array([[mode.label == label for *_t, label in basis.terms] for mode in modes])
+    values = np.einsum("kt,mt,tx->kmx", rng.standard_normal((251, len(columns))), which, columns)
+    values = values + rng.standard_normal((251, len(modes), 1)) * g.x ** 1.5
+    traj = SimpleNamespace(values=values, grid=g, modes=modes, times=[1e-4 * k for k in range(251)])
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        track = decomposition_track(traj, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(track.fits) == 251
+    assert peak <= 1.25 * 1.23e6, peak
+    assert time.perf_counter() - started < 1.0
