@@ -30,11 +30,11 @@ class AsymptoticsTerm:
 
     @property
     def rho_complex(self) -> complex:
-        return root_to_complex(self.rho) if isinstance(self.rho, QRat) else complex(self.rho)
+        return root_to_complex(self.rho)
 
     @property
     def c_complex(self) -> complex:
-        return root_to_complex(self.c) if isinstance(self.c, QRat) else complex(self.c)
+        return root_to_complex(self.c)
 
     def evaluate(self, x):
         """Radial profile c * x^{-rho} * log^m x on positive samples x."""
@@ -82,7 +82,7 @@ def _exactable(v) -> bool:
 def _as_scalar(v, exact: bool):
     if exact:
         return v if isinstance(v, QRat) else QRat(v)
-    return root_to_complex(v) if isinstance(v, QRat) else complex(v)
+    return root_to_complex(v)
 
 
 def apply_operator_symbolic(spec: ConeOperatorSpec, term: AsymptoticsTerm) -> list[AsymptoticsTerm]:

@@ -10,6 +10,8 @@ nearly coincident ones.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -50,21 +52,26 @@ class CrossSection:
     @staticmethod
     def circle(length: float | None = None, length_over_pi=None) -> "CrossSection":
         """Circle of circumference L; pass length_over_pi for exact spectra."""
-        if length_over_pi is not None:
-            lop = Fraction(length_over_pi)
-            if lop <= 0:
-                raise ConfigError("circle circumference must be positive")
-            q = Fraction(2, 1) ** 2 / lop ** 2
-            L = float(lop) * math.pi
-        elif length is not None:
-            if length <= 0:
-                raise ConfigError("circle circumference must be positive")
-            L = float(length)
-            qf = (2.0 * math.pi / L) ** 2
-            snap = Fraction(qf).limit_denominator(10**6)
-            q = snap if abs(float(snap) - qf) < 1e-12 * max(1.0, qf) else qf
-        else:
-            raise ConfigError("circle needs 'L' or 'L_over_pi'")
+        try:
+            if length_over_pi is not None:
+                lop = Fraction(length_over_pi)
+                if lop <= 0:
+                    raise ConfigError("circle circumference must be positive")
+                q = Fraction(2, 1) ** 2 / lop ** 2
+                L, qf = float(lop) * math.pi, float(q)
+            elif length is not None:
+                if not length > 0:
+                    raise ConfigError("circle circumference must be positive")
+                L = float(length)
+                qf = (2.0 * math.pi / L) ** 2
+                snap = Fraction(qf).limit_denominator(10**6)
+                q = snap if abs(float(snap) - qf) < 1e-12 * max(1.0, qf) else qf
+            else:
+                raise ConfigError("circle needs 'L' or 'L_over_pi'")
+        except OverflowError:
+            L = qf = math.inf
+        if not (0.0 < L < math.inf and qf < math.inf):
+            raise ConfigError("circle circumference L > 0 and (2 pi / L)^2 must be finite floats")
         return CrossSection(kind="circle", n=1, circle_q=q, vol=L)
 
     @staticmethod
@@ -80,10 +87,12 @@ class CrossSection:
         clean = []
         for ev, mult in eigs:
             evx = Fraction(ev) if isinstance(ev, (int, Fraction, str)) else float(ev)
+            if not abs(evx) <= sys.float_info.max:
+                raise ConfigError(f"eigenvalue {ev} does not fit a finite float")
             if float(evx) > 0:
                 raise ConfigError(f"positive eigenvalue {ev}: boundary Laplacian must be non-positive")
-            if mult < 1:
-                raise ConfigError("multiplicity must be >= 1")
+            if isinstance(mult, bool) or not isinstance(mult, numbers.Real) or mult % 1 or mult < 1:
+                raise ConfigError(f"multiplicity {mult!r} must be a whole number >= 1")
             clean.append((evx, int(mult)))
         clean.sort(key=lambda t: -float(t[0]))
         return CrossSection(kind="explicit", n=n, explicit_eigs=tuple(clean), vol=volume)

@@ -35,6 +35,7 @@ def _value(cfg: dict, path: str, conv, need: str, default=..., ok=lambda v: True
     A ConfigError names the path of a block that is not an object, a missing
     required key, and a value that conv (TypeError, ValueError, LookupError,
     ArithmeticError) or ok rejects or that converts to a non-finite float.
+    A ConfigError that conv raises itself keeps its message behind the path and value.
     """
     *blocks, key = path.split(".")
     for name in blocks:
@@ -47,6 +48,8 @@ def _value(cfg: dict, path: str, conv, need: str, default=..., ok=lambda v: True
     try:
         v = conv(raw)
         good = ok(v) and not (isinstance(v, float) and not math.isfinite(v))
+    except ConfigError as exc:
+        raise ConfigError(f"{path} = {raw!r}: {exc}") from None
     except (TypeError, ValueError, LookupError, ArithmeticError):
         good = False
     if not good:
@@ -72,11 +75,11 @@ def cross_section_from_config(cfg: dict) -> CrossSection:
     kind = block.get("kind")
     if kind == "circle":
         if "L_over_pi" in block:
-            return CrossSection.circle(length_over_pi=_value(
-                cfg, "cross_section.L_over_pi", _rational, "a rational number"))
+            return _value(cfg, "cross_section.L_over_pi", lambda lop: CrossSection.circle(
+                length_over_pi=_rational(lop)), "a rational number")
         if "L" in block:
-            return CrossSection.circle(length=_value(cfg, "cross_section.L", float,
-                                                     "a finite number"))
+            return _value(cfg, "cross_section.L", lambda L: CrossSection.circle(length=float(L)),
+                          "a finite number")
         raise ConfigError("circle cross-section needs 'L' or 'L_over_pi'")
     if kind == "sphere":
         return CrossSection.sphere(_value(cfg, "cross_section.n", _whole,

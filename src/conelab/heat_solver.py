@@ -40,6 +40,8 @@ class HeatConfig:
     def __post_init__(self):
         if self.T <= 0 or self.dt <= 0:
             raise ConfigError("T and dt must be positive")
+        if not math.isfinite(self.T / self.dt):
+            raise ConfigError(f"T / dt = {self.T!r} / {self.dt!r} is not a finite step count")
         if self.dt > 1.0:
             raise ConfigError("dt > 1 rejected as a sanity bound")
         if not 0.5 <= self.theta <= 1.0:
@@ -253,10 +255,8 @@ def bessel_mode_roots(n: int, eigenvalue, outer_bc: str, count: int) -> tuple[fl
 
 def grid_l2(field_values: np.ndarray, grid: LogGrid, n: int) -> float:
     """L2 norm on the cone: integral of |u|^2 x^n dx as a tau trapezoid."""
-    w = np.ones(grid.points)
-    w[0] = w[-1] = 0.5
     integrand = np.abs(np.atleast_2d(field_values)) ** 2 * np.exp((n + 1) * grid.tau)
-    return float(np.sqrt(np.sum(integrand @ w) * grid.h))
+    return float(np.sqrt(np.sum(np.trapezoid(integrand, dx=grid.h))))
 
 
 def relative_l2_error(a: RadialField, b: RadialField) -> float:

@@ -31,6 +31,10 @@ class LogGrid:
             raise ConfigError("tau_min must be negative")
         if self.points < 8:
             raise ConfigError("need at least 8 grid points")
+        h2 = self.h * self.h
+        if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
+            raise ConfigError(f"grid tau_min {self.tau_min!r} over {self.points} points gives "
+                              f"spacing h = {self.h!r}; h^2 and 1/h^2 must be finite non-zero floats")
 
     @property
     def h(self) -> float:
@@ -106,18 +110,7 @@ class RadialField:
 
 def dtau(values: np.ndarray, h: float) -> np.ndarray:
     """d/dtau along the last axis: central inside, 2nd-order one-sided at ends."""
-    v = np.asarray(values)
-    out = np.empty_like(v, dtype=complex)
-    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
-    out[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
-    out[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
-    return out
-
-
-def _trapz(integrand: np.ndarray, h: float) -> float:
-    w = np.ones(integrand.shape[-1])
-    w[0] = w[-1] = 0.5
-    return float(np.real(np.sum(integrand * w, axis=-1))) * h
+    return np.gradient(values, h, axis=-1, edge_order=2)
 
 
 def mellin_norm(u: RadialField, s: int, gamma: float, p: float = 2.0) -> float:
@@ -151,7 +144,8 @@ def mellin_norm(u: RadialField, s: int, gamma: float, p: float = 2.0) -> float:
             if k > 0:
                 dk_c = dtau(dk_c, h)
                 dk_i = dtau(dk_i, h)
-            t_c, t_i = _trapz(np.abs(weight * dk_c) ** p, h), _trapz(np.abs(dk_i) ** p, h)
+            t_c = float(np.trapezoid(np.abs(weight * dk_c) ** p, dx=h))
+            t_i = float(np.trapezoid(np.abs(dk_i) ** p, dx=h))
             for a in range(s + 1 - k):
                 lamw = lam ** a
                 total += u.vol * mode.multiplicity * lamw * t_c

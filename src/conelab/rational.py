@@ -24,10 +24,8 @@ _SNAP_DENOMS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 10_000, 1_000_000)
 def _frac(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)  # exact binary value
+    if isinstance(v, (int, float)):
+        return Fraction(v)  # a float's exact binary value
     raise TypeError(f"cannot coerce {type(v).__name__} to Fraction")
 
 
@@ -37,12 +35,6 @@ class QRat:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        if isinstance(re, QRat):
-            self.re, self.im = re.re, re.im
-            return
-        if isinstance(re, complex):
-            self.re, self.im = _frac(re.real), _frac(re.imag)
-            return
         self.re = _frac(re)
         self.im = _frac(im)
 
@@ -55,10 +47,6 @@ class QRat:
     def __sub__(self, other):
         o = _coerce(other)
         return NotImplemented if o is None else QRat(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = _coerce(other)
-        return NotImplemented if o is None else QRat(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
         o = _coerce(other)
@@ -78,9 +66,7 @@ class QRat:
             if not o.re:
                 raise ZeroDivisionError("division by zero QRat")
             return QRat(self.re / o.re, self.im / o.re)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero QRat")
+        d = o.re * o.re + o.im * o.im       # > 0: the divisor has an imaginary part
         return QRat((self.re * o.re + self.im * o.im) / d,
                     (self.im * o.re - self.re * o.im) / d)
 
@@ -142,11 +128,8 @@ class Poly:
         return not self.coeffs
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, float, QRat)):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        other = self._as_poly(other)
+        return NotImplemented if other is None else self.coeffs == other.coeffs
 
     def __hash__(self):
         # a constant (zero included) hashes like the number it equals
@@ -167,14 +150,6 @@ class Poly:
         return Poly(out)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._as_poly(other)
-        return NotImplemented if other is None else self + (-other)
-
-    def __rsub__(self, other):
-        other = self._as_poly(other)
-        return NotImplemented if other is None else other + (-self)
 
     def __neg__(self):
         return Poly([-c for c in self.coeffs])
@@ -229,8 +204,6 @@ class Poly:
                 rem[pos + i] = rem[pos + i] - c * b
             while rem and not rem[-1]:
                 rem.pop()
-            if len(rem) < dn:
-                break
         return Poly(q), Poly(rem)
 
     def __floordiv__(self, other):
@@ -256,15 +229,13 @@ class Poly:
 
     def shift(self, sigma) -> "Poly":
         """Return p(X + sigma); this is the T^sigma action on symbols."""
-        sig = sigma if isinstance(sigma, QRat) else QRat(sigma)
         out = Poly()
-        xs = Poly([sig, 1])
+        xs = Poly([sigma, 1])
         for c in reversed(self.coeffs):
             out = out * xs + Poly.constant(c)
         return out
 
     def eval_exact(self, v) -> QRat:
-        v = v if isinstance(v, QRat) else QRat(v)
         acc = QRat(0)
         for c in reversed(self.coeffs):
             acc = acc * v + c
@@ -295,7 +266,7 @@ class RationalFamily:
     """Quotient of two Poly in lowest terms with monic denominator.
 
     The canonical normal form makes == meaningful; the round-trip law
-    f * (1/f) == 1 is exercised in the tests.
+    f * RationalFamily(f.den, f.num) == 1 is exercised in the tests.
     """
 
     __slots__ = ("num", "den")
@@ -344,10 +315,6 @@ class RationalFamily:
         o = self._as_family(other)
         return NotImplemented if o is None else self + (-o)
 
-    def __rsub__(self, other):
-        o = self._as_family(other)
-        return NotImplemented if o is None else o + (-self)
-
     def __neg__(self):
         return RationalFamily(-self.num, self.den)
 
@@ -358,19 +325,6 @@ class RationalFamily:
         return RationalFamily(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._as_family(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational family")
-        return RationalFamily(self.num * o.den, self.den * o.num)
-
-    def inverse(self) -> "RationalFamily":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero family")
-        return RationalFamily(self.den, self.num)
 
     def shift(self, sigma) -> "RationalFamily":
         """T^sigma action: evaluate the family at (lambda + sigma)."""
@@ -404,29 +358,19 @@ def poly_roots(p: Poly):
         raise NumericalError("root extraction on the zero polynomial")
     out = []
     remaining = p
-    if remaining.degree >= 1:
-        # exact pass: snap float roots to rationals and verify by division
-        approx = _float_roots(remaining)
-        for r in approx:
-            for re_c in _snap_fraction(r.real):
-                for im_c in _snap_fraction(r.imag):
-                    cand = QRat(re_c, im_c)
-                    if remaining.eval_exact(cand):
-                        continue
-                    mult = 0
-                    lin = Poly([-cand, 1])
-                    while True:
-                        q, rem = remaining.divmod(lin)
-                        if not rem.is_zero():
-                            break
-                        remaining = q
-                        mult += 1
-                    if mult:
-                        out.append((cand, mult, True))
-                    break
-                else:
-                    continue
-                break
+    # exact pass: the first snapped candidate of a float root that is a root
+    # is divided out as often as it divides
+    for r in _float_roots(p):
+        cands = (QRat(a, b) for a in _snap_fraction(r.real) for b in _snap_fraction(r.imag))
+        cand = next((c for c in cands if not remaining.eval_exact(c)), None)
+        if cand is None:
+            continue
+        lin, mult = Poly([-cand, 1]), 0
+        q, rem = remaining.divmod(lin)
+        while rem.is_zero():
+            remaining, mult = q, mult + 1
+            q, rem = remaining.divmod(lin)
+        out.append((cand, mult, True))
     if remaining.degree >= 1:
         floats = _float_roots(remaining)
         clusters: list[list[complex]] = []
@@ -444,8 +388,7 @@ def poly_roots(p: Poly):
 
 
 def _root_sort_key(entry):
-    r = entry[0]
-    z = r.to_complex() if isinstance(r, QRat) else r
+    z = root_to_complex(entry[0])
     return (z.real, z.imag)
 
 

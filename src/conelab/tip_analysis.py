@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import AsymptoticsBasis
+from .asymptotics import AsymptoticsBasis, AsymptoticsTerm
 from .errors import ConfigError, IllConditionedFitError
 from .mellin_sobolev import RadialField
 from .rational import root_to_complex
@@ -242,7 +242,6 @@ def fit_tip_series(values, grid, modes, basis: AsymptoticsBasis,
     x_a, x_b = _fit_window(grid, window)
     idx = _log_spaced_subsample(grid.window_indices(x_a, x_b), MAX_FIT_POINTS)
     x = grid.x[idx]               # ascending, so every sub-window below is a prefix
-    log_x = np.log(x)
     inner = int(np.count_nonzero(x <= math.sqrt(x_a * x_b)))
     x_cut = x_a * (x_b / x_a) ** 0.25
     designs = []                  # per mode: (coefficient keys, columns (p, points), sub) or None
@@ -251,13 +250,7 @@ def fit_tip_series(values, grid, modes, basis: AsymptoticsBasis,
         if not terms:
             designs.append(None)
             continue
-        cols = []
-        for rho, m, _lbl in terms:
-            col = np.exp(-root_to_complex(rho) * log_x)
-            if m:
-                col = col * log_x ** m
-            cols.append(col)
-        A = np.stack(cols)
+        A = np.stack([AsymptoticsTerm(rho, m, lbl).evaluate(x) for rho, m, lbl in terms])
         sub = int(np.count_nonzero(x <= x_cut))
         if sub < 2 * len(A) + 2:
             sub = x.size

@@ -167,3 +167,15 @@ def test_domain_membership_boundary_reported():
     assert res.member is None
     with pytest.raises(UnsupportedError):
         bool(res)
+
+
+def test_irrational_poles_take_the_floating_point_path():
+    # nu = sqrt(2) on the eigenvalue -2 mode: the pole set is inexact, the
+    # operator acts in complex arithmetic and each basis term cancels to []
+    spec = ConeOperatorSpec.laplacian(CrossSection.explicit([(0, 1), (-2, 1)]), 2)
+    ps = pole_set(spec, Fraction(-1, 2))
+    assert ps.exact is False
+    terms = enumerate_asymptotics(ps).terms
+    assert any(isinstance(rho, complex) for rho, _m, _label in terms)
+    for rho, m, label in terms:
+        assert apply_operator_power(spec, AsymptoticsTerm(rho, m, label), 1) == []

@@ -180,8 +180,15 @@ def test_bad_json_exit_2(tmp_path):
     ([CIRCLE_CFG], "JSON object"),
     ({"cross_section": {"kind": "sphere", "n": 343}, "gamma": 0.5}, "cross_section.n"),
     ({"cross_section": {"kind": "sphere", "n": 1}}, "cross_section.n"),
+    ({"cross_section": {"kind": "circle", "L": 1e-320}}, "cross_section.L ="),
+    ({"cross_section": {"kind": "circle", "L_over_pi": "1e400"}}, "cross_section.L_over_pi"),
+    ({"cross_section": {"kind": "circle", "L_over_pi": "1e-400"}}, "cross_section.L_over_pi"),
+    ({"cross_section": {"kind": "explicit", "eigs": [[0, 1], [-2, 1.5]]}}, "cross_section.eigs"),
+    ({"cross_section": {"kind": "explicit", "eigs": [[0, True], [-2, 1]]}}, "cross_section.eigs"),
 ], ids=["no-block", "sphere-no-n", "explicit-no-eigs", "bad-L_over_pi", "string-block",
-        "not-an-object", "sphere-area-overflow", "sphere-n-1"])
+        "not-an-object", "sphere-area-overflow", "sphere-n-1", "L-spectrum-overflow",
+        "L_over_pi-overflow", "L_over_pi-spectrum-overflow", "fractional-multiplicity",
+        "boolean-multiplicity"])
 def test_malformed_cross_section_exit_2(tmp_path, capsys, cfg, key):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
@@ -200,8 +207,13 @@ def test_malformed_cross_section_exit_2(tmp_path, capsys, cfg, key):
     ("gamma", "abc", "poles", "gamma must be"),
     ("heat", {"T": "x"}, "solve-heat", "heat.T"),
     ("heat", [1], "sectorial-probe", "'heat'"),
+    ("grid", {"tau_min": -1e308, "points": 9}, "sectorial-probe", "grid tau_min"),
+    ("grid", {"tau_min": -1e-300, "points": 9}, "sectorial-probe", "grid tau_min"),
+    ("grid", {"tau_min": -1e308, "points": 9}, "solve-heat", "grid tau_min"),
+    ("heat", {"T": 0.1, "dt": 1e-320}, "solve-heat", "T / dt"),
 ], ids=["grid.tau_min", "grid-list", "grid.points", "operator.max_modes", "operator.warp_a0",
-        "explicit-no-mu", "gamma", "heat.T", "heat-list"])
+        "explicit-no-mu", "gamma", "heat.T", "heat-list", "grid-spacing-overflow",
+        "grid-spacing-underflow", "grid-spacing-overflow-heat", "heat-step-count-overflow"])
 def test_malformed_config_exit_2(tmp_path, capsys, block, value, cmd, key):
     p, u0 = tmp_path / "cfg.json", tmp_path / "u0.csv"
     p.write_text(json.dumps(dict(CIRCLE_CFG, **{block: value})))
@@ -212,6 +224,33 @@ def test_malformed_config_exit_2(tmp_path, capsys, block, value, cmd, key):
     assert main([cmd, "--config", str(p), *inputs[cmd], "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+@pytest.mark.parametrize("tau_min", [-1e308, -1e-300])
+def test_powers_rejects_a_grid_spacing_outside_the_float_range(tau_min, tmp_path, capsys):
+    # 1/h^2 of the mode operator would overflow, or h^2 underflow to zero
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(CIRCLE_CFG, grid={"tau_min": tau_min, "points": 9})))
+    assert main(["powers", "--config", str(p), "--out", str(tmp_path / "powers.json")]) == 2
+    assert capsys.readouterr().err.startswith("config error: grid tau_min")
+
+
+@pytest.mark.parametrize("points, tau_min, rc", [(8, -4.0, 0), (12, -8.0, 3)])
+def test_shift_ladder_doubles_until_the_sector_clears(points, tau_min, rc, tmp_path, capsys):
+    # the l=0 Neumann mode on S^20 needs c = 2^13 on 8 points; on 12 points
+    # the ladder gives up after its last doubling
+    cfg = {"cross_section": {"kind": "sphere", "n": 20},
+           "operator": {"preset": "laplacian", "max_modes": 1}, "gamma": 9.0,
+           "grid": {"tau_min": tau_min, "points": points}, "heat": {"outer_bc": "neumann"},
+           "powers": {"samples": 10}}
+    p, out = tmp_path / "cfg.json", tmp_path / "sectorial.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["sectorial-probe", "--config", str(p), "--out", str(out)]) == rc
+    if rc == 0:
+        assert json.loads(out.read_text())["shift"] == 8192.0
+    else:
+        assert "no sectorial shift found on the ladder up to c=16777216.0" \
+            in capsys.readouterr().err
 
 
 def test_asymptotics_json(cfg_path, tmp_path):

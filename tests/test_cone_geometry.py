@@ -125,3 +125,13 @@ def test_circle_mode_table_expands_pairs():
     cs = CrossSection.circle(length_over_pi=2)
     labels = [m.label for m in cs.mode_table(3)]
     assert labels == ["k=0", "k=+1", "k=-1", "k=+2", "k=-2"]
+
+
+def test_explicit_spectrum_must_fit_floats_with_whole_multiplicities():
+    for mult in (1.5, True, 0, "2", math.nan, math.inf):
+        with pytest.raises(ConfigError, match="multiplicity"):
+            CrossSection.explicit([(0, 1), (-2, mult)])
+    for ev in ("-1e400", -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite float"):
+            CrossSection.explicit([(0, 1), (ev, 1)])
+    assert CrossSection.explicit([(0, 1), (-2, 2.0)]).explicit_eigs == ((0, 1), (-2, 2))

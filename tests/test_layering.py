@@ -1,9 +1,11 @@
 """Module boundaries of the package, read from its source with ast."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "conelab"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SYMBOLIC = {"conelab.asymptotics", "conelab.rational", "conelab.symbol_algebra"}
 
 
@@ -53,3 +55,30 @@ def test_only_cone_geometry_constructs_modes():
     builders = {path.name for path in SRC.glob("*.py")
                 if any(builds_mode(node) for node in ast.walk(ast.parse(path.read_text())))}
     assert builders == {"cone_geometry.py"}
+
+
+def _named(tree) -> Counter:
+    """How often a tree names each identifier: as a name, an attribute or an imported name."""
+    named = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            named[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            named[node.name.rpartition(".")[2]] += 1
+    return named
+
+
+def test_every_function_is_named_outside_its_own_def():
+    # a function or method that neither the package nor the benchmark names
+    # anywhere but in its own body has no caller; dunder methods are exempt
+    trees = {path: ast.parse(path.read_text())
+             for path in (*sorted(SRC.glob("*.py")), *sorted(BENCH.glob("*.py")))}
+    named = sum((_named(tree) for tree in trees.values()), Counter())
+    orphans = [f"{path.name}:{node.name}" for path, tree in trees.items() if path.parent == SRC
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))
+               and named[node.name] == _named(node)[node.name]]
+    assert orphans == []
