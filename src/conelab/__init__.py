@@ -17,6 +17,6 @@ from .asymptotics import (AsymptoticsBasis, AsymptoticsTerm, apply_operator_symb
 from .mellin_sobolev import LogGrid, RadialField, mellin_norm
 from .heat_solver import (HeatConfig, HeatTrajectory, assemble_mode_operator,
                           bessel_series_solution, solve_heat)
-from .tip_analysis import TipFit, decomposition_track, fit_tip_expansion, fit_tip_series
+from .tip_analysis import TipSeries, decomposition_track, fit_tip_series
 from .power_calculus import complex_power, power_domain_probe, sectorial_probe
 from .operators import OperatorMatrix

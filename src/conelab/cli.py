@@ -13,7 +13,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import sys
 import time
 import warnings
@@ -280,10 +279,21 @@ def cmd_norm(args) -> int:
     return 0
 
 
+def _straight_laplacian(cfg: dict, cs) -> None:
+    """Refuse, naming its key, any operator but the straight cone Laplacian these commands build."""
+    spec, block = operator_from_config(cfg, cs), cfg.get("operator", {})   # checked as `poles` does
+    key = ("preset" if block.get("preset", "laplacian") != "laplacian"
+           else "warp_a0" if spec.n_taylor else None)   # n_taylor: set by a non-zero warp alone
+    if key:
+        raise ConfigError(f"operator.{key} = {block[key]!r}: solve-heat, powers and "
+                          "sectorial-probe discretize the straight cone Laplacian only")
+
+
 def cmd_solve_heat(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     cs = cross_section_from_config(cfg)
+    _straight_laplacian(cfg, cs)
     grid = grid_from_config(cfg)
     gamma = gamma_from_config(cfg, cs, require_window=True)
     hc = HeatConfig(cross_section=cs, grid=grid, max_modes=max_modes_from_config(cfg),
@@ -361,14 +371,14 @@ def cmd_fit_tip(args) -> int:
     if missing or extra:
         raise ConfigError(f"trajectory {trajdir} does not match its {len(snaps)} times: "
                           f"missing {missing}, without a time {extra}")
-    fits = fit_tip_series(_read_snapshots(trajdir, snaps, meta, grid, cs, max_modes), grid,
-                          cs.mode_table(max_modes), basis, window=window, times=meta["times"])
-    rows = []
-    for fit in fits:
-        for fc in fit.coefficients:
-            decay = fit.mode_residual_exponents.get(fc.mode, math.nan)
-            rows.append(f"{fmt(fit.t)},{fmt(fc.rho.real)},{fmt(fc.rho.imag)},{fc.m},{fc.mode},"
-                        f"{fmt(fc.c.real)},{fmt(fc.c.imag)},{fmt(fit.residual_norm)},{fmt(decay)}")
+    series = fit_tip_series(_read_snapshots(trajdir, snaps, meta, grid, cs, max_modes), grid,
+                            cs.mode_table(max_modes), basis, window=window, times=meta["times"])
+    # one row per (snapshot, term), from Python numbers: fmt sees the same floats bit for bit
+    decay = {label: e.tolist() for label, e in series.exponents.items()}
+    rows = [f"{fmt(t)},{fmt(rho.real)},{fmt(rho.imag)},{m},{mode},{fmt(c.real)},{fmt(c.imag)},"
+            f"{fmt(res)},{fmt(decay[mode][k])}" for k, (t, res, row) in enumerate(zip(
+                series.times.tolist(), series.residual_norm.tolist(), series.coefficients.tolist()))
+            for (rho, m, mode), c in zip(series.keys, row)]
     _write_csv(path, "t,rho_re,rho_im,m,mode,c_re,c_im,residual,decay_exp", [rows])
     _write_manifest(path.parent, {"subcommand": "fit-tip", "traj": str(trajdir)},
                     run_cfg, t0, [str(path)])
@@ -384,6 +394,7 @@ def _shifted_mode_operator(cfg: dict):
     """
     theta, shift0 = powers_from_config(cfg)[1:3]
     cs = cross_section_from_config(cfg)
+    _straight_laplacian(cfg, cs)
     mode = cs.mode_table(max_modes_from_config(cfg))[0]
     # only the outer condition of the heat block: T, dt and theta are not read
     outer_bc = _value(cfg, "heat.outer_bc", lambda bc: bc, "a boundary condition", "neumann")

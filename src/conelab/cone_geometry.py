@@ -65,7 +65,8 @@ class CrossSection:
                 L = float(length)
                 qf = (2.0 * math.pi / L) ** 2
                 snap = Fraction(qf).limit_denominator(10**6)
-                q = snap if abs(float(snap) - qf) < 1e-12 * max(1.0, qf) else qf
+                # a positive q never snaps to 0: below 1e-12 the absolute test would take it
+                q = snap if snap and abs(float(snap) - qf) < 1e-12 * max(1.0, qf) else qf
             else:
                 raise ConfigError("circle needs 'L' or 'L_over_pi'")
         except OverflowError:

@@ -11,6 +11,7 @@ squared L2 mass equal to the cross-section volume.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,14 @@ class LogGrid:
     def __post_init__(self):
         if self.tau_min >= 0:
             raise ConfigError("tau_min must be negative")
+        # the mode operators' weight exp(-2 tau) must be finite; then so is h^2, never overflowing
+        if not -2.0 * self.tau_min < math.log(sys.float_info.max):
+            raise ConfigError(f"grid tau_min {self.tau_min!r} is below -354.89: exp(-2 tau_min) "
+                              "must be a finite float")
         if self.points < 8:
             raise ConfigError("need at least 8 grid points")
         h2 = self.h * self.h
-        if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
+        if not (0.0 < h2 and 1.0 / h2 < math.inf):
             raise ConfigError(f"grid tau_min {self.tau_min!r} over {self.points} points gives "
                               f"spacing h = {self.h!r}; h^2 and 1/h^2 must be finite non-zero floats")
 

@@ -5,7 +5,10 @@ x^{-rho} log^m x over an inner window; what the fit cannot explain is the
 residual, whose log-log slope against x estimates the next exponent in the
 expansion. Tracking the fitted coefficients along a trajectory is how the
 package observes that the singular-part decomposition survives the
-evolution. The fit takes a stack of snapshot values, whatever produced it.
+evolution. The fit takes a stack of snapshot values, whatever produced it,
+and returns one columnar TipSeries: a (snapshots, terms) coefficient array
+beside per-snapshot residual norms, conditions and per-mode exponents.
+A single snapshot is a stack of one.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 
 from .asymptotics import AsymptoticsBasis, AsymptoticsTerm
 from .errors import ConfigError, IllConditionedFitError
-from .mellin_sobolev import RadialField
 from .rational import root_to_complex
 
 MAX_FIT_POINTS = 200
@@ -34,26 +36,31 @@ _FIT_ENTRIES = (1 << 20) // 32
 
 
 @dataclass
-class FitCoefficient:
-    rho: complex
-    m: int
-    mode: str
-    c: complex
+class TipSeries:
+    """The fits of a stack of snapshots, one row a snapshot and one column a basis term."""
 
+    times: np.ndarray             # (snapshots,)
+    keys: list                    # (rho, m, mode label) of each coefficient column
+    coefficients: np.ndarray      # (snapshots, keys), complex
+    residual_norm: np.ndarray     # (snapshots,)
+    exponents: dict               # mode label -> residual decay exponent, (snapshots,)
+    condition: np.ndarray         # (snapshots,), the worst mode's design condition
 
-@dataclass
-class TipFit:
-    t: float
-    coefficients: list            # FitCoefficient entries
-    residual_norm: float
-    mode_residual_exponents: dict  # label -> slope of log|residual| vs log x
-    condition: float
+    def coefficient(self, rho, m: int, mode: str) -> np.ndarray:
+        """The path of one term's coefficient over the snapshots."""
+        key = (complex(rho), m, mode)
+        if key not in self.keys:
+            raise ConfigError(f"no fitted coefficient for ({rho}, {m}, {mode})")
+        return self.coefficients[:, self.keys.index(key)]
 
-    def coefficient(self, rho, m: int, mode: str) -> complex:
-        for fc in self.coefficients:
-            if fc.mode == mode and fc.m == m and abs(fc.rho - complex(rho)) < 1e-9:
-                return fc.c
-        raise ConfigError(f"no fitted coefficient for ({rho}, {m}, {mode})")
+    @property
+    def jumps(self) -> dict:
+        """Key -> largest coefficient change between consecutive snapshots (none below 2)."""
+        if len(self.coefficients) < 2:
+            return {}
+        steps = np.diff(self.coefficients, axis=0)
+        # hypot gives abs() of a Python complex bit for bit; np.abs may differ by an ulp
+        return dict(zip(self.keys, np.hypot(steps.real, steps.imag).max(axis=0).tolist()))
 
 
 def default_window(grid) -> tuple[float, float]:
@@ -211,7 +218,7 @@ def _fit_mode(y: np.ndarray, A: np.ndarray, sub: int):
 
 
 def fit_tip_series(values, grid, modes, basis: AsymptoticsBasis,
-                   window: tuple[float, float] | None = None, times=None) -> list[TipFit]:
+                   window: tuple[float, float] | None = None, times=None) -> TipSeries:
     """Fit the basis terms to every snapshot over one window, per mode.
 
     Coefficients come from a relative-error weighted least-squares solve on
@@ -224,18 +231,28 @@ def fit_tip_series(values, grid, modes, basis: AsymptoticsBasis,
     not-yet-modeled exponent shows up.
 
     ``values[k]`` holds snapshot k on ``grid``, of shape (len(modes),
-    grid.points); ``times[k]`` is its time (0.0 for all if omitted). Each fit
-    depends on its own snapshot only. The snapshots are fitted in chunks of
-    at most _FIT_ENTRIES window samples, each chunk with one Gram-Schmidt
-    sweep per mode; the first ill conditioned (snapshot, mode) in
-    snapshot-then-mode order raises.
+    grid.points); ``times[k]`` is its time (0.0 for all if omitted). An empty
+    stack is checked like any other. Row k of the returned series depends on
+    snapshot k only; its columns are the basis terms of each mode in turn,
+    in mode order. The snapshots are
+    fitted in chunks of at most _FIT_ENTRIES window samples, each chunk with
+    one Gram-Schmidt sweep per mode, written straight into the series'
+    arrays; the first ill conditioned (snapshot, mode) in snapshot-then-mode
+    order raises.
     """
     values = np.asarray(values, dtype=complex)
-    times = [0.0] * len(values) if times is None else list(times)
-    if len(times) != len(values):
-        raise ConfigError(f"{len(times)} times for {len(values)} snapshots")
-    if not len(values):
-        return []
+    n = len(values)
+    times = np.zeros(n) if times is None else np.array(times, dtype=float)
+    if len(times) != n:
+        raise ConfigError(f"{len(times)} times for {n} snapshots")
+    terms = [basis.for_mode(mode.label) for mode in modes]
+    keys = [(root_to_complex(rho), m, mode.label)
+            for mode, mode_terms in zip(modes, terms) for rho, m, _lbl in mode_terms]
+    exponents = np.zeros((n, len(modes)))
+    series = TipSeries(times=times, keys=keys, coefficients=np.zeros((n, len(keys)), complex),
+                       residual_norm=np.zeros(n),
+                       exponents={mode.label: e for mode, e in zip(modes, exponents.T)},
+                       condition=np.ones(n))
     if values.shape[1:] != (len(modes), grid.points):
         raise ConfigError(f"snapshot shape {values.shape[1:]} does not match "
                           f"({len(modes)}, {grid.points})")
@@ -244,31 +261,31 @@ def fit_tip_series(values, grid, modes, basis: AsymptoticsBasis,
     x = grid.x[idx]               # ascending, so every sub-window below is a prefix
     inner = int(np.count_nonzero(x <= math.sqrt(x_a * x_b)))
     x_cut = x_a * (x_b / x_a) ** 0.25
-    designs = []                  # per mode: (coefficient keys, columns (p, points), sub) or None
-    for mode in modes:
-        terms = basis.for_mode(mode.label)
-        if not terms:
+    designs = []                  # per mode: (its series columns, design (p, points), sub) or None
+    first = 0
+    for mode_terms in terms:
+        if not mode_terms:
             designs.append(None)
             continue
-        A = np.stack([AsymptoticsTerm(rho, m, lbl).evaluate(x) for rho, m, lbl in terms])
+        A = np.stack([AsymptoticsTerm(rho, m, lbl).evaluate(x) for rho, m, lbl in mode_terms])
         sub = int(np.count_nonzero(x <= x_cut))
         if sub < 2 * len(A) + 2:
             sub = x.size
-        keys = [(root_to_complex(rho), m, mode.label) for rho, m, _lbl in terms]
-        designs.append((keys, A, sub))
+        designs.append((slice(first, first + len(A)), A, sub))
+        first += len(A)
 
-    fits: list[TipFit] = []
     step = max(1, _FIT_ENTRIES // (len(modes) * x.size))
-    for start in range(0, len(values), step):
+    for start in range(0, n, step):
         # the window samples of the chunk, (snapshot, mode, point): one copy, rows contiguous
         R = values[start:start + step].take(idx, axis=2)
-        n = len(R)
-        conds = np.ones((n, len(modes)))
-        floors = np.zeros((n, len(modes)))
-        coeffs = {}
+        rows = slice(start, start + len(R))
+        conds = np.ones((len(R), len(modes)))
+        floors = np.zeros((len(R), len(modes)))
         for i, design in enumerate(designs):
             if design is not None:
-                coeffs[i], conds[:, i], floors[:, i] = _fit_mode(R[:, i], *design[1:])
+                columns, A, sub = design
+                c, conds[:, i], floors[:, i] = _fit_mode(R[:, i], A, sub)
+                series.coefficients[rows, columns] = c
         bad = np.argwhere(conds > COND_LIMIT)
         if bad.size:
             k, i = bad[0]
@@ -276,48 +293,16 @@ def fit_tip_series(values, grid, modes, basis: AsymptoticsBasis,
                 f"design condition {conds[k, i]:.2e} on mode {modes[i].label}; "
                 "shift or shrink the fit window")
 
-        res_sq = _row_dot(R.view(float), R.view(float)).sum(axis=1)
+        series.residual_norm[rows] = np.sqrt(_row_dot(R.view(float), R.view(float)).sum(axis=1))
+        series.condition[rows] = conds.max(axis=1)
         inner_mag = np.abs(R[:, :, :inner]).reshape(-1, inner)
         del R                             # the exponents below need |R| on the inner window only
-        mode_exps = _decay_exponent(x[:inner], inner_mag, floors.ravel()).reshape(n, len(modes))
+        exponents[rows] = _decay_exponent(x[:inner], inner_mag, floors.ravel()).reshape(
+            len(floors), len(modes))
         del inner_mag                     # free before the next chunk's samples
-        # Python numbers for the whole chunk at once; np.sqrt rounds as math.sqrt does
-        columns = [(designs[i][0], c.tolist()) for i, c in coeffs.items()]
-        for k, (t, res, slopes, cond) in enumerate(zip(
-                times[start:start + n], np.sqrt(res_sq).tolist(), mode_exps.tolist(),
-                conds.max(axis=1).tolist())):
-            coefficients = [FitCoefficient(rho, m, label, cv) for keys, c in columns
-                            for (rho, m, label), cv in zip(keys, c[k])]
-            fits.append(TipFit(
-                t=t, coefficients=coefficients, residual_norm=res,
-                mode_residual_exponents={mode.label: e for mode, e in zip(modes, slopes)},
-                condition=cond))
-    return fits
+    return series
 
 
-def fit_tip_expansion(snapshot: RadialField, basis: AsymptoticsBasis,
-                      window: tuple[float, float] | None = None, t: float = 0.0) -> TipFit:
-    """Fit the basis terms to one snapshot over a window: fit_tip_series of one field."""
-    return fit_tip_series(snapshot.values[None], snapshot.grid, snapshot.modes, basis,
-                          window=window, times=[t])[0]
-
-
-@dataclass
-class DecompositionTrack:
-    fits: list                    # one TipFit per snapshot
-    jumps: dict                   # (rho, m, mode) -> max jump
-
-
-def decomposition_track(traj, basis: AsymptoticsBasis) -> DecompositionTrack:
-    """Fit every snapshot and report the coefficient jumps between consecutive fits.
-
-    One fit_tip_series call on ``traj.values``, with the trajectory's grid, modes and times.
-    """
-    fits = fit_tip_series(traj.values, traj.grid, traj.modes, basis, times=traj.times)
-    jumps: dict = {}
-    if len(fits) > 1:
-        steps = np.diff([[fc.c for fc in fit.coefficients] for fit in fits], axis=0)
-        keys = [(fc.rho, fc.m, fc.mode) for fc in fits[0].coefficients]
-        # hypot gives abs() of a Python complex bit for bit; np.abs may differ by an ulp
-        jumps = dict(zip(keys, np.hypot(steps.real, steps.imag).max(axis=0).tolist()))
-    return DecompositionTrack(fits=fits, jumps=jumps)
+def decomposition_track(traj, basis: AsymptoticsBasis) -> TipSeries:
+    """The coefficient paths of a trajectory: fit_tip_series of its array, grid, modes and times."""
+    return fit_tip_series(traj.values, traj.grid, traj.modes, basis, times=traj.times)

@@ -211,14 +211,17 @@ def test_malformed_cross_section_exit_2(tmp_path, capsys, cfg, key):
     ("grid", {"tau_min": -1e-300, "points": 9}, "sectorial-probe", "grid tau_min"),
     ("grid", {"tau_min": -1e308, "points": 9}, "solve-heat", "grid tau_min"),
     ("heat", {"T": 0.1, "dt": 1e-320}, "solve-heat", "T / dt"),
+    ("grid", {"tau_min": -400, "points": 9}, "powers", "exp(-2 tau_min)"),
+    ("grid", {"tau_min": -400, "points": 9}, "solve-heat", "exp(-2 tau_min)"),
 ], ids=["grid.tau_min", "grid-list", "grid.points", "operator.max_modes", "operator.warp_a0",
         "explicit-no-mu", "gamma", "heat.T", "heat-list", "grid-spacing-overflow",
-        "grid-spacing-underflow", "grid-spacing-overflow-heat", "heat-step-count-overflow"])
+        "grid-spacing-underflow", "grid-spacing-overflow-heat", "heat-step-count-overflow",
+        "tip-weight-overflow-powers", "tip-weight-overflow-heat"])
 def test_malformed_config_exit_2(tmp_path, capsys, block, value, cmd, key):
     p, u0 = tmp_path / "cfg.json", tmp_path / "u0.csv"
     p.write_text(json.dumps(dict(CIRCLE_CFG, **{block: value})))
     _write_u0(u0)
-    inputs = {"poles": [], "sectorial-probe": [], "norm": ["--field", str(u0)],
+    inputs = {"poles": [], "sectorial-probe": [], "powers": [], "norm": ["--field", str(u0)],
               "solve-heat": ["--u0", str(u0)]}
     out = tmp_path / "out"
     assert main([cmd, "--config", str(p), *inputs[cmd], "--out", str(out)]) == 2
@@ -295,6 +298,37 @@ def test_unsupported_or_degenerate_input_exit_2(operator, cmd, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["solve-heat", "powers", "sectorial-probe"])
+@pytest.mark.parametrize("operator, key", [
+    (dict(CIRCLE_CFG["operator"], warp_a0=1), "operator.warp_a0 = 1:"),
+    ({"preset": "explicit", "max_modes": 1, "mu": 2, "coeffs": {"k=0": [[0], [0], [1]]}},
+     "operator.preset = 'explicit':"),
+], ids=["warp", "explicit"])
+def test_numeric_commands_refuse_an_operator_they_do_not_discretize(operator, key, cmd,
+                                                                     tmp_path, capsys):
+    # they assemble the straight Laplacian; a run of it would record another operator
+    p, u0, out = tmp_path / "cfg.json", tmp_path / "u0.csv", tmp_path / "out"
+    p.write_text(json.dumps(dict(CIRCLE_CFG, operator=operator)))
+    _write_u0(u0)
+    inputs = ["--u0", str(u0)] if cmd == "solve-heat" else []
+    assert main([cmd, "--config", str(p), *inputs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not list(out.glob("snapshot_*"))
+
+
+def test_poles_of_a_long_circle_are_simple_and_off_zero(tmp_path):
+    # q = (2 pi / L)^2 = 3.9e-13 stays a float: k=+1 has two simple poles at +-2 pi / L
+    p, out = tmp_path / "cfg.json", tmp_path / "poles.csv"
+    p.write_text(json.dumps(dict(CIRCLE_CFG, cross_section={"kind": "circle", "L": 1e7})))
+    assert main(["poles", "--config", str(p), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["mode"] == "k=+1"]
+    nu = 2 * math.pi / 1e7
+    assert sorted(float(r["re_rho"]) for r in rows) == pytest.approx([-nu, nu], rel=1e-12)
+    assert all(r["max_log_power"] == "0" for r in rows)
+
+
 def _write_u0(path, nan_row=None):
     """Constant k=0 field on the CIRCLE_CFG grid, optionally with one NaN."""
     taus = np.linspace(-6.0, 0.0, 129)
@@ -327,6 +361,8 @@ def test_solve_heat_and_fit_tip_pipeline(cfg_path, tmp_path):
     const_rows = [r for r in rows if r["mode"] == "k=0" and r["m"] == "0"
                   and float(r["rho_re"]) == 0.0]
     assert all(abs(float(r["c_re"]) - 1.0) < 1e-9 for r in const_rows)
+    assert hashlib.sha256(fits.read_bytes()).hexdigest() == \
+        "3af4767fb030cd6530b9f56a624c407af3364b69943846313e709fb6016c5b22"
 
 
 @pytest.mark.parametrize("cmd", ["powers", "sectorial-probe", "fit-tip", "norm"])

@@ -21,6 +21,13 @@ def test_circle_mode_table_unit():
     assert all(type(e) is float for e in evs) and math.copysign(1.0, evs[0]) == -1.0
 
 
+def test_long_circle_keeps_a_positive_q():
+    # (2 pi / L)^2 = 3.9e-13 lies within the absolute snap tolerance of the fraction 0
+    cs = CrossSection.circle(length=1e7)
+    assert cs.circle_q == (2.0 * math.pi / 1e7) ** 2 > 0.0
+    assert cs.mode_table(2)[1].eigenvalue < 0.0
+
+
 def test_sphere_mode_table():
     cs = CrossSection.sphere(2)
     assert cs.mode_table(2) == (Mode("l=0", 0, 1), Mode("l=1", -2, 3))

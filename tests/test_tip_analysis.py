@@ -1,6 +1,7 @@
 """Tip-expansion fitting: idempotence, robustness, exponent detection."""
 
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -17,8 +18,7 @@ from conelab.mellin_sobolev import LogGrid, RadialField
 from conelab.rational import QRat, root_to_complex
 from conelab.symbol_algebra import ConeOperatorSpec, pole_set
 from conelab import tip_analysis
-from conelab.tip_analysis import (_decay_exponent, decomposition_track, default_window,
-                                  fit_tip_expansion, fit_tip_series)
+from conelab.tip_analysis import _decay_exponent, decomposition_track, default_window, fit_tip_series
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -41,10 +41,10 @@ def test_fit_idempotence_random_draws():
             c = complex(rng.standard_normal(), rng.standard_normal())
             coeffs[(complex(rho.to_complex() if isinstance(rho, QRat) else rho), m, mode)] = c
             u.values[u.mode_index(mode)] += c * AsymptoticsTerm(rho, m, mode).evaluate(g.x)
-        fit = fit_tip_expansion(u, basis)
+        fit = _fit_fields([u], basis)
         for (rho, m, mode), want in coeffs.items():
-            assert abs(fit.coefficient(rho, m, mode) - want) < 1e-8
-        assert fit.residual_norm < 1e-10
+            assert abs(fit.coefficient(rho, m, mode)[0] - want) < 1e-8
+        assert fit.residual_norm[0] < 1e-10
 
 
 def test_fit_exact_synthesized_example():
@@ -57,9 +57,9 @@ def test_fit_exact_synthesized_example():
     u = RadialField.zeros(g, cs, 2)
     u.values[u.mode_index("k=0")] = 3.0
     u.values[u.mode_index("k=+1")] = 0.5 * g.x ** 2
-    fit = fit_tip_expansion(u, basis)
-    assert abs(fit.coefficient(0.0, 0, "k=0") - 3.0) < 1e-8
-    assert abs(fit.coefficient(-2.0, 0, "k=+1") - 0.5) < 1e-8
+    fit = _fit_fields([u], basis)
+    assert abs(fit.coefficient(0.0, 0, "k=0")[0] - 3.0) < 1e-8
+    assert abs(fit.coefficient(-2.0, 0, "k=+1")[0] - 0.5) < 1e-8
 
 
 def test_fit_orthogonal_mode_zero():
@@ -67,9 +67,9 @@ def test_fit_orthogonal_mode_zero():
     basis = _circle_basis()
     u = RadialField.zeros(g, CIRCLE, 2)
     u.values[u.mode_index("k=0")] = 1.0
-    fit = fit_tip_expansion(u, basis)
-    assert abs(fit.coefficient(1.0, 0, "k=+1")) < 1e-8
-    assert abs(fit.coefficient(0.0, 0, "k=0") - 1.0) < 1e-10
+    fit = _fit_fields([u], basis)
+    assert abs(fit.coefficient(1.0, 0, "k=+1")[0]) < 1e-8
+    assert abs(fit.coefficient(0.0, 0, "k=0")[0] - 1.0) < 1e-10
 
 
 def test_window_robustness_on_heat_run():
@@ -88,10 +88,10 @@ def test_window_robustness_on_heat_run():
     final = solve_heat(u0, None, cfg).final()
     spec = ConeOperatorSpec.laplacian(cs, 2)
     basis = enumerate_asymptotics(pole_set(spec, Fraction(0)))
-    fit_a = fit_tip_expansion(final, basis, window=(0.01, 0.125))
-    fit_b = fit_tip_expansion(final, basis, window=(0.02, 0.25))
-    ca = fit_a.coefficient(0.0, 0, "k=0")
-    cb = fit_b.coefficient(0.0, 0, "k=0")
+    fit_a = _fit_fields([final], basis, window=(0.01, 0.125))
+    fit_b = _fit_fields([final], basis, window=(0.02, 0.25))
+    ca = fit_a.coefficient(0.0, 0, "k=0")[0]
+    cb = fit_b.coefficient(0.0, 0, "k=0")[0]
     assert abs(ca - cb) <= 0.02 * abs(ca)
 
 
@@ -105,7 +105,7 @@ def test_track_constant_steady_state():
                      snapshot_every=10)
     traj = solve_heat(u0, None, cfg)
     track = decomposition_track(traj, basis)
-    paths = [f.coefficient(0.0, 0, "k=0") for f in track.fits]
+    paths = track.coefficient(0.0, 0, "k=0")
     assert all(abs(c - 1.0) < 1e-10 for c in paths)
     assert max(track.jumps.values(), default=0.0) <= 1e-10
 
@@ -119,17 +119,16 @@ def test_track_zero_trajectory():
                      snapshot_every=5)
     track = decomposition_track(solve_heat(u0, None, cfg), basis)
     assert max(track.jumps.values(), default=0.0) == 0.0
-    assert all(abs(c) == 0.0 for f in track.fits for c in
-               [fc.c for fc in f.coefficients])
+    assert all(abs(c) == 0.0 for c in track.coefficients.ravel())
 
 
-def _pairwise_jumps(fits):
-    """The coefficient jumps by a loop over consecutive pairs of fits."""
+def _pairwise_jumps(series):
+    """The coefficient jumps by a loop over consecutive pairs of snapshots."""
     jumps = {}
-    for a, b in zip(fits, fits[1:]):
-        for fa, fb in zip(a.coefficients, b.coefficients):
-            key = (fa.rho, fa.m, fa.mode)
-            jumps[key] = max(jumps.get(key, 0.0), abs(fb.c - fa.c))
+    rows = series.coefficients.tolist()
+    for a, b in zip(rows, rows[1:]):
+        for key, ca, cb in zip(series.keys, a, b):
+            jumps[key] = max(jumps.get(key, 0.0), abs(cb - ca))
     return jumps
 
 
@@ -144,8 +143,8 @@ def test_track_jumps_match_the_pairwise_loop():
                      outer_bc="neumann", theta=0.5, max_modes=2, snapshot_every=2)
     traj = solve_heat(u0, None, cfg)
     track = decomposition_track(traj, basis)
-    want = _pairwise_jumps(track.fits)
-    assert len(track.fits) > 2 and len(want) == len(basis.terms)
+    want = _pairwise_jumps(track)
+    assert len(track.coefficients) > 2 and len(want) == len(basis.terms)
     assert list(track.jumps.items()) == list(want.items())
     assert max(track.jumps.values(), default=0.0) == max(want.values()) > 0.0
     for n in (0, 1):
@@ -162,7 +161,7 @@ def test_ill_conditioned_window_rejected():
     u = RadialField.zeros(g, CIRCLE, 1)
     u.values[0] = 1.0
     with pytest.raises(IllConditionedFitError):
-        fit_tip_expansion(u, basis)
+        _fit_fields([u], basis)
 
 
 def test_window_validation():
@@ -170,9 +169,9 @@ def test_window_validation():
     basis = _circle_basis(max_modes=1)
     u = RadialField.zeros(g, CIRCLE, 1)
     with pytest.raises(ConfigError):
-        fit_tip_expansion(u, basis, window=(0.5, 0.4))
+        _fit_fields([u], basis, window=(0.5, 0.4))
     with pytest.raises(ConfigError):
-        fit_tip_expansion(u, basis, window=(0.01, 0.3))
+        _fit_fields([u], basis, window=(0.01, 0.3))
 
 
 # -- the batched fitter against a per-snapshot reference ------------------------
@@ -239,17 +238,25 @@ def _assert_exponent_close(got, want):
         assert got == want
 
 
-def _assert_matches_reference(fit, snapshot, basis, window=None):
+def _assert_matches_reference(series, k, snapshot, basis, window=None):
+    """Row k of the series against the reference fit of its snapshot."""
     coefficients, res, exponents, cond = _reference_fit(snapshot, basis, window)
-    assert [(fc.rho, fc.m, fc.mode) for fc in fit.coefficients] == [k for k, _c in coefficients]
+    assert series.keys == [key for key, _c in coefficients]
     scale = max([abs(c) for _k, c in coefficients], default=0.0)
-    for fc, (_k, want) in zip(fit.coefficients, coefficients):
-        assert abs(fc.c - want) <= 1e-12 * scale
-    assert abs(fit.residual_norm - res) <= 1e-10 * res
-    assert list(fit.mode_residual_exponents) == list(exponents)
+    for c, (_k, want) in zip(series.coefficients[k], coefficients):
+        assert abs(c - want) <= 1e-12 * scale
+    assert abs(series.residual_norm[k] - res) <= 1e-10 * res
+    assert list(series.exponents) == list(exponents)
     for label, want in exponents.items():
-        _assert_exponent_close(fit.mode_residual_exponents[label], want)
-    assert abs(fit.condition - cond) <= 1e-8 * cond
+        _assert_exponent_close(series.exponents[label][k], want)
+    assert abs(series.condition[k] - cond) <= 1e-8 * cond
+
+
+def _row(series, k):
+    """Every field of snapshot k's fit as plain values, to compare two fits field by field."""
+    return (series.times[k], series.keys, series.coefficients[k].tolist(),
+            series.residual_norm[k], {label: e[k] for label, e in series.exponents.items()},
+            series.condition[k])
 
 
 def _fit_fields(fields, basis, **kwargs):
@@ -286,13 +293,13 @@ def test_series_matches_per_snapshot_reference():
     last = fields[0].modes[-1].label
     basis = AsymptoticsBasis(terms=tuple(t for t in full.terms if t[2] != last),
                              provenance=None)
-    fits = _fit_fields(fields, basis, times=[0.1 * k for k in range(6)])
-    assert [f.t for f in fits] == [0.1 * k for k in range(6)]
-    for fit, u in zip(fits, fields):
-        _assert_matches_reference(fit, u, basis)
-    zero = fits[1]                # the all-zero field: zero fit, nothing above resolution
-    assert all(fc.c == 0 for fc in zero.coefficients) and zero.residual_norm == 0.0
-    assert all(e == math.inf for e in zero.mode_residual_exponents.values())
+    series = _fit_fields(fields, basis, times=[0.1 * k for k in range(6)])
+    assert series.times.tolist() == [0.1 * k for k in range(6)]
+    for k, u in enumerate(fields):
+        _assert_matches_reference(series, k, u, basis)
+    # row 1, the all-zero field: zero fit, nothing above resolution
+    assert all(c == 0 for c in series.coefficients[1]) and series.residual_norm[1] == 0.0
+    assert all(e[1] == math.inf for e in series.exponents.values())
 
 
 def test_series_longer_than_a_chunk_equals_single_fits(monkeypatch):
@@ -300,12 +307,12 @@ def test_series_longer_than_a_chunk_equals_single_fits(monkeypatch):
     basis = _circle_basis()
     fields = _series(g, 7, 5, basis)
     monkeypatch.setattr(tip_analysis, "_FIT_ENTRIES", 2 * 5 * 200)   # two fields a chunk
-    fits = _fit_fields(fields, basis, window=(0.001, 0.1))
+    series = _fit_fields(fields, basis, window=(0.001, 0.1))
     monkeypatch.undo()
-    assert len(fits) == 7
-    for fit, u in zip(fits, fields):
-        assert fit == _fit_fields([u], basis, window=(0.001, 0.1))[0]
-        _assert_matches_reference(fit, u, basis, (0.001, 0.1))
+    assert len(series.times) == 7
+    for k, u in enumerate(fields):
+        assert _row(series, k) == _row(_fit_fields([u], basis, window=(0.001, 0.1)), 0)
+        _assert_matches_reference(series, k, u, basis, (0.001, 0.1))
 
 
 def test_decay_exponent_rules_match_scalar_reference():
@@ -359,7 +366,8 @@ def test_series_checks_the_stack_shape():
     g = LogGrid(-6.0, 129)
     basis = _circle_basis(max_modes=1)
     modes = CIRCLE.mode_table(1)
-    assert fit_tip_series(np.empty((0, len(modes), g.points)), g, modes, basis) == []
+    empty = fit_tip_series(np.empty((0, len(modes), g.points)), g, modes, basis)
+    assert empty.coefficients.shape == (0, len(basis.terms)) and empty.jumps == {}
     for shape in [(2, len(modes), g.points - 1), (2, len(modes) + 1, g.points), (2, g.points)]:
         with pytest.raises(ConfigError, match="snapshot shape"):
             fit_tip_series(np.zeros(shape), g, modes, basis)
@@ -378,7 +386,7 @@ def test_trajectory_is_fitted_without_building_a_field(monkeypatch):
                         lambda self: built.append(1) or post_init(self))
     traj = solve_heat(u0, None, cfg)
     track = decomposition_track(traj, basis)
-    assert not built and len(track.fits) == len(traj.times) == 21
+    assert not built and len(track.coefficients) == len(traj.times) == 21
     final = traj.final()                      # one field, on request
     assert len(built) == 1 and np.array_equal(final.values, traj.values[-1])
 
@@ -398,14 +406,14 @@ def test_condition_between_1e8_and_1e9_is_accepted_and_matches_svd():
     u, basis = _two_term_fit(1e-8)
     want = _reference_fit(u, basis)[3]            # np.linalg.svd of the weighted design
     assert 1e8 < want < 1e9
-    fit = fit_tip_expansion(u, basis)
-    assert abs(fit.condition - want) <= 1e-6 * want
+    fit = _fit_fields([u], basis)
+    assert abs(fit.condition[0] - want) <= 1e-6 * want
 
 
 def test_condition_near_1e12_raises():
     u, basis = _two_term_fit(6.4e-12)            # the condition is about 6.4 / eps here
     with pytest.raises(IllConditionedFitError, match=r"design condition 9\.\d\de\+11"):
-        fit_tip_expansion(u, basis)
+        _fit_fields([u], basis)
 
 
 @pytest.mark.parametrize("per_chunk", [1, 3, 7])
@@ -413,10 +421,11 @@ def test_seven_fields_fit_alike_in_chunks_of_1_3_and_7(monkeypatch, per_chunk):
     g = LogGrid(-8.0, 513)
     basis = _circle_basis()
     fields = _series(g, 7, 11, basis)
-    single = [_fit_fields([u], basis)[0] for u in fields]
+    single = [_row(_fit_fields([u], basis), 0) for u in fields]
     window = tip_analysis._log_spaced_subsample(g.window_indices(*default_window(g)), 200)
     monkeypatch.setattr(tip_analysis, "_FIT_ENTRIES", per_chunk * len(fields[0].modes) * window.size)
-    assert _fit_fields(fields, basis) == single
+    series = _fit_fields(fields, basis)
+    assert [_row(series, k) for k in range(len(fields))] == single
 
 
 def test_fit_scales_with_a_tiny_field():
@@ -424,11 +433,11 @@ def test_fit_scales_with_a_tiny_field():
     g = LogGrid(-8.0, 513)
     basis = _circle_basis()
     u = _series(g, 1, 4, basis)[0]
-    fit = fit_tip_expansion(u, basis)
-    tiny = fit_tip_expansion(RadialField(g, u.modes, 1e-200 * u.values, n=u.n, vol=u.vol), basis)
-    assert abs(tiny.condition - fit.condition) <= 1e-12 * fit.condition
-    for a, b in zip(fit.coefficients, tiny.coefficients):
-        assert abs(b.c - 1e-200 * a.c) <= 1e-12 * 1e-200 * abs(a.c)
+    fit = _fit_fields([u], basis)
+    tiny = _fit_fields([RadialField(g, u.modes, 1e-200 * u.values, n=u.n, vol=u.vol)], basis)
+    assert abs(tiny.condition[0] - fit.condition[0]) <= 1e-12 * fit.condition[0]
+    for a, b in zip(fit.coefficients[0], tiny.coefficients[0]):
+        assert abs(b - 1e-200 * a) <= 1e-12 * 1e-200 * abs(a)
 
 
 def test_track_of_251_snapshots_stays_within_its_memory_budget():
@@ -451,6 +460,17 @@ def test_track_of_251_snapshots_stays_within_its_memory_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(track.fits) == 251
+    assert len(track.coefficients) == 251
     assert peak <= 1.25 * 1.23e6, peak
     assert time.perf_counter() - started < 1.0
+
+
+def test_series_coefficient_of_an_absent_key_names_it():
+    # the key index is exact: a rho off by 1e-12 names no column
+    u = RadialField.zeros(LogGrid(-6.0, 129), CIRCLE, 1)
+    series = _fit_fields([u], _circle_basis(max_modes=1))
+    assert series.coefficient(0.0, 0, "k=0").shape == (1,)
+    for rho, m, mode in [(0.5, 0, "k=0"), (0.0, 0, "k=+1"), (0.0, 7, "k=0"), (1e-12, 0, "k=0")]:
+        want = re.escape(f"no fitted coefficient for ({rho}, {m}, {mode})")
+        with pytest.raises(ConfigError, match=want):
+            series.coefficient(rho, m, mode)
