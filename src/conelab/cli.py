@@ -9,6 +9,7 @@ deterministic for a fixed config.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import itertools
@@ -457,7 +458,9 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; `main` looks up each command when it runs."""
     ap = argparse.ArgumentParser(prog="conelab",
                                  description="cone-operator singular analysis laboratory")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -466,13 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_poles)
 
     p = sub.add_parser("asymptotics", help="asymptotics basis and membership table")
     p.add_argument("--config", required=True)
     p.add_argument("--realizations", default="")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_asymptotics)
 
     p = sub.add_parser("norm", help="Mellin-Sobolev norm of a field CSV")
     p.add_argument("--config", required=True)
@@ -480,41 +481,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("solve-heat", help="evolve the heat equation on the model cone")
     p.add_argument("--config", required=True)
     p.add_argument("--u0", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_solve_heat)
 
     p = sub.add_parser("fit-tip", help="fit tip expansions along a trajectory")
     p.add_argument("--traj", required=True)
     p.add_argument("--basis", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.set_defaults(fn=cmd_fit_tip)
 
     p = sub.add_parser("powers", help="complex power of the shifted realization")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_powers)
 
     p = sub.add_parser("sectorial-probe", help="resolvent sector bound probe")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_sectorial_probe)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--suite", default="all")
-    p.set_defaults(fn=cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, not bound into the parser: a rebound cmd_* (a tracer's wrapper) runs
+    run = {"poles": cmd_poles, "asymptotics": cmd_asymptotics, "norm": cmd_norm,
+           "solve-heat": cmd_solve_heat, "fit-tip": cmd_fit_tip, "powers": cmd_powers,
+           "sectorial-probe": cmd_sectorial_probe, "verify": cmd_verify}[args.cmd]
     try:
-        return args.fn(args)
+        return run(args)
     except (ConfigError, UnsupportedError, DegenerateSymbolError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

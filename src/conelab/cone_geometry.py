@@ -109,23 +109,42 @@ class CrossSection:
         """
         if max_modes < 1:
             raise ConfigError("max_modes must be >= 1")
+        return tuple(self.walk(max_modes))
+
+    def walk(self, max_modes: int):
+        """The modes of mode_table(max_modes) in its order, each built when the walk reaches it."""
         if self.kind == "circle":
-            evs = [-self.circle_q * j * j for j in range(max_modes)]
-            return (Mode("k=0", evs[0], 1),) + tuple(
-                Mode(f"k={sign}{j}", evs[j], 1) for j in range(1, max_modes) for sign in "+-")
-        if self.kind == "sphere":
-            return tuple(Mode(f"l={l}", Fraction(-l * (l + self.n - 1)),
-                              sphere_multiplicity(self.n, l)) for l in range(max_modes))
-        return tuple(Mode(f"e{i}", ev, mult)
-                     for i, (ev, mult) in enumerate(self.explicit_eigs[:max_modes]))
+            for j in range(max_modes):
+                ev = -self.circle_q * j * j
+                if j == 0:
+                    yield Mode("k=0", ev, 1)
+                else:
+                    yield Mode(f"k=+{j}", ev, 1)
+                    yield Mode(f"k=-{j}", ev, 1)
+        elif self.kind == "sphere":
+            for l in range(max_modes):
+                yield Mode(f"l={l}", Fraction(-l * (l + self.n - 1)),
+                           sphere_multiplicity(self.n, l))
+        else:
+            for i, (ev, mult) in enumerate(self.explicit_eigs[:max_modes]):
+                yield Mode(f"e{i}", ev, mult)
+
+
+# eigenvalue indices a walk by label or to lambda_1 covers: those of mode_table(64)
+LOOKUP_REACH = 64
+
+
+def find_mode(modes, label: str) -> Mode:
+    """The mode with this label in a mode table, or in a walk, which stops at it."""
+    for m in modes:
+        if m.label == label:
+            return m
+    raise ConfigError(f"unknown mode {label!r}")
 
 
 def mode_index(modes, label: str) -> int:
     """Position of the mode with this label in a mode table."""
-    for i, m in enumerate(modes):
-        if m.label == label:
-            return i
-    raise ConfigError(f"unknown mode {label!r}")
+    return modes.index(find_mode(modes, label))
 
 
 def sphere_multiplicity(n: int, l: int) -> int:
@@ -156,8 +175,9 @@ def weight_window(cs: CrossSection) -> WeightWindow:
     lambda_1 the greatest non-zero eigenvalue. Empty windows raise instead of
     returning a degenerate interval.
     """
-    modes = cs.mode_table(64)
-    if float(modes[0].eigenvalue) != 0.0 or modes[0].multiplicity != 1:
+    modes = cs.walk(LOOKUP_REACH)      # stops at lambda_1
+    first = next(modes, None)
+    if first is None or float(first.eigenvalue) != 0.0 or first.multiplicity != 1:
         raise ConfigError("weight window defined for connected cross-sections only "
                           "(zero eigenvalue must be simple)")
     lam1 = next((m.eigenvalue for m in modes if float(m.eigenvalue) != 0.0), None)

@@ -97,13 +97,19 @@ class OperatorMatrix:
         It needs real bands with products dl[j+1]*du[j] >= 0, and is None
         otherwise: then M has no real spectrum by structure. A zero product
         (the frozen Dirichlet row) splits M into blocks, and no D exists:
-        log_delta is None.
+        log_delta is None. A product beyond the float range (finite bands,
+        such as the exp(-2 tau) rows of a grid reaching far toward the tip)
+        raises ConfigError.
         """
         dl, d, du = self.data
         lo, hi = dl.real[1:], du.real[:-1]
-        p = lo * hi
+        with np.errstate(over="ignore"):
+            p = lo * hi
         if dl.imag.any() or d.imag.any() or du.imag.any() or np.any(p < 0):
             return None
+        if np.isinf(p).any():
+            raise ConfigError("band product of the symmetric form overflows: a product "
+                              "dl[j+1]*du[j] exceeds the float range")
         e = _read_only(np.sign(hi) * np.sqrt(p))
         if not p.all():
             return d.real, e, None

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import ellipj, ellipk, ellipkm1
 
-from .cone_geometry import mode_index
+from .cone_geometry import LOOKUP_REACH, find_mode
 from .errors import ConfigError, NotSectorialError, NumericalError
 from .operators import OperatorMatrix
 
@@ -280,8 +280,7 @@ def power_domain_probe(target, z: complex, probe: PowerProbeConfig) -> PowerProb
     if not 0.0 < z.real:
         raise ConfigError("probe expects 0 < Re z")
     cs = probe.cross_section
-    modes = cs.mode_table(64)
-    mode = modes[mode_index(modes, probe.mode_label)]
+    mode = find_mode(cs.walk(LOOKUP_REACH), probe.mode_label)
     norms = []
     grid = LogGrid(probe.tau_min, probe.points)
     for _ in range(probe.levels):

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone_geometry import CrossSection, Mode, mode_index
+from .cone_geometry import CrossSection, Mode, find_mode
 from .errors import ConfigError, DegenerateSymbolError, UnsupportedError
 from .rational import (Poly, QRat, RationalFamily, poly_roots,
                        root_to_complex, roots_equal)
@@ -48,7 +48,7 @@ class ConeOperatorSpec:
         return any(p.degree > 0 for polys in self.coeffs.values() for p in polys)
 
     def mode(self, label: str) -> Mode:
-        return self.modes[mode_index(self.modes, label)]
+        return find_mode(self.modes, label)
 
     @staticmethod
     def laplacian(cs: CrossSection, max_modes: int, warp_a0=None) -> "ConeOperatorSpec":

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -15,9 +16,11 @@ import numpy as np
 import pytest
 
 import conelab
+from conelab import cli
 from conelab.cli import _field_templates, _read_field_csv, _write_field_csv, main
 from conelab.cone_geometry import CrossSection
-from conelab.config import fmt
+from conelab.config import fmt, grid_from_config
+from conelab.errors import ConfigError
 from conelab.heat_solver import assemble_mode_operator
 from conelab.mellin_sobolev import LogGrid, RadialField
 from conelab.operators import OperatorMatrix
@@ -213,14 +216,23 @@ def test_malformed_cross_section_exit_2(tmp_path, capsys, cfg, key):
     ("heat", {"T": 0.1, "dt": 1e-320}, "solve-heat", "T / dt"),
     ("grid", {"tau_min": -400, "points": 9}, "powers", "exp(-2 tau_min)"),
     ("grid", {"tau_min": -400, "points": 9}, "solve-heat", "exp(-2 tau_min)"),
+    ("grid", {"tau_min": -196, "points": 9}, "powers", "band product"),
+    ("grid", {"tau_min": -196, "points": 9}, "sectorial-probe", "band product"),
+    ("grid", {"tau_min": -196, "points": 9}, "solve-heat", "band product"),
 ], ids=["grid.tau_min", "grid-list", "grid.points", "operator.max_modes", "operator.warp_a0",
         "explicit-no-mu", "gamma", "heat.T", "heat-list", "grid-spacing-overflow",
         "grid-spacing-underflow", "grid-spacing-overflow-heat", "heat-step-count-overflow",
-        "tip-weight-overflow-powers", "tip-weight-overflow-heat"])
+        "tip-weight-overflow-powers", "tip-weight-overflow-heat", "band-product-overflow-powers",
+        "band-product-overflow-sectorial", "band-product-overflow-heat"])
 def test_malformed_config_exit_2(tmp_path, capsys, block, value, cmd, key):
     p, u0 = tmp_path / "cfg.json", tmp_path / "u0.csv"
-    p.write_text(json.dumps(dict(CIRCLE_CFG, **{block: value})))
-    _write_u0(u0)
+    cfg = dict(CIRCLE_CFG, **{block: value})
+    p.write_text(json.dumps(cfg))
+    try:        # solve-heat reads u0 once the grid is accepted: u0 on that grid
+        grid = grid_from_config(cfg)
+    except ConfigError:
+        grid = grid_from_config(CIRCLE_CFG)
+    _write_u0(u0, taus=grid.tau)
     inputs = {"poles": [], "sectorial-probe": [], "powers": [], "norm": ["--field", str(u0)],
               "solve-heat": ["--u0", str(u0)]}
     out = tmp_path / "out"
@@ -329,9 +341,8 @@ def test_poles_of_a_long_circle_are_simple_and_off_zero(tmp_path):
     assert all(r["max_log_power"] == "0" for r in rows)
 
 
-def _write_u0(path, nan_row=None):
-    """Constant k=0 field on the CIRCLE_CFG grid, optionally with one NaN."""
-    taus = np.linspace(-6.0, 0.0, 129)
+def _write_u0(path, nan_row=None, taus=np.linspace(-6.0, 0.0, 129)):
+    """Constant k=0 field, by default on the CIRCLE_CFG grid, optionally with one NaN."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["tau", "mode", "re", "im"])
@@ -1055,3 +1066,32 @@ def test_entrypoint_subprocess(cfg_path, tmp_path):
                            "--config", str(cfg_path), "--out", str(out)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and out.exists()
+
+
+def test_parser_is_built_once_and_the_command_looked_up_per_call(cfg_path, tmp_path,
+                                                                 monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    out = str(tmp_path / "poles.csv")
+    assert main(["poles", "--config", str(cfg_path), "--out", out]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_poles", lambda args: seen.append(args.out) or 0)
+    assert main(["poles", "--config", str(cfg_path), "--out", out]) == 0
+    assert seen == [out]
+
+
+def test_benchmark_tracer_records_a_command_after_a_warm_call(cfg_path, tmp_path):
+    # the tracer of perfbench/spans.py rebinds cli.cmd_* when it is installed,
+    # after earlier calls have built the parser
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", Path(__file__).resolve().parents[1] / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    argv = ["poles", "--config", str(cfg_path), "--out", str(tmp_path / "poles.csv")]
+    assert cli.main(argv) == 0
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.get("cli.poles", "calls") == 1 and tracer.get("cli.poles", "s") > 0

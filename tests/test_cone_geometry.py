@@ -1,11 +1,12 @@
 """Cross-section spectra, weight windows, Bessel orders."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
-from conelab.cone_geometry import (CrossSection, Mode, bessel_order,
+from conelab.cone_geometry import (LOOKUP_REACH, CrossSection, Mode, bessel_order, find_mode,
                                    indicial_roots_closed_form, mode_index,
                                    sphere_multiplicity, weight_window)
 from conelab.errors import ConfigError
@@ -58,6 +59,23 @@ def test_mode_index_finds_each_label_once():
     assert [mode_index(modes, m.label) for m in modes] == list(range(len(modes)))
     with pytest.raises(ConfigError, match="unknown mode 'k=3'"):
         mode_index(modes, "k=3")
+
+
+def test_lookup_by_label_reaches_the_64_eigenvalue_indices_of_the_table():
+    cs = CrossSection.circle(length_over_pi=2)            # q = 1
+    assert find_mode(cs.walk(LOOKUP_REACH), "k=+63") == Mode("k=+63", -63 * 63, 1)
+    for label in ("k=+64", "k=+99"):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown mode '{label}'")):
+            find_mode(cs.walk(LOOKUP_REACH), label)
+    for cs in (cs, CrossSection.circle(length=7.1), CrossSection.sphere(3),
+               CrossSection.explicit([(0, 1), (-3, 4)])):
+        assert tuple(cs.walk(LOOKUP_REACH)) == cs.mode_table(64)
+
+
+def test_lookup_by_label_builds_no_mode_past_the_one_found():
+    walk = CrossSection.circle(length_over_pi=2).walk(LOOKUP_REACH)
+    assert find_mode(walk, "k=-1") == Mode("k=-1", -1, 1)
+    assert next(walk) == Mode("k=+2", -4, 1)
 
 
 def test_explicit_rejects_positive():

@@ -8,7 +8,7 @@ import pytest
 from conelab import operators, power_calculus
 from conelab._kernels import thomas_batch
 from conelab.asymptotics import AsymptoticsTerm
-from conelab.cone_geometry import CrossSection
+from conelab.cone_geometry import CrossSection, weight_window
 from conelab.errors import ConfigError, NotSectorialError
 from conelab.heat_solver import assemble_mode_operator
 from conelab.mellin_sobolev import LogGrid
@@ -205,6 +205,22 @@ def test_power_domain_probe_unknown_mode():
     pc = PowerProbeConfig(cross_section=CIRCLE, mode_label="k=+99", gamma=-0.5, shift=1.0)
     with pytest.raises(ConfigError, match="k=\\+99"):
         power_domain_probe(AsymptoticsTerm(QRat(0), 0, "k=0"), 0.5, pc)
+
+
+def test_probe_and_weight_window_build_no_64_mode_table(monkeypatch):
+    # both walk the spectrum only up to what they look for
+    table = CrossSection.mode_table
+
+    def no_full_table(cs, max_modes):
+        assert max_modes < 64, "a 64-mode table was built"
+        return table(cs, max_modes)
+    monkeypatch.setattr(CrossSection, "mode_table", no_full_table)
+    win = weight_window(CIRCLE)
+    assert (win.lo, win.hi) == (-1.0, 0.0)
+    pc = PowerProbeConfig(cross_section=CIRCLE, mode_label="k=+1", gamma=-0.5, shift=1.0,
+                          points=33, levels=2)
+    report = power_domain_probe(AsymptoticsTerm(QRat(1), 0, "k=+1"), 0.5, pc)
+    assert report.verdict in ("member", "non-member", "inconclusive") and len(report.ratios) == 1
 
 
 def test_power_domain_probe_unknown_outer_bc():
