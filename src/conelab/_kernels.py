@@ -28,12 +28,15 @@ from that of a solve on its own (seen when a block's right-hand side is
 all zeros). The same holds for ``dpttrf``/``dpttrs``, whose off-diagonal
 is zero at every block boundary.
 
-Batches: callers bound them (``complex_power`` hands ``thomas_batch`` at
-most 4096 solution entries, or one shift), and each call copies its whole
-batch once. ``factor_batch`` and the march factor their whole batch in one
-call: the factors are kept for every later solve. An exactly singular block
-(``info > 0``), or a march whose I - theta*dt*S is not positive definite,
-raises NumericalError naming its batch row and the pivot position inside it.
+Batches: callers bound them, and each call copies its whole batch once.
+``complex_power`` hands ``thomas_batch`` at most 4096 solution entries, or
+one shift, and one node of each conjugate pair of its quadrature: the real
+bands give the partner's solve by conjugation, and a complex right-hand
+side arrives as its real and imaginary columns. ``factor_batch`` and the
+march factor their whole batch in one call: the factors are kept for every
+later solve. An exactly singular block (``info > 0``), or a march whose
+I - theta*dt*S is not positive definite, raises NumericalError naming its
+batch row and the pivot position inside it.
 """
 
 from __future__ import annotations

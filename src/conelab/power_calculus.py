@@ -125,19 +125,26 @@ def _real_spectrum_nodes(lo: float, hi: float, z: complex):
     Hale, Higham & Trefethen (SIAM J. Numer. Anal. 46, 2008), method 2: the
     Dunford integral in w = sqrt(lambda) over the image of the line
     Im t = K'/2 under w = (lo hi)^(1/4) (1/k + sn t) / (1/k - sn t), by the
-    trapezoid rule on 2N nodes. N is the least with the a priori bound
-    exp(-2 pi^2 N / (log(hi/lo) + 6)) at most _QUAD_TOL. sn, cn and dn of
-    the complex nodes come from real ellipj by Abramowitz & Stegun 16.21.
-    Returns (lams, weights, bound): sum_j weights[j] (A + lams[j])^-1
-    approximates A^z within the a priori bound.
+    trapezoid rule on 2N nodes. Its error estimate reaches the w with
+    |arg w| < pi, where |w^(2z)| <= exp(2 pi |Im z|) |w|^(2 Re z): that
+    factor enters the bound, and N is the least with the a priori bound
+    exp(2 pi |Im z| - 2 pi^2 N / (log(hi/lo) + 6)) at most _QUAD_TOL. sn, cn
+    and dn of the complex nodes come from real ellipj by Abramowitz &
+    Stegun 16.21, on the N abscissae t of [-K, K] only: the mirrored
+    abscissa 2K - t has the same sn and dn and the negated cn, so node
+    2N-1-j is built as the exact conjugate of node j (w conjugated, dw
+    conjugated and negated). Returns (lams, weights, bound): sum_j
+    weights[j] (A + lams[j])^-1 approximates A^z within the a priori bound,
+    and lams[2N-1-j] == conj(lams[j]) bit for bit.
     """
     q = (hi / lo) ** 0.25
     k, p = (q - 1.0) / (q + 1.0), 4.0 * q / (q + 1.0) ** 2     # p = 1 - k^2
     K, Kp = ellipkm1(p), ellipk(p)
     rate = 2.0 * math.pi ** 2 / (math.log(hi / lo) + 6.0)
-    n = math.ceil(math.log(1.0 / _QUAD_TOL) / rate)
+    growth = 2.0 * math.pi * abs(z.imag)
+    n = math.ceil((math.log(1.0 / _QUAD_TOL) + growth) / rate)
     h = 2.0 * K / n
-    s, c, d, _ = ellipj(-K + (np.arange(2 * n) + 0.5) * h, k * k)
+    s, c, d, _ = ellipj(-K + (np.arange(n) + 0.5) * h, k * k)
     s1, c1, d1, _ = ellipj(0.5 * Kp, p)
     den = c1 * c1 + k * k * (s * s1) ** 2
     sn = (s * d1 + 1j * c * d * s1 * c1) / den
@@ -145,10 +152,11 @@ def _real_spectrum_nodes(lo: float, hi: float, z: complex):
     dn = (d * c1 * d1 - 1j * k * k * s * c * s1) / den
     w = (lo * hi) ** 0.25 * (1.0 / k + sn) / (1.0 / k - sn)
     dw = (lo * hi) ** 0.25 * (2.0 / k) * cn * dn / (1.0 / k - sn) ** 2
+    w, dw = np.r_[w, w[::-1].conj()], np.r_[dw, -dw[::-1].conj()]
     # lambda = w^2 gives (1/pi i) * integral of w^(2z+1) (w^2 - A)^-1 dw; the
     # nodes run clockwise, which turns (w^2 - A)^-1 into (A - w^2)^-1
     weights = h / (math.pi * 1j) * np.exp((2.0 * z + 1.0) * np.log(w)) * dw
-    return -w * w, weights, math.exp(-rate * n)
+    return -w * w, weights, math.exp(growth - rate * n)
 
 
 class FormedPower(namedtuple("FormedPower", "data provenance")):
@@ -180,7 +188,15 @@ def power_route(M: OperatorMatrix) -> tuple[str, float | None]:
 
 def _quadrature_power(M: OperatorMatrix, z: complex, out: np.ndarray) -> tuple:
     """(M^z out, nodes, tail_bound): the integer part m of z by m products (or -m
-    solves), the rest on [min mu / 2, hi], hi the Gershgorin bound of S."""
+    solves), the rest on [min mu / 2, hi], hi the Gershgorin bound of S.
+
+    The 2N nodes come in conjugate pairs (_real_spectrum_nodes) and M has
+    real bands (power_route), so for a real u (M + conj(lam))^-1 u =
+    conj((M + lam)^-1 u): only the N nodes of one half-plane are solved,
+    and the solve X at a node counts as w X + w' conj(X), w' the weight of
+    its partner. A complex out goes in as the columns Re out and Im out of
+    one batched solve, and M^z out = M^z Re out + i M^z Im out.
+    """
     m = int(z.real) if z.imag == 0 and z.real.is_integer() else math.floor(z.real) + 1
     for _ in range(abs(m)):
         out = M.matvec(out) if m > 0 else M.solve_shifted_batch([0.0], out)[0]
@@ -189,11 +205,20 @@ def _quadrature_power(M: OperatorMatrix, z: complex, out: np.ndarray) -> tuple:
     d, e, _ = M.symmetric_form
     hi = float(np.max(d + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])))
     lams, weights, tail = _real_spectrum_nodes(0.5 * M.eigenvalues()[0], hi, z - m)
-    acc, step = np.zeros(out.shape, dtype=complex), max(1, _RESOLVENT_ENTRIES // out.size)
-    for s in range(0, len(lams), step):
-        acc += np.tensordot(weights[s:s + step],
-                            M.solve_shifted_batch(lams[s:s + step], out), axes=1)
-    return acc, len(lams), tail
+    n = len(lams) // 2
+    # the first half's nodes: node 2N-1-j adds w' conj(X) = conj(conj(w') X)
+    lams, half, mirror = lams[:n], weights[:n], weights[::-1][:n].conj()
+    cols = out.reshape(M.dim, -1)
+    k = cols.shape[1]
+    rhs = np.hstack([cols.real, cols.imag]) if cols.imag.any() else cols.real
+    acc, step = np.zeros(rhs.shape, dtype=complex), max(1, _RESOLVENT_ENTRIES // rhs.size)
+    for s in range(0, n, step):
+        sol = M.solve_shifted_batch(lams[s:s + step], rhs)
+        acc += np.tensordot(half[s:s + step], sol, axes=1)
+        acc += np.tensordot(mirror[s:s + step], sol, axes=1).conj()
+    if rhs.shape[1] > k:
+        acc = acc[:, :k] + 1j * acc[:, k:]
+    return acc.reshape(out.shape), 2 * n, tail
 
 
 def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None):
@@ -201,9 +226,11 @@ def complex_power(M: OperatorMatrix, z: complex, v: np.ndarray | None = None):
 
     NotSectorialError names what M lacks for a real spectrum by structure
     (power_route), or an eigenvalue <= 0. Spectral: M^z = D^-1 V diag(mu^z)
-    V^T D from eigh_tridiagonal(S). The quadrature forms M^z on the identity,
-    its nodes in chunks of _RESOLVENT_ENTRIES resolvent entries. Provenance:
-    "method", "gate", "nodes" and "tail_bound", the error bound.
+    V^T D from eigh_tridiagonal(S). The quadrature forms M^z on the identity:
+    one solve per conjugate pair of its 2N nodes, in chunks of at most
+    _RESOLVENT_ENTRIES resolvent entries (a complex v holds two real columns
+    per column). Provenance: "method", "gate", "nodes" (2N) and
+    "tail_bound", the error bound.
     """
     z = complex(z)
     method, gate = power_route(M)

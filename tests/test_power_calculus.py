@@ -1,6 +1,8 @@
 """Sectorial probes, complex powers, domain probes."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,12 +74,14 @@ def test_apply_matches_formed_power():
     assert np.max(np.abs(complex_power(M, -0.5, V) - P @ V)) < 1e-9
 
 
-@pytest.mark.parametrize("k", [None, 1, 5])
-def test_quadrature_node_chunks_stay_bounded(k, monkeypatch):
+@pytest.mark.parametrize("k, imag", [(None, 0.0), (1, 0.0), (5, 0.0), (None, 1.0)],
+                         ids=["None", "1", "5", "None-complex"])
+def test_quadrature_node_chunks_stay_bounded(k, imag, monkeypatch):
     M = (-assemble_mode_operator(1, 0, LogGrid(-16.0, 641), "neumann")).shifted(1.0)
     shape = (M.dim,) if k is None else (M.dim, k)
-    v = np.ones(shape)
-    limit = max(1, power_calculus._RESOLVENT_ENTRIES // v.size)
+    v = np.ones(shape) + 1j * imag
+    # a complex v goes in as two real columns, Re v and Im v
+    limit = max(1, power_calculus._RESOLVENT_ENTRIES // (v.size * (2 if imag else 1)))
     calls = []
     solve = OperatorMatrix.solve_shifted_batch
 
@@ -96,7 +100,7 @@ def test_quadrature_node_chunks_stay_bounded(k, monkeypatch):
     monkeypatch.setattr(power_calculus, "_real_spectrum_nodes", recorded)
     out = complex_power(M, -0.1, v)
     assert out.shape == shape
-    assert sum(calls) == nodes[0] and len(calls) > 1 and max(calls) <= limit
+    assert sum(calls) == nodes[0] // 2 and len(calls) > 1 and max(calls) <= limit
 
 
 def test_complex_power_integer_and_fraction():
@@ -453,6 +457,86 @@ def test_real_spectrum_nodes_reproduce_scalar_powers(z):
     a = np.geomspace(1.0, 4.5e17, 200)
     got = np.sum(weights / (a[:, None] + lams), axis=1)
     assert np.max(np.abs(got - a ** z) / np.abs(a ** z)) <= 5e-11
+
+
+@pytest.mark.parametrize("lo, hi, z", [(0.5, 50.0, -0.5 + 0.3j), (1.0, 4.5e17, -0.1),
+                                       (0.3, 6e11, -0.9 - 2.0j), (2.0, 3.0, -1.0)])
+def test_real_spectrum_nodes_come_in_exact_conjugate_pairs(lo, hi, z):
+    # the quadrature solves one node of each pair and conjugates for the other
+    lams, weights, _bound = _real_spectrum_nodes(lo, hi, complex(z))
+    n = len(lams) // 2
+    assert len(lams) == 2 * n == len(weights)
+    assert np.array_equal(lams[::-1], lams.conj())
+    assert np.all(lams[:n].imag > 0) or np.all(lams[:n].imag < 0)
+
+
+@pytest.mark.parametrize("J", [33, 257])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_quadrature_node_count_covers_imaginary_part(J, s):
+    # the trapezoid error grows like exp(2 pi |Im z|): the node count pays for it
+    M = _dirichlet_mode(J)
+    z = -0.5 + 1j * s
+    P = complex_power(M, z)
+    assert P.provenance["method"] == "quadrature"
+    assert 0.0 < P.provenance["tail_bound"] <= power_calculus._QUAD_TOL
+    want = eig_power_oracle(M, z)
+    assert np.max(np.abs(P.data - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("z", [-0.5, -0.5 + 0.3j, 0.7 - 0.2j])
+def test_complex_apply_is_real_and_imaginary_applies(z):
+    M = _dirichlet_mode(33)
+    rng = np.random.default_rng(11)
+    for v in (rng.standard_normal(33) + 1j * rng.standard_normal(33),
+              rng.standard_normal((33, 3)) + 1j * rng.standard_normal((33, 3))):
+        got = complex_power(M, z, v)
+        parts = complex_power(M, z, v.real) + 1j * complex_power(M, z, v.imag)
+        assert np.max(np.abs(got - parts)) <= 1e-14 * np.max(np.abs(parts))
+        want = eig_power_oracle(M, z) @ v
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_lowest_eigenvalue_past_the_gate():
+    # the quadrature's interval and the positivity check read eigenvalues()[0];
+    # constants span the kernel of L on k=0 Neumann, so M = 1 - L has lowest eigenvalue 1
+    M = (-assemble_mode_operator(1, 0, LogGrid(-16.0, 513), "neumann")).shifted(1.0)
+    assert power_route(M)[0] == "quadrature"
+    assert abs(M.eigenvalues()[0] - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("z", [-0.5, -0.3 + 0.4j, -1.0 + 0.2j])
+def test_quadrature_keeps_an_exact_eigenvector_past_the_gate(z):
+    # M 1 = 1 on k=0 Neumann, so M^z 1 = 1 for every z
+    M = (-assemble_mode_operator(1, 0, LogGrid(-16.0, 641), "neumann")).shifted(1.0)
+    assert power_route(M)[0] == "quadrature"
+    assert np.max(np.abs(complex_power(M, z, np.ones(641)) - 1.0)) <= 1e-10
+
+
+def test_benchmark_tracer_counts_one_solve_per_node_pair(monkeypatch):
+    # the per-layer row count of perfbench/spans.py, unedited, halves with the pairing
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", Path(__file__).resolve().parents[1] / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    nodes = []
+
+    def recorded(*args):
+        out = _real_spectrum_nodes(*args)
+        nodes.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(power_calculus, "_real_spectrum_nodes", recorded)
+    pc = PowerProbeConfig(cross_section=CIRCLE, mode_label="k=+1", gamma=-0.5, shift=1.0,
+                          points=33, levels=2)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        power_domain_probe(AsymptoticsTerm(QRat(1), 0, "k=+1"), 0.5, pc)
+    finally:
+        tracer.uninstall()
+    rows = tracer.get("operators.solve_shifted_batch", "rows")
+    assert len(nodes) == 2 and rows > 0 and rows == sum(nodes) // 2
+    assert tracer.get("kernels.thomas_batch", "rows") == rows
 
 
 @pytest.mark.parametrize("make, v, route", [
