@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ConfigError, UnsupportedError
 from .rational import QRat, root_to_complex, roots_equal
 from .symbol_algebra import (ConeOperatorSpec, PoleSet, pole_set,
@@ -38,7 +40,6 @@ class AsymptoticsTerm:
 
     def evaluate(self, x):
         """Radial profile c * x^{-rho} * log^m x on positive samples x."""
-        import numpy as np
         x = np.asarray(x, dtype=float)
         rho = self.rho_complex
         vals = self.c_complex * np.exp(-rho * np.log(x))

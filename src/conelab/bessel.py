@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import jv, jvp
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 _SCAN_STEP = 0.05      # spacing of the sign scan that brackets the roots
 
@@ -67,7 +67,7 @@ def radial_eigenvalue_roots(nu: float, n: int, outer_bc: str, count: int) -> lis
         f = lambda k: k * jvp(nu, k) - half * jv(nu, k)
         df = lambda k: (1.0 - half) * jvp(nu, k) + k * jvp(nu, k, 2)
     else:
-        raise NumericalError(f"unknown outer boundary condition {outer_bc!r}")
+        raise ConfigError(f"unknown outer boundary condition {outer_bc!r}")
 
     roots: list[float] = []
     k = _SCAN_STEP

@@ -33,7 +33,7 @@ from .mellin_sobolev import LogGrid, RadialField, mellin_norm
 from .rational import root_to_complex
 from .symbol_algebra import pole_set_power
 from .heat_solver import HeatConfig, assemble_mode_operator, coarse_grid_error, solve_heat
-from .power_calculus import complex_power, find_sectorial_shift, power_route, sectorial_probe
+from .power_calculus import _check_sector_clear, complex_power, power_route, sectorial_probe
 from .tip_analysis import fit_tip_series
 
 # largest operator whose quadrature power `powers` forms: J unit columns per node
@@ -284,7 +284,7 @@ def _straight_laplacian(cfg: dict, cs) -> None:
     """Refuse, naming its key, any operator but the straight cone Laplacian these commands build."""
     spec, block = operator_from_config(cfg, cs), cfg.get("operator", {})   # checked as `poles` does
     key = ("preset" if block.get("preset", "laplacian") != "laplacian"
-           else "warp_a0" if spec.n_taylor else None)   # n_taylor: set by a non-zero warp alone
+           else "warp_a0" if spec.warped else None)     # a warp of lambda = 0 modes warps none
     if key:
         raise ConfigError(f"operator.{key} = {block[key]!r}: solve-heat, powers and "
                           "sectorial-probe discretize the straight cone Laplacian only")
@@ -387,21 +387,24 @@ def cmd_fit_tip(args) -> int:
     return 0
 
 
-def _shifted_mode_operator(cfg: dict):
-    """(M, theta, c): M = c - L for the config's first mode, c from the shift ladder.
+def _shifted_mode_operator(cfg: dict, command: str):
+    """(M, c): M = c - L for the config's first mode, c = `powers.shift0`.
 
-    The ladder starts at `powers.shift0` and tests the spectrum against the
-    sector of angle `powers.theta`; M keeps the spectrum of its last rung.
+    L must have a symmetric form, so that M has a real spectrum by
+    structure; without one (a negative band product, h > 2/(n-1)) this
+    raises coarse_grid_error naming the command, before any eigensolve.
     """
-    theta, shift0 = powers_from_config(cfg)[1:3]
+    shift = powers_from_config(cfg)[2]
     cs = cross_section_from_config(cfg)
     _straight_laplacian(cfg, cs)
     mode = cs.mode_table(max_modes_from_config(cfg))[0]
     # only the outer condition of the heat block: T, dt and theta are not read
     outer_bc = _value(cfg, "heat.outer_bc", lambda bc: bc, "a boundary condition", "neumann")
-    L = assemble_mode_operator(cs.n, mode.eigenvalue, grid_from_config(cfg), outer_bc)
-    shift, M = find_sectorial_shift(L, theta, c0=shift0)
-    return M, theta, shift
+    grid = grid_from_config(cfg)
+    M = (-assemble_mode_operator(cs.n, mode.eigenvalue, grid, outer_bc)).shifted(shift)
+    if M.symmetric_form is None:
+        raise coarse_grid_error(command, cs.n, grid.h)
+    return M, shift
 
 
 def cmd_powers(args) -> int:
@@ -409,16 +412,13 @@ def cmd_powers(args) -> int:
     cfg = load_config(args.config)
     path = output_path(args.out, output_dir_from_config(cfg), "powers.json")
     z = powers_from_config(cfg)[0]
-    M, theta, shift = _shifted_mode_operator(cfg)
-    if M.symmetric_form is None:
-        raise coarse_grid_error("powers", cross_section_from_config(cfg).n,
-                                grid_from_config(cfg).h)
+    M, shift = _shifted_mode_operator(cfg, "powers")
+    min_abs_eig = _check_sector_clear(M, 0.0)       # a positive spectrum, off the cut of M^z
     method, gate = power_route(M)
     formed = method == "spectral" or M.dim <= _DENSE_LIMIT
     data, prov = complex_power(M, z) if formed else (None, {})
     report = {
-        "z": [z.real, z.imag], "shift": shift, "theta": theta,
-        "min_abs_eig": float(np.min(np.abs(M.eigenvalues()))),
+        "z": [z.real, z.imag], "shift": shift, "min_abs_eig": min_abs_eig,
         "method": method, "gate": gate,
         "nodes": prov.get("nodes"),
         "power_norm": float(np.linalg.norm(data, 2)) if formed else None,
@@ -435,8 +435,9 @@ def cmd_sectorial_probe(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     path = output_path(args.out, output_dir_from_config(cfg), "sectorial.json")
-    M, theta, shift = _shifted_mode_operator(cfg)
-    report = sectorial_probe(M, theta, n_samples=powers_from_config(cfg)[3])
+    theta, _, samples = powers_from_config(cfg)[1:]
+    M, shift = _shifted_mode_operator(cfg, "sectorial-probe")
+    report = sectorial_probe(M, theta, n_samples=samples)
     payload = {
         "theta": theta, "shift": shift, "K": report.K,
         "min_abs_eig": report.min_abs_eig,

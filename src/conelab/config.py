@@ -115,8 +115,7 @@ def operator_from_config(cfg: dict, cs: CrossSection) -> ConeOperatorSpec:
                                                       for poly in table[m.label])
                                        for m in modes},
                         "coefficient lists for the modes " + ", ".join(m.label for m in modes))
-        return ConeOperatorSpec(mu=mu, n=cs.n, modes=modes, coeffs=coeffs, n_taylor=_value(
-            cfg, "operator.n_taylor", _whole, "a whole number", 0))
+        return ConeOperatorSpec(mu=mu, n=cs.n, modes=modes, coeffs=coeffs)
     raise ConfigError(f"unknown operator preset {preset!r}")
 
 

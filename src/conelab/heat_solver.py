@@ -123,7 +123,6 @@ def assemble_mode_operator(n: int, eigenvalue, grid: LogGrid, outer_bc: str) -> 
     # inner closure at tau_min
     if lam == 0.0:
         # zero-(x d/dx): ghost u_{-1} = u_{+1}
-        d[0] = mid
         du[0] = hi + lo
     else:
         s_plus = regular_indicial_root(n, eigenvalue)

@@ -6,11 +6,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import eigvals
 from scipy.linalg import eigvalsh_tridiagonal
 
 from ._kernels import factor_batch, solve_normal, thomas_batch
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NotSectorialError, NumericalError
 
 _STOP_TOL = 1e-12      # relative change between iterations that ends an estimate
 _NORM_ITERS = 40       # iteration cap of an estimate
@@ -121,11 +120,17 @@ class OperatorMatrix:
     @cached_property
     def _spectrum(self) -> np.ndarray:
         form = self.symmetric_form
-        return _read_only(eigvals(self.to_dense()) if form is None
-                          else eigvalsh_tridiagonal(*form[:2]))
+        if form is None:
+            raise NotSectorialError("no real spectrum by structure: no symmetric form: "
+                                    "complex bands or a negative band product")
+        return _read_only(eigvalsh_tridiagonal(*form[:2]))
 
     def eigenvalues(self) -> np.ndarray:
-        """The spectrum, computed on first use and kept read-only."""
+        """The real spectrum in ascending order, computed on first use and kept read-only.
+
+        It exists by structure only: without a symmetric form it raises
+        NotSectorialError.
+        """
         return self._spectrum
 
     def inv_norm2_estimate(self, lams) -> tuple[np.ndarray, int, int]:

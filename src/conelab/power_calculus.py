@@ -37,9 +37,6 @@ _RESOLVENT_ENTRIES = 1 << 12
 # largest |lambda| the sectorial probe samples on each ray
 _LAM_MAX = 1e6
 
-# rungs of the shift ladder: c0 doubles at most this many times
-_MAX_DOUBLINGS = 24
-
 # power-domain verdicts: norm ratios between ladder levels at or below the
 # first mean membership, at or above the second non-membership
 _STABILIZE_RATIO = 1.2
@@ -65,15 +62,18 @@ def _sector_samples(theta: float, n_samples: int, lam_max: float) -> list[comple
 
 
 def _check_sector_clear(M: OperatorMatrix, theta: float) -> float:
-    """Check every eigenvalue: spec(-M) must miss the sector |arg| <= theta. Returns min |eig|."""
-    eigs = M.eigenvalues()
-    for e in eigs:
-        me = -e
-        if abs(me) < 1e-14 or abs(cmath.phase(me)) <= theta + 1e-12:
-            raise NotSectorialError(
-                f"not sectorial at angle {theta:.4f}: eigenvalue {e} puts "
-                f"-M inside the sector")
-    return float(np.min(np.abs(eigs)))
+    """spec(-M) must miss the sector |arg| <= theta (theta >= 0). Returns min |eig|.
+
+    The spectrum is real and ascending (OperatorMatrix.eigenvalues): -e has
+    argument pi for e > 0 and lies in every sector for e <= 0. So if any
+    eigenvalue puts -M inside the sector, the lowest does: one test of it
+    decides, and when it passes it is min |eig|.
+    """
+    lowest = M.eigenvalues()[0]
+    if lowest < 1e-14 or math.pi <= theta + 1e-12:
+        raise NotSectorialError(f"not sectorial at angle {theta:.4f}: eigenvalue {lowest} "
+                                "puts -M inside the sector")
+    return float(lowest)
 
 
 def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200) -> SectorialReport:
@@ -81,9 +81,9 @@ def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200) -> Se
 
     Samples run log-spaced along the boundary rays +/- theta, the positive
     real axis, and lambda = 0 exactly. _check_sector_clear first tests
-    every eigenvalue of M against the sector and gives min |eig|; M keeps
-    its spectrum, so an operator the shift ladder has checked is not
-    diagonalized again. One batched inv_norm2_estimate call gives every
+    the spectrum of M against the sector and gives min |eig|; M keeps its
+    spectrum, so a later route or power on it is not diagonalized again.
+    One batched inv_norm2_estimate call gives every
     resolvent norm, factoring each live batch of shifted operators once;
     its iteration count and the number of samples that missed its stopping
     test go into the report.
@@ -94,27 +94,6 @@ def sectorial_probe(M: OperatorMatrix, theta: float, n_samples: int = 200) -> Se
     vals = (1.0 + np.abs(lams)) * norms
     return SectorialReport(K=max(float(vals.max()), 1.0), samples=list(zip(lams, vals.tolist())),
                            min_abs_eig=min_eig, iterations=iterations, unconverged=unconverged)
-
-
-def find_sectorial_shift(L: OperatorMatrix, theta: float,
-                         c0: float = 1.0) -> tuple[float, OperatorMatrix]:
-    """Doubling-ladder search for a shift c with c - L sectorial of angle theta.
-
-    A numerical surrogate for the existence statement. Each rung decides
-    from the spectrum alone (_check_sector_clear); no resolvent norm is
-    computed. Returns (c, M) for the first c on the ladder whose M = c - L
-    clears the sector; M keeps the spectrum checked, and sectorial_probe(M)
-    gives the constant K.
-    """
-    c, neg = c0, -L
-    for _ in range(_MAX_DOUBLINGS):
-        M = neg.shifted(c)
-        try:
-            _check_sector_clear(M, theta)
-            return c, M
-        except NotSectorialError:
-            c *= 2.0
-    raise NotSectorialError(f"no sectorial shift found on the ladder up to c={c}")
 
 
 # -- complex powers ---------------------------------------------------------
@@ -175,13 +154,9 @@ def power_route(M: OperatorMatrix) -> tuple[str, float | None]:
     gate eps * max|mu| / min|mu| over the eigenvalues of S is at most
     _SPECTRAL_GATE; 'quadrature' takes the rest (gate None without D).
     """
-    form = M.symmetric_form
-    if form is None:
-        raise NotSectorialError("no real spectrum by structure: no symmetric form: "
-                                "complex bands or a negative band product")
-    if form[2] is None:
+    amu = np.abs(M.eigenvalues())         # NotSectorialError without a symmetric form
+    if M.symmetric_form[2] is None:
         return "quadrature", None
-    amu = np.abs(M.eigenvalues())
     gate = float(np.finfo(float).eps * amu.max() / amu.min()) if amu.min() > 0 else math.inf
     return ("spectral" if gate <= _SPECTRAL_GATE else "quadrature"), gate
 
@@ -270,7 +245,7 @@ class PowerProbeConfig:
     cross_section: object
     mode_label: str
     gamma: float
-    shift: float                 # c in M = c - L, found by the shift ladder
+    shift: float                 # c in M = c - L
     outer_bc: str = "neumann"
     tau_min: float = -3.0
     points: int = 161

@@ -32,7 +32,6 @@ class ConeOperatorSpec:
     n: int
     modes: tuple[Mode, ...]
     coeffs: dict
-    n_taylor: int = 0
 
     def __post_init__(self):
         if self.mu < 1:
@@ -64,8 +63,7 @@ class ConeOperatorSpec:
             lam = m.eigenvalue
             a0 = Poly([lam]) if warp_a0 in (None, 0) else Poly([lam, QRat(lam) * QRat(warp_a0)])
             coeffs[m.label] = (a0, Poly([-(cs.n - 1)]), Poly([1]))
-        return ConeOperatorSpec(mu=2, n=cs.n, modes=modes, coeffs=coeffs,
-                                n_taylor=1 if warp_a0 else 0)
+        return ConeOperatorSpec(mu=2, n=cs.n, modes=modes, coeffs=coeffs)
 
 
 def conormal_symbol(spec: ConeOperatorSpec, mode: str) -> Poly:
@@ -76,8 +74,6 @@ def conormal_symbol(spec: ConeOperatorSpec, mode: str) -> Poly:
 
 def taylor_symbols(spec: ConeOperatorSpec, mode: str) -> list[Poly]:
     """f_0..f_{mu-1}: f_nu collects the nu-th Taylor coefficients of a_k."""
-    if spec.n_taylor < spec.mu - 1 and spec.warped:
-        raise ConfigError(f"insufficient Taylor data: need order {spec.mu - 1}, have {spec.n_taylor}")
     polys = spec.coeffs[spec.mode(mode).label]
     out = []
     for nu in range(spec.mu):

@@ -250,22 +250,28 @@ def test_powers_rejects_a_grid_spacing_outside_the_float_range(tau_min, tmp_path
     assert capsys.readouterr().err.startswith("config error: grid tau_min")
 
 
-@pytest.mark.parametrize("points, tau_min, rc", [(8, -4.0, 0), (12, -8.0, 3)])
-def test_shift_ladder_doubles_until_the_sector_clears(points, tau_min, rc, tmp_path, capsys):
-    # the l=0 Neumann mode on S^20 needs c = 2^13 on 8 points; on 12 points
-    # the ladder gives up after its last doubling
+@pytest.mark.parametrize("points, tau_min", [(8, -4.0), (12, -8.0)])
+def test_numeric_commands_refuse_a_grid_without_a_symmetric_form(points, tau_min, tmp_path,
+                                                                 capsys, spectra):
+    # S^20 at h = 4/7 and 8/11, both above 2/19: the mode operators have a negative
+    # band product, so no symmetric form and no real spectrum by structure. All
+    # three commands exit 2 before any eigensolve; solve-heat names its march
     cfg = {"cross_section": {"kind": "sphere", "n": 20},
            "operator": {"preset": "laplacian", "max_modes": 1}, "gamma": 9.0,
            "grid": {"tau_min": tau_min, "points": points}, "heat": {"outer_bc": "neumann"},
            "powers": {"samples": 10}}
-    p, out = tmp_path / "cfg.json", tmp_path / "sectorial.json"
+    p, u0 = tmp_path / "cfg.json", tmp_path / "u0.csv"
     p.write_text(json.dumps(cfg))
-    assert main(["sectorial-probe", "--config", str(p), "--out", str(out)]) == rc
-    if rc == 0:
-        assert json.loads(out.read_text())["shift"] == 8192.0
-    else:
-        assert "no sectorial shift found on the ladder up to c=16777216.0" \
-            in capsys.readouterr().err
+    u0.write_text("tau,mode,re,im\n")                  # every mode zero
+    for cmd, what, inputs in (("solve-heat", "the heat march", ["--u0", str(u0)]),
+                              ("powers", "powers", []),
+                              ("sectorial-probe", "sectorial-probe", [])):
+        out = tmp_path / cmd / "out"
+        assert main([cmd, "--config", str(p), *inputs, "--out", str(out)]) == 2
+        assert (f"config error: {what} needs grid spacing h < 2/(n-1) = 0.105263 for n=20"
+                in capsys.readouterr().err)
+        assert not any(f.is_file() for f in (tmp_path / cmd).rglob("*"))
+    assert spectra == []
 
 
 def test_asymptotics_json(cfg_path, tmp_path):
@@ -327,6 +333,25 @@ def test_numeric_commands_refuse_an_operator_they_do_not_discretize(operator, ke
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert not list(out.glob("snapshot_*"))
+
+
+def test_numeric_commands_run_a_warp_that_no_configured_mode_sees(tmp_path):
+    # on k=0 alone a_0 = lambda (1 + w x) = 0: the warped config is the straight
+    # Laplacian, and each command writes the bytes of the unwarped one
+    u0 = tmp_path / "u0.csv"
+    _write_u0(u0)
+    outputs = {}
+    for name, warp in (("plain", {}), ("warped", {"warp_a0": 1})):
+        p, out = tmp_path / f"{name}.json", tmp_path / name
+        p.write_text(json.dumps(dict(CIRCLE_CFG, operator=dict(
+            CIRCLE_CFG["operator"], max_modes=1, **warp))))
+        assert main(["solve-heat", "--config", str(p), "--u0", str(u0),
+                     "--out", str(out / "traj")]) == 0
+        for cmd in ("powers", "sectorial-probe"):
+            assert main([cmd, "--config", str(p), "--out", str(out / f"{cmd}.json")]) == 0
+        outputs[name] = [(out / f).read_bytes() for f in (
+            "traj/snapshots.npy", "traj/trajectory.json", "powers.json", "sectorial-probe.json")]
+    assert outputs["plain"] == outputs["warped"]
 
 
 def test_poles_of_a_long_circle_are_simple_and_off_zero(tmp_path):
@@ -396,7 +421,7 @@ def test_out_file_in_new_directory(cmd, cfg_path, tmp_path):
 def test_sectorial_probe_computes_the_spectrum_once(cfg_path, tmp_path, spectra):
     out = tmp_path / "sectorial.json"
     assert main(["sectorial-probe", "--config", str(cfg_path), "--out", str(out)]) == 0
-    # the first rung of the shift ladder clears the sector; the probe reuses its spectrum
+    # one eigensolve of c - L: the sector test and min_abs_eig read the kept spectrum
     assert json.loads(out.read_text())["shift"] == 1.0 and spectra == [129]
 
 
@@ -855,11 +880,10 @@ def test_powers_command_quadrature_route(tmp_path):
 
 
 def test_powers_command_power_ignores_the_probe_angle(tmp_path):
-    # powers.theta is the sector of the probe; the quadrature has no angle
+    # powers.theta is the sector of the probe; powers neither reads nor reports it
     a = _dirichlet_powers(tmp_path, theta=math.pi / 2)
     b = _dirichlet_powers(tmp_path)
-    assert a["theta"] == math.pi / 2 and b["theta"] == pytest.approx(0.75 * math.pi)
-    assert a["power_norm"] == b["power_norm"] and a["nodes"] == b["nodes"]
+    assert "theta" not in a and a == b
 
 
 def test_powers_and_sectorial_probe_share_one_ladder(cfg_path, tmp_path):
@@ -873,7 +897,7 @@ def test_powers_and_sectorial_probe_share_one_ladder(cfg_path, tmp_path):
 
 
 def test_only_sectorial_probe_estimates_resolvent_norms(cfg_path, tmp_path, monkeypatch):
-    # the ladder decides from the spectrum; K is the probe's alone
+    # K is the probe's alone: powers computes no resolvent norm
     calls = []
     estimate = OperatorMatrix.inv_norm2_estimate
 
@@ -912,10 +936,12 @@ def test_powers_on_a_grid_too_coarse_for_the_symmetric_form_exit_2(tmp_path, cap
     assert "config error: powers needs grid spacing h < 2/(n-1) = 0.5 for n=5; got h=0.571429" \
         in err
     assert not out.exists()
-    # the sectorial probe needs no real spectrum and keeps running there
+    # the sectorial probe refuses the same grid: its sector test reads that spectrum
     sect = tmp_path / "sect.json"
-    assert main(["sectorial-probe", "--config", str(p), "--out", str(sect)]) == 0
-    assert json.loads(sect.read_text())["K"] >= 1.0
+    assert main(["sectorial-probe", "--config", str(p), "--out", str(sect)]) == 2
+    assert "config error: sectorial-probe needs grid spacing h < 2/(n-1) = 0.5 for n=5; " \
+        "got h=0.571429" in capsys.readouterr().err
+    assert not sect.exists()
 
 
 @pytest.mark.parametrize("outer_bc", ["neumann", "dirichlet"])
@@ -994,7 +1020,7 @@ def test_bad_powers_block_exit_2(cmd, key, value, tmp_path, capsys):
 
 
 def test_powers_command_computes_the_spectrum_once(cfg_path, tmp_path, spectra):
-    # the ladder's last rung keeps its spectrum; the route, the power and min_abs_eig read it
+    # c - L keeps its spectrum; the sector test, the route, the power and min_abs_eig read it
     out = tmp_path / "powers.json"
     assert main(["powers", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert spectra == [129]
@@ -1012,6 +1038,19 @@ def test_powers_command_reports_no_contour_when_skipped(tmp_path):
     assert payload["method"] == "quadrature" and payload["gate"] > 1e-3
     assert payload["nodes"] is None and payload["power_norm"] is None
     assert payload["tail_bound"] is None
+
+
+@pytest.mark.parametrize("cmd", ["powers", "sectorial-probe"])
+def test_a_shift_below_the_spectrums_rounding_exit_3(cmd, tmp_path, capsys):
+    # c = 1e-20 leaves the lowest eigenvalue of c - L at rounding level. On 769
+    # points powers forms no power, so its positivity test alone stops the run
+    cfg = dict(CIRCLE_CFG, grid={"tau_min": -16.0, "points": 769}, powers={"shift0": 1e-20})
+    p, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    p.write_text(json.dumps(cfg))
+    assert main([cmd, "--config", str(p), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: not sectorial at angle") and "eigenvalue" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", ["poles", "asymptotics", "powers", "sectorial-probe",
@@ -1066,6 +1105,17 @@ def test_entrypoint_subprocess(cfg_path, tmp_path):
                            "--config", str(cfg_path), "--out", str(out)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and out.exists()
+
+
+def test_cli_runs_from_the_source_tree_without_an_install(tmp_path):
+    # the README's offline route: PYTHONPATH=src python -m conelab.cli, from another directory
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "conelab.cli", "verify",
+                           "--suite", "poles,weight-window"],
+                          cwd=tmp_path, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "2/2 criteria passed"
 
 
 def test_parser_is_built_once_and_the_command_looked_up_per_call(cfg_path, tmp_path,

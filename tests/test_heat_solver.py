@@ -254,6 +254,15 @@ def test_config_validation():
         HeatConfig(cross_section=CIRCLE, grid=g, T=0.1, dt=1e-3, outer_bc="robin")
 
 
+def test_unknown_outer_condition_is_a_config_error_everywhere():
+    # the series oracle refuses the string as assembly and HeatConfig do: exit-2 class
+    g = LogGrid(-4.0, 65)
+    with pytest.raises(ConfigError, match="unknown outer boundary condition 'robin'"):
+        bessel_series_solution([1.0], 1, 0, 0.1, g.x, "robin")
+    with pytest.raises(ConfigError, match="unknown outer boundary condition 'robin'"):
+        assemble_mode_operator(1, 0, g, "robin")
+
+
 @pytest.mark.parametrize("bad", [-1, -5, 2.5, float("nan"), True, "3", None])
 def test_snapshot_every_must_be_a_whole_number_at_least_zero(bad):
     g = LogGrid(-4.0, 65)

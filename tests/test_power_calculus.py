@@ -1,6 +1,7 @@
 """Sectorial probes, complex powers, domain probes."""
 
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from conelab.heat_solver import assemble_mode_operator
 from conelab.mellin_sobolev import LogGrid
 from conelab.operators import OperatorMatrix
 from conelab.power_calculus import (PowerProbeConfig, complex_power, eig_power_oracle,
-                                    find_sectorial_shift, _real_spectrum_nodes, _sector_samples,
+                                    _real_spectrum_nodes, _sector_samples,
                                     power_domain_probe, power_route, sectorial_probe)
 from conelab.rational import QRat
 
@@ -162,27 +163,28 @@ def test_weighted_probe_matches_base():
         assert np.max(np.abs(W @ R @ np.linalg.inv(W) - R)) <= 1e-12 * np.max(np.abs(R))
 
 
-def test_find_sectorial_shift_ladder():
-    g = LogGrid(-5.0, 129)
-    L = assemble_mode_operator(1, 0, g, "neumann")
-    c, M = find_sectorial_shift(L, 0.75 * math.pi)
+def test_sectorial_probe_of_the_shifted_mode_operator():
+    # 1 - L clears the sector with c = 1: min |eig| is the lowest eigenvalue, 1
+    M = (-assemble_mode_operator(1, 0, LogGrid(-5.0, 129), "neumann")).shifted(1.0)
     rep = sectorial_probe(M, 0.75 * math.pi, n_samples=40)
-    assert c >= 1.0 and math.isfinite(rep.K)
-    assert rep.min_abs_eig == float(np.min(np.abs(M.eigenvalues())))
-    assert all(np.array_equal(a, b) for a, b in zip(M.data, (-L).shifted(c).data))
+    assert math.isfinite(rep.K)
+    assert rep.min_abs_eig == float(np.min(np.abs(M.eigenvalues()))) == M.eigenvalues()[0]
+    assert abs(rep.min_abs_eig - 1.0) <= 1e-9
 
 
-def test_sectorial_probe_takes_the_ladders_spectrum(spectra):
+def test_sectorial_probe_keeps_the_operators_one_spectrum(spectra):
     L = assemble_mode_operator(1, 0, LogGrid(-5.0, 129), "neumann")
     theta = 0.75 * math.pi
-    c, M = find_sectorial_shift(L, theta)
-    assert spectra == [129]                   # the first rung clears the sector
+    M = (-L).shifted(1.0)
     kept = sectorial_probe(M, theta, n_samples=40)
     assert spectra == [129]
-    fresh = sectorial_probe((-L).shifted(c), theta, n_samples=40)
+    again = sectorial_probe(M, theta, n_samples=40)
+    assert spectra == [129]                   # M keeps its spectrum across probes
+    fresh = sectorial_probe((-L).shifted(1.0), theta, n_samples=40)
     assert spectra == [129, 129]
-    assert (fresh.K, fresh.min_abs_eig, fresh.samples) == (kept.K, kept.min_abs_eig,
-                                                          kept.samples)
+    for rep in (again, fresh):
+        assert (rep.K, rep.min_abs_eig, rep.samples) == (kept.K, kept.min_abs_eig,
+                                                         kept.samples)
 
 
 def test_power_domain_probe_verdicts():
@@ -284,16 +286,42 @@ def test_tridiagonal_eigenvalues_match_dense(make):
     assert np.max(np.abs(np.sort(got) - want) / np.abs(want)) <= 1e-10
 
 
+def test_shifted_mode_operators_have_a_positive_spectrum_or_none():
+    # the structure behind c = powers.shift0 with no shift ladder: with a symmetric
+    # form, -L has a real spectrum >= 0 and 1 - L one >= 1 (to rounding); without
+    # one (spheres with h > 2/(n-1)) there is no spectrum to read
+    sections = ([CrossSection.circle(length_over_pi=lop) for lop in ("1", "3/2", "2", "3")]
+                + [CrossSection.sphere(n) for n in (2, 3, 5, 20)])
+    counts = {"form": 0, "none": 0}
+    for cs, tau_min, J, bc in itertools.product(sections, (-1.0, -8.0, -40.0, -150.0),
+                                                (9, 129, 513), ("neumann", "dirichlet")):
+        for mode in cs.mode_table(3):
+            M = (-assemble_mode_operator(cs.n, mode.eigenvalue, LogGrid(tau_min, J), bc)
+                 ).shifted(1.0)
+            if M.symmetric_form is None:
+                assert cs.kind == "sphere" and LogGrid(tau_min, J).h > 2.0 / (cs.n - 1)
+                with pytest.raises(NotSectorialError, match="no real spectrum by structure"):
+                    M.eigenvalues()
+                counts["none"] += 1
+            else:
+                assert M.eigenvalues()[0] >= 1.0 - 1e-9, (cs, tau_min, J, bc, mode.label)
+                counts["form"] += 1
+    assert counts == {"form": 672, "none": 96}
+
+
 @pytest.mark.parametrize("make", [
     lambda: _shifted_mode(33).shifted(0.5j),                             # complex diagonal
     lambda: OperatorMatrix.tridiag(np.full(9, -1.0), np.ones(9), np.ones(9)),  # products < 0
     lambda: OperatorMatrix.tridiag(np.full(9, 1j), np.ones(9), np.ones(9)),    # complex products
 ], ids=["complex-shift", "negative-products", "complex-products"])
-def test_general_band_eigenvalues_fall_back_to_dense(make):
+def test_general_band_operators_have_no_spectrum(make, spectra):
+    # a spectrum exists by structure only: no symmetric form, no eigensolve
     M = make()
-    got, want = np.sort(M.eigenvalues()), np.sort(np.linalg.eigvals(M.to_dense()))
-    assert got.dtype == complex
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert M.symmetric_form is None
+    for attempt in (M.eigenvalues, lambda: sectorial_probe(M, 0.75 * math.pi, n_samples=10)):
+        with pytest.raises(NotSectorialError, match="no real spectrum by structure"):
+            attempt()
+    assert spectra == []
 
 
 @pytest.mark.parametrize("J", [9, 33])
