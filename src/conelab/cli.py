@@ -1,7 +1,8 @@
 """Command-line entry point wiring configs to the computational modules.
 
 Exit codes: 0 success, 1 verification failure, 2 config error (also an
-unsupported or degenerate input), 3 numerical failure. Every run directory
+unsupported or degenerate input, or a file that cannot be read or
+written), 3 numerical failure. Every run directory
 receives a manifest.json sufficient to re-run the job; CSV payloads are
 deterministic for a fixed config.
 """
@@ -14,6 +15,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import sys
 import time
 import warnings
@@ -32,7 +34,8 @@ from .errors import ConelabError, ConfigError, DegenerateSymbolError, Unsupporte
 from .mellin_sobolev import LogGrid, RadialField, mellin_norm
 from .rational import root_to_complex
 from .symbol_algebra import pole_set_power
-from .heat_solver import HeatConfig, assemble_mode_operator, coarse_grid_error, solve_heat
+from .heat_solver import (HeatConfig, assemble_mode_operator, check_march_grid, coarse_grid_error,
+                          solve_heat)
 from .power_calculus import _check_sector_clear, complex_power, power_route, sectorial_probe
 from .tip_analysis import fit_tip_series
 
@@ -187,17 +190,18 @@ def _write_field_csv(path: Path, values: np.ndarray, templates: list[str]):
 
 
 _SNAPSHOT_ARRAY = "snapshots.npy"
+_DIGESTS, _OS_ERROR = b"D", b"E"          # the tag of a writer's report
 
 
 def _snapshots_digest(grid: LogGrid, labels: list[str], parts) -> str:
     """trajectory.json's snapshots_sha256 over the grid, the mode labels and the parts.
 
-    The grid (tau_min, points) and the labels go in as JSON, then the SHA-256
-    of each part in order: every snapshot CSV, then the array's bytes.
+    The grid (tau_min, points) and the labels go in as JSON, then each part's
+    32-byte SHA-256 digest in order: every snapshot CSV, then the array's bytes.
     """
     digest = hashlib.sha256(json.dumps([grid.tau_min, grid.points, labels]).encode())
     for part in parts:
-        digest.update(part.digest())
+        digest.update(part)
     return digest.hexdigest()
 
 
@@ -210,6 +214,53 @@ def _snapshot_array_header(shape: tuple[int, int, int]) -> bytes:
     return fh.getvalue()
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                    # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _write_share(ks: range, paths: list[Path], values: np.ndarray, templates) -> bytes:
+    """Snapshot CSVs ks written in order; their 32-byte SHA-256 digests, concatenated."""
+    return b"".join(_write_field_csv(paths[k], values[k], templates).digest() for k in ks)
+
+
+def _share_writer(fd: int, ks: range, paths: list[Path], values: np.ndarray, templates):
+    """A forked worker: write share ks, report on pipe fd, leave by os._exit on every path.
+
+    The report is _DIGESTS and the share's digests, or on an OSError _OS_ERROR
+    and its [errno, strerror, filename] as JSON. Nothing the parent set up runs
+    here: no atexit handler, no test hook, no flush of a buffer it inherited.
+    """
+    status = 1
+    try:
+        try:
+            report = _DIGESTS + _write_share(ks, paths, values, templates)
+        except OSError as exc:
+            report = _OS_ERROR + json.dumps([exc.errno, exc.strerror, exc.filename],
+                                            default=str).encode()
+        with open(fd, "wb") as fh:
+            fh.write(report)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, fd: int) -> tuple[bytes, int]:
+    """(report, exit code) of a writer: its pipe read to the end, then the process reaped.
+
+    Reading first lets a writer finish a report longer than the pipe holds.
+    """
+    try:
+        with open(fd, "rb") as fh:
+            report = fh.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return report, code
+
+
 def _write_snapshots(outdir: Path, traj) -> tuple[list[str], str]:
     """(paths, snapshots_sha256): traj.values[k] to snapshot_{k:05d}.csv, and all to snapshots.npy.
 
@@ -217,17 +268,55 @@ def _write_snapshots(outdir: Path, traj) -> tuple[list[str], str]:
     (snapshots, modes, J) in index order: its .npy header, then the
     trajectory's array in one write. Each CSV is hashed as its text is
     written, the array once.
+
+    Formatting the CSVs is CPU-bound Python, so W = min(usable CPUs,
+    snapshots) workers share it (W = 1 without os.fork): this process forks
+    W - 1 writers, worker i writes every snapshot k = i (mod W), and this
+    process is worker 0 and writes the array. Writers send their digests
+    back over a pipe and are all reaped, also when this process's own share
+    raises; a writer's OSError is raised here with its errno, so with its
+    subclass. The bytes and the digest do not depend on W.
     """
     values = np.ascontiguousarray(traj.values, dtype=np.complex128)
     templates = _field_templates(traj.grid, traj.modes)
     paths = [outdir / f"snapshot_{idx:05d}.csv" for idx in range(len(values))]
-    parts = [_write_field_csv(path, v, templates) for path, v in zip(paths, values)]
-    array_path = outdir / _SNAPSHOT_ARRAY
-    with open(array_path, "wb") as fh:
-        fh.write(_snapshot_array_header(values.shape))
-        fh.write(values)
+    workers = min(_usable_cpus(), len(paths)) if hasattr(os, "fork") else 1
+    shares = [range(i, len(paths), workers) for i in range(workers)]
+    writers = []                              # (pid, read end of its report pipe)
+    try:
+        for ks in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _share_writer(w, ks, paths, values, templates)    # does not return
+            os.close(w)
+            writers.append((pid, r))
+        own = _write_share(shares[0], paths, values, templates)
+        array_path = outdir / _SNAPSHOT_ARRAY
+        with open(array_path, "wb") as fh:
+            fh.write(_snapshot_array_header(values.shape))
+            fh.write(values)
+    finally:
+        reports = [_reap(pid, r) for pid, r in writers]
+    digests = [own]
+    for ks, (report, code) in zip(shares[1:], reports):
+        if code == 0 and report[:1] == _OS_ERROR:
+            raise OSError(*json.loads(report[1:]))
+        if code != 0 or report[:1] != _DIGESTS or len(report) != 1 + 32 * len(ks):
+            raise RuntimeError(f"snapshot writer of {ks} exited with {code} after a "
+                               f"{len(report)}-byte report")
+        digests.append(report[1:])
+    parts = [b""] * len(paths)
+    for i, share in enumerate(digests):
+        parts[i::workers] = [share[j:j + 32] for j in range(0, len(share), 32)]
     digest = _snapshots_digest(traj.grid, [m.label for m in traj.modes],
-                               [*parts, hashlib.sha256(values)])
+                               [*parts, hashlib.sha256(values).digest()])
     return [*map(str, paths), str(array_path)], digest
 
 
@@ -255,7 +344,8 @@ def _read_snapshots(trajdir: Path, snaps: list[Path], meta: dict, grid: LogGrid,
         intact = False
     if intact and meta.get("snapshots_sha256") == _snapshots_digest(
             grid, [m.label for m in modes],
-            [*(hashlib.sha256(p.read_bytes()) for p in snaps), hashlib.sha256(values)]):
+            [*(hashlib.sha256(p.read_bytes()).digest() for p in snaps),
+             hashlib.sha256(values).digest()]):
         return values
     for k, p in enumerate(snaps):
         values[k] = _read_field_csv(p, grid, cs, max_modes).values
@@ -299,6 +389,7 @@ def cmd_solve_heat(args) -> int:
     gamma = gamma_from_config(cfg, cs, require_window=True)
     hc = HeatConfig(cross_section=cs, grid=grid, max_modes=max_modes_from_config(cfg),
                     **heat_from_config(cfg))
+    check_march_grid(hc, "solve-heat")         # the grid rule, before any input is read
     meta_path = output_path(None, args.out, "trajectory.json")
     outdir = meta_path.parent
     u0 = _read_field_csv(Path(args.u0), grid, cs, hc.max_modes)
@@ -515,8 +606,12 @@ def main(argv=None) -> int:
            "sectorial-probe": cmd_sectorial_probe, "verify": cmd_verify}[args.cmd]
     try:
         return run(args)
-    except (ConfigError, UnsupportedError, DegenerateSymbolError, FileNotFoundError) as exc:
+    except (ConfigError, UnsupportedError, DegenerateSymbolError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:                    # a path the command cannot read or write
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"config error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except ConelabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

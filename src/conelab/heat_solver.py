@@ -159,13 +159,13 @@ def coarse_grid_error(what: str, n: int, h: float) -> ConfigError:
                        f"for n={n}; got h={h:.6g}")
 
 
-def _symmetric_system(ops, cfg: HeatConfig):
+def _symmetric_system(ops, cfg: HeatConfig, what: str = "the heat march"):
     """Stacked symmetric forms (d, e, scale) of the marched rows, and the frozen coupling.
 
     A Dirichlet operator's last row is zero (the frozen boundary value), so
     the march keeps rows 0..J-2 and returns L[J-2, J-1] of each mode as the
     coupling; a Neumann operator is marched whole and the coupling is None.
-    Every band product must be positive, else coarse_grid_error.
+    Every band product must be positive, else coarse_grid_error naming `what`.
     """
     frozen = cfg.outer_bc == "dirichlet"
     forms = []
@@ -174,11 +174,20 @@ def _symmetric_system(ops, cfg: HeatConfig):
             op = OperatorMatrix.tridiag(*(band[:-1] for band in op.data))
         form = op.symmetric_form
         if form is None or form[2] is None:
-            raise coarse_grid_error("the heat march", cfg.cross_section.n, cfg.grid.h)
+            raise coarse_grid_error(what, cfg.cross_section.n, cfg.grid.h)
         forms.append(form)
     d, e, log_delta = (np.stack(part) for part in zip(*forms))
     coupling = np.array([op.data[2][-2].real for op in ops]) if frozen else None
     return d, e, np.exp(log_delta), coupling
+
+
+def check_march_grid(cfg: HeatConfig, what: str) -> None:
+    """Raise, naming `what` and without marching, the grid error solve_heat would raise.
+
+    That is coarse_grid_error where a marched mode operator lacks a symmetric
+    form with positive band products, and the ConfigError of an overflowing one.
+    """
+    _symmetric_system(_mode_operators(cfg)[1], cfg, what)
 
 
 def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:

@@ -21,7 +21,7 @@ from conelab.cli import _field_templates, _read_field_csv, _write_field_csv, mai
 from conelab.cone_geometry import CrossSection
 from conelab.config import fmt, grid_from_config
 from conelab.errors import ConfigError
-from conelab.heat_solver import assemble_mode_operator
+from conelab.heat_solver import HeatTrajectory, assemble_mode_operator
 from conelab.mellin_sobolev import LogGrid, RadialField
 from conelab.operators import OperatorMatrix
 from conelab.power_calculus import eig_power_oracle
@@ -255,20 +255,19 @@ def test_numeric_commands_refuse_a_grid_without_a_symmetric_form(points, tau_min
                                                                  capsys, spectra):
     # S^20 at h = 4/7 and 8/11, both above 2/19: the mode operators have a negative
     # band product, so no symmetric form and no real spectrum by structure. All
-    # three commands exit 2 before any eigensolve; solve-heat names its march
+    # three commands exit 2 before any eigensolve and before reading an input file,
+    # each naming itself
     cfg = {"cross_section": {"kind": "sphere", "n": 20},
            "operator": {"preset": "laplacian", "max_modes": 1}, "gamma": 9.0,
            "grid": {"tau_min": tau_min, "points": points}, "heat": {"outer_bc": "neumann"},
            "powers": {"samples": 10}}
-    p, u0 = tmp_path / "cfg.json", tmp_path / "u0.csv"
+    p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
-    u0.write_text("tau,mode,re,im\n")                  # every mode zero
-    for cmd, what, inputs in (("solve-heat", "the heat march", ["--u0", str(u0)]),
-                              ("powers", "powers", []),
-                              ("sectorial-probe", "sectorial-probe", [])):
+    for cmd, inputs in (("solve-heat", ["--u0", str(tmp_path / "absent.csv")]),
+                        ("powers", []), ("sectorial-probe", [])):
         out = tmp_path / cmd / "out"
         assert main([cmd, "--config", str(p), *inputs, "--out", str(out)]) == 2
-        assert (f"config error: {what} needs grid spacing h < 2/(n-1) = 0.105263 for n=20"
+        assert (f"config error: {cmd} needs grid spacing h < 2/(n-1) = 0.105263 for n=20"
                 in capsys.readouterr().err)
         assert not any(f.is_file() for f in (tmp_path / cmd).rglob("*"))
     assert spectra == []
@@ -764,6 +763,84 @@ def test_fit_tip_reads_the_array_solve_heat_writes(cfg_path, tmp_path, monkeypat
     assert main(["fit-tip", "--traj", str(b), "--basis", str(basis),
                  "--out", str(b / "fits.csv")]) == 0
     assert (a / "fits.csv").read_bytes() == (b / "fits.csv").read_bytes()
+
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns in this process; a forked writer leaves inside cli."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _trajectory(snapshots: int) -> HeatTrajectory:
+    """Snapshots of _field's extreme values on GRID, one seed each."""
+    values = np.stack([_field(seed).values for seed in range(snapshots)])
+    return HeatTrajectory([0.01 * k for k in range(snapshots)], values, GRID,
+                          CIRCLE.mode_table(2), CIRCLE.n, 1.0)
+
+
+@pytest.mark.parametrize("snapshots", [21, 2, 1])
+def test_snapshot_writers_share_out_the_bytes_of_one(snapshots, tmp_path, monkeypatch, forks):
+    # W = min(CPUs, snapshots) writers, worker i taking every k = i (mod W):
+    # the files, their order in snapshots_sha256 and the array path of fit-tip
+    # do not depend on W
+    traj = _trajectory(snapshots)
+    written = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        outdir = tmp_path / f"cpus{cpus}"
+        outdir.mkdir()
+        before = len(forks)
+        paths, digest = cli._write_snapshots(outdir, traj)
+        assert len(forks) - before == min(cpus, snapshots) - 1
+        assert [Path(p).name for p in paths] == [
+            *(f"snapshot_{k:05d}.csv" for k in range(snapshots)), "snapshots.npy"]
+        written[cpus] = digest, {Path(p).name: Path(p).read_bytes() for p in paths}
+        snaps = [Path(p) for p in paths[:-1]]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_field_csv", lambda *a: pytest.fail("parsed a snapshot CSV"))
+            got = cli._read_snapshots(outdir, snaps, {"snapshots_sha256": digest}, GRID,
+                                      CIRCLE, 2)
+        assert np.array_equal(got.view(np.uint64), traj.values.view(np.uint64))
+    assert written[1] == written[2] == written[3]
+    for k in range(snapshots):
+        want = tmp_path / f"one_{k}.csv"
+        _write_field_csv(want, traj.values[k], _field_templates(GRID, traj.modes))
+        assert written[1][1][f"snapshot_{k:05d}.csv"] == want.read_bytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus, bad", [(1, 1), (2, 1), (2, 0)],
+                         ids=["one-writer", "forked-writer-fails", "own-share-fails"])
+def test_unwritable_snapshot_exit_2_and_no_writer_left(cpus, bad, cfg_path, tmp_path,
+                                                        monkeypatch, capsys, forks):
+    # a directory where snapshot `bad` goes: at W = 2 worker 1 writes k = 1, and
+    # worker 0 (this process) k = 0 and 2, so either side's IsADirectoryError
+    # reaches main, which names the path; every writer has been reaped
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    u0, outdir = tmp_path / "u0.csv", tmp_path / "traj"
+    _write_u0(u0)
+    blocked = outdir / f"snapshot_{bad:05d}.csv"
+    blocked.mkdir(parents=True)
+    assert main(["solve-heat", "--config", str(cfg_path), "--u0", str(u0),
+                 "--out", str(outdir)]) == 2
+    assert f"config error: {blocked}: Is a directory\n" in capsys.readouterr().err
+    assert len(forks) == cpus - 1
+    assert not (outdir / "trajectory.json").exists()
+    assert not (outdir / "manifest.json").exists()
+    with pytest.raises(IsADirectoryError):             # the subclass of a one-process run
+        cli._write_snapshots(outdir, _trajectory(3))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_fit_tip_builds_no_field_from_an_intact_array(fit_inputs, tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from conelab import bessel, heat_solver
 from conelab.cone_geometry import CrossSection
 from conelab.errors import ConfigError, NumericalError
 from conelab.heat_solver import (HeatConfig, assemble_mode_operator,
-                                 bessel_mode_roots, bessel_series_solution,
+                                 bessel_mode_roots, check_march_grid, bessel_series_solution,
                                  grid_l2, regular_indicial_root,
                                  relative_l2_error, solve_heat)
 from conelab.mellin_sobolev import LogGrid, RadialField
@@ -110,8 +110,11 @@ def test_grid_too_coarse_for_the_symmetric_form_raises_config_error(outer_bc, ta
     cs = CrossSection.sphere(5)
     cfg = HeatConfig(cross_section=cs, grid=g, T=0.01, dt=1e-3, outer_bc=outer_bc,
                      max_modes=2)
-    with pytest.raises(ConfigError, match=rf"h < 2/\(n-1\) = 0\.5 for n=5; got h={g.h:g}"):
+    rule = rf"needs grid spacing h < 2/\(n-1\) = 0\.5 for n=5; got h={g.h:g}"
+    with pytest.raises(ConfigError, match=f"^the heat march {rule}"):
         solve_heat(RadialField.zeros(g, cs, 2), None, cfg)
+    with pytest.raises(ConfigError, match=f"^solve-heat {rule}"):    # the CLI's check
+        check_march_grid(cfg, "solve-heat")
 
 
 def test_eigenfunction_exponential_decay():

@@ -82,3 +82,15 @@ def test_every_function_is_named_outside_its_own_def():
                and not (node.name.startswith("__") and node.name.endswith("__"))
                and named[node.name] == _named(node)[node.name]]
     assert orphans == []
+
+
+def test_only_cli_forks():
+    # process creation stays in one place: the snapshot writers of cli._write_snapshots
+    def forks(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "fork"
+                and getattr(node.value, "id", None) == "os") or (
+            isinstance(node, ast.ImportFrom) and node.module == "os"
+            and "fork" in {alias.name for alias in node.names})
+    users = {path.name: sum(map(forks, ast.walk(ast.parse(path.read_text()))))
+             for path in SRC.glob("*.py")}
+    assert {name: n for name, n in users.items() if n} == {"cli.py": 1}
