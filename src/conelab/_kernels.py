@@ -5,7 +5,8 @@ No other module calls LAPACK or reads its factor format. Entry points:
 (``zgttrf``) for ``solve_normal``, which applies (A A^*)^-1 on the factors
 (``zgttrs`` with the inverse, then its adjoint: the resolvent-norm
 estimate); ``evolve_theta`` runs the theta march of the heat modes and
-returns its trajectory as one array; ``backend_name`` names the backend.
+returns its trajectory as one array, handing each row to an optional hook
+once it is final; ``backend_name`` names the backend.
 
 Band convention: a batch of nb systems of size J is stored as three (nb, J)
 arrays (dl, d, du) with dl[:, 0] and du[:, -1] unused. Set those two entries
@@ -109,7 +110,8 @@ def thomas_batch(dl, d, du, rhs):
     return out[0] if vector else out.transpose(1, 2, 0)
 
 
-def evolve_theta(d, e, scale, coupling, theta, dt, u0, n_steps, snap_every, forcing=None):
+def evolve_theta(d, e, scale, coupling, theta, dt, u0, n_steps, snap_every, forcing=None,
+                 on_snapshot=None):
     """March A u+ = B u + forcing(step) for n_steps on the symmetric form; return the trajectory.
 
     Each of the nb modes has a real mode operator L = D^-1 S D on its first
@@ -135,7 +137,10 @@ def evolve_theta(d, e, scale, coupling, theta, dt, u0, n_steps, snap_every, forc
     columns are not read. A non-positive pivot of S_A raises NumericalError
     naming its batch row. Returns the trajectory, one complex array: row
     ceil(s/snap_every) holds the state at step s = 0, snap_every,
-    2*snap_every, ... and n_steps, and row 0 is a copy of u0.
+    2*snap_every, ... and n_steps, and row 0 is a copy of u0. on_snapshot,
+    if given, is called as on_snapshot(k, row) as soon as row k is final,
+    row 0 before the first step; row is the trajectory's C-ordered (nb, J)
+    row k, to be read and not written.
     """
     u0 = np.asarray(u0)
     nb, J = u0.shape
@@ -163,6 +168,8 @@ def evolve_theta(d, e, scale, coupling, theta, dt, u0, n_steps, snap_every, forc
     traj = np.empty((rows, nb, J), dtype=complex)
     traj[0] = u0
     traj[1:, :, m:] = u0[:, m:]
+    if on_snapshot is not None:
+        on_snapshot(0, traj[0])
     for step in range(1, n_steps + 1):
         np.multiply(v, inv, out=w)
         if coupling is not None:
@@ -179,9 +186,12 @@ def evolve_theta(d, e, scale, coupling, theta, dt, u0, n_steps, snap_every, forc
             v *= -keep
             v += w
         if step % snap_every == 0 or step == n_steps:
-            row = traj[-(-step // snap_every)]          # u = D^-1 v in the first m columns
+            k = -(-step // snap_every)
+            row = traj[k]                   # u = D^-1 v in the first m columns
             np.divide(v[0], scale, out=row.real[:, :m])
             np.divide(v[1], scale, out=row.imag[:, :m])
+            if on_snapshot is not None:
+                on_snapshot(k, row)
     return traj
 
 

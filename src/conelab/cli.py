@@ -13,7 +13,6 @@ import argparse
 import functools
 import hashlib
 import io
-import itertools
 import json
 import os
 import sys
@@ -70,9 +69,9 @@ def cmd_poles(args) -> int:
         z = root_to_complex(rho)
         rows.append((label, z.real, z.imag, order - 1, inside))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    _write_csv(path, "mode,label,re_rho,im_rho,max_log_power,in_strip",
-               [[f"{label},{label},{fmt(re)},{fmt(im)},{mlp},{str(bool(inside)).lower()}"
-                 for label, re, im, mlp, inside in rows]])
+    _write_file(path, _csv("mode,label,re_rho,im_rho,max_log_power,in_strip", [
+        [f"{label},{label},{fmt(re)},{fmt(im)},{mlp},{str(bool(inside)).lower()}"
+         for label, re, im, mlp, inside in rows]]))
     _write_manifest(path.parent, {"subcommand": "poles", "power": args.power}, cfg,
                     t0, [str(path)])
     print(f"wrote {path} ({len(rows)} candidate poles, strip "
@@ -114,21 +113,21 @@ def cmd_asymptotics(args) -> int:
 _FIELD_COLUMNS = ("tau", "mode", "re", "im")
 
 
-def _write_csv(path: Path, header: str, blocks):
-    """A CSV file: the header line, then each block of rows in one write.
+def _csv(header: str, blocks) -> bytes:
+    """A CSV file's bytes: the header line, then each block of rows.
 
     A block is a list of rows or a str of ended rows. A row is its cells
     joined by commas; cells (numbers, flags, program-made mode labels) need
-    no quoting. Lines end in \\r\\n, as the csv module's do. Returns the
-    SHA-256 of the bytes written, hashed as they are written.
+    no quoting. Lines end in \\r\\n, as the csv module's do.
     """
-    digest = hashlib.sha256()
-    with open(path, "w", newline="") as fh:
-        for text in itertools.chain([header + "\r\n"], blocks):
-            text = text if isinstance(text, str) else "".join([f"{row}\r\n" for row in text])
-            fh.write(text)
-            digest.update(text.encode(fh.encoding))
-    return digest
+    return "".join([header + "\r\n", *(block if isinstance(block, str)
+                                        else "".join([f"{row}\r\n" for row in block])
+                                        for block in blocks)]).encode()
+
+
+def _write_file(path: Path, data: bytes):
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _read_field_csv(path: Path, grid: LogGrid, cs, max_modes: int) -> RadialField:
@@ -177,20 +176,27 @@ def _field_templates(grid: LogGrid, modes) -> list[str]:
             for mode in modes]
 
 
-def _write_field_csv(path: Path, values: np.ndarray, templates: list[str]):
-    """One format call per mode block, on a template of %.17g: the bytes fmt writes.
+def _field_csv(values: np.ndarray, templates: list[str]) -> bytes:
+    """A field's CSV bytes: one format call per mode block, on a template of %.17g.
 
-    values holds one field's (modes, points) samples, C-ordered complex128;
-    templates (``_field_templates``) are made once for every field on the
-    same grid and mode table. Returns the SHA-256 of the file's bytes.
+    The bytes are those fmt writes. values holds one field's (modes,
+    points) samples, C-ordered complex128; templates (``_field_templates``)
+    are made once for every field on the same grid and mode table.
     """
-    return _write_csv(path, ",".join(_FIELD_COLUMNS),
-                      (template % tuple(row.view(np.float64).tolist())
-                       for template, row in zip(templates, values)))
+    return _csv(",".join(_FIELD_COLUMNS), (template % tuple(row.view(np.float64).tolist())
+                                           for template, row in zip(templates, values)))
+
+
+def _write_field_csv(path: Path, values: np.ndarray, templates: list[str]) -> bytes:
+    """``_field_csv`` of values written to path; returns the 32-byte SHA-256 digest of its bytes."""
+    data = _field_csv(values, templates)
+    _write_file(path, data)
+    return hashlib.sha256(data).digest()
 
 
 _SNAPSHOT_ARRAY = "snapshots.npy"
-_DIGESTS, _OS_ERROR = b"D", b"E"          # the tag of a writer's report
+_DIGESTS, _OS_ERROR = b"D", b"E"          # the tag of a formatter's report
+_COMMIT = b"C"                            # the go-ahead to write: the march ended finite
 
 
 def _snapshots_digest(grid: LogGrid, labels: list[str], parts) -> str:
@@ -222,36 +228,53 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _write_share(ks: range, paths: list[Path], values: np.ndarray, templates) -> bytes:
-    """Snapshot CSVs ks written in order; their 32-byte SHA-256 digests, concatenated."""
-    return b"".join(_write_field_csv(paths[k], values[k], templates).digest() for k in ks)
+def _snapshot_path(outdir: Path, k: int) -> Path:
+    return outdir / f"snapshot_{k:05d}.csv"
 
 
-def _share_writer(fd: int, ks: range, paths: list[Path], values: np.ndarray, templates):
-    """A forked worker: write share ks, report on pipe fd, leave by os._exit on every path.
+def _format_share(rows: int, report: int, inherited: list[int], ks: range, outdir: Path,
+                  templates: list[str], shape: tuple[int, int]):
+    """A forked formatter of snapshots ks; it leaves by os._exit on every path.
 
-    The report is _DIGESTS and the share's digests, or on an OSError _OS_ERROR
-    and its [errno, strerror, filename] as JSON. Nothing the parent set up runs
-    here: no atexit handler, no test hook, no flush of a buffer it inherited.
+    It closes the pipe ends it inherited but does not use, then reads each
+    row of its share from fd `rows` into one preallocated array, formats it
+    and hashes the text in memory. Then it reads one more byte: at EOF
+    instead of _COMMIT it exits having created no file. After the commit it
+    writes its CSVs and reports on fd `report`: _DIGESTS and the share's
+    digests, or on an OSError _OS_ERROR and its [errno, strerror, filename]
+    as JSON. Nothing the parent set up runs here: no atexit handler, no test
+    hook, no flush of a buffer it inherited.
     """
     status = 1
     try:
-        try:
-            report = _DIGESTS + _write_share(ks, paths, values, templates)
-        except OSError as exc:
-            report = _OS_ERROR + json.dumps([exc.errno, exc.strerror, exc.filename],
-                                            default=str).encode()
-        with open(fd, "wb") as fh:
-            fh.write(report)
+        for fd in inherited:
+            os.close(fd)
+        row = np.empty(shape, np.complex128)
+        texts = []                            # (bytes, digest) of each formatted row
+        with open(rows, "rb") as fh:
+            while len(texts) < len(ks) and fh.readinto(row) == row.nbytes:
+                text = _field_csv(row, templates)
+                texts.append((text, hashlib.sha256(text).digest()))
+            committed = len(texts) == len(ks) and fh.read(1) == _COMMIT
+        if committed:
+            try:
+                for k, (text, _) in zip(ks, texts):
+                    _write_file(_snapshot_path(outdir, k), text)
+                out = _DIGESTS + b"".join(digest for _, digest in texts)
+            except OSError as exc:
+                out = _OS_ERROR + json.dumps([exc.errno, exc.strerror, exc.filename],
+                                             default=str).encode()
+            with open(report, "wb") as fh:
+                fh.write(out)
         status = 0
     finally:
         os._exit(status)
 
 
 def _reap(pid: int, fd: int) -> tuple[bytes, int]:
-    """(report, exit code) of a writer: its pipe read to the end, then the process reaped.
+    """(report, exit code) of a formatter: its pipe read to the end, then the process reaped.
 
-    Reading first lets a writer finish a report longer than the pipe holds.
+    Reading first lets a formatter finish a report longer than the pipe holds.
     """
     try:
         with open(fd, "rb") as fh:
@@ -261,70 +284,128 @@ def _reap(pid: int, fd: int) -> tuple[bytes, int]:
     return report, code
 
 
-def _write_snapshots(outdir: Path, traj) -> tuple[list[str], str]:
-    """(paths, snapshots_sha256): traj.values[k] to snapshot_{k:05d}.csv, and all to snapshots.npy.
+class _SnapshotWriters:
+    """The writers of one march's snapshot CSVs, fed each row as the march makes it.
 
-    The array holds exactly the values written, complex128 of shape
-    (snapshots, modes, J) in index order: its .npy header, then the
-    trajectory's array in one write. Each CSV is hashed as its text is
-    written, the array once.
-
-    Formatting the CSVs is CPU-bound Python, so W = min(usable CPUs,
-    snapshots) workers share it (W = 1 without os.fork): this process forks
-    W - 1 writers, worker i writes every snapshot k = i (mod W), and this
-    process is worker 0 and writes the array. Writers send their digests
-    back over a pipe and are all reaped, also when this process's own share
-    raises; a writer's OSError is raised here with its errno, so with its
-    subclass. The bytes and the digest do not depend on W.
+    Formatting a CSV is CPU-bound Python, so of N snapshots W = min(usable
+    CPUs, N) workers share it (W = 1 without os.fork). Made before the
+    march, the object forks W - 1 formatters (``_format_share``): formatter
+    i takes every snapshot k = i (mod W - 1) of 0..N-2. ``send``, the
+    march's on_snapshot hook, writes row k's bytes to its formatter's pipe
+    in a blocking write, so the two stay in step and no second trajectory
+    is kept. ``finish`` commits the formatters, then writes the rest (the
+    last snapshot, which exists only when the march ends, or every snapshot
+    at W = 1) and snapshots.npy. ``close``, which leaving the ``with`` block
+    calls on every path, closes every write end before it waits for any
+    formatter, then reaps them all. A formatter that reads EOF where the
+    commit byte goes writes nothing, so a march that fails leaves the output
+    directory as it found it. The bytes and the digest do not depend on W.
     """
-    values = np.ascontiguousarray(traj.values, dtype=np.complex128)
-    templates = _field_templates(traj.grid, traj.modes)
-    paths = [outdir / f"snapshot_{idx:05d}.csv" for idx in range(len(values))]
-    workers = min(_usable_cpus(), len(paths)) if hasattr(os, "fork") else 1
-    shares = [range(i, len(paths), workers) for i in range(workers)]
-    writers = []                              # (pid, read end of its report pipe)
-    try:
-        for ks in shares[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                os.close(r)
-                _share_writer(w, ks, paths, values, templates)    # does not return
-            os.close(w)
-            writers.append((pid, r))
-        own = _write_share(shares[0], paths, values, templates)
-        array_path = outdir / _SNAPSHOT_ARRAY
+
+    def __init__(self, outdir: Path, grid: LogGrid, modes, count: int):
+        self.outdir, self.grid, self.labels = outdir, grid, [m.label for m in modes]
+        self.count = count
+        self.templates = _field_templates(grid, modes)
+        workers = min(_usable_cpus(), count) if hasattr(os, "fork") else 1
+        self.shares = [range(i, count - 1, workers - 1) for i in range(workers - 1)]
+        self.own = range(count - 1 if self.shares else 0, count)
+        self._children = []                   # [pid, write end of its rows or None, report fd]
+        try:
+            for ks in self.shares:
+                self._fork(ks, (len(modes), grid.points))
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self, ks: range, shape: tuple[int, int]):
+        inherited = [fd for _, rows, report in self._children for fd in (rows, report)]
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        rows_r, rows_w, report_r, report_w = fds
+        if pid == 0:
+            _format_share(rows_r, report_w, [rows_w, report_r, *inherited], ks, self.outdir,
+                          self.templates, shape)          # does not return
+        os.close(rows_r)
+        os.close(report_w)
+        self._children.append([pid, rows_w, report_r])
+
+    def send(self, k: int, row: np.ndarray):
+        """The march's on_snapshot hook: row k's bytes to the formatter whose share holds it."""
+        if k in self.own:
+            return
+        child = self._children[k % len(self._children)]
+        if child[1] is None:                  # its formatter is gone; finish reports how
+            return
+        view = memoryview(row).cast("B")
+        try:
+            while view:
+                view = view[os.write(child[1], view):]
+        except BrokenPipeError:
+            os.close(child[1])
+            child[1] = None
+
+    def finish(self, values: np.ndarray) -> tuple[list[str], str]:
+        """(paths, snapshots_sha256) of a march that returned finite values.
+
+        values is the trajectory's (snapshots, modes, points) array. Sends
+        each formatter the commit byte, writes this process's share and
+        snapshots.npy (its .npy header, then the array in one write), then
+        reaps the formatters. A formatter's OSError is raised here with its
+        errno, so with its subclass; a formatter that exits non-zero or with
+        a short report raises RuntimeError.
+        """
+        values = np.ascontiguousarray(values, dtype=np.complex128)
+        for _, rows, _ in self._children:
+            if rows is not None:
+                try:
+                    os.write(rows, _COMMIT)
+                except BrokenPipeError:       # its report says why
+                    pass
+        paths = [_snapshot_path(self.outdir, k) for k in range(self.count)]
+        parts = {k: _write_field_csv(paths[k], values[k], self.templates) for k in self.own}
+        array_path = self.outdir / _SNAPSHOT_ARRAY
         with open(array_path, "wb") as fh:
             fh.write(_snapshot_array_header(values.shape))
             fh.write(values)
-    finally:
-        reports = [_reap(pid, r) for pid, r in writers]
-    digests = [own]
-    for ks, (report, code) in zip(shares[1:], reports):
-        if code == 0 and report[:1] == _OS_ERROR:
-            raise OSError(*json.loads(report[1:]))
-        if code != 0 or report[:1] != _DIGESTS or len(report) != 1 + 32 * len(ks):
-            raise RuntimeError(f"snapshot writer of {ks} exited with {code} after a "
-                               f"{len(report)}-byte report")
-        digests.append(report[1:])
-    parts = [b""] * len(paths)
-    for i, share in enumerate(digests):
-        parts[i::workers] = [share[j:j + 32] for j in range(0, len(share), 32)]
-    digest = _snapshots_digest(traj.grid, [m.label for m in traj.modes],
-                               [*parts, hashlib.sha256(values).digest()])
-    return [*map(str, paths), str(array_path)], digest
+        for ks, (report, code) in zip(self.shares, self.close()):
+            if code == 0 and report[:1] == _OS_ERROR:
+                raise OSError(*json.loads(report[1:]))
+            if code != 0 or report[:1] != _DIGESTS or len(report) != 1 + 32 * len(ks):
+                raise RuntimeError(f"snapshot writer of {ks} exited with {code} after a "
+                                   f"{len(report)}-byte report")
+            parts.update(zip(ks, (report[j:j + 32] for j in range(1, len(report), 32))))
+        digest = _snapshots_digest(self.grid, self.labels,
+                                   [*(parts[k] for k in range(self.count)),
+                                    hashlib.sha256(values).digest()])
+        return [*map(str, paths), str(array_path)], digest
+
+    def close(self) -> list[tuple[bytes, int]]:
+        """Close every write end still open, then reap each formatter: its (report, exit code)."""
+        children, self._children = self._children, []
+        for _, rows, _ in children:
+            if rows is not None:
+                os.close(rows)
+        return [_reap(pid, report) for pid, _, report in children]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def _read_snapshots(trajdir: Path, snaps: list[Path], meta: dict, grid: LogGrid, cs,
                     max_modes: int) -> np.ndarray:
     """The snapshot values (snapshots, modes, J), from snapshots.npy when snapshots_sha256 vouches.
 
-    The array is taken only under the exact .npy header `_write_snapshots`
+    The array is taken only under the exact .npy header `_SnapshotWriters`
     writes for the run config's shape, so its dtype, order and shape are
     known before any value is read, and no file content sizes an allocation.
     The digest is then recomputed from the run config's grid and mode
@@ -393,8 +474,9 @@ def cmd_solve_heat(args) -> int:
     meta_path = output_path(None, args.out, "trajectory.json")
     outdir = meta_path.parent
     u0 = _read_field_csv(Path(args.u0), grid, cs, hc.max_modes)
-    traj = solve_heat(u0, None, hc)
-    outputs, digest = _write_snapshots(outdir, traj)
+    with _SnapshotWriters(outdir, grid, u0.modes, hc.snapshot_count) as writers:
+        traj = solve_heat(u0, None, hc, on_snapshot=writers.send)
+        outputs, digest = writers.finish(traj.values)
     meta = {"times": traj.times, "scheme": {"theta": hc.theta, "dt": hc.dt},
             "outer_bc": hc.outer_bc, "gamma": float(gamma), "snapshots_sha256": digest}
     with open(meta_path, "w") as fh:
@@ -457,7 +539,7 @@ def cmd_fit_tip(args) -> int:
     max_modes = max_modes_from_config(run_cfg)
     window = _value(cfg, "fit.window", lambda w: w, "two numbers [x_a, x_b]", None)
     # snapshot_{idx:05d}.csv holds the field at times[idx]
-    snaps = [trajdir / f"snapshot_{idx:05d}.csv" for idx in range(len(meta["times"]))]
+    snaps = [_snapshot_path(trajdir, idx) for idx in range(len(meta["times"]))]
     missing = [p.name for p in snaps if not p.exists()]
     extra = sorted({p.name for p in trajdir.glob("snapshot_*.csv")} - {p.name for p in snaps})
     if missing or extra:
@@ -471,7 +553,7 @@ def cmd_fit_tip(args) -> int:
             f"{fmt(res)},{fmt(decay[mode][k])}" for k, (t, res, row) in enumerate(zip(
                 series.times.tolist(), series.residual_norm.tolist(), series.coefficients.tolist()))
             for (rho, m, mode), c in zip(series.keys, row)]
-    _write_csv(path, "t,rho_re,rho_im,m,mode,c_re,c_im,residual,decay_exp", [rows])
+    _write_file(path, _csv("t,rho_re,rho_im,m,mode,c_re,c_im,residual,decay_exp", [rows]))
     _write_manifest(path.parent, {"subcommand": "fit-tip", "traj": str(trajdir)},
                     run_cfg, t0, [str(path)])
     print(f"wrote {path} ({len(rows)} fitted coefficients)")

@@ -63,10 +63,14 @@ class CrossSection:
                 if not length > 0:
                     raise ConfigError("circle circumference must be positive")
                 L = float(length)
-                qf = (2.0 * math.pi / L) ** 2
-                snap = Fraction(qf).limit_denominator(10**6)
-                # a positive q never snaps to 0: below 1e-12 the absolute test would take it
-                q = snap if snap and abs(float(snap) - qf) < 1e-12 * max(1.0, qf) else qf
+                r = 2.0 * math.pi / L
+                qf = r ** 2
+                # L = 2 pi a / b with a, b <= 1000 snaps 2 pi / L to b/a and q to its
+                # square: a relative test on so few fractions takes no other L, and a
+                # positive q never snaps to 0
+                snap = Fraction(r).limit_denominator(1000)
+                exact = 0 < snap.numerator <= 1000 and abs(float(snap) - r) < 1e-12 * r
+                q = snap ** 2 if exact else qf
             else:
                 raise ConfigError("circle needs 'L' or 'L_over_pi'")
         except OverflowError:

@@ -61,6 +61,12 @@ class HeatConfig:
             raise ConfigError("T must be an integer multiple of dt")
         return n
 
+    @property
+    def snapshot_count(self) -> int:
+        """How many states a march keeps: those at steps 0, every, 2*every, ... and n_steps."""
+        n = self.n_steps
+        return -(-n // (self.snapshot_every or n)) + 1
+
 
 @dataclass
 class HeatTrajectory:
@@ -190,7 +196,7 @@ def check_march_grid(cfg: HeatConfig, what: str) -> None:
     _symmetric_system(_mode_operators(cfg)[1], cfg, what)
 
 
-def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
+def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig, on_snapshot=None) -> HeatTrajectory:
     """March u' = L u + f from u0 to T, collecting configured snapshots.
 
     Each step solves (I - theta dt L) u+ = (I + (1-theta) dt L) u + dt f
@@ -202,7 +208,9 @@ def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
     march: its boundary value stays frozen, bit for bit, and takes no
     forcing. A grid too coarse for a symmetric form (h >= 2/(n-1)) raises
     ConfigError. The trajectory keeps the march's array, checked once for
-    finite values, and builds no field.
+    finite values after the march, and builds no field. on_snapshot, if
+    given, is ``evolve_theta``'s hook: on_snapshot(k, row) once row k is
+    final, before that check.
     """
     if u0.grid.points != cfg.grid.points or u0.grid.tau_min != cfg.grid.tau_min:
         raise ConfigError("initial field lives on a different grid than the config")
@@ -223,7 +231,7 @@ def solve_heat(u0: RadialField, f_provider, cfg: HeatConfig) -> HeatTrajectory:
             return cfg.dt * fb
 
     values = evolve_theta(*_symmetric_system(ops, cfg), cfg.theta, cfg.dt,
-                          u0.values, n_steps, every, forcing)
+                          u0.values, n_steps, every, forcing, on_snapshot=on_snapshot)
     if not np.isfinite(values).all():
         raise NumericalError(f"non-finite state in the theta march (theta={cfg.theta}, "
                              f"dt={cfg.dt})")

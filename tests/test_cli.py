@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import conelab
-from conelab import cli
+from conelab import cli, heat_solver
 from conelab.cli import _field_templates, _read_field_csv, _write_field_csv, main
 from conelab.cone_geometry import CrossSection
 from conelab.config import fmt, grid_from_config
@@ -767,7 +767,7 @@ def test_fit_tip_reads_the_array_solve_heat_writes(cfg_path, tmp_path, monkeypat
 
 
 @pytest.fixture
-def forks(monkeypatch):
+def forks(monkeypatch, hang_guard):
     """The pids os.fork returns in this process; a forked writer leaves inside cli."""
     pids, fork = [], os.fork
 
@@ -787,11 +787,19 @@ def _trajectory(snapshots: int) -> HeatTrajectory:
                           CIRCLE.mode_table(2), CIRCLE.n, 1.0)
 
 
+def _write_trajectory(outdir: Path, traj: HeatTrajectory):
+    """(paths, snapshots_sha256): a finished trajectory fed row by row to the snapshot writers."""
+    with cli._SnapshotWriters(outdir, traj.grid, traj.modes, len(traj.times)) as writers:
+        for k, row in enumerate(traj.values):
+            writers.send(k, row)
+        return writers.finish(traj.values)
+
+
 @pytest.mark.parametrize("snapshots", [21, 2, 1])
 def test_snapshot_writers_share_out_the_bytes_of_one(snapshots, tmp_path, monkeypatch, forks):
-    # W = min(CPUs, snapshots) writers, worker i taking every k = i (mod W):
-    # the files, their order in snapshots_sha256 and the array path of fit-tip
-    # do not depend on W
+    # W = min(CPUs, snapshots) workers, formatter i taking every k = i (mod W - 1)
+    # of all but the last: the files, their order in snapshots_sha256 and the
+    # array path of fit-tip do not depend on W, extreme values included
     traj = _trajectory(snapshots)
     written = {}
     for cpus in (1, 2, 3):
@@ -799,7 +807,7 @@ def test_snapshot_writers_share_out_the_bytes_of_one(snapshots, tmp_path, monkey
         outdir = tmp_path / f"cpus{cpus}"
         outdir.mkdir()
         before = len(forks)
-        paths, digest = cli._write_snapshots(outdir, traj)
+        paths, digest = _write_trajectory(outdir, traj)
         assert len(forks) - before == min(cpus, snapshots) - 1
         assert [Path(p).name for p in paths] == [
             *(f"snapshot_{k:05d}.csv" for k in range(snapshots)), "snapshots.npy"]
@@ -819,12 +827,103 @@ def test_snapshot_writers_share_out_the_bytes_of_one(snapshots, tmp_path, monkey
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cpus, bad", [(1, 1), (2, 1), (2, 0)],
+def _heat_inputs(tmp_path: Path, **heat) -> tuple[Path, Path]:
+    """(config, u0): CIRCLE_CFG with these heat keys, and a seeded field on every mode."""
+    cfg, u0 = tmp_path / "cfg.json", tmp_path / "u0.csv"
+    cfg.write_text(json.dumps(dict(CIRCLE_CFG, heat=dict(CIRCLE_CFG["heat"], **heat))))
+    modes = CIRCLE.mode_table(3)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((len(modes), 129)) + 1j * rng.standard_normal((len(modes), 129))
+    _write_field_csv(u0, values, _field_templates(GRID, modes))
+    return cfg, u0
+
+
+@pytest.mark.parametrize("snapshots, every", [(21, 1), (2, 0)])
+def test_solve_heat_writes_the_bytes_of_one_process(snapshots, every, tmp_path, monkeypatch,
+                                                    forks):
+    # the formatters, fed rows while the march runs, write what one process writes
+    cfg, u0 = _heat_inputs(tmp_path, T=0.02, snapshot_every=every)
+    basis = tmp_path / "basis.json"
+    assert main(["asymptotics", "--config", str(cfg), "--out", str(basis)]) == 0
+    written = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        traj = tmp_path / f"cpus{cpus}"
+        before = len(forks)
+        assert main(["solve-heat", "--config", str(cfg), "--u0", str(u0),
+                     "--out", str(traj)]) == 0
+        assert len(forks) - before == min(cpus, snapshots) - 1
+        written[cpus] = {p.name: p.read_bytes() for p in traj.iterdir()
+                         if p.name != "manifest.json"}
+        assert len(written[cpus]) == snapshots + 2
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_field_csv", lambda *a: pytest.fail("parsed a snapshot CSV"))
+            assert main(["fit-tip", "--traj", str(traj), "--basis", str(basis),
+                         "--out", str(tmp_path / f"fits{cpus}.csv")]) == 0
+    assert written[1] == written[2] == written[3]
+    assert (tmp_path / "fits1.csv").read_bytes() == (tmp_path / "fits3.csv").read_bytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_non_finite_march_writes_nothing_and_leaves_no_formatter(tmp_path, monkeypatch, capsys,
+                                                                  forks):
+    # the formatter formats the poisoned row, but reads EOF where the commit
+    # byte goes: no file is made, and a snapshot already there keeps its bytes
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    cfg, u0 = _heat_inputs(tmp_path)
+    march = heat_solver.evolve_theta
+
+    def poisoned(*args, on_snapshot):
+        def hook(k, row):
+            if k == 1:
+                row[0, 7] = complex(math.inf, 0.0)
+            on_snapshot(k, row)
+        return march(*args, on_snapshot=hook)
+    monkeypatch.setattr(heat_solver, "evolve_theta", poisoned)
+    traj = tmp_path / "traj"
+    traj.mkdir()
+    (traj / "snapshot_00000.csv").write_bytes(b"kept")
+    assert main(["solve-heat", "--config", str(cfg), "--u0", str(u0),
+                 "--out", str(traj)]) == 3
+    assert "numerical failure: non-finite state" in capsys.readouterr().err
+    assert len(forks) == 1
+    assert [p.name for p in traj.iterdir()] == ["snapshot_00000.csv"]
+    assert (traj / "snapshot_00000.csv").read_bytes() == b"kept"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_formatter_crash_is_a_writer_error_not_a_broken_pipe(tmp_path, monkeypatch, capsys,
+                                                            forks):
+    # the formatter dies on its first row; its 20 rows overfill the pipe, so
+    # the march's writes meet a closed pipe and go on without it
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    cfg, u0 = _heat_inputs(tmp_path, T=0.02, snapshot_every=1)
+    parent, field_csv = os.getpid(), cli._field_csv
+
+    def crashing(*args):
+        if os.getpid() != parent:
+            raise ValueError("formatter bug")
+        return field_csv(*args)
+    monkeypatch.setattr(cli, "_field_csv", crashing)
+    with pytest.raises(RuntimeError, match=r"snapshot writer of range\(0, 20\) exited with 1 "
+                                           r"after a 0-byte report"):
+        main(["solve-heat", "--config", str(cfg), "--u0", str(u0),
+              "--out", str(tmp_path / "traj")])
+    assert "Broken pipe" not in capsys.readouterr().err
+    assert len(forks) == 1
+    assert not (tmp_path / "traj" / "trajectory.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus, bad", [(1, 1), (2, 1), (2, 2)],
                          ids=["one-writer", "forked-writer-fails", "own-share-fails"])
 def test_unwritable_snapshot_exit_2_and_no_writer_left(cpus, bad, cfg_path, tmp_path,
                                                         monkeypatch, capsys, forks):
-    # a directory where snapshot `bad` goes: at W = 2 worker 1 writes k = 1, and
-    # worker 0 (this process) k = 0 and 2, so either side's IsADirectoryError
+    # a directory where snapshot `bad` goes: at W = 2 the formatter writes k = 0
+    # and 1, and this process the last, k = 2, so either side's IsADirectoryError
     # reaches main, which names the path; every writer has been reaped
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     u0, outdir = tmp_path / "u0.csv", tmp_path / "traj"
@@ -838,7 +937,7 @@ def test_unwritable_snapshot_exit_2_and_no_writer_left(cpus, bad, cfg_path, tmp_
     assert not (outdir / "trajectory.json").exists()
     assert not (outdir / "manifest.json").exists()
     with pytest.raises(IsADirectoryError):             # the subclass of a one-process run
-        cli._write_snapshots(outdir, _trajectory(3))
+        _write_trajectory(outdir, _trajectory(3))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -4,6 +4,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conelab.cone_geometry import (LOOKUP_REACH, CrossSection, Mode, bessel_order, find_mode,
@@ -27,6 +28,24 @@ def test_long_circle_keeps_a_positive_q():
     cs = CrossSection.circle(length=1e7)
     assert cs.circle_q == (2.0 * math.pi / 1e7) ** 2 > 0.0
     assert cs.mode_table(2)[1].eigenvalue < 0.0
+
+
+def test_circle_of_a_rational_multiple_of_two_pi_snaps_to_its_exact_q():
+    for p in range(1, 25):
+        for q in range(1, 25):
+            cs = CrossSection.circle(length=2.0 * math.pi * p / q)
+            assert type(cs.circle_q) is Fraction and cs.circle_q == Fraction(q, p) ** 2
+
+
+def test_circle_snaps_no_log_spaced_circumference_to_a_spurious_fraction():
+    # an absolute test on q within 1e-12 of a fraction with denominator <= 1e6
+    # snapped 4846 lengths of [2 pi, 1e8] (L = 6.5498 to q = 621577/675447)
+    # and 19852 of [2 pi 1e-12, 2 pi]; of each only L = 2 pi is exact
+    for lo, hi in ((2.0 * math.pi, 1e8), (2e-12 * math.pi, 2.0 * math.pi)):
+        qs = [(L, CrossSection.circle(length=L).circle_q)
+              for L in np.geomspace(lo, hi, 20000).tolist()]
+        assert [(L, q) for L, q in qs if isinstance(q, Fraction)] == [(2.0 * math.pi, 1)]
+    assert CrossSection.circle(length=6.5498).circle_q == (2.0 * math.pi / 6.5498) ** 2
 
 
 def test_sphere_mode_table():

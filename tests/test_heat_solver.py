@@ -187,8 +187,8 @@ def test_non_finite_snapshot_with_finite_final_state_raises(monkeypatch):
                      theta=0.5, max_modes=1, snapshot_every=1)
     march = heat_solver.evolve_theta
 
-    def overflowing(*args):
-        traj = march(*args)
+    def overflowing(*args, **kwargs):
+        traj = march(*args, **kwargs)
         traj[2, 0, 7] = complex(math.inf, 0.0)   # a middle row; the last one stays finite
         return traj
     monkeypatch.setattr(heat_solver, "evolve_theta", overflowing)

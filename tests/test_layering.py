@@ -85,12 +85,15 @@ def test_every_function_is_named_outside_its_own_def():
 
 
 def test_only_cli_forks():
-    # process creation stays in one place: the snapshot writers of cli._write_snapshots
-    def forks(node):
-        return (isinstance(node, ast.Attribute) and node.attr == "fork"
+    # process creation stays in one place, the snapshot writers of cli._SnapshotWriters, and
+    # so do their pipes: _kernels and heat_solver hand each snapshot row to a callable
+    def names(node, attr):
+        return (isinstance(node, ast.Attribute) and node.attr == attr
                 and getattr(node.value, "id", None) == "os") or (
             isinstance(node, ast.ImportFrom) and node.module == "os"
-            and "fork" in {alias.name for alias in node.names})
-    users = {path.name: sum(map(forks, ast.walk(ast.parse(path.read_text()))))
-             for path in SRC.glob("*.py")}
+            and attr in {alias.name for alias in node.names})
+    trees = {path.name: list(ast.walk(ast.parse(path.read_text()))) for path in SRC.glob("*.py")}
+    users = {name: sum(names(node, "fork") for node in nodes) for name, nodes in trees.items()}
     assert {name: n for name, n in users.items() if n} == {"cli.py": 1}
+    assert {name for name, nodes in trees.items()
+            if any(names(node, "pipe") for node in nodes)} == {"cli.py"}
